@@ -16,17 +16,11 @@ performance trajectory.  Two workloads:
   bit-parallel grader -- the verdict sets are asserted identical before
   the timings are recorded.
 * **built-in generation** (the Fig 4.9 seed-trial loop end to end):
-  the scalar one-seed-at-a-time construction vs the 64-lane batched
-  engine on a rejection-heavy configuration (large ``R``, subsampled
+  the scalar one-seed-at-a-time construction (``lanes=1``) vs the
+  64-lane packed engine (``lanes=None``) on a rejection-heavy configuration (large ``R``, subsampled
   fault list, so most candidate seeds fail and batching pays).  The
   accepted segment lists are asserted bit-identical before timing; the
   batched path must clear a 5x seeds-evaluated/sec floor.
-* **array kernel** (the ``--kernel array`` / ``--lanes`` path): the same
-  4096-lane packed workload run as 64 sequential word-kernel chunks and
-  as one numpy ``uint64`` array-kernel invocation on s1423 and b14;
-  every 64-lane chunk is asserted bit-identical (switching counts and
-  state trajectories) before timing, and the array kernel must clear a
-  5x per-lane throughput floor over the packed word kernel.
 * **observability overhead** (the ``repro.obs`` budget): the same
   end-to-end generation run on s1423 with metric collection enabled vs
   disabled; the enabled run must stay within a 2% wall-time overhead,
@@ -72,8 +66,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro import cache as artifact_cache
 from repro import obs
 from repro.circuits.benchmarks import available, entry, get_circuit
@@ -83,12 +75,7 @@ from repro.core.compiled import compile_circuit
 from repro.faults.collapse import collapsed_transition_faults
 from repro.faults.fsim import FaultGrader, TransitionFaultSimulator
 from repro.faults.lists import all_transition_faults
-from repro.core import kernel as kernel_backend
-from repro.logic.bitsim import (
-    simulate_packed_arrays,
-    simulate_packed_words,
-    simulate_sequences_packed,
-)
+from repro.logic.bitsim import simulate_sequences_packed
 from repro.logic.reference import (
     grade_transition_faults_reference,
     simulate_sequence_reference,
@@ -110,18 +97,6 @@ GENERATION_CIRCUITS = ("s1423", "b14")
 
 #: Required batched-vs-scalar speedup in seeds evaluated per second.
 GENERATION_SPEEDUP_FLOOR = 5.0
-
-#: Circuits for the array-kernel workload (the ISSUE's speedup targets).
-ARRAY_KERNEL_CIRCUITS = ("s1423", "b14")
-
-#: Lanes per array-kernel invocation.  The numpy kernel's per-cycle cost
-#: is nearly flat in the word count (it is dominated by per-level numpy
-#: call overhead), so wide batches are where it amortizes; 4096 lanes is
-#: comfortably past the crossover on every bundled circuit.
-ARRAY_KERNEL_LANES = 4096
-
-#: Required array-vs-word per-lane throughput speedup at that width.
-ARRAY_KERNEL_SPEEDUP_FLOOR = 5.0
 
 #: Circuit the observability-overhead gate is measured on.
 OBS_CIRCUIT = "s1423"
@@ -290,21 +265,20 @@ def bench_builtin_generation(
         faults = collapsed_transition_faults(circuit)
         faults = rng.sample(faults, min(n_faults, len(faults)))
 
-        def run(batched: bool):
+        def run(lanes: int | None):
             cfg = BuiltinGenConfig(
                 segment_length=length,
                 r_limit=32,
                 q_limit=1,
                 rng_seed=19,
                 time_limit=None,
-                batched=batched,
-                batch_lanes=64,
+                lanes=lanes,
             )
             gen = BuiltinGenerator(circuit, faults, None, config=cfg)
             return gen, gen.run()
 
-        gen_s, res_s = run(False)
-        gen_b, res_b = run(True)
+        gen_s, res_s = run(1)
+        gen_b, res_b = run(None)
         segs_s = [seg for m in res_s.sequences for seg in m.segments]
         segs_b = [seg for m in res_b.sequences for seg in m.segments]
         assert segs_s == segs_b, f"{name}: batched segments diverge: bench aborted"
@@ -312,8 +286,8 @@ def bench_builtin_generation(
         assert res_s.peak_swa == res_b.peak_swa, f"{name}: peak SWA diverges"
         assert gen_s.stats.seeds_evaluated == gen_b.stats.seeds_evaluated
 
-        t_scalar = _best_of(repeats, lambda: run(False))
-        t_batched = _best_of(repeats, lambda: run(True))
+        t_scalar = _best_of(repeats, lambda: run(1))
+        t_batched = _best_of(repeats, lambda: run(None))
         seeds = gen_s.stats.seeds_evaluated
         accepted = gen_s.stats.seeds_accepted
         speedup = t_scalar / t_batched if t_batched else 0.0
@@ -337,81 +311,6 @@ def bench_builtin_generation(
             f"{accepted} accepted): scalar {t_scalar:.3f} s "
             f"({seeds / t_scalar:8.1f} seeds/s) | batched {t_batched:.3f} s "
             f"({seeds / t_batched:8.1f} seeds/s) | speedup {speedup:.1f}x"
-        )
-    return out
-
-
-def bench_array_kernel(
-    length: int, n_lanes: int, repeats: int
-) -> dict[str, dict[str, object]]:
-    """Packed word kernel vs numpy array kernel, bit-identity asserted.
-
-    The same ``n_lanes``-wide random workload is simulated as
-    ``n_lanes / 64`` sequential :func:`simulate_packed_words` runs and as
-    one :func:`simulate_packed_arrays` invocation; both sides carry the
-    same total lane count, so the wall-clock ratio *is* the per-lane
-    throughput ratio.  Before timing, every 64-lane chunk of the array
-    result is asserted equal to its word-kernel run -- switching counts
-    and the full packed state trajectory.
-    """
-    out: dict[str, dict[str, object]] = {}
-    n_words = n_lanes // 64
-    for name in ARRAY_KERNEL_CIRCUITS:
-        circuit = get_circuit(name)
-        cc = compile_circuit(circuit)
-        rng = random.Random(53)
-        init = [0] * len(circuit.flops)
-        n_inputs = len(circuit.inputs)
-        arr = np.zeros((length, n_inputs, n_words), dtype=np.uint64)
-        chunk_rows = []
-        for c in range(n_words):
-            rows = [
-                [rng.getrandbits(64) for _ in range(n_inputs)]
-                for _ in range(length)
-            ]
-            chunk_rows.append(rows)
-            for i in range(length):
-                arr[i, :, c] = np.array(rows[i], dtype=np.uint64)
-
-        packed_a = simulate_packed_arrays(
-            circuit, init, arr, n_lanes, compiled=cc
-        )
-        state_arr = np.asarray(packed_a.state_words)
-        for c, rows in enumerate(chunk_rows):
-            packed_w = simulate_packed_words(circuit, init, rows, 64, compiled=cc)
-            assert (
-                packed_a.switching_counts[:, c * 64 : (c + 1) * 64]
-                == packed_w.switching_counts
-            ).all(), f"{name}: chunk {c} switching diverges: bench aborted"
-            word_states = np.array(packed_w.state_words, dtype=np.uint64)
-            assert (state_arr[:, :, c] == word_states).all(), (
-                f"{name}: chunk {c} state trajectory diverges: bench aborted"
-            )
-
-        def run_words():
-            for rows in chunk_rows:
-                simulate_packed_words(circuit, init, rows, 64, compiled=cc)
-
-        t_word = _best_of(repeats, run_words)
-        t_array = _best_of(
-            repeats,
-            lambda: simulate_packed_arrays(circuit, init, arr, n_lanes, compiled=cc),
-        )
-        speedup = t_word / t_array if t_array else 0.0
-        out[name] = {
-            "lines": circuit.num_lines,
-            "cycles": length,
-            "lanes": n_lanes,
-            "word_chunks_s": t_word,
-            "array_s": t_array,
-            "word_per_lane_cycle_us": 1e6 * t_word / (n_lanes * length),
-            "array_per_lane_cycle_us": 1e6 * t_array / (n_lanes * length),
-            "per_lane_speedup": speedup,
-        }
-        print(
-            f"  {name:8s} ({circuit.num_lines:5d} lines, {n_lanes} lanes x "
-            f"{length} cycles): word {t_word:.3f} s | array {t_array:.3f} s | "
-            f"per-lane speedup {speedup:.2f}x"
         )
     return out
 
@@ -446,8 +345,7 @@ def bench_observability(repeats: int) -> dict[str, object]:
             q_limit=1,
             rng_seed=19,
             time_limit=None,
-            batched=True,
-            batch_lanes=64,
+            lanes=None,
         )
         BuiltinGenerator(circuit, faults, None, config=cfg).run()
 
@@ -720,7 +618,6 @@ SECTIONS = (
     "sequence_simulation",
     "fault_grading",
     "builtin_generation",
-    "array_kernel",
     "fault_sharding",
     "cache_warm_start",
     "executor_overhead",
@@ -801,14 +698,6 @@ def main(argv: list[str] | None = None) -> int:
         results["builtin_generation"] = bench_builtin_generation(
             gen_length, gen_faults, repeats
         )
-    if "array_kernel" in selected:
-        print(
-            f"array kernel (packed word chunks vs numpy uint64 at "
-            f"{ARRAY_KERNEL_LANES} lanes):"
-        )
-        results["array_kernel"] = bench_array_kernel(
-            24 if args.quick else 100, ARRAY_KERNEL_LANES, repeats
-        )
     if "fault_sharding" in selected:
         print(
             f"fault-sharded grading (serial vs {SHARDING_SHARDS} shards "
@@ -841,7 +730,6 @@ def main(argv: list[str] | None = None) -> int:
         "utc": expdb.utc_now(),
         "code_hash": expdb.code_hash(),
         "python": sys.version.split()[0],
-        "kernel_backend": kernel_backend.active(),
         "workload": {
             "sequence_cycles": length,
             "grading_tests": n_tests,
@@ -872,9 +760,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
         with expdb.ExperimentDB(db_path) as db:
-            batch = db.record_bench(
-                fresh, quick=args.quick, kernel=kernel_backend.active()
-            )
+            batch = db.record_bench(fresh, quick=args.quick)
         print(f"recorded bench batch {batch} in {db_path}")
 
     status = 0
@@ -888,15 +774,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"WARNING: batched generation on {name} below the "
                 f"{GENERATION_SPEEDUP_FLOOR:.0f}x floor "
                 f"({row['speedup']:.1f}x)",
-                file=sys.stderr,
-            )
-            status = 1
-    for name, row in results.get("array_kernel", {}).items():
-        if row["per_lane_speedup"] < ARRAY_KERNEL_SPEEDUP_FLOOR:
-            print(
-                f"WARNING: array kernel on {name} below the "
-                f"{ARRAY_KERNEL_SPEEDUP_FLOOR:.0f}x per-lane floor "
-                f"({row['per_lane_speedup']:.1f}x)",
                 file=sys.stderr,
             )
             status = 1

@@ -165,7 +165,7 @@ class LfsrLanes:
     state sequence of ``Lfsr(n=n, taps=taps, seed=seeds[t])``.
 
     This is the stepping engine behind the multi-seed TPG expansion of
-    the batched Fig 4.9 construction loop
+    the packed Fig 4.9 construction loop
     (:meth:`repro.bist.tpg.DevelopedTpg.sequence_batch`).
     """
 

@@ -49,17 +49,6 @@ section of ``--stats``.  Bad ``--jobs`` / ``--shards`` /
 ``--executor`` / ``--fallback-executor`` values fail fast with exit
 code 2 before any work is dispatched.
 
-Kernel backends (see :mod:`repro.core.kernel`): ``generate`` and
-``table`` accept ``--kernel {word,array}`` (equivalently
-``REPRO_KERNEL``, which pool/remote workers inherit) to pick the
-evaluation kernel -- the exec-generated packed word kernel (64 lanes
-per Python int, the default) or the numpy ``uint64`` array kernel
-(N x 64 lanes per invocation) -- and ``--lanes N`` (a positive multiple
-of 64) to widen the candidate-seed batches of the Fig 4.9 loop; widths
-above 64 engage the array kernel automatically.  Both backends are
-bit-identical, so these too are pure throughput knobs; bad values fail
-fast with exit code 2.
-
 Experiment history (see :mod:`repro.expdb`): ``generate`` and ``table``
 accept ``--db PATH`` (equivalently ``REPRO_DB``, which pool and remote
 workers inherit) to append the run -- its parameters, fingerprint, every
@@ -136,7 +125,6 @@ def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
     import os
 
     from repro import expdb
-    from repro.core import kernel
 
     path = getattr(args, "db", None) or os.environ.get(expdb.ENV_VAR)
     if not path:
@@ -146,7 +134,6 @@ def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
     run_id = db.begin_run(
         kind,
         label,
-        kernel=kernel.active(),
         executor=getattr(args, "executor", None) or "inprocess",
         argv=getattr(args, "argv", None),
     )
@@ -191,12 +178,11 @@ def _cache_setup(args: argparse.Namespace) -> None:
 
 
 def _validate_dispatch(args: argparse.Namespace) -> str | None:
-    """Fail-fast guard for ``--jobs``/``--shards``/``--executor``/``--kernel``/``--lanes``.
+    """Fail-fast guard for ``--jobs``/``--shards``/``--executor``.
 
     Returns the error message to print (the caller exits 2), or ``None``
     when every dispatch knob the subcommand carries is valid.
     """
-    from repro.core.kernel import validate_kernel, validate_lanes
     from repro.exec import validate_executor_kind, validate_jobs, validate_shards
 
     try:
@@ -218,34 +204,9 @@ def _validate_dispatch(args: argparse.Namespace) -> str | None:
                 raise ValueError(
                     "--fallback-executor only applies with --executor remote"
                 )
-        kernel = validate_kernel(getattr(args, "kernel", None))
-        lanes = validate_lanes(getattr(args, "lanes", None))
-        if kernel == "word" and lanes is not None and lanes > 64:
-            raise ValueError(
-                f"--lanes {lanes} exceeds the word kernel's 64-lane words: "
-                "drop --kernel word or select --kernel array"
-            )
     except ValueError as exc:
         return str(exc)
     return None
-
-
-def _kernel_setup(args: argparse.Namespace) -> None:
-    """Select the kernel backend when ``--kernel`` asks for one.
-
-    The choice is also exported as ``REPRO_KERNEL`` so worker processes
-    (``--jobs``, ``--shards``, remote workers) evaluate through the same
-    backend -- not for correctness (the backends are bit-identical) but so
-    a requested speedup actually happens where the cycles are spent.
-    """
-    import os
-
-    from repro.core import kernel
-
-    kind = getattr(args, "kernel", None)
-    if kind:
-        os.environ[kernel.ENV_VAR] = kind
-        kernel.configure(kind)
 
 
 def _build_executor(args: argparse.Namespace, jobs: int | None = None):
@@ -372,7 +333,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    _kernel_setup(args)
     import time
 
     run_id = _db_setup(args, "generate", args.circuit)
@@ -419,7 +379,6 @@ def _run_generate(args: argparse.Namespace, executor=None) -> int:
         time_limit=args.time_limit,
         seed=args.seed,
         shards=args.shards,
-        lanes=args.lanes,
         executor=executor,
         hold=args.hold,
         tree_height=args.tree_height,
@@ -433,7 +392,6 @@ def _run_generate(args: argparse.Namespace, executor=None) -> int:
             time_limit=args.time_limit,
             rng_seed=args.seed,
             grade_shards=args.shards,
-            lanes=args.lanes,
         )
         remaining = [f for f in outcome.faults if f not in result.detected]
         holding = run_with_state_holding(
@@ -508,7 +466,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    _kernel_setup(args)
     import time
 
     run_id = _db_setup(args, "table", args.table)
@@ -581,7 +538,6 @@ def _run_table(args: argparse.Namespace, executor=None) -> int:
                     segment_length=120,
                     time_limit=10,
                     grade_shards=args.shards,
-                    lanes=args.lanes,
                 ),
                 jobs=args.jobs,
                 progress=progress,
@@ -619,7 +575,6 @@ def _run_table(args: argparse.Namespace, executor=None) -> int:
             segment_length=120,
             time_limit=10,
             grade_shards=args.shards,
-            lanes=args.lanes,
         )
         base = run_table_4_3(
             targets=("s27", "s298"),
@@ -691,7 +646,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    _kernel_setup(args)
     db_path = args.db or os.environ.get(expdb.ENV_VAR)
     if db_path:
         # Exported so pool/remote workers inherit it; the service's own
@@ -999,27 +953,6 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_args(p: argparse.ArgumentParser) -> None:
-    """Attach the kernel-backend flags shared by ``generate`` and ``table``."""
-    p.add_argument(
-        "--kernel",
-        metavar="BACKEND",
-        default=None,
-        help="evaluation kernel: word (packed 64-lane Python ints, the "
-        "default) or array (numpy uint64 lanes); same as REPRO_KERNEL, "
-        "which workers inherit (results are identical for any backend)",
-    )
-    p.add_argument(
-        "--lanes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="candidate seeds evaluated per packed trial, a positive "
-        "multiple of 64; above 64 the array kernel engages automatically "
-        "(results are identical for any value)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -1079,7 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
         "collection)",
     )
     _add_executor_args(p)
-    _add_kernel_args(p)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("tpdf", help="transition path delay fault ATPG")
@@ -1168,7 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_DB, which workers inherit; implies metric collection)",
     )
     _add_executor_args(p)
-    _add_kernel_args(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")
@@ -1289,7 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="FILE", help="write the span trace as JSONL to FILE"
     )
     _add_executor_args(p)
-    _add_kernel_args(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -42,17 +42,10 @@ from repro.bist.counters import ControllerCounters
 from repro.bist.tpg import DevelopedTpg
 from repro.circuits.netlist import Circuit
 from repro.circuits.scan import ScanChains
-from repro.core import kernel as kernel_backend
 from repro.core.compiled import compile_circuit
 from repro.faults.fsim import FaultGrader, compact_groups
 from repro.faults.models import TransitionFault
-from repro.logic.bitsim import (
-    pack_bits,
-    simulate_packed_arrays,
-    simulate_packed_words,
-    unpack_lane_bits,
-    unpack_lane_bits_array,
-)
+from repro.logic.bitsim import pack_bits, simulate_packed_words, unpack_lane_bits
 from repro.logic.patterns import BroadsideTest
 from repro.logic.simulator import (
     SequenceResult,
@@ -100,21 +93,13 @@ class MultiSegmentSequence:
 class BuiltinGenConfig:
     """Tunable parameters of the construction procedure.
 
-    ``batched``/``batch_lanes`` control the packed seed-trial engine: per
-    decision point, up to ``min(batch_lanes, 64, R - current failures)``
-    candidate seeds are drawn, expanded, and simulated as bit lanes of one
-    packed run.  The accepted segments are bit-identical to the scalar
-    one-seed-at-a-time loop for the same ``rng_seed`` (the random stream
-    is rewound past speculatively drawn seeds), so batching is purely a
-    throughput knob.
-
-    ``lanes`` overrides ``batch_lanes`` and breaks the 64-lane ceiling: a
-    value above 64 simulates all candidates through the numpy array
-    kernel (:func:`repro.logic.bitsim.simulate_packed_arrays`), as does
-    any width when the ``array`` kernel backend is selected
-    (:mod:`repro.core.kernel`).  The RNG save/rewind protocol makes the
-    accepted segments bit-identical for *any* width, so ``lanes`` is --
-    like every kernel/sharding knob -- pure throughput.
+    ``lanes`` caps the packed seed-trial engine: per decision point, up to
+    ``min(lanes, R - current failures)`` candidate seeds are drawn,
+    expanded, and simulated as bit lanes of one packed run (``None`` means
+    64, one word's worth; ``1`` is the one-seed scalar loop).  The accepted
+    segments are bit-identical to the scalar loop for the same
+    ``rng_seed`` (the random stream is rewound past speculatively drawn
+    seeds), so ``lanes`` is purely a throughput knob.
 
     ``grade_shards``/``grade_jobs`` likewise are pure throughput knobs:
     with ``grade_shards > 1`` the grader partitions its fault frontier
@@ -131,11 +116,14 @@ class BuiltinGenConfig:
     rng_seed: int = 1
     max_sequences: int = 200  # safety cap
     time_limit: float | None = None  # optional wall-clock cap (seconds)
-    batched: bool = True  # evaluate candidate seeds in packed lanes
-    batch_lanes: int = 64  # max lanes per packed run (clamped to 64)
-    lanes: int | None = None  # lane override; > 64 engages the array kernel
+    lanes: int | None = None  # max seeds per packed run (None = 64, 1 = scalar)
     grade_shards: int = 1  # fault shards per PPSFP preview (1 = serial)
     grade_jobs: int | None = None  # grading workers (default: one per shard)
+
+    def __post_init__(self) -> None:
+        """Reject lane caps one 64-bit packed word cannot carry."""
+        if self.lanes is not None and not 1 <= self.lanes <= 64:
+            raise ValueError(f"lanes must be in 1..64, got {self.lanes}")
 
 
 @dataclass
@@ -145,7 +133,6 @@ class GenStats:
     seeds_evaluated: int = 0  # candidate seeds consumed by Fig 4.9 decisions
     seeds_accepted: int = 0  # seeds that became segments
     packed_batches: int = 0  # multi-lane packed simulations run
-    array_batches: int = 0  # packed batches run through the array kernel
     scalar_trials: int = 0  # candidates evaluated through the scalar path
 
 
@@ -235,10 +222,6 @@ class BuiltinGenerator:
         self.rng = random.Random(self.config.rng_seed)
         self.chains = ScanChains.partition(circuit)
         self.stats = GenStats()
-        # Kernel backend resolved once per generator (workers read the
-        # REPRO_KERNEL env the coordinator exported); both backends are
-        # bit-identical, so this is a pure throughput knob.
-        self._kernel = kernel_backend.active()
 
     # ------------------------------------------------------------------
     def run(self, hold_set: Sequence[str] | None = None) -> BuiltinGenResult:
@@ -369,15 +352,12 @@ class BuiltinGenerator:
         r_failures = 0
         # The pattern-of-signal-transitions bound needs full per-cycle line
         # valuations, which the packed path does not retain.
-        use_batch = cfg.batched and cfg.batch_lanes > 1 and self.pattern_bank is None
+        cap = 1 if self.pattern_bank is not None else cfg.lanes or 64
         seeds_tried_this_segment = 0
         while r_failures < cfg.r_limit:
             if deadline and time.monotonic() > deadline:
                 break
-            cap = cfg.lanes if cfg.lanes else cfg.batch_lanes
-            if self._kernel == "word" and cfg.lanes is None:
-                cap = min(64, cap)  # word-kernel words carry 64 lanes
-            width = min(cap, cfg.r_limit - r_failures) if use_batch else 1
+            width = min(cap, cfg.r_limit - r_failures)
             if width > 1:
                 failures, accepted = self._trial_batch(state, width, hold_set)
             else:
@@ -464,17 +444,10 @@ class BuiltinGenerator:
         """
         cfg = self.config
         n_bits = self.tpg.n_lfsr
-        # The word kernel tops out at 64 lanes per packed word; wider
-        # batches (or an explicit backend selection) go through the numpy
-        # array kernel, which is bit-identical lane for lane.
-        use_arrays = width > 64 or self._kernel == "array"
         saved = self.rng.getstate()
         seeds = [self.rng.getrandbits(n_bits) or 1 for _ in range(width)]
         with obs.span("gen.expand", seeds=width):
-            if use_arrays:
-                pi_rows = self._lane_pi_arrays(seeds, cfg.segment_length)
-            else:
-                pi_rows = self._lane_pi_words(seeds, cfg.segment_length)
+            pi_rows = self._lane_pi_words(seeds, cfg.segment_length)
         hold_idx = None
         if hold_set:
             from repro.core.state_holding import hold_indices
@@ -485,9 +458,8 @@ class BuiltinGenerator:
                     "holding: held transitions leave the functional pattern space"
                 )
             hold_idx = hold_indices(self.circuit, hold_set)
-        simulate = simulate_packed_arrays if use_arrays else simulate_packed_words
         with obs.span("gen.simulate", lanes=width):
-            packed = simulate(
+            packed = simulate_packed_words(
                 self.circuit,
                 state,
                 pi_rows,
@@ -498,21 +470,14 @@ class BuiltinGenerator:
             )
         self.stats.packed_batches += 1
         obs.count("gen.packed_batches")
-        if use_arrays:
-            self.stats.array_batches += 1
-            obs.count("gen.array_batches")
         pcts = packed.switching_percent(self.compiled.num_lines)
         lengths = self._lane_lengths(pcts)
         survivors = [lane for lane in range(width) if lengths[lane] >= cfg.spacing]
         # One bit-transpose of the whole trajectory serves every lane's
         # test extraction: axis 2 is the lane, so a lane's states/PIs are
         # a contiguous slice instead of per-word Python bit picking.
-        if use_arrays:
-            state_bits = unpack_lane_bits_array(packed.state_words, width)
-            pi_bits = unpack_lane_bits_array(pi_rows, width)
-        else:
-            state_bits = unpack_lane_bits(packed.state_words, width)
-            pi_bits = unpack_lane_bits(pi_rows, width)
+        state_bits = unpack_lane_bits(packed.state_words, width)
+        pi_bits = unpack_lane_bits(pi_rows, width)
         lane_tests: dict[int, list[BroadsideTest]] = {}
         lane_newly: dict[int, set[TransitionFault]] = {}
         failures = 0
@@ -545,12 +510,7 @@ class BuiltinGenerator:
                 continue
             seg_vals = pcts[1:length, lane]
             seg_peak = float(seg_vals.max()) if seg_vals.size else 0.0
-            if use_arrays:
-                end_state = packed.lane_state(length, lane)
-            else:
-                end_state = tuple(
-                    (w >> lane) & 1 for w in packed.state_words[length]
-                )
+            end_state = tuple((w >> lane) & 1 for w in packed.state_words[length])
             accepted = (seeds[lane], length, lane_tests[lane], newly, seg_peak, end_state)
             break
         self.stats.seeds_evaluated += scanned
@@ -579,26 +539,6 @@ class BuiltinGenerator:
             [pack_bits([seq[i][j] for seq in sequences]) for j in range(len(sequences[0][i]))]
             for i in range(length)
         ]
-
-    def _lane_pi_arrays(self, seeds: Sequence[int], length: int) -> np.ndarray:
-        """Array-packed TPG expansion: shape ``(length, n_inputs, n_words)``.
-
-        Seeds are expanded through :meth:`_lane_pi_words` in 64-lane
-        chunks (the TPG's bit-sliced stepper is word-based) and stacked as
-        the ``uint64`` words of one wide lane axis -- lane ``t`` is bit
-        ``t % 64`` of word ``t // 64``, the layout
-        :func:`repro.logic.bitsim.simulate_packed_arrays` consumes.
-        """
-        n_words = (len(seeds) + 63) // 64
-        arr = np.zeros(
-            (length, self.compiled.n_inputs, n_words), dtype=np.uint64
-        )
-        for c in range(n_words):
-            chunk = seeds[c * 64 : (c + 1) * 64]
-            arr[:, :, c] = np.array(
-                self._lane_pi_words(chunk, length), dtype=np.uint64
-            )
-        return arr
 
     def _lane_lengths(self, pcts: np.ndarray) -> list[int]:
         """Per-lane truncated segment lengths.

@@ -26,7 +26,8 @@ into flat integer-indexed structures that all simulators share:
 
 The scalar three-valued kernel here is property-tested against the
 pre-refactor dict-based reference (:mod:`repro.logic.reference`); the word
-kernel is in turn tested against the scalar kernel.  Layering::
+kernel -- the one bit-parallel evaluator, up to 64 lanes per Python int --
+is in turn tested against the scalar kernel.  Layering::
 
     Circuit  --compile_circuit-->  CompiledCircuit
                                        |-- repro.logic.simulator   (scalar 0/1/X)
@@ -38,8 +39,6 @@ kernel is in turn tested against the scalar kernel.  Layering::
 from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
-
-import numpy as np
 
 from repro import cache as artifact_cache
 from repro.circuits.gates import COMBINATIONAL_TYPES, GateType
@@ -101,77 +100,6 @@ _FAMILY_OF = {
 }
 
 
-class _ArrayKernel:
-    """Levelized fused numpy evaluation plan for one compiled schedule.
-
-    Gates are grouped by ``(ASAP level, family, inversion)``; each group is
-    one fancy-index gather of every fanin word row at once, one fused
-    ``ufunc.reduce`` along the arity axis, and one scatter, so the numpy
-    call count scales with circuit *depth* times the handful of live
-    families, not with gate count.  Fanin lists are padded to the group's
-    maximum arity using two constant rows appended below the line space: an
-    all-zero row (the identity for OR/XOR) and the live-lane mask row (the
-    identity for AND).  Dead lanes therefore stay zero through every gate,
-    exactly as in the word kernel.
-    """
-
-    __slots__ = ("groups", "zeros_row", "ones_row")
-
-    def __init__(
-        self,
-        schedule: Sequence[tuple[int, int, int, tuple[int, ...]]],
-        num_lines: int,
-    ):
-        """Lower ``schedule`` into per-(level, family, inv) index matrices."""
-        self.zeros_row = num_lines
-        self.ones_row = num_lines + 1
-        level = [0] * (num_lines + 2)
-        grouped: dict[tuple[int, int, int], list[tuple[int, tuple[int, ...]]]] = {}
-        for out, family, inv, fis in schedule:
-            lvl = 1 + max((level[f] for f in fis), default=0)
-            level[out] = lvl
-            grouped.setdefault((lvl, family, inv), []).append((out, fis))
-        reducer = {
-            _FAM_AND: np.bitwise_and,
-            _FAM_OR: np.bitwise_or,
-            _FAM_XOR: np.bitwise_xor,
-        }
-        groups: list[tuple[np.ndarray, np.ndarray, int, Any, int]] = []
-        for (lvl, family, inv), gates in sorted(grouped.items()):
-            arity = max(len(fis) for _, fis in gates)
-            pad = self.ones_row if family == _FAM_AND else self.zeros_row
-            out_idx = np.array([out for out, _ in gates], dtype=np.intp)
-            fidx = np.full((arity, len(gates)), pad, dtype=np.intp)
-            for i, (_, fis) in enumerate(gates):
-                for j, f in enumerate(fis):
-                    fidx[j, i] = f
-            groups.append(
-                (out_idx, fidx.reshape(-1), arity, reducer.get(family), inv)
-            )
-        self.groups = groups
-
-    def eval(self, values: np.ndarray, mask_row: np.ndarray) -> np.ndarray:
-        """Evaluate every scheduled gate over ``values`` in place.
-
-        ``values`` has shape ``(num_lines + 2, n_words)`` (the two trailing
-        rows are kernel-owned constants, reset here each call); ``mask_row``
-        has shape ``(n_words,)`` with a 1 in every live lane.  Source rows
-        must already be masked.  Returns ``values`` for chaining.
-        """
-        values[self.zeros_row] = 0
-        values[self.ones_row] = mask_row
-        n_words = values.shape[1]
-        for out_idx, flat_fidx, arity, reduce_fam, inv in self.groups:
-            fanins = values[flat_fidx].reshape(arity, len(out_idx), n_words)
-            acc = fanins[0] if reduce_fam is None else reduce_fam.reduce(
-                fanins, axis=0
-            )
-            if inv:
-                np.bitwise_xor(acc, mask_row, out=acc)
-            values[out_idx] = acc
-        return values
-
-
 class CompiledCircuit:
     """Flat integer-indexed form of a :class:`Circuit`'s combinational core.
 
@@ -218,7 +146,6 @@ class CompiledCircuit:
         "_observed",
         "_cone_cache",
         "_word_kernel",
-        "_array_kernel",
     )
 
     def __init__(self, circuit: Circuit, version: int):
@@ -285,7 +212,6 @@ class CompiledCircuit:
             int, tuple[list[tuple[int, int, int, tuple[int, ...]]], tuple[int, ...]]
         ] = {}
         self._word_kernel = None  # built lazily on first eval_words call
-        self._array_kernel = None  # built lazily on first eval_arrays call
 
     # ------------------------------------------------------------------
     # Persistence (repro.cache warm start)
@@ -321,7 +247,6 @@ class CompiledCircuit:
         self._observed = set(self.observation_indices)
         self._cone_cache = {}
         self._word_kernel = None
-        self._array_kernel = None
         return self
 
     # ------------------------------------------------------------------
@@ -416,48 +341,15 @@ class CompiledCircuit:
         (one expression statement per gate, no interpreter loop or family
         branching), built once per compiled instance.  The packed
         multi-lane simulator spends essentially all its time here, so the
-        codegen is what the batched seed-trial throughput rides on.
+        codegen is what the packed seed-trial throughput rides on.
         """
         kernel = self._word_kernel
         if kernel is None:
             with _obs_span("compile.word_kernel", circuit=self.circuit.name):
                 kernel = self._word_kernel = self._build_word_kernel()
-            if OBS.enabled:
-                OBS.count("kernel.word_builds")
         if OBS.enabled:
-            OBS.count("kernel.word_invocations")
+            OBS.count("compile.word_kernel_calls")
         return kernel(values, mask)
-
-    def array_frame(self, n_words: int) -> np.ndarray:
-        """A fresh all-zero ``uint64`` valuation of shape ``(num_lines+2, n_words)``.
-
-        Row ``i < num_lines`` is line ``i``'s word row (bit ``t%64`` of word
-        ``t//64`` is lane ``t``); the two trailing rows are constants owned
-        by the array kernel (padding for ragged fanin groups).
-        """
-        return np.zeros((self.num_lines + 2, n_words), dtype=np.uint64)
-
-    def eval_arrays(self, values: np.ndarray, mask_row: np.ndarray) -> np.ndarray:
-        """Vectorized ``uint64`` array evaluation of the schedule, in place.
-
-        The multi-word counterpart of :meth:`eval_words`: ``values`` is an
-        :meth:`array_frame` whose source rows hold packed lanes, ``mask_row``
-        has a 1 in every live lane, and every gate row is overwritten.  One
-        invocation evaluates ``n_words * 64`` lanes; results are bit-identical
-        to :meth:`eval_words` run per 64-lane word.  Dispatches to a
-        levelized fused-group plan built once per compiled instance.
-        """
-        kernel = self._array_kernel
-        if kernel is None:
-            with _obs_span("compile.array_kernel", circuit=self.circuit.name):
-                kernel = self._array_kernel = _ArrayKernel(
-                    self._schedule, self.num_lines
-                )
-            if OBS.enabled:
-                OBS.count("kernel.array_builds")
-        if OBS.enabled:
-            OBS.count("kernel.array_invocations")
-        return kernel.eval(values, mask_row)
 
     def _word_kernel_source(self) -> str:
         """Generate the unrolled word-evaluation source.

@@ -22,7 +22,7 @@ Two constraints from the paper are honoured:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.circuits.netlist import Circuit
@@ -132,19 +132,7 @@ def _detecting_ability(
     Per Section 4.5.2, the probing runs use ``R = Q = 1`` -- the cheapest
     configuration that still exercises the whole construction flow.
     """
-    probe_cfg = BuiltinGenConfig(
-        segment_length=config.segment_length,
-        r_limit=1,
-        q_limit=1,
-        spacing=config.spacing,
-        hold_period_log2=config.hold_period_log2,
-        rng_seed=config.rng_seed,
-        max_sequences=config.max_sequences,
-        time_limit=config.time_limit,
-        batched=config.batched,
-        batch_lanes=config.batch_lanes,
-        lanes=config.lanes,
-    )
+    probe_cfg = replace(config, r_limit=1, q_limit=1)
     generator = BuiltinGenerator(
         circuit, remaining_faults, swa_func, config=probe_cfg
     )

@@ -3,8 +3,8 @@
 Eight PRs of instrumentation each left evidence in its own place: JSONL
 checkpoints, ``--trace`` files, a single overwritten ``BENCH_kernel.json``.
 This package lands all of it in one stdlib-``sqlite3`` file so questions
-like "fault coverage vs LFSR width across all campaigns" or "did the
-array kernel regress since the last code change" become SQL
+like "fault coverage vs LFSR width across all campaigns" or "did
+fault grading regress since the last code change" become SQL
 (:mod:`repro.expdb.store` documents the schema), and perf gates compare
 against *rolling history* instead of static floors
 (:mod:`repro.expdb.gate`).

@@ -9,7 +9,8 @@ upgrade in place)::
                    'bench' | ...), label, the campaign-parameter
                    fingerprint (:func:`repro.resilience.checkpoint.
                    fingerprint_of` of the campaign config), the
-                   code-version hash (:func:`code_hash`), kernel backend,
+                   code-version hash (:func:`code_hash`), kernel label
+                   (historical; new runs leave it empty),
                    executor, argv, UTC start/finish stamps, status,
                    exit code
     rows           child: one completed campaign/table row per record
@@ -49,7 +50,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 #: Environment variable carrying the active database path across
-#: processes (exported by the CLI like ``REPRO_KERNEL``, and shipped to
+#: processes (exported by the CLI like ``REPRO_CACHE_DIR``, and shipped to
 #: remote workers in the executor config handshake like the cache dir).
 ENV_VAR = "REPRO_DB"
 
@@ -235,7 +236,7 @@ def flatten_bench(payload: Mapping[str, Any]) -> list[tuple[str, str, str, float
     """Flatten a ``bench_kernel.py`` payload into bench-sample tuples.
 
     Walks every top-level dict section (``sequence_simulation``,
-    ``array_kernel``, ...), handling both per-circuit nesting and flat
+    ``fault_grading``, ...), handling both per-circuit nesting and flat
     single-subject sections; non-numeric leaves and the bookkeeping keys
     (``workload``, ``benchmark``, timestamps) are skipped.
     """

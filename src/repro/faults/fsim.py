@@ -38,14 +38,11 @@ import multiprocessing as mp
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.circuits.netlist import Circuit
-from repro.core import kernel as kernel_backend
 from repro.core.compiled import CompiledCircuit, compile_circuit
 from repro.faults.models import StuckAtFault, TransitionFault
-from repro.logic.bitsim import lane_mask_row, pack_columns_indexed
+from repro.logic.bitsim import pack_columns_indexed
 from repro.logic.patterns import BroadsideTest, Pattern
 from repro.obs import OBS
 
@@ -76,44 +73,6 @@ def _pack_frame(
     return values
 
 
-def _pack_columns_array(
-    values: np.ndarray,
-    vectors: Sequence[Sequence[int]],
-    offset: int,
-    n_words: int,
-) -> None:
-    """Pack per-test vectors columnwise into ``uint64`` word rows.
-
-    The array-frame analogue of :func:`repro.logic.bitsim.
-    pack_columns_indexed`: test ``t``'s value of column ``j`` lands in bit
-    ``t % 64`` of ``values[offset + j, t // 64]``.
-    """
-    if not vectors:
-        return
-    arr = np.asarray(vectors, dtype=np.uint8)
-    if arr.size == 0:
-        return
-    packed = np.packbits(arr, axis=0, bitorder="little")
-    buf = np.zeros((n_words * 8, arr.shape[1]), dtype=np.uint8)
-    buf[: packed.shape[0]] = packed
-    values[offset : offset + arr.shape[1]] = buf.T.copy().view(np.uint64)
-
-
-def _pack_frame_array(
-    compiled: CompiledCircuit,
-    pi_vectors: Sequence[Sequence[int]],
-    state_vectors: Sequence[Sequence[int]],
-    mask_row: np.ndarray,
-) -> np.ndarray:
-    """Pack one two-valued frame into an array frame and evaluate it."""
-    n_words = mask_row.shape[0]
-    values = compiled.array_frame(n_words)
-    _pack_columns_array(values, pi_vectors, 0, n_words)
-    _pack_columns_array(values, state_vectors, compiled.n_inputs, n_words)
-    compiled.eval_arrays(values, mask_row)
-    return values
-
-
 class TransitionFaultSimulator:
     """Grades transition faults against broadside test sets."""
 
@@ -122,11 +81,6 @@ class TransitionFaultSimulator:
         self.circuit = circuit
         self.compiled = compile_circuit(circuit)
         self.chunk_size = chunk_size
-        # Kernel backend, resolved once: with "array", good frames are
-        # evaluated through the numpy kernel and the whole frontier's
-        # activation words are computed as one vectorized pass; detection
-        # words are bit-identical either way.
-        self._kernel = kernel_backend.active()
         # Observation points: primary outputs plus next-state lines (the
         # compiled IR deduplicates, preserving order).
         self.observation: list[str] = [
@@ -173,13 +127,6 @@ class TransitionFaultSimulator:
     ) -> dict[TransitionFault, int]:
         if not tests:
             return dict.fromkeys(faults, 0)
-        if self._kernel == "array":
-            return self._simulate_chunk_arrays(tests, faults)
-        return self._simulate_chunk_words(tests, faults)
-
-    def _simulate_chunk_words(
-        self, tests: Sequence[BroadsideTest], faults: Sequence[TransitionFault]
-    ) -> dict[TransitionFault, int]:
         n = len(tests)
         mask = (1 << n) - 1
         cc = self.compiled
@@ -222,89 +169,6 @@ class TransitionFaultSimulator:
             OBS.count("fsim.tests_graded", n)
             OBS.count("fsim.cones_resimulated", cones_run)
             OBS.count("fsim.activation_skips", skipped_act)
-            OBS.count("fsim.unobservable_skips", skipped_cone)
-        return out
-
-    def _simulate_chunk_arrays(
-        self, tests: Sequence[BroadsideTest], faults: Sequence[TransitionFault]
-    ) -> dict[TransitionFault, int]:
-        """Array-kernel PPSFP chunk: vectorized whole-frontier activation.
-
-        The fault-free frames are evaluated through the numpy array kernel
-        and every frontier fault's activation word (``v`` in frame 1 and
-        ``v'`` in frame 2) comes out of one gathered array expression
-        instead of two big-int ops per fault.  Only the activated, observable
-        faults proceed to the sparse big-int cone walk
-        (:meth:`repro.core.compiled.CompiledCircuit.faulty_cone_words`) --
-        big ints remain the right representation for the sparse per-fault
-        divergence maps, numpy for the dense whole-frontier work.  The
-        detection words are bit-identical to :meth:`_simulate_chunk_words`.
-        """
-        n = len(tests)
-        cc = self.compiled
-        mask_row = lane_mask_row(n)
-        good1 = _pack_frame_array(
-            cc, [t.v1 for t in tests], [t.s1 for t in tests], mask_row
-        )
-        good2 = _pack_frame_array(
-            cc, [t.v2 for t in tests], [t.s2 for t in tests], mask_row
-        )
-        index = cc.index
-        n_faults = len(faults)
-        g_idx = np.fromiter(
-            (index[f.line] for f in faults), dtype=np.intp, count=n_faults
-        )
-        iv = np.fromiter(
-            (f.initial_value for f in faults), dtype=bool, count=n_faults
-        )
-        fv = np.fromiter(
-            (f.final_value for f in faults), dtype=bool, count=n_faults
-        )
-        a1 = good1[g_idx]
-        act = np.where(iv[:, None], a1, a1 ^ mask_row)
-        a2 = good2[g_idx]
-        np.bitwise_and(act, np.where(fv[:, None], a2, a2 ^ mask_row), out=act)
-        active = act.any(axis=1)
-        out = dict.fromkeys(faults, 0)
-        mask = (1 << n) - 1
-        good2_ints: list[int] | None = None
-        skipped_cone = cones_run = 0
-        for i in np.flatnonzero(active):
-            fault = faults[i]
-            g = int(g_idx[i])
-            _, cone_obs = cc.cone(g)
-            if not cone_obs:
-                skipped_cone += 1
-                continue
-            if good2_ints is None:
-                # One lazy bulk conversion serves every activated fault's
-                # cone walk (and is skipped entirely for dead chunks).
-                data = good2[: cc.num_lines].tobytes()
-                nb = good2.shape[1] * 8
-                good2_ints = [
-                    int.from_bytes(data[k : k + nb], "little")
-                    for k in range(0, len(data), nb)
-                ]
-            act_int = int.from_bytes(act[i].tobytes(), "little")
-            forced = mask if fault.stuck_value == 1 else 0
-            cones_run += 1
-            faulty = cc.faulty_cone_words(good2_ints, g, forced, mask)
-            get = faulty.get
-            det = 0
-            for obs_idx in cone_obs:
-                fw = get(obs_idx)
-                if fw is not None:
-                    det |= fw ^ good2_ints[obs_idx]
-                    if det & act_int == act_int:
-                        break
-            out[fault] = det & act_int
-        if OBS.enabled:
-            OBS.count("fsim.ppsfp_passes")
-            OBS.count("fsim.array_passes")
-            OBS.count("fsim.faults_graded", n_faults)
-            OBS.count("fsim.tests_graded", n)
-            OBS.count("fsim.cones_resimulated", cones_run)
-            OBS.count("fsim.activation_skips", n_faults - int(active.sum()))
             OBS.count("fsim.unobservable_skips", skipped_cone)
         return out
 
@@ -489,7 +353,7 @@ class FaultGrader:
     ) -> list[set[TransitionFault]]:
         """Per-group :meth:`preview` sets, graded in one PPSFP pass.
 
-        The batched Fig 4.9 loop asks the same question for every
+        The packed Fig 4.9 loop asks the same question for every
         surviving candidate lane of a seed batch: "would this lane's tests
         newly detect anything?".  Grading the lanes separately repeats the
         per-fault fixed work (activation words, cone lookups) once per

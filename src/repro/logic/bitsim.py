@@ -1,7 +1,9 @@
 """Bit-parallel logic simulation.
 
-Two fast paths built on Python's arbitrary-precision integers, where bit
-position ``t`` of every line's word carries pattern/lane ``t``:
+Three fast paths built on Python's arbitrary-precision integers, where bit
+position ``t`` of every line's word carries pattern/lane ``t`` (one word
+kernel, :meth:`repro.core.compiled.CompiledCircuit.eval_words`, serves
+them all):
 
 * :class:`PatternSimulator` -- evaluates the combinational core for many
   independent patterns at once, with a fanout-cone re-evaluation API used
@@ -16,11 +18,11 @@ position ``t`` of every line's word carries pattern/lane ``t``:
 * :func:`simulate_packed_words` -- the same multi-lane kernel fed with
   *pre-packed* per-input words (one word per input per cycle, bit ``t`` =
   lane ``t``), every lane starting from one shared state, with optional
-  lane-wise state holding.  This is the simulation core of the batched
+  lane-wise state holding.  This is the simulation core of the packed
   Fig 4.9 seed-trial loop (:mod:`repro.core.builtin_gen`), consuming
   :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output directly.
 
-Both paths evaluate through the compiled circuit IR
+All three evaluate through the compiled circuit IR
 (:mod:`repro.core.compiled`): one integer-indexed schedule shared with the
 scalar simulator, compiled once per netlist version.  The scalar
 three-valued simulator (:mod:`repro.logic.simulator`) is the semantic
@@ -189,7 +191,7 @@ class PackedSequenceResult:
     state_words:
         The raw per-cycle state rows (``L+1`` rows of per-state-line
         packed words, scan order) that :attr:`states` wraps -- the form
-        the batched generation loop slices lanes out of.
+        the packed generation loop slices lanes out of.
     """
 
     states: list[dict[str, int]]
@@ -222,7 +224,7 @@ def unpack_lane_bits(rows: Sequence[Sequence[int]], n_lanes: int) -> np.ndarray:
     of word ``j`` at row ``i``, as a uint8 0/1.  One vectorised
     :func:`numpy.unpackbits` replaces per-lane Python bit picking, which
     is what makes slicing individual lanes out of a 64-lane trajectory
-    (per-lane test extraction in the batched Fig 4.9 loop) cheap.
+    (per-lane test extraction in the packed Fig 4.9 loop) cheap.
     """
     n_rows = len(rows)
     n_words = len(rows[0]) if n_rows else 0
@@ -232,217 +234,6 @@ def unpack_lane_bits(rows: Sequence[Sequence[int]], n_lanes: int) -> np.ndarray:
     as_bytes = arr.view(np.uint8).reshape(n_rows, n_words, 8)
     bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
     return bits[:, :, :n_lanes]
-
-
-@dataclass(frozen=True)
-class PackedArrayResult:
-    """Result of an array-kernel multi-word packed sequence simulation.
-
-    The ``n_words``-wide counterpart of :class:`PackedSequenceResult`:
-    lane ``t`` lives in bit ``t % 64`` of word ``t // 64`` everywhere.
-
-    Attributes
-    ----------
-    state_words:
-        ``uint64`` array of shape ``(L+1, n_state, n_words)``: the packed
-        state trajectory, scan order, row 0 the initial state.
-    switching_counts:
-        Array of shape ``(L, n_lanes)``: lines toggled per cycle per lane.
-        Row 0 is all zeros (undefined, see Section 4.4).
-    n_lanes:
-        Number of live lanes (``<= n_words * 64``).
-    final_line_values:
-        ``uint64`` array of shape ``(num_lines, n_words)``: the full line
-        valuation of the last simulated cycle.
-    """
-
-    state_words: np.ndarray
-    switching_counts: np.ndarray
-    n_lanes: int
-    final_line_values: np.ndarray
-
-    def switching_percent(self, n_lines: int) -> np.ndarray:
-        """Switching counts converted to the paper's percentage metric."""
-        return 100.0 * self.switching_counts / float(n_lines)
-
-    def lane_state(self, cycle: int, lane: int) -> tuple[int, ...]:
-        """Lane ``lane``'s state vector at ``cycle`` as a bit tuple."""
-        word, bit = divmod(lane, 64)
-        return tuple(
-            (int(x) >> bit) & 1 for x in self.state_words[cycle, :, word]
-        )
-
-
-def lane_mask_row(n_lanes: int) -> np.ndarray:
-    """The live-lane mask row for ``n_lanes`` lanes: shape ``(n_words,)``.
-
-    Every word is all-ones except a partial top word when ``n_lanes`` is
-    not a multiple of 64.
-    """
-    n_words = (n_lanes + 63) // 64
-    row = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    rem = n_lanes & 63
-    if rem:
-        row[-1] = np.uint64((1 << rem) - 1)
-    return row
-
-
-def unpack_lane_bits_array(rows: np.ndarray, n_lanes: int) -> np.ndarray:
-    """Bit-transpose a packed ``(rows, items, words)`` array to lane bits.
-
-    The array-kernel analogue of :func:`unpack_lane_bits`: ``out[i, j, t]``
-    is bit ``t % 64`` of ``rows[i, j, t // 64]`` -- lane ``t``'s value of
-    item ``j`` at row ``i`` -- as a uint8 0/1.
-    """
-    n_rows, n_items, n_words = rows.shape
-    if n_rows == 0 or n_items == 0:
-        return np.zeros((n_rows, n_items, n_lanes), dtype=np.uint8)
-    as_bytes = np.ascontiguousarray(rows).view(np.uint8)
-    as_bytes = as_bytes.reshape(n_rows, n_items, n_words * 8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[:, :, :n_lanes]
-
-
-def _run_packed_arrays(
-    cc,
-    state_arr: np.ndarray,
-    pi_rows: np.ndarray,
-    n_lanes: int,
-    count_idx: Sequence[int] | None,
-    hold_indices: Sequence[int] | None,
-    hold_period: int,
-) -> PackedArrayResult:
-    """Array-kernel packed trajectory loop (``n_words * 64`` lanes per run).
-
-    ``pi_rows[i, j]`` is the packed word row of primary input ``j`` at
-    cycle ``i``.  Semantics mirror :func:`_run_packed` exactly -- per-lane
-    switching counts, optional state holding at every cycle ``i`` with
-    ``i % hold_period == 0`` -- but one :meth:`eval_arrays` call evaluates
-    all words at once instead of one :meth:`eval_words` call per 64 lanes.
-    """
-    length, _, n_words = pi_rows.shape
-    mask_row = lane_mask_row(n_lanes)
-    if mask_row.shape[0] != n_words:
-        raise ValueError(
-            f"pi_rows have {n_words} words per input, "
-            f"{n_lanes} lanes need {mask_row.shape[0]}"
-        )
-    n_inputs = cc.n_inputs
-    n_sources = cc.n_sources
-    num_lines = cc.num_lines
-    ns_idx = np.asarray(cc.next_state_indices, dtype=np.intp)
-    cnt_idx = None if count_idx is None else np.asarray(count_idx, dtype=np.intp)
-    n_lines = num_lines if count_idx is None else len(count_idx)
-    hold_idx = (
-        np.asarray(hold_indices, dtype=np.intp)
-        if hold_indices is not None and len(hold_indices)
-        else None
-    )
-    # Per-lane toggle counts are bounded by the number of counted lines, so
-    # a 16-bit accumulator (~4x faster than int64 on the axis-0 sum) is
-    # safe for every realistic netlist; fall back above its range.
-    sum_dtype = np.uint16 if n_lines < 0xFFFF else np.int64
-    t_start = time.perf_counter() if OBS.enabled else 0.0
-
-    state_hist = np.zeros((length + 1, cc.n_state, n_words), dtype=np.uint64)
-    state_hist[0] = state_arr
-    switching = np.zeros((length, n_lanes), dtype=np.int64)
-    values = cc.array_frame(n_words)
-    prev: np.ndarray | None = None
-    for cycle in range(length):
-        values[0:n_inputs] = pi_rows[cycle]
-        values[n_inputs:n_sources] = state_arr
-        cc.eval_arrays(values, mask_row)
-        cur = values[:num_lines].copy() if cnt_idx is None else values[cnt_idx]
-        if prev is not None:
-            diff = prev ^ cur
-            bits = np.unpackbits(
-                diff.view(np.uint8).reshape(n_lines, n_words * 8),
-                axis=1,
-                bitorder="little",
-            )
-            switching[cycle] = bits.sum(axis=0, dtype=sum_dtype)[:n_lanes]
-        prev = cur
-        nxt = values[ns_idx]
-        if hold_idx is not None and cycle % hold_period == 0:
-            nxt[hold_idx] = state_arr[hold_idx]
-        state_arr = nxt
-        state_hist[cycle + 1] = state_arr
-    if OBS.enabled:
-        OBS.count("bitsim.packed_runs")
-        OBS.count("bitsim.cycles", length)
-        OBS.count("bitsim.lane_cycles", length * n_lanes)
-        OBS.count("bitsim.words_evaluated", length * num_lines * n_words)
-        OBS.observe("kernel.lanes_per_invocation", n_lanes)
-        OBS.observe("span.kernel.array_run", time.perf_counter() - t_start)
-    return PackedArrayResult(
-        state_words=state_hist,
-        switching_counts=switching,
-        n_lanes=n_lanes,
-        final_line_values=values[:num_lines].copy(),
-    )
-
-
-def simulate_packed_arrays(
-    circuit: Circuit,
-    initial_state: Sequence[int],
-    pi_rows: np.ndarray,
-    n_lanes: int,
-    count_lines: Sequence[str] | None = None,
-    hold_indices: Sequence[int] | None = None,
-    hold_period_log2: int = 2,
-    compiled=None,
-) -> PackedArrayResult:
-    """Simulate ``n_lanes`` lanes sharing one initial state via the array kernel.
-
-    The multi-word counterpart of :func:`simulate_packed_words`, breaking
-    the 64-lane ceiling: ``pi_rows`` is a ``uint64`` array of shape
-    ``(L, n_inputs, n_words)`` where bit ``t % 64`` of
-    ``pi_rows[i, j, t // 64]`` is input ``j`` at cycle ``i`` in lane ``t``,
-    and one :meth:`repro.core.compiled.CompiledCircuit.eval_arrays` call
-    per cycle evaluates every lane.  Results are bit-identical, lane by
-    lane, to :func:`simulate_packed_words` runs over the same vectors.
-    """
-    if n_lanes < 1:
-        raise ValueError(
-            f"simulate_packed_arrays: n_lanes={n_lanes} must be positive"
-        )
-    cc = compiled if compiled is not None else compile_circuit(circuit)
-    if len(initial_state) != cc.n_state:
-        raise ValueError(
-            f"initial state has {len(initial_state)} bits, "
-            f"circuit has {cc.n_state} flops"
-        )
-    pi_rows = np.asarray(pi_rows, dtype=np.uint64)
-    if pi_rows.ndim != 3 or pi_rows.shape[1] != cc.n_inputs:
-        raise ValueError(
-            f"simulate_packed_arrays: pi_rows has shape {pi_rows.shape}, "
-            f"expected (length, {cc.n_inputs}, n_words) for circuit "
-            f"{circuit.name!r}"
-        )
-    n_words = pi_rows.shape[2]
-    if n_words != (n_lanes + 63) // 64:
-        raise ValueError(
-            f"simulate_packed_arrays: pi_rows carry {n_words} words per "
-            f"input but n_lanes={n_lanes} needs {(n_lanes + 63) // 64}"
-        )
-    mask_row = lane_mask_row(n_lanes)
-    state_arr = np.zeros((cc.n_state, n_words), dtype=np.uint64)
-    live = [k for k, b in enumerate(initial_state) if b]
-    if live:
-        state_arr[live] = mask_row
-    count_idx = (
-        None if count_lines is None else [cc.index[line] for line in count_lines]
-    )
-    return _run_packed_arrays(
-        cc,
-        state_arr,
-        pi_rows,
-        n_lanes,
-        count_idx,
-        hold_indices,
-        1 << hold_period_log2,
-    )
 
 
 def _run_packed(
@@ -502,7 +293,7 @@ def _run_packed(
         OBS.count("bitsim.cycles", length)
         OBS.count("bitsim.lane_cycles", length * n_lanes)
         OBS.count("bitsim.words_evaluated", length * cc.num_lines)
-        OBS.observe("kernel.lanes_per_invocation", n_lanes)
+        OBS.observe("bitsim.lanes_per_run", n_lanes)
         OBS.observe("span.bitsim.packed_run", time.perf_counter() - t_start)
     return PackedSequenceResult(
         states=states,
@@ -571,7 +362,7 @@ def simulate_packed_words(
 ) -> PackedSequenceResult:
     """Simulate up to 64 lanes that share one initial state, from packed words.
 
-    The form the batched Fig 4.9 seed-trial loop uses: every lane starts
+    The form the packed Fig 4.9 seed-trial loop uses: every lane starts
     at the *same* current state, ``pi_word_rows`` comes pre-packed from
     :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` (bit ``t`` of
     ``pi_word_rows[i][j]`` is input ``j`` at cycle ``i`` in lane ``t``),

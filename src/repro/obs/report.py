@@ -26,10 +26,7 @@ section (``fsim.shard.*``) carries the fault-parallel grading story,
 "artifact cache" (``cache.*``) the warm-start hit/miss/store counts of
 :mod:`repro.cache`, and "execution plane" (``executor.*``) the dispatch
 story of :mod:`repro.exec` -- tasks submitted/degraded, the queue-depth
-gauge, and the per-backend ``dispatch_ms`` latency histogram.  The
-"kernel backends" section (``kernel.*``) tracks word vs array kernel
-usage (:mod:`repro.core.kernel`): builds and invocations per backend and
-the lanes-per-invocation histogram.
+gauge, and the per-backend ``dispatch_ms`` latency histogram.
 
 The formatter is read-only and stdlib-only; golden-string tests pin the
 layout (``tests/test_obs.py``).
@@ -50,7 +47,6 @@ SECTIONS: tuple[tuple[str, str], ...] = (
     ("compiled circuit IR", "compile."),
     ("artifact cache", "cache."),
     ("packed word kernel", "bitsim."),
-    ("kernel backends", "kernel."),
     ("test pattern generation", "tpg."),
     ("LFSR stepping", "lfsr."),
     ("TPDF pipeline", "tpdf."),

@@ -2,10 +2,9 @@
 
 File format (``repro-resume-v1``) -- one JSON object per line:
 
-* a header ``{"schema": "repro-resume-v1", "fingerprint": "...",
-  "kernel": "..."}`` identifying the campaign configuration the rows
-  belong to (``kernel`` records the evaluation backend that wrote the
-  journal -- informational only, see below);
+* a header ``{"schema": "repro-resume-v1", "fingerprint": "..."}``
+  identifying the campaign configuration the rows belong to (any other
+  header field, such as the ``kernel`` older journals carry, is ignored);
 * one ``{"key": ..., "fingerprint": ..., "elapsed_s": ...,
   "result": "<base64 pickle>", "snapshot": {...}|null}`` row per
   completed task, appended (and flushed) the moment the task finishes,
@@ -20,13 +19,9 @@ deliberately **excluded** from fingerprints: callers normalize ``jobs``
 (:mod:`repro.exec`) never enters it at all, so a journal written by a
 ``--executor remote`` campaign on one host resumes under ``inprocess``
 or ``pool`` on another -- same keys, same derived seeds, same rows.
-The kernel backend (:mod:`repro.core.kernel`) is in the same class:
-``word`` and ``array`` are bit-identical, so the header records which
-backend wrote the journal purely as provenance and a resume under the
-other backend is accepted without complaint.
-Task results are arbitrary Python
-objects (dataclasses holding fault sets), so rows carry them pickled and
-base64-wrapped inside the JSON envelope; ``snapshot`` is the worker's
+Task results are arbitrary Python objects (dataclasses holding fault
+sets), so rows carry them pickled and base64-wrapped inside the JSON
+envelope; ``snapshot`` is the worker's
 plain-dict :meth:`repro.obs.registry.MetricsRegistry.snapshot`, merged
 back on resume so ``--stats`` stays coherent across restarts.
 
@@ -122,15 +117,7 @@ class CheckpointJournal:
                     if rec.get("fingerprint") == fingerprint and "key" in rec:
                         rows[rec["key"]] = rec
             return cls(path, fingerprint, rows)
-        from repro.core import kernel
-
-        header = {
-            "schema": RESUME_SCHEMA,
-            "fingerprint": fingerprint,
-            # Provenance only: backends are bit-identical, so resume never
-            # checks this field.
-            "kernel": kernel.active(),
-        }
+        header = {"schema": RESUME_SCHEMA, "fingerprint": fingerprint}
         with path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps(header) + "\n")
         return cls(path, fingerprint, rows)

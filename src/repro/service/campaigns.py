@@ -62,7 +62,6 @@ def run_generate(
     time_limit: float | None = 30.0,
     seed: int = 1,
     shards: int = 1,
-    lanes: int | None = None,
     executor: "Executor | None" = None,
     hold: bool = False,
     tree_height: int = 2,
@@ -97,7 +96,6 @@ def run_generate(
         time_limit=time_limit,
         rng_seed=seed,
         grade_shards=shards,
-        lanes=lanes,
     )
     lines: list[str] = []
     swa_func = None

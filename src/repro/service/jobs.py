@@ -391,7 +391,6 @@ class JobManager:
     def _run_job(self, job: Job) -> None:
         """Execute one job end to end, recording history and events."""
         from repro import expdb
-        from repro.core import kernel
 
         from .campaigns import run_campaign
 
@@ -408,7 +407,6 @@ class JobManager:
                 spec.kind,
                 spec.label,
                 fingerprint=job.fingerprint,
-                kernel=kernel.active(),
                 executor=self.executor_kind,
                 argv=[f"service:{job.id}"],
             )

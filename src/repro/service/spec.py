@@ -17,7 +17,7 @@ HTTP 400).  The canonical form backs everything downstream:
   stream, known before anything runs.
 
 Specs are throughput-neutral by construction: executor backends, worker
-counts, kernels, and lanes are deliberately *not* spec fields -- they
+counts, and lanes are deliberately *not* spec fields -- they
 never change a campaign's bytes, so two submissions differing only in
 topology share one fingerprint and one cached result.  The defaults
 match the ``repro-eda`` CLI exactly, which is what makes a

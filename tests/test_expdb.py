@@ -56,8 +56,8 @@ def bench_payload(speedup: float = 8.0) -> dict:
         "code_hash": "cafe0123cafe0123",
         "utc": "2026-01-01T00:00:00Z",
         "workload": {"repeats": 2},
-        "array_kernel": {
-            "s1423": {"lines": 657, "per_lane_speedup": speedup},
+        "sequence_simulation": {
+            "s1423": {"lines": 657, "packed_per_lane_speedup": speedup},
         },
         "fault_grading": {"circuit": "b14", "speedup": 500.0, "n_tests": 64},
     }
@@ -247,7 +247,7 @@ class TestConcurrency:
 class TestBenchAndGate:
     def test_flatten_handles_nested_and_flat_sections(self):
         samples = expdb.flatten_bench(bench_payload())
-        assert ("array_kernel", "s1423", "per_lane_speedup", 8.0) in samples
+        assert ("sequence_simulation", "s1423", "packed_per_lane_speedup", 8.0) in samples
         assert ("fault_grading", "b14", "speedup", 500.0) in samples
         # Bookkeeping keys and non-numeric leaves never become samples.
         assert not any(s[0] in ("workload", "benchmark", "utc") for s in samples)
@@ -266,7 +266,7 @@ class TestBenchAndGate:
         assert isinstance(result, GateResult)
         assert result.ok
         by_label = {c.label: c for c in result.checks}
-        assert by_label["array_kernel.s1423.per_lane_speedup"].status == "pass"
+        assert by_label["sequence_simulation.s1423.packed_per_lane_speedup"].status == "pass"
 
     def test_gate_fails_on_20_percent_regression(self, tmp_path):
         with ExperimentDB(tmp_path / "e.db") as db:
@@ -275,7 +275,7 @@ class TestBenchAndGate:
             result = expdb.gate(db, current=bench_payload(8.0 * 0.8))
         assert not result.ok
         failed = [c for c in result.checks if c.status == "fail"]
-        assert [c.label for c in failed] == ["array_kernel.s1423.per_lane_speedup"]
+        assert [c.label for c in failed] == ["sequence_simulation.s1423.packed_per_lane_speedup"]
         assert "FAIL" in result.report()
 
     def test_gate_latest_batch_judged_against_prior_only(self, tmp_path):
@@ -291,7 +291,7 @@ class TestBenchAndGate:
             for s in (1.0, 2.0, 3.0):
                 db.record_bench(bench_payload(s))
             history = db.bench_history(
-                "array_kernel", "s1423", "per_lane_speedup", last=2
+                "sequence_simulation", "s1423", "packed_per_lane_speedup", last=2
             )
         assert history == [3.0, 2.0]
 
@@ -329,7 +329,7 @@ class TestCliDb:
         assert main(["db", "trend", "--metric", "gen.seeds_evaluated", "--db", path]) == 0
         assert "128" in capsys.readouterr().out
         assert main(
-            ["db", "trend", "--metric", "array_kernel.s1423.per_lane_speedup",
+            ["db", "trend", "--metric", "sequence_simulation.s1423.packed_per_lane_speedup",
              "--db", path]
         ) == 0
         assert "8" in capsys.readouterr().out

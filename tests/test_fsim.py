@@ -82,6 +82,14 @@ class TestDetectionConditions:
 class TestAgainstBruteForce:
     def test_detection_words_match_scalar_reference(self):
         """PPSFP words == scalar two-frame forced simulation, fault by fault."""
+        self._check_against_reference(chunk_size=256)
+
+    def test_detection_words_match_scalar_reference_across_chunks(self):
+        """40 tests in 16-test chunks: the ``w << offset`` merge is exact."""
+        self._check_against_reference(chunk_size=16)
+
+    @staticmethod
+    def _check_against_reference(chunk_size):
         from repro.circuits.gates import evaluate
 
         c = get_circuit("s27")
@@ -96,7 +104,7 @@ class TestAgainstBruteForce:
             for _ in range(40)
         ]
         faults = all_transition_faults(c)
-        sim = TransitionFaultSimulator(c)
+        sim = TransitionFaultSimulator(c, chunk_size=chunk_size)
         words = sim.detection_words(tests, faults)
 
         def scalar_values(state, pis, forced=None):

@@ -280,33 +280,23 @@ class TestCheckpointJournal:
         assert not j.has("k")
         assert len(path.read_text().splitlines()) == 1  # header only
 
-    def test_header_carries_schema(self, tmp_path, monkeypatch):
-        from repro.core import kernel
-
-        monkeypatch.delenv(kernel.ENV_VAR, raising=False)
+    def test_header_carries_schema(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         CheckpointJournal.open(path, fingerprint="aaaa")
         header = json.loads(path.read_text().splitlines()[0])
-        assert header == {
-            "schema": RESUME_SCHEMA,
-            "fingerprint": "aaaa",
-            "kernel": "word",
-        }
+        assert header == {"schema": RESUME_SCHEMA, "fingerprint": "aaaa"}
 
-    def test_header_kernel_is_provenance_only(self, tmp_path, monkeypatch):
-        # A journal written under one backend resumes under the other:
-        # the backends are bit-identical, so the header field is purely
-        # informational and never gates a resume.
-        from repro.core import kernel
-
+    def test_legacy_kernel_header_resumes(self, tmp_path):
+        # Older journals record the evaluation backend in their header;
+        # the field is ignored, so such a journal resumes unchanged.
         path = tmp_path / "ck.jsonl"
-        monkeypatch.setenv(kernel.ENV_VAR, "array")
         CheckpointJournal.open(path, fingerprint="aaaa").record("k", 1)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["kernel"] == "array"
-        monkeypatch.delenv(kernel.ENV_VAR)
+        lines = path.read_text().splitlines()
+        header = {"schema": RESUME_SCHEMA, "fingerprint": "aaaa", "kernel": "array"}
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         j = CheckpointJournal.open(path, fingerprint="aaaa", resume=True)
         assert j.has("k") and j.result("k") == 1
+        assert json.loads(path.read_text().splitlines()[0]) == header
 
     def test_non_journal_file_rejected(self, tmp_path):
         path = tmp_path / "ck.jsonl"
