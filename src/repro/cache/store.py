@@ -5,7 +5,6 @@ One :class:`ArtifactCache` manages a directory tree of pickled artifacts::
     <root>/compiled/<key>.pkl   # CompiledCircuit lowering (schedule arrays)
     <root>/kernel/<key>.pkl     # word-kernel source + marshalled code object
     <root>/faults/<key>.pkl     # collapsed transition-fault list
-    <root>/results/<key>.pkl    # rendered campaign results (service layer)
 
 ``<key>`` is :func:`circuit_key`: a SHA-256 over the circuit's ``.bench``
 serialization plus :func:`code_fingerprint` (a digest of the sources that
@@ -34,12 +33,9 @@ Observability: ``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
 ``cache.rebuilds`` counters (rendered as the "artifact cache" section of
 ``--stats`` reports).
 
-Distribution: the cache is the shared artifact plane of the execution
-backends (:mod:`repro.exec`).  Local pool workers inherit the directory
-through ``REPRO_CACHE_DIR``; remote socket workers receive the
-coordinator's directory in the ``("config", ...)`` handshake and adopt
-it when they have none of their own, so a fleet warm-starts compiled IR,
-kernels, and fault lists from whatever storage the path points at.
+Sharing: pool workers (``--jobs``, ``--shards``) inherit the directory
+through ``REPRO_CACHE_DIR``, so every process of a campaign warm-starts
+compiled IR, kernels, and fault lists from the same storage.
 """
 
 from __future__ import annotations
@@ -60,12 +56,9 @@ from repro import obs
 #: Bumped when the payload layout changes; old entries become misses.
 ARTIFACT_SCHEMA = 1
 
-#: Artifact kinds, in the order ``repro-eda cache stats`` reports them.
-#: The first three are keyed by :func:`circuit_key`; ``results`` entries
-#: are keyed by the service layer's campaign content address
-#: (:meth:`repro.service.spec.CampaignSpec.result_key`), which folds in
-#: :func:`repro.expdb.code_hash` for the same staleness guarantee.
-KINDS = ("compiled", "kernel", "faults", "results")
+#: Artifact kinds, in the order ``repro-eda cache stats`` reports them;
+#: every kind is keyed by :func:`circuit_key`.
+KINDS = ("compiled", "kernel", "faults")
 
 #: Sources folded into every cache key: the artifact producers/consumers.
 _FINGERPRINT_MODULES = (
@@ -213,27 +206,6 @@ class ArtifactCache:
                 "faults": [(f.line, f.direction) for f in faults],
             },
         )
-
-    def load_result(self, key: str) -> str | None:
-        """A cached rendered campaign result, or ``None``.
-
-        ``key`` is the service layer's content address over the campaign
-        spec + :func:`repro.expdb.code_hash` -- the caller computes it,
-        this store just honors the usual corruption/atomicity contract.
-        """
-        payload = self._read("results", key)
-        text = None
-        if payload is not None:
-            text = payload.get("text")
-            if not isinstance(text, str):
-                self._drop("results", key)
-                text = None
-        self._tally(text is not None)
-        return text
-
-    def store_result(self, key: str, text: str) -> None:
-        """Persist one rendered campaign result under its content address."""
-        self._write("results", key, {"schema": ARTIFACT_SCHEMA, "text": text})
 
     # ------------------------------------------------------------------
     # Maintenance (the ``repro-eda cache`` subcommands)

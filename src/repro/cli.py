@@ -1,4 +1,4 @@
-"""Command-line interface: ``repro-eda``.
+"""Command-line interface: ``repro-eda``, the one front end of the repo.
 
 Subcommands mirror the paper's three methods plus utilities::
 
@@ -8,10 +8,16 @@ Subcommands mirror the paper's three methods plus utilities::
     repro-eda tpdf s27 --max-faults 60      # Chapter 2 pipeline
     repro-eda select-paths s298 --n 6       # Chapter 3 procedure
     repro-eda table 4.3                     # regenerate a paper table
-    repro-eda worker --connect host:7341    # serve a remote campaign
-    repro-eda serve --port 8341             # campaign service (HTTP job API)
     repro-eda stats trace.jsonl             # re-render a saved trace
     repro-eda db runs --db exp.db           # browse the experiment history
+    repro-eda cache stats --cache-dir DIR   # inspect the artifact cache
+
+Every command runs on the local machine.  ``table --jobs N`` fans the
+table rows out over N pool workers, and ``--shards N`` grades fault
+shards in parallel; with both at 1 everything runs in this process.
+Neither changes any output byte.  Bad ``--jobs`` / ``--shards`` values
+and a malformed ``REPRO_FAULT`` spec fail fast with exit code 2 before
+any work is dispatched.
 
 Observability: ``generate`` and ``table`` accept ``--stats`` (print the
 run report: per-phase time breakdown, seeds tried/accepted, truncation
@@ -28,46 +34,17 @@ completed rows as ``repro-resume-v1`` JSONL and skip them on rerun).
 Warm starts (see :mod:`repro.cache`): ``generate`` and ``table`` accept
 ``--cache-dir DIR`` (equivalently ``REPRO_CACHE_DIR``) to persist
 compiled-IR schedules, word-kernel code, and collapsed fault lists across
-runs, and ``--shards N`` to grade fault shards in parallel; neither
-changes any output byte.  ``repro-eda cache {stats,clear}`` manages a
-cache directory.
-
-Execution plane (see :mod:`repro.exec`): ``generate`` and ``table``
-accept ``--executor {inprocess,pool,remote}`` to pick the dispatch
-backend outright -- every backend produces byte-identical output, so
-the flag is a pure wall-clock/topology knob.  ``remote`` binds
-``--listen HOST:PORT`` (port 0 picks a free port, printed to stderr)
-and waits ``--worker-wait`` seconds for ``--min-workers`` workers;
-start workers on any host with ``repro-eda worker --connect HOST:PORT``
-(add ``--reconnect [--max-reconnects N]`` to let a worker re-handshake
-into the campaign after a dropped seat).  If the fleet never forms,
-``--fallback-executor {inprocess,pool}`` degrades the campaign to a
-local backend instead of failing.  The supervised fleet heartbeats,
-requeues tasks from partitioned or trickling seats, and rejects
-malformed peers; its health lands under the "fleet supervision"
-section of ``--stats``.  Bad ``--jobs`` / ``--shards`` /
-``--executor`` / ``--fallback-executor`` values fail fast with exit
-code 2 before any work is dispatched.
+runs.  ``repro-eda cache {stats,clear}`` manages a cache directory.
 
 Experiment history (see :mod:`repro.expdb`): ``generate`` and ``table``
-accept ``--db PATH`` (equivalently ``REPRO_DB``, which pool and remote
-workers inherit) to append the run -- its parameters, fingerprint, every
+accept ``--db PATH`` (equivalently ``REPRO_DB``, which pool workers
+inherit) to append the run -- its parameters, fingerprint, every
 completed row, and the end-of-run metric snapshot with p50/p95/p99
 histogram summaries -- to a sqlite experiment database.  ``repro-eda db
 {runs,show,query,trend,gate}`` reads the history back: ``db gate``
 checks bench samples against the rolling median of the last N recorded
 batches instead of static floors, and ``repro-eda stats --db PATH``
 re-renders any stored run report.  Recording never changes results.
-
-Campaign service (see :mod:`repro.service`): ``repro-eda serve`` runs
-the HTTP job API (``docs/SERVICE.md``) -- submit generate/table
-campaigns as jobs on a bounded priority queue drained onto any
-``--executor`` backend, stream per-row progress as NDJSON, and read
-results byte-identical to the equivalent CLI invocation.
-``--cache-dir`` content-addresses results so identical resubmits return
-instantly; ``--db`` records each job as a normal experiment run (argv
-``service:<job-id>``); ``--rate``/``--burst`` and ``--max-client-jobs``
-bound each client; ``--queue-limit`` bounds the queue itself.
 
 All output is plain text; every command is deterministic for fixed seeds.
 """
@@ -119,8 +96,9 @@ def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
 
     Returns the new run id, or ``None`` when recording is off.  The path
     and run id are exported (``REPRO_DB`` / ``REPRO_DB_RUN``) so pool
-    workers inherit them; remote workers receive both in the executor
-    config handshake.
+    workers inherit them.  The run's ``executor`` column names the
+    backend ``--jobs`` / ``--shards`` select: ``pool`` above 1, else
+    ``inprocess``.
     """
     import os
 
@@ -131,10 +109,11 @@ def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
         return None
     os.environ[expdb.ENV_VAR] = str(path)
     db = expdb.configure(path)
+    workers = max(getattr(args, "jobs", None) or 1, getattr(args, "shards", None) or 1)
     run_id = db.begin_run(
         kind,
         label,
-        executor=getattr(args, "executor", None) or "inprocess",
+        executor="pool" if workers > 1 else "inprocess",
         argv=getattr(args, "argv", None),
     )
     expdb.set_current_run(run_id)
@@ -178,86 +157,50 @@ def _cache_setup(args: argparse.Namespace) -> None:
 
 
 def _validate_dispatch(args: argparse.Namespace) -> str | None:
-    """Fail-fast guard for ``--jobs``/``--shards``/``--executor``.
+    """Fail-fast guard for ``--jobs``/``--shards`` and ``REPRO_FAULT``.
 
     Returns the error message to print (the caller exits 2), or ``None``
-    when every dispatch knob the subcommand carries is valid.
+    when every dispatch knob the subcommand carries is valid.  A
+    malformed fault spec is caught here, before any row runs, rather
+    than retried as a failure of every row.
     """
-    from repro.exec import validate_executor_kind, validate_jobs, validate_shards
+    import os
+
+    from repro.exec import validate_jobs, validate_shards
+    from repro.resilience import faultpoints
 
     try:
         validate_jobs(getattr(args, "jobs", None))
         validate_shards(getattr(args, "shards", None))
-        kind = getattr(args, "executor", None)
-        if kind is not None:
-            validate_executor_kind(kind)
-        fallback = getattr(args, "fallback_executor", None)
-        if fallback is not None:
-            validate_executor_kind(fallback)
-            if fallback == "remote":
-                raise ValueError(
-                    "--fallback-executor must be a local backend "
-                    "(inprocess or pool); falling back to remote would "
-                    "just wait for the same missing workers"
-                )
-            if kind != "remote":
-                raise ValueError(
-                    "--fallback-executor only applies with --executor remote"
-                )
+        faultpoints.parse(os.environ.get(faultpoints.ENV_VAR, ""))
     except ValueError as exc:
         return str(exc)
     return None
 
 
-def _build_executor(args: argparse.Namespace, jobs: int | None = None):
-    """Construct the backend named by ``--executor`` for one subcommand.
+def _run_campaign(args: argparse.Namespace, kind: str, label: str, body) -> int:
+    """Run ``body(args)`` for ``generate``/``table`` with the shared set-up.
 
-    ``jobs`` sizes the local pool.  A remote coordinator prints its
-    bound address to stderr and blocks until ``--min-workers`` workers
-    connect; if too few arrive and ``--fallback-executor`` names a local
-    backend, the campaign degrades gracefully to that backend (results
-    are identical on any backend) instead of failing.  Otherwise
-    ``TimeoutError`` (no workers) and ``ValueError`` (bad ``--listen``)
-    propagate for the caller to map onto exit codes.
+    Turns on obs and the artifact cache, rejects bad dispatch knobs with
+    exit 2 before any work, and records the run in the experiment
+    database when one is active.
     """
-    from repro.exec import make_executor, parse_address
-    from repro.resilience import RetryPolicy
+    import time
 
-    retries = getattr(args, "retries", None)
-    policy = RetryPolicy(
-        max_retries=retries if retries is not None else 2,
-        timeout_s=getattr(args, "timeout", None),
-    )
-    if args.executor == "remote":
-        executor = make_executor(
-            "remote",
-            policy=policy,
-            listen=parse_address(args.listen),
-            accept_grace_s=args.worker_wait,
-        )
-        host, port = executor.address
-        print(
-            f"remote executor listening on {host}:{port} "
-            f"(connect workers with `repro-eda worker --connect {host}:{port}`)",
-            file=sys.stderr,
-            flush=True,
-        )
-        try:
-            executor.wait_for_workers(args.min_workers, timeout_s=args.worker_wait)
-        except TimeoutError as exc:
-            executor.close()
-            fallback = getattr(args, "fallback_executor", None)
-            if fallback is None:
-                raise
-            print(
-                f"warning: {exc}; falling back to --executor {fallback} "
-                "(results are identical on any backend)",
-                file=sys.stderr,
-                flush=True,
-            )
-            return make_executor(fallback, jobs=jobs, policy=policy)
-        return executor
-    return make_executor(args.executor, jobs=jobs, policy=policy)
+    _obs_setup(args)
+    _cache_setup(args)
+    problem = _validate_dispatch(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
+    run_id = _db_setup(args, kind, label)
+    started = time.monotonic()
+    code = 1
+    try:
+        code = body(args)
+        return code
+    finally:
+        _db_finish(run_id, code, started)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -327,81 +270,95 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    _obs_setup(args)
-    _cache_setup(args)
-    problem = _validate_dispatch(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    import time
-
-    run_id = _db_setup(args, "generate", args.circuit)
-    started = time.monotonic()
-    code = 1
-    executor = None
-    try:
-        if args.executor:
-            try:
-                executor = _build_executor(args, jobs=args.shards)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                code = 2
-                return code
-            except TimeoutError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                code = 1
-                return code
-        code = _run_generate(args, executor)
-        return code
-    finally:
-        if executor is not None:
-            executor.close()
-        _db_finish(run_id, code, started)
+    return _run_campaign(args, "generate", args.circuit, _run_generate)
 
 
-def _run_generate(args: argparse.Namespace, executor=None) -> int:
-    """Body of ``repro-eda generate`` once dispatch knobs are resolved.
+def _run_generate(args: argparse.Namespace) -> int:
+    """Body of ``repro-eda generate`` once dispatch knobs are validated.
 
-    The execution itself lives in :func:`repro.service.campaigns.
-    run_generate` -- shared with the job service so an HTTP-submitted
-    ``generate`` campaign can never drift from this command; the CLI
-    contributes only the printing and the ``--hold`` extension.
+    With an experiment database active (:mod:`repro.expdb`), the run is
+    annotated with the campaign fingerprint and the result lands as one
+    ``generate/<circuit>`` row.
     """
+    from repro import expdb
     from repro.circuits.benchmarks import get_circuit
-    from repro.core.builtin_gen import BuiltinGenConfig
+    from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator
+    from repro.core.embedded import compose, compose_with_buffers, estimate_swa_func
     from repro.core.state_holding import run_with_state_holding
-    from repro.service.campaigns import run_generate
+    from repro.faults.collapse import collapsed_transition_faults
+    from repro.resilience.checkpoint import fingerprint_of
 
-    outcome = run_generate(
-        args.circuit,
-        driver=args.driver,
-        length=args.length,
+    target = get_circuit(args.circuit)
+    faults = collapsed_transition_faults(target)
+    config = BuiltinGenConfig(
+        segment_length=args.length,
         time_limit=args.time_limit,
-        seed=args.seed,
-        shards=args.shards,
-        executor=executor,
-        hold=args.hold,
-        tree_height=args.tree_height,
+        rng_seed=args.seed,
+        grade_shards=args.shards,
     )
-    for line in outcome.lines:
-        print(line)
-    if args.hold:
-        result = outcome.result
-        config = BuiltinGenConfig(
-            segment_length=args.length,
-            time_limit=args.time_limit,
-            rng_seed=args.seed,
-            grade_shards=args.shards,
+    swa_func = None
+    if args.driver:
+        if args.driver == "buffers":
+            design = compose_with_buffers(target)
+        else:
+            design = compose(get_circuit(args.driver), target)
+        swa_func = estimate_swa_func(design, n_sequences=16, length=120).swa_func
+        print(f"SWA_func under {args.driver}: {swa_func:.2f}%")
+    result = BuiltinGenerator(target, faults, swa_func, config=config).run()
+    db = expdb.active()
+    run_id = expdb.current_run()
+    if db is not None and run_id is not None:
+        db.annotate_run(
+            run_id,
+            fingerprint=fingerprint_of(
+                {
+                    "generate": args.circuit,
+                    "driver": args.driver,
+                    "length": args.length,
+                    "time_limit": args.time_limit,
+                    "seed": args.seed,
+                    "hold": bool(args.hold),
+                    "tree_height": args.tree_height,
+                }
+            ),
         )
-        remaining = [f for f in outcome.faults if f not in result.detected]
+        db.record_row(
+            run_id,
+            f"generate/{args.circuit}",
+            0,
+            {
+                "circuit": args.circuit,
+                "driver": args.driver,
+                "n_multi": result.n_multi,
+                "n_seg_max": result.n_seg_max,
+                "l_max": result.l_max,
+                "n_seeds": result.n_seeds,
+                "n_tests": result.n_tests,
+                "peak_swa": round(result.peak_swa, 4),
+                "coverage": round(result.coverage, 4),
+                "area_total": round(result.area.total, 2),
+                "area_overhead_percent": round(result.area.overhead_percent, 4),
+            },
+        )
+    print(
+        f"Nmulti={result.n_multi} Nsegmax={result.n_seg_max} Lmax={result.l_max} "
+        f"Nseeds={result.n_seeds} Ntests={result.n_tests}"
+    )
+    print(f"peak SWA {result.peak_swa:.2f}%  FC {result.coverage:.2f}%")
+    print(
+        f"hardware {result.area.total:.0f} um^2 "
+        f"({result.area.overhead_percent:.2f}% overhead)"
+    )
+    if args.hold:
+        remaining = [f for f in faults if f not in result.detected]
         holding = run_with_state_holding(
-            get_circuit(args.circuit),
+            target,
             remaining,
-            outcome.swa_func,
+            swa_func,
             tree_height=args.tree_height,
             config=config,
         )
-        improvement = 100.0 * len(holding.newly_detected) / len(outcome.faults)
+        improvement = 100.0 * len(holding.newly_detected) / len(faults)
         print(
             f"state holding: {holding.selection.n_sets} sets "
             f"({holding.selection.n_bits} bits), +{improvement:.2f}% FC "
@@ -460,40 +417,11 @@ def _cmd_select_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    _obs_setup(args)
-    _cache_setup(args)
-    problem = _validate_dispatch(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    import time
-
-    run_id = _db_setup(args, "table", args.table)
-    started = time.monotonic()
-    code = 1
-    executor = None
-    try:
-        if args.executor and args.table in ("4.3", "4.4"):
-            try:
-                executor = _build_executor(args, jobs=args.jobs)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                code = 2
-                return code
-            except TimeoutError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                code = 1
-                return code
-        code = _run_table(args, executor)
-        return code
-    finally:
-        if executor is not None:
-            executor.close()
-        _db_finish(run_id, code, started)
+    return _run_campaign(args, "table", args.table, _run_table)
 
 
-def _run_table(args: argparse.Namespace, executor=None) -> int:
-    """Body of ``repro-eda table`` once dispatch knobs are resolved."""
+def _run_table(args: argparse.Namespace) -> int:
+    """Body of ``repro-eda table`` once dispatch knobs are validated."""
     table = args.table
     progress = None
     if args.jobs and args.jobs > 1 and not args.quiet:
@@ -545,7 +473,6 @@ def _run_table(args: argparse.Namespace, executor=None) -> int:
                 max_retries=args.retries,
                 checkpoint_path=args.checkpoint,
                 resume=args.resume,
-                executor=executor,
             )
         except CheckpointError as exc:
             print(f"checkpoint error: {exc}", file=sys.stderr)
@@ -584,7 +511,6 @@ def _run_table(args: argparse.Namespace, executor=None) -> int:
             progress=progress,
             timeout_s=args.timeout,
             max_retries=args.retries,
-            executor=executor,
         )
         held = run_table_4_4(
             base,
@@ -595,7 +521,6 @@ def _run_table(args: argparse.Namespace, executor=None) -> int:
             progress=progress,
             timeout_s=args.timeout,
             max_retries=args.retries,
-            executor=executor,
         )
         print(render_table_4_4(held))
         failures = [c for c in list(base) + list(held) if isinstance(c, TaskFailure)]
@@ -612,89 +537,6 @@ def _run_table(args: argparse.Namespace, executor=None) -> int:
         return 2
     _obs_finish(args)
     return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Serve tasks for a remote executor until the coordinator hangs up."""
-    from repro.exec import parse_address, worker_loop
-
-    _cache_setup(args)
-    try:
-        address = parse_address(args.connect)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return worker_loop(
-        address,
-        connect_timeout_s=args.connect_timeout,
-        reconnect=args.reconnect,
-        max_reconnects=args.max_reconnects,
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Body of ``repro-eda serve``: run the campaign service until ^C."""
-    import os
-    import time
-
-    from repro import expdb
-    from repro.service import CampaignService, JobManager, RateLimiter
-
-    _obs_setup(args)
-    _cache_setup(args)
-    problem = _validate_dispatch(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    db_path = args.db or os.environ.get(expdb.ENV_VAR)
-    if db_path:
-        # Exported so pool/remote workers inherit it; the service's own
-        # connection is opened on its runner thread, never here (sqlite
-        # connections are thread-affine).
-        os.environ[expdb.ENV_VAR] = str(db_path)
-    executor = None
-    try:
-        if args.executor:
-            try:
-                executor = _build_executor(args, jobs=args.jobs)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            except TimeoutError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-        manager = JobManager(
-            executor=executor,
-            executor_kind=executor.kind if executor is not None else "inprocess",
-            queue_limit=args.queue_limit,
-            max_client_jobs=args.max_client_jobs,
-            db_path=db_path,
-        )
-        service = CampaignService(
-            manager,
-            limiter=RateLimiter(args.rate, args.burst),
-            host=args.host,
-            port=args.port,
-        )
-        host, port = service.start()
-        print(
-            f"campaign service listening on http://{host}:{port} "
-            f"(submit jobs with `curl -s http://{host}:{port}/v1/jobs "
-            "-d '{\"kind\": \"table\", \"table\": \"4.3\"}'`)",
-            file=sys.stderr,
-            flush=True,
-        )
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            print("shutting down", file=sys.stderr, flush=True)
-        service.close()
-        return 0
-    finally:
-        if executor is not None:
-            executor.close()
-        _obs_finish(args)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -912,47 +754,6 @@ def _db_trend(db, args: argparse.Namespace) -> int:
     return 1
 
 
-def _add_executor_args(p: argparse.ArgumentParser) -> None:
-    """Attach the execution-plane flags shared by ``generate`` and ``table``."""
-    p.add_argument(
-        "--executor",
-        metavar="BACKEND",
-        default=None,
-        help="dispatch backend: inprocess, pool, or remote "
-        "(default: the classic jobs/shards-derived dispatch; "
-        "results are identical for any backend)",
-    )
-    p.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        default="127.0.0.1:0",
-        help="remote executor bind address (port 0 picks a free port; "
-        "the bound address is printed to stderr)",
-    )
-    p.add_argument(
-        "--min-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="remote workers to wait for before dispatching",
-    )
-    p.add_argument(
-        "--worker-wait",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="how long to wait for --min-workers remote workers",
-    )
-    p.add_argument(
-        "--fallback-executor",
-        metavar="BACKEND",
-        default=None,
-        help="local backend (inprocess or pool) to run the campaign on "
-        "when --min-workers remote workers never connect, instead of "
-        "failing (results are identical on any backend)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -1011,7 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment database at PATH (same as REPRO_DB; implies metric "
         "collection)",
     )
-    _add_executor_args(p)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("tpdf", help="transition path delay fault ATPG")
@@ -1099,7 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot) into the experiment database at PATH (same as "
         "REPRO_DB, which workers inherit; implies metric collection)",
     )
-    _add_executor_args(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")
@@ -1110,117 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory (default: the REPRO_CACHE_DIR environment variable)",
     )
     p.set_defaults(func=_cmd_cache)
-
-    p = sub.add_parser("worker", help="serve tasks for a remote executor")
-    p.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address printed by `... --executor remote`",
-    )
-    p.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="how long to retry dialing the coordinator before giving up",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="artifact cache directory (default: adopt the coordinator's)",
-    )
-    p.add_argument(
-        "--reconnect",
-        action="store_true",
-        help="re-dial and re-handshake into the campaign when the "
-        "connection is lost (the coordinator re-adopts the seat)",
-    )
-    p.add_argument(
-        "--max-reconnects",
-        type=int,
-        default=5,
-        metavar="N",
-        help="reconnect budget under deterministic exponential backoff "
-        "(only with --reconnect)",
-    )
-    p.set_defaults(func=_cmd_worker)
-
-    p = sub.add_parser(
-        "serve", help="run the campaign service (HTTP job API)"
-    )
-    p.add_argument(
-        "--host",
-        default="127.0.0.1",
-        metavar="HOST",
-        help="HTTP bind host (default 127.0.0.1)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        metavar="N",
-        help="HTTP bind port (0 picks a free port, printed to stderr)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --executor pool",
-    )
-    p.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        metavar="N",
-        help="bounded job-queue capacity; submissions beyond it get 503",
-    )
-    p.add_argument(
-        "--max-client-jobs",
-        type=int,
-        default=8,
-        metavar="N",
-        help="per-client quota of queued-or-running jobs; beyond it 409",
-    )
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        metavar="PER_SECOND",
-        help="per-client submission rate limit (token bucket; beyond it "
-        "429 with Retry-After; default: unlimited)",
-    )
-    p.add_argument(
-        "--burst",
-        type=float,
-        default=None,
-        metavar="N",
-        help="token-bucket burst capacity (default: max(1, --rate))",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="content-address campaign results (and warm-start artifacts) "
-        "under DIR (same as REPRO_CACHE_DIR); identical resubmits are "
-        "then served without re-executing",
-    )
-    p.add_argument(
-        "--db",
-        metavar="PATH",
-        help="record completed jobs in the experiment database at PATH "
-        "(same as REPRO_DB)",
-    )
-    p.add_argument(
-        "--stats",
-        action="store_true",
-        help="print the observability run report on shutdown",
-    )
-    p.add_argument(
-        "--trace", metavar="FILE", help="write the span trace as JSONL to FILE"
-    )
-    _add_executor_args(p)
-    p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "stats", help="re-render a saved trace file or a stored run report"

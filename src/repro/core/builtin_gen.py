@@ -187,7 +187,6 @@ class BuiltinGenerator:
         config: BuiltinGenConfig | None = None,
         initial_state: Sequence[int] | None = None,
         pattern_bank=None,
-        grading_executor=None,
     ):
         """``pattern_bank`` (a :class:`repro.core.signal_patterns.
         FunctionalPatternBank`) switches segment truncation from the SWA
@@ -196,13 +195,7 @@ class BuiltinGenerator:
         if its set of toggling (line, direction) pairs is a subset of a
         pattern observed under the functional input sequences.  Not
         combinable with state holding (holding deliberately leaves the
-        functional pattern space).
-
-        ``grading_executor`` (a :class:`repro.exec.base.Executor`)
-        overrides the backend sharded fault grading dispatches over; it
-        is deliberately *not* part of :class:`BuiltinGenConfig`, so
-        checkpoint fingerprints stay backend-neutral.  The caller keeps
-        its lifetime."""
+        functional pattern space)."""
         self.circuit = circuit
         # One compiled instance serves every segment simulation of every
         # seed; the grader's PPSFP chunks share it through the same cache.
@@ -217,7 +210,6 @@ class BuiltinGenerator:
             faults,
             shards=self.config.grade_shards,
             jobs=self.config.grade_jobs,
-            executor=grading_executor,
         )
         self.rng = random.Random(self.config.rng_seed)
         self.chains = ScanChains.partition(circuit)

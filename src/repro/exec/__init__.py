@@ -1,32 +1,26 @@
-"""``repro.exec`` -- the pluggable execution plane for campaign dispatch.
+"""``repro.exec`` -- the execution plane for campaign dispatch.
 
 Every embarrassingly parallel campaign in the repo -- the Chapter 4
 table rows (:func:`repro.experiments.runner.run_tasks`) and the sharded
-PPSFP fault grading (:class:`repro.faults.fsim.FaultGrader`) -- used to
-drive the self-healing pool directly, each with its own fan-out code and
-no path off a single host.  This package puts one schedulable
-unit-of-work abstraction under both:
+PPSFP fault grading (:class:`repro.faults.fsim.FaultGrader`) -- rides
+one schedulable unit-of-work abstraction with two local backends:
 
 * :class:`repro.exec.base.Executor` -- ``submit(task) -> future`` plus
   ``drain()``, with deterministic submission-order results and typed
   :class:`repro.resilience.policy.TaskFailure` degradation;
 * :class:`repro.exec.inprocess.InProcessExecutor` -- serial reference
-  backend (``--executor inprocess``);
-* :class:`repro.exec.localpool.LocalPoolExecutor` -- the existing
+  backend, used for ``--jobs 1`` / ``--shards 1``;
+* :class:`repro.exec.localpool.LocalPoolExecutor` -- the
   :mod:`repro.resilience.pool` crash/hang/retry semantics behind the
-  shared seam (``--executor pool``);
-* :class:`repro.exec.remote.RemoteExecutor` / :func:`repro.exec.remote.
-  worker_loop` -- socket-connected workers launched with ``repro-eda
-  worker --connect HOST:PORT`` (``--executor remote``), sharing the
-  :mod:`repro.cache` artifact plane via the handshake.
+  shared seam, used for ``--jobs N`` / ``--shards N`` above 1.
 
-The contract that makes the backend a pure wall-clock knob: identical
-tasks produce identical result lists on every backend (byte-identical
-rendered tables), and checkpoint fingerprints exclude every executor
-parameter, so a journal written under one backend resumes under any
-other -- including on a different host (:mod:`repro.resilience.
-checkpoint`).  ``tests/test_executor_contract.py`` pins all of this
-against all three backends.
+The contract that makes ``--jobs`` and ``--shards`` pure wall-clock
+knobs: identical tasks produce identical result lists on both backends
+(byte-identical rendered tables), and checkpoint fingerprints exclude
+every dispatch parameter, so a journal written under one backend
+resumes under the other (:mod:`repro.resilience.checkpoint`).
+``tests/test_executor_contract.py`` pins all of this against both
+backends.
 
 Dispatch observability lands under ``executor.*`` (the "execution
 plane" section of the ``--stats`` report): submit/result spans, a
@@ -38,31 +32,14 @@ from __future__ import annotations
 from repro.exec.base import Executor, TaskFuture
 from repro.exec.inprocess import InProcessExecutor
 from repro.exec.localpool import LocalPoolExecutor
-from repro.exec.remote import (
-    AUTHKEY_ENV,
-    RemoteExecutor,
-    parse_address,
-    worker_loop,
-)
-from repro.resilience.policy import RetryPolicy
-
-#: Valid ``--executor`` values, in reference-first order.
-EXECUTOR_KINDS: tuple[str, ...] = ("inprocess", "pool", "remote")
 
 __all__ = [
-    "AUTHKEY_ENV",
-    "EXECUTOR_KINDS",
     "Executor",
     "InProcessExecutor",
     "LocalPoolExecutor",
-    "RemoteExecutor",
     "TaskFuture",
-    "make_executor",
-    "parse_address",
-    "validate_executor_kind",
     "validate_jobs",
     "validate_shards",
-    "worker_loop",
 ]
 
 
@@ -88,56 +65,3 @@ def validate_shards(shards: int | None) -> int | None:
     if int(shards) < 1:
         raise ValueError(f"shards must be a positive shard count, got {shards!r}")
     return int(shards)
-
-
-def validate_executor_kind(kind: str) -> str:
-    """Validate an ``--executor`` value against :data:`EXECUTOR_KINDS`.
-
-    Raises ``ValueError`` naming the offending value otherwise.
-    """
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"unknown executor {kind!r}: expected one of "
-            f"{', '.join(EXECUTOR_KINDS)}"
-        )
-    return kind
-
-
-def make_executor(
-    kind: str,
-    jobs: int | None = None,
-    policy: RetryPolicy | None = None,
-    collect: bool | None = None,
-    listen: tuple[str, int] | None = None,
-    authkey: bytes | None = None,
-    accept_grace_s: float = 30.0,
-    heartbeat_s: float = 2.0,
-    heartbeat_misses: int = 3,
-    recv_timeout_s: float = 10.0,
-) -> Executor:
-    """Build the executor named by ``kind`` (one CLI flag, one seam).
-
-    ``jobs`` sizes the local pool; ``listen`` / ``authkey`` /
-    ``accept_grace_s`` / ``heartbeat_s`` / ``heartbeat_misses`` /
-    ``recv_timeout_s`` configure the remote coordinator's fleet
-    supervision; ``collect`` controls worker obs snapshots (``None``
-    defers to the registry's enabled state at first use).  Raises
-    ``ValueError`` for an unknown kind.
-    """
-    validate_executor_kind(kind)
-    if kind == "inprocess":
-        return InProcessExecutor(policy=policy)
-    if kind == "pool":
-        return LocalPoolExecutor(
-            n_workers=jobs if jobs else 2, policy=policy, collect=collect
-        )
-    return RemoteExecutor(
-        listen=listen or ("127.0.0.1", 0),
-        authkey=authkey,
-        policy=policy,
-        collect=collect,
-        accept_grace_s=accept_grace_s,
-        heartbeat_s=heartbeat_s,
-        heartbeat_misses=heartbeat_misses,
-        recv_timeout_s=recv_timeout_s,
-    )

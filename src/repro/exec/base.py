@@ -76,14 +76,14 @@ class Executor:
     """Abstract dispatch backend (see module docstring for the contract).
 
     Subclasses implement :meth:`_execute` and declare three class
-    attributes: ``kind`` (the ``--executor`` name), ``ships_snapshots``
+    attributes: ``kind`` (the backend name), ``ships_snapshots``
     (whether outcomes arrive with a worker obs snapshot to merge), and
     ``daemon_safe`` (whether the backend may be used from inside a
     daemonic pool worker, which cannot spawn child processes).
 
     Executors are reusable -- ``submit``/``drain`` cycles may repeat --
     and are context managers; :meth:`close` releases any worker
-    processes or sockets.
+    processes.
     """
 
     kind: str = "abstract"
@@ -161,9 +161,9 @@ class Executor:
             self._execute(tasks, emit)
         except BaseException:
             # A raising drain (backend bug, on_complete callback error,
-            # KeyboardInterrupt) must still release workers, sockets,
-            # and listening ports -- a failed campaign cannot be allowed
-            # to leak them into the next run or test.
+            # KeyboardInterrupt) must still release the workers -- a
+            # failed campaign cannot be allowed to leak them into the
+            # next run or test.
             self.close()
             raise
         return [f.result() for f in futures]

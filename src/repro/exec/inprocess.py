@@ -1,17 +1,17 @@
 """Serial in-process executor: the zero-overhead reference backend.
 
 Tasks run one after another in the calling process -- no pool, no
-pickling, no sockets -- under exactly the retry/degradation contract of
-the parallel backends: the ``runner.task`` span and fault point fire per
+pickling -- under exactly the retry/degradation contract of the pool
+backend: the ``runner.task`` span and fault point fire per
 attempt, the per-attempt deadline is published cooperatively
 (:mod:`repro.resilience.deadline`; nothing can preempt an attempt
 without a worker process to kill), failures retry under the policy's
 deterministic backoff with a ``runner.retry`` span, and an exhausted
 budget degrades to :class:`repro.resilience.policy.TaskFailure`.
 
-Every other backend is asserted byte-identical to this one by the
-conformance suite, which is what makes ``--executor`` a pure wall-clock
-knob.
+The pool backend is asserted byte-identical to this one by the
+conformance suite, which is what makes ``--jobs`` and ``--shards`` pure
+wall-clock knobs.
 """
 
 from __future__ import annotations

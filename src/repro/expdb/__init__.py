@@ -12,8 +12,7 @@ against *rolling history* instead of static floors
 Activation mirrors :mod:`repro.cache` -- process-wide and opt-in:
 
 * ``repro-eda ... --db PATH`` (which also exports the variable so pool
-  workers inherit it; remote workers receive it in the executor config
-  handshake), or
+  workers inherit it), or
 * the ``REPRO_DB`` environment variable, or
 * :func:`configure` from code.
 

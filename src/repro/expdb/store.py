@@ -50,8 +50,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 #: Environment variable carrying the active database path across
-#: processes (exported by the CLI like ``REPRO_CACHE_DIR``, and shipped to
-#: remote workers in the executor config handshake like the cache dir).
+#: processes (exported by the CLI like ``REPRO_CACHE_DIR``, so pool
+#: workers inherit it).
 ENV_VAR = "REPRO_DB"
 
 #: Current schema version; :data:`MIGRATIONS` must have this many steps.

@@ -322,15 +322,6 @@ def generate_report(fast: bool = True) -> str:
             "repro-eda table 4.3 --jobs 2 --timeout 120 --retries 2",
             "REPRO_FAULT='runner.task:s298:crash_once' repro-eda table 4.3 --jobs 2",
             "",
-            "# remote campaign: the coordinator listens on a socket and workers --",
-            "# on this or any other host -- dial in and serve rows.  Output is",
-            "# byte-identical to the in-process run; the checkpoint journal",
-            "# resumes under ANY backend (--executor inprocess|pool|remote):",
-            "repro-eda worker --connect 127.0.0.1:7341 &      # start 2 workers",
-            "repro-eda worker --connect 127.0.0.1:7341 &",
-            "repro-eda table 4.3 --executor remote --listen 127.0.0.1:7341 \\",
-            "    --min-workers 2 --cache-dir .cache --checkpoint t43.jsonl --stats",
-            "",
             "# full workload (s298 + s344, all drivers):",
             "pytest benchmarks/bench_table_4_3.py --benchmark-only -s",
         ],

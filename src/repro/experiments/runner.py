@@ -14,9 +14,9 @@ campaign plumbing:
   (:mod:`repro.exec`): inline (``jobs <= 1`` maps to
   :class:`repro.exec.inprocess.InProcessExecutor`), across the
   self-healing pool (:class:`repro.exec.localpool.LocalPoolExecutor`),
-  or over any caller-supplied executor -- socket-connected remote
-  workers included -- always returning results **in task order**, so
-  every backend's output equals ``jobs=1`` output exactly;
+  or over any caller-supplied executor -- always returning results
+  **in task order**, so every backend's output equals ``jobs=1``
+  output exactly;
 * :func:`derive_seed` -- a per-task RNG seed derived from a base seed and
   the task key, stable across runs, task orderings, and worker counts.
 
@@ -146,13 +146,12 @@ def run_tasks(
     task) runs inline in this process -- no pool, no pickling -- and
     larger ``jobs`` fans out over the self-healing worker pool, capped
     at the task count; negative ``jobs`` is rejected with a
-    ``ValueError``.  A caller-supplied ``executor`` (any backend,
-    socket-connected remote workers included) is used as-is -- its own
-    retry policy applies and the caller keeps ownership of its
-    lifetime, while ``jobs`` only sizes executors this function creates.
-    Because each task is self-contained and results are collected in
-    input order, the returned list is byte-for-byte the same for every
-    backend and worker count.
+    ``ValueError``.  A caller-supplied ``executor`` (either backend) is
+    used as-is -- its own retry policy applies and the caller keeps
+    ownership of its lifetime, while ``jobs`` only sizes executors this
+    function creates.  Because each task is self-contained and results
+    are collected in input order, the returned list is byte-for-byte
+    the same for every backend and worker count.
 
     ``policy`` supplies campaign-wide deadline/retry/backoff defaults
     for owned executors (per-task fields override it); ``checkpoint``

@@ -249,17 +249,17 @@ def run_table_4_3(
     """Run Table 4.3: per target, ``buffers`` + highest/lowest-SWA drivers.
 
     ``jobs > 1`` fans the per-target work across the self-healing worker
-    pool, and ``executor`` (any :class:`repro.exec.base.Executor`,
-    socket-connected remote workers included) replaces the dispatch
-    backend outright; every target builds its own generator and RNG
-    stream, so the returned cases are identical for any ``jobs`` value
-    and any backend (same order, same contents).  ``timeout_s`` /
-    ``max_retries`` bound each target row; a row that exhausts its
-    retries comes back as a :class:`repro.resilience.policy.TaskFailure`
-    in its slot instead of aborting the campaign.  ``checkpoint_path``
+    pool, and ``executor`` (any :class:`repro.exec.base.Executor`)
+    replaces the dispatch backend outright; every target builds its own
+    generator and RNG stream, so the returned cases are identical for
+    any ``jobs`` value and any backend (same order, same contents).
+    ``timeout_s`` / ``max_retries`` bound each target row; a row that
+    exhausts its retries comes back as a
+    :class:`repro.resilience.policy.TaskFailure` in its slot instead of
+    aborting the campaign.  ``checkpoint_path``
     journals completed rows (``repro-resume-v1``, fingerprinted by this
     function's parameters -- throughput knobs, the executor included,
-    are normalized out, so a journal resumes across backends and hosts);
+    are normalized out, so a journal resumes across backends);
     ``resume=True`` skips rows the journal already holds.  ``progress``
     is forwarded to :func:`repro.experiments.runner.run_tasks` and fires
     once per completed target.
@@ -415,14 +415,12 @@ def run_table_4_4(
     timeout_s: float | None = None,
     max_retries: int | None = None,
     policy: RetryPolicy | None = None,
-    executor=None,
 ) -> list[Table44Case | TaskFailure]:
     """Run state holding for every Table 4.3 case below the FC threshold.
 
-    Like :func:`run_table_4_3`, ``jobs`` and ``executor`` only change
-    the wall clock: each eligible case is an independent task and
-    results come back in case order; ``progress`` fires once per
-    completed case.  Failed Table 4.3 rows (``TaskFailure``) have no
+    Like :func:`run_table_4_3`, ``jobs`` only changes the wall clock:
+    each eligible case is an independent task and results come back in
+    case order; ``progress`` fires once per completed case.  Failed Table 4.3 rows (``TaskFailure``) have no
     base result to improve and are skipped; Table 4.4 rows that exhaust
     their own retries degrade to ``TaskFailure`` in place.
     """
@@ -438,9 +436,7 @@ def run_table_4_4(
         for case in cases
         if isinstance(case, Table43Case) and case.result.coverage < fc_threshold
     ]
-    return run_tasks(
-        tasks, jobs=jobs, progress=progress, policy=policy, executor=executor
-    )
+    return run_tasks(tasks, jobs=jobs, progress=progress, policy=policy)
 
 
 def render_table_4_4(cases: Sequence[Table44Case | TaskFailure]) -> str:

@@ -20,9 +20,9 @@ Fault-parallel grading: :class:`FaultGrader` optionally partitions its
 undetected-fault frontier into contiguous *shards* and grades them over
 the execution plane (:mod:`repro.exec`) -- by default a persistent
 :class:`repro.exec.localpool.LocalPoolExecutor` over the self-healing
-worker pool, or any injected backend (serial, remote sockets).  A
-crashed shard is retried, per-shard obs snapshots merge back into the
-parent registry, and a shard that exhausts its retry budget is re-graded
+worker pool, or an injected backend (serial or pool).  A crashed shard
+is retried, per-shard obs snapshots merge back into the parent
+registry, and a shard that exhausts its retry budget is re-graded
 inline.  Shards partition the fault list, so the merged detection sets
 are *exactly* the serial sets for any shard count and any backend;
 sharding is purely a wall-clock knob.
@@ -284,8 +284,8 @@ class FaultGrader:
     contiguous shards (:func:`partition_shards`) and grades them over an
     executor (:mod:`repro.exec`): by default a lazily created, persistent
     :class:`repro.exec.localpool.LocalPoolExecutor` of up to ``jobs``
-    self-healing workers, or a caller-supplied ``executor`` (any
-    backend, remote workers included -- the caller keeps its lifetime).
+    self-healing workers, or a caller-supplied ``executor`` (either
+    backend -- the caller keeps its lifetime).
     The merged sets are exactly the serial sets, so callers cannot
     observe the difference except in wall-clock.  Call :meth:`close` (or
     use the grader as a context manager) when a long-lived grader with

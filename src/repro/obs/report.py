@@ -52,8 +52,6 @@ SECTIONS: tuple[tuple[str, str], ...] = (
     ("TPDF pipeline", "tpdf."),
     ("experiment runner", "runner."),
     ("execution plane", "executor."),
-    ("fleet supervision", "fleet."),
-    ("campaign service", "service."),
 )
 
 

@@ -1,4 +1,4 @@
-"""Deterministic fault injection: named crash/hang/flaky points + net chaos.
+"""Deterministic fault injection: named crash/hang/error/flaky points.
 
 Resilience code that is only ever exercised by real failures is
 unverifiable; this module makes every failure mode drivable on demand.
@@ -28,39 +28,6 @@ Process-fault modes:
     Raise :class:`InjectedFault` on attempts ``0 .. N-1`` and succeed
     from attempt ``N`` on -- the flaky-then-succeed schedule.
 
-Wire-fault modes (the ``net:`` family) -- armed with point ``net`` and a
-key substring matching a *wire point* label ``<role>.<message-tag>``
-(``worker.pong``, ``worker.reply``, ``coordinator.task``, ...)::
-
-    REPRO_FAULT='net:worker.reply:garbage_once' repro-eda worker --connect ...
-
-``delay`` / ``delay_once``
-    Sleep :data:`NET_DELAY_S` before the frame goes out (a slow link).
-``drop`` / ``drop_once``
-    Swallow the message entirely (a partitioned link: the sender
-    believes the send succeeded; nothing arrives).
-``truncate`` / ``truncate_once``
-    Deliver a complete frame holding only a prefix of the pickled
-    payload -- the receiver's unpickling fails (a corrupt frame).
-``garbage`` / ``garbage_once``
-    Deliver a complete frame of seeded random bytes (a rogue or
-    corrupted peer).
-``dup`` / ``dup_once``
-    Deliver the frame twice (a retransmitting link; exercises reply
-    dedupe by ``(index, attempt)``).
-``trickle`` / ``trickle_once``
-    Write the frame one byte per :data:`NET_TRICKLE_INTERVAL_S` (a
-    trickling peer; exercises the coordinator's per-recv timeout).
-    Ends early with the usual ``OSError`` once the receiver drops the
-    connection.
-
-Wire faults are applied by :class:`ChaosConnection`, the ``Connection``
-proxy both the remote coordinator and ``repro-eda worker`` wrap their
-sockets in; the garbage generator is seeded (:data:`GARBAGE_SEED`), the
-``_once`` variants fire on the first matching frame only, and every
-decision is a pure function of (spec, frame order), so an injected
-chaos campaign is exactly reproducible.
-
 Determinism: a process-fault decision is a pure function of (point,
 task key, attempt number); there is no probabilistic mode, so an
 injected campaign is exactly reproducible and its final table can be
@@ -70,13 +37,9 @@ asserted byte-identical to an uninjected run.
 from __future__ import annotations
 
 import os
-import pickle
-import random
 import re
-import struct
 import time
 from dataclasses import dataclass
-from typing import Any
 
 #: Environment variable carrying the default fault spec.
 ENV_VAR = "REPRO_FAULT"
@@ -84,22 +47,7 @@ ENV_VAR = "REPRO_FAULT"
 #: How long a ``hang`` point sleeps; far beyond any sane ``timeout_s``.
 HANG_SECONDS = 3600.0
 
-#: How long a ``delay`` wire fault stalls one frame.
-NET_DELAY_S = 0.25
-
-#: Seconds between single-byte writes of a ``trickle``-faulted frame.
-NET_TRICKLE_INTERVAL_S = 1.0
-
-#: RNG seed for ``garbage`` frames (fixed: chaos runs are reproducible).
-GARBAGE_SEED = 0xC0FFEE
-
-#: Wire-fault modes applied by :class:`ChaosConnection` (never by :func:`check`).
-NET_MODES = frozenset({"delay", "drop", "truncate", "garbage", "dup", "trickle"})
-
-_MODE_RE = re.compile(
-    r"^(crash|hang|error|delay|drop|truncate|garbage|dup|trickle)(_once)?$"
-    r"|^flaky(\d+)$"
-)
+_MODE_RE = re.compile(r"^(crash|hang|error)(_once)?$|^flaky(\d+)$")
 
 
 class InjectedFault(RuntimeError):
@@ -116,7 +64,6 @@ class FaultSpec:
 
 
 _active: list[FaultSpec] | None = None  # None = env not consulted yet
-_net_fired: dict[FaultSpec, int] = {}  # fire counts for _once wire faults
 
 
 def parse(spec: str) -> list[FaultSpec]:
@@ -135,8 +82,7 @@ def parse(spec: str) -> list[FaultSpec]:
         if not _MODE_RE.match(mode):
             raise ValueError(
                 f"bad fault mode {mode!r} in {part!r}: expected crash[_once], "
-                f"hang[_once], error[_once], flaky<N>, or a net mode "
-                f"(delay|drop|truncate|garbage|dup|trickle, each [_once])"
+                "hang[_once], error[_once], or flaky<N>"
             )
         out.append(FaultSpec(point=point, key=key, mode=mode))
     return out
@@ -146,7 +92,6 @@ def install(spec: str | None) -> None:
     """Arm the given spec string (``None``/empty disarms everything)."""
     global _active
     _active = parse(spec) if spec else []
-    _net_fired.clear()
 
 
 def _specs() -> list[FaultSpec]:
@@ -172,15 +117,12 @@ def check(point: str, key: str, attempt: int = 0, in_worker: bool = False) -> No
 
     Called by the runner around every task body.  ``in_worker`` selects
     the hard-death behaviour of ``crash`` modes; inline runs get an
-    :class:`InjectedFault` so the host process survives.  Wire-fault
-    modes never fire here -- they belong to :class:`ChaosConnection`.
+    :class:`InjectedFault` so the host process survives.
     """
     for spec in _specs():
         if spec.point != point or spec.key not in key:
             continue
         base, once = _split_mode(spec.mode)
-        if base in NET_MODES:
-            continue
         if once and attempt > 0:
             continue
         if base == "crash":
@@ -198,107 +140,3 @@ def check(point: str, key: str, attempt: int = 0, in_worker: bool = False) -> No
                 raise InjectedFault(
                     f"injected flaky failure {attempt + 1}/{n} at {point} for {key!r}"
                 )
-
-
-def net_action(label: str) -> str | None:
-    """The armed wire-fault mode for wire point ``label``, or ``None``.
-
-    ``label`` is a ``<role>.<message-tag>`` string; the first armed
-    ``net`` spec whose key substring matches decides.  ``_once``
-    variants fire on their first matching frame only (per process).
-    """
-    for spec in _specs():
-        if spec.point != "net" or spec.key not in label:
-            continue
-        base, once = _split_mode(spec.mode)
-        if base not in NET_MODES:
-            continue
-        if once:
-            if _net_fired.get(spec):
-                continue
-            _net_fired[spec] = 1
-        return base
-    return None
-
-
-def _message_tag(obj: Any) -> str:
-    """The wire-point tag of one protocol message (``shutdown`` for ``None``)."""
-    if obj is None:
-        return "shutdown"
-    if isinstance(obj, tuple) and obj and isinstance(obj[0], str):
-        return obj[0]
-    return "msg"
-
-
-class ChaosConnection:
-    """A ``multiprocessing`` ``Connection`` proxy with wire-fault injection.
-
-    Every outgoing message is labelled ``<role>.<tag>`` (``tag`` is the
-    message's leading string, e.g. ``worker.reply``) and passed through
-    :func:`net_action`; an armed ``net:`` spec then delays, drops,
-    corrupts, duplicates, or trickles the frame.  Reads and the rest of
-    the ``Connection`` surface (``poll`` / ``fileno`` / ``close``)
-    delegate untouched, so the wrapper is safe to hand to
-    ``multiprocessing.connection.wait``.  With nothing armed, ``send``
-    costs one list scan of the (usually empty) spec list.
-    """
-
-    def __init__(self, conn: Any, role: str) -> None:
-        """Wrap ``conn``; ``role`` prefixes every wire-point label."""
-        self._conn = conn
-        self.role = role
-        self._rng = random.Random(GARBAGE_SEED)
-
-    def send(self, obj: Any) -> None:
-        """Send ``obj``, applying any armed wire fault for its label."""
-        action = net_action(f"{self.role}.{_message_tag(obj)}")
-        if action is None or action == "dup":
-            self._conn.send(obj)
-            if action == "dup":
-                self._conn.send(obj)
-            return
-        if action == "delay":
-            time.sleep(NET_DELAY_S)
-            self._conn.send(obj)
-            return
-        if action == "drop":
-            return
-        payload = pickle.dumps(obj)
-        if action == "truncate":
-            self._conn.send_bytes(payload[: max(1, len(payload) // 2)])
-            return
-        if action == "garbage":
-            self._conn.send_bytes(bytes(self._rng.randrange(256) for _ in range(32)))
-            return
-        # trickle: one byte per interval, raw on the fd, until the frame
-        # is out or the receiver gives up and closes the connection.
-        frame = struct.pack("!i", len(payload)) + payload
-        fd = self._conn.fileno()
-        for i in range(len(frame)):
-            os.write(fd, frame[i : i + 1])
-            time.sleep(NET_TRICKLE_INTERVAL_S)
-
-    def recv(self) -> Any:
-        """Receive the next message (no read-side faults)."""
-        return self._conn.recv()
-
-    def recv_bytes(self) -> bytes:
-        """Receive the next raw frame (lets the caller unpickle defensively)."""
-        return self._conn.recv_bytes()
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether a message is ready within ``timeout`` seconds."""
-        return self._conn.poll(timeout)
-
-    def fileno(self) -> int:
-        """The underlying file descriptor (for ``connection.wait``)."""
-        return self._conn.fileno()
-
-    def close(self) -> None:
-        """Close the underlying connection."""
-        self._conn.close()
-
-    @property
-    def closed(self) -> bool:
-        """Whether the underlying connection is closed."""
-        return self._conn.closed

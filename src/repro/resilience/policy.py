@@ -1,10 +1,8 @@
 """Retry policy and typed task-failure records.
 
-A campaign row can fail four ways -- its worker process dies
+A campaign row can fail three ways -- its worker process dies
 (``crash``), it outlives its deadline and is killed by the watchdog
-(``timeout``), it raises (``error``), or its remote seat stops
-heartbeating and is presumed unreachable (``partition``).
-:class:`RetryPolicy` decides
+(``timeout``), or it raises (``error``).  :class:`RetryPolicy` decides
 how many further attempts each failure buys and how long to wait between
 them; :class:`TaskFailure` is what a row degrades to once the budget is
 spent, carrying enough context for the table renderers to annotate the
@@ -24,7 +22,6 @@ from dataclasses import dataclass
 KIND_CRASH = "crash"
 KIND_TIMEOUT = "timeout"
 KIND_ERROR = "error"
-KIND_PARTITION = "partition"
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,8 @@ pays the process spawn cost once.  Call :meth:`SelfHealingPool.close`
 ``run`` closes the pool so no orphan workers linger.
 
 Callers normally reach this pool through the execution plane
-(:class:`repro.exec.localpool.LocalPoolExecutor`, ``--executor pool``)
-rather than directly; the worker-side attempt body
-(:func:`attempt_reply`) is likewise shared with the remote socket
-workers of :mod:`repro.exec.remote`, so every backend reports results,
-errors, and obs snapshots in the same shape.
+(:class:`repro.exec.localpool.LocalPoolExecutor`, picked by ``--jobs``
+or ``--shards`` above 1) rather than directly.
 """
 
 from __future__ import annotations
@@ -81,12 +78,10 @@ def attempt_reply(
     ``(index, "error", message, None)`` on an exception the worker
     survives.  The attempt body -- cooperative deadline, per-task obs
     registry + ``runner.task`` span when ``collect``, the ``runner.task``
-    fault point with hard-death ``crash`` semantics -- is shared by the
-    local pool workers (:func:`_worker_main`) and the remote socket
-    workers (:func:`repro.exec.remote.worker_loop`), which is what keeps
-    every backend's failure surface and metrics identical.  A hard crash
-    (``os._exit`` via an armed fault point, a segfault, the OOM killer)
-    never returns; the parent sees EOF on the connection instead.
+    fault point with hard-death ``crash`` semantics -- runs in the pool
+    workers (:func:`_worker_main`).  A hard crash (``os._exit`` via an
+    armed fault point, a segfault, the OOM killer) never returns; the
+    parent sees EOF on the connection instead.
     """
     set_task_deadline(task.timeout_s)
     try:

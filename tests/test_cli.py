@@ -91,6 +91,17 @@ class TestCommands:
         assert main(["table", "4.3", "--resume"]) == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--jobs", "2"]], ids=["inline", "jobs2"])
+    def test_malformed_fault_spec_exits_2_before_any_row(
+        self, extra, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_FAULT", "runner.task:s27:bogus")
+        assert main(["table", "4.3", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad fault mode 'bogus'")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestObservabilityCommands:
     @pytest.fixture(autouse=True)

@@ -1,9 +1,8 @@
 """Executor conformance suite: every backend honors the same contract.
 
-Parametrized over all three :mod:`repro.exec` backends -- ``inprocess``,
-``pool``, and ``remote`` (real socket workers launched via ``repro-eda
-worker``) -- these tests pin the contract that makes ``--executor`` a
-pure wall-clock knob:
+Parametrized over both :mod:`repro.exec` backends -- ``inprocess`` and
+``pool`` -- these tests pin the contract that makes ``--jobs`` and
+``--shards`` pure wall-clock knobs:
 
 * ``drain()`` returns results in submission order no matter which order
   tasks finish in;
@@ -18,11 +17,7 @@ pure wall-clock knob:
 """
 
 import contextlib
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,11 +25,8 @@ from repro import obs
 from repro.circuits.benchmarks import get_circuit
 from repro.core.builtin_gen import BuiltinGenConfig
 from repro.exec import (
-    EXECUTOR_KINDS,
     InProcessExecutor,
     LocalPoolExecutor,
-    RemoteExecutor,
-    validate_executor_kind,
     validate_jobs,
     validate_shards,
 )
@@ -47,7 +39,8 @@ from repro.resilience import faultpoints
 from repro.resilience.deadline import clear_task_deadline
 from repro.resilience.policy import RetryPolicy, TaskFailure
 
-REPO = Path(__file__).resolve().parent.parent
+#: The local backends, in reference-first order.
+EXECUTOR_KINDS = ("inprocess", "pool")
 
 #: A fast backoff so retry-heavy tests stay quick.
 FAST = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
@@ -99,52 +92,17 @@ def _tasks(count=4, timeout_s=None, max_retries=None):
     ]
 
 
-def _spawn_workers(port, n=2, extra_env=None):
-    """Launch ``n`` real ``repro-eda worker`` processes against ``port``."""
-    env = os.environ.copy()
-    env.pop(faultpoints.ENV_VAR, None)
-    env["PYTHONPATH"] = f"{REPO / 'src'}{os.pathsep}{REPO}"
-    if extra_env:
-        env.update(extra_env)
-    return [
-        subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "worker",
-                "--connect", f"127.0.0.1:{port}",
-                "--connect-timeout", "60",
-            ],
-            cwd=REPO,
-            env=env,
-        )
-        for _ in range(n)
-    ]
-
-
 @contextlib.contextmanager
-def executor_for(kind, policy=None, workers=2, extra_env=None, collect=None):
-    """Context-managed executor of ``kind``, remote workers included."""
+def executor_for(kind, policy=None, workers=2, collect=None):
+    """Context-managed executor of ``kind``."""
     if kind == "inprocess":
         ex = InProcessExecutor(policy=policy)
-        procs = []
-    elif kind == "pool":
-        ex = LocalPoolExecutor(n_workers=workers, policy=policy, collect=collect)
-        procs = []
     else:
-        ex = RemoteExecutor(
-            listen=("127.0.0.1", 0), policy=policy, collect=collect
-        )
-        procs = _spawn_workers(ex.address[1], n=workers, extra_env=extra_env)
-        ex.wait_for_workers(workers, timeout_s=60.0)
+        ex = LocalPoolExecutor(n_workers=workers, policy=policy, collect=collect)
     try:
         yield ex
     finally:
         ex.close()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=10)
 
 
 class TestValidation:
@@ -163,12 +121,6 @@ class TestValidation:
         assert validate_shards(None) is None
         assert validate_jobs(3) == 3
         assert validate_shards(3) == 3
-
-    def test_executor_kind_guard(self):
-        for kind in EXECUTOR_KINDS:
-            assert validate_executor_kind(kind) == kind
-        with pytest.raises(ValueError, match="'bogus'"):
-            validate_executor_kind("bogus")
 
 
 class TestOrdering:
@@ -198,20 +150,12 @@ class TestOrdering:
 
 
 class TestRetryAfterCrash:
-    @pytest.mark.parametrize("kind", ["pool", "remote"])
+    @pytest.mark.parametrize("kind", ["pool"])
     def test_crash_once_recovers_identically(self, kind):
         clean = run_tasks(_tasks(), jobs=1, policy=FAST)
-        spec = "runner.task:sq/1:crash_once"
-        extra_env = None
-        if kind == "remote":
-            # Remote workers arm from their own environment: inject the
-            # same spec into every worker; crash_once fires on attempt 0
-            # only, so exactly one seat dies.
-            extra_env = {faultpoints.ENV_VAR: spec}
-        else:
-            faultpoints.install(spec)
+        faultpoints.install("runner.task:sq/1:crash_once")
         obs.enable()
-        with executor_for(kind, policy=FAST, extra_env=extra_env) as ex:
+        with executor_for(kind, policy=FAST) as ex:
             injected = run_tasks(_tasks(), executor=ex)
         assert injected == clean == [0, 1, 4, 9]
         counters = obs.registry().counters
@@ -221,14 +165,9 @@ class TestRetryAfterCrash:
 
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_flaky_error_retries_everywhere(self, kind):
-        spec = "runner.task:sq/3:flaky2"
-        extra_env = None
-        if kind == "remote":
-            extra_env = {faultpoints.ENV_VAR: spec}
-        else:
-            faultpoints.install(spec)
+        faultpoints.install("runner.task:sq/3:flaky2")
         obs.enable()
-        with executor_for(kind, policy=FAST, extra_env=extra_env) as ex:
+        with executor_for(kind, policy=FAST) as ex:
             out = run_tasks(_tasks(max_retries=2), executor=ex)
         assert out == [0, 1, 4, 9]
         assert obs.registry().counters["runner.retries"] == 2
@@ -237,14 +176,9 @@ class TestRetryAfterCrash:
 class TestDegradation:
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_exhausted_retries_degrade_to_typed_failure(self, kind):
-        spec = "runner.task:sq/1:error"
-        extra_env = None
-        if kind == "remote":
-            extra_env = {faultpoints.ENV_VAR: spec}
-        else:
-            faultpoints.install(spec)
+        faultpoints.install("runner.task:sq/1:error")
         obs.enable()
-        with executor_for(kind, policy=FAST, extra_env=extra_env) as ex:
+        with executor_for(kind, policy=FAST) as ex:
             out = run_tasks(_tasks(max_retries=1), executor=ex)
         assert out[0] == 0 and out[2] == 4 and out[3] == 9
         failure = out[1]
@@ -326,10 +260,10 @@ class TestCrossBackendResume:
         assert counters["runner.tasks_resumed"] == len(TINY_43["targets"])
         assert "runner.tasks_completed" not in counters
 
-    def test_coordinator_crash_midway_resumes_on_other_backend(self, tmp_path):
-        """Kill the coordinator mid-campaign; finish elsewhere, byte-identical.
+    def test_torn_journal_resumes_on_other_backend(self, tmp_path):
+        """Tear the journal mid-campaign; finish elsewhere, byte-identical.
 
-        A remote campaign journals its rows; a coordinator crash is
+        A pooled campaign journals its rows; a crash mid-write is
         simulated by tearing the journal down to the header, one
         complete row, and a half-written second row (the write the
         crash interrupted).  ``--resume`` on a *different* backend must
@@ -337,7 +271,7 @@ class TestCrossBackendResume:
         rest, and render byte-identically.
         """
         journal = tmp_path / "campaign.jsonl"
-        with executor_for("remote", policy=FAST) as ex:
+        with executor_for("pool", policy=FAST) as ex:
             first = run_table_4_3(
                 checkpoint_path=str(journal), executor=ex, **TINY_43
             )
