@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.atpg.implication import imply
 from repro.atpg.podem import DETECTED, Podem, PodemResult, UNDETECTABLE
 from repro.atpg.unroll import TwoFrameModel
 from repro.circuits.netlist import Circuit
@@ -84,18 +83,6 @@ class BroadsideAtpg:
         return self.podem.run(
             stuck, constraints=constraints, frozen=frozen, backtrack_limit=backtrack_limit
         )
-
-    def necessary_assignments(self, fault: TransitionFault) -> dict[str, int] | None:
-        """Necessary assignments of a transition fault over the two-frame model.
-
-        Seeds ``g@1 = v`` and ``g@2 = v'`` and closes under implication;
-        ``None`` means the fault is trivially undetectable.
-        """
-        seed = {
-            TwoFrameModel.line(fault.line, 1): fault.initial_value,
-            TwoFrameModel.line(fault.line, 2): fault.final_value,
-        }
-        return imply(self.model.model, seed)
 
     # ------------------------------------------------------------------
     def generate_all(self, faults: list[TransitionFault]) -> TransitionAtpgResult:

@@ -16,6 +16,12 @@ assignment procedure build on.
   gate function leaves no choice (e.g. AND output 1 forces all inputs 1;
   AND output 0 with all-but-one inputs at 1 forces the last input to 0).
 
+It runs event-driven on the compiled IR
+(:meth:`repro.core.compiled.CompiledCircuit.imply_scalar`): a gate is
+revisited only when one of its lines changed.  The round-robin sweep it
+replaced is kept as the oracle
+:func:`repro.logic.reference.imply_reference`.
+
 Returns ``None`` on a 0/1 conflict -- the "conflict between necessary
 assignments" that proves a transition path delay fault undetectable
 (Fig 2.1).
@@ -25,106 +31,31 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.circuits.gates import GateType, controlling_value, evaluate
 from repro.circuits.netlist import Circuit
+from repro.core.compiled import compile_circuit
 from repro.logic.values import X, is_binary
 
 
 def imply(circuit: Circuit, assignments: Mapping[str, int]) -> dict[str, int] | None:
     """Close an assignment under forward/backward implications.
 
-    Returns the extended (line -> value) map covering every line, or
-    ``None`` if the assignments are contradictory.
+    Returns the extended (line -> value) map covering every line, in
+    :attr:`Circuit.lines` order, or ``None`` if the assignments are
+    contradictory.  Raises :class:`KeyError` on an unknown line.
     """
-    values: dict[str, int] = {line: X for line in circuit.lines}
+    compiled = compile_circuit(circuit)
+    index = compiled.index
+    values = compiled.x_frame()
     for line, v in assignments.items():
         if v == X:
             continue
-        if line not in values:
+        i = index.get(line)
+        if i is None:
             raise KeyError(f"unknown line {line!r}")
-        values[line] = v
-
-    topo = circuit.topo_gates
-    changed = True
-    while changed:
-        changed = False
-        # Forward pass.
-        for gate in topo:
-            out = evaluate(gate.gate_type, [values[i] for i in gate.inputs])
-            cur = values[gate.name]
-            if out != X:
-                if cur == X:
-                    values[gate.name] = out
-                    changed = True
-                elif cur != out:
-                    return None
-        # Backward pass.
-        for gate in reversed(topo):
-            r = _imply_backward(gate, values)
-            if r is None:
-                return None
-            changed = changed or r
-    # The loop only exits after a full forward+backward iteration makes no
-    # change, so the result is a conflict-free fixpoint.
-    return values
-
-
-def _set(values: dict[str, int], line: str, v: int) -> bool | None:
-    """Assign with conflict detection: True if changed, None on conflict."""
-    cur = values[line]
-    if cur == X:
-        values[line] = v
-        return True
-    if cur != v:
+        values[i] = v
+    if not compiled.imply_scalar(values):
         return None
-    return False
-
-
-def _imply_backward(gate, values: dict[str, int]) -> bool | None:
-    """Backward implication for one gate; None on conflict."""
-    out = values[gate.name]
-    if out == X:
-        return False
-    gt = gate.gate_type
-    if gt == GateType.BUF:
-        r = _set(values, gate.inputs[0], out)
-    elif gt == GateType.NOT:
-        r = _set(values, gate.inputs[0], 1 - out)
-    elif gt in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR):
-        ctrl = controlling_value(gt)
-        inverting = gt in (GateType.NAND, GateType.NOR)
-        controlled_out = ctrl if not inverting else 1 - ctrl
-        if out != controlled_out:
-            # Output at the non-controlled value: every input must be
-            # non-controlling.
-            r = False
-            for src in gate.inputs:
-                s = _set(values, src, 1 - ctrl)
-                if s is None:
-                    return None
-                r = r or s
-        else:
-            # Output at the controlled value: if exactly one input is
-            # still X and all others are non-controlling, it must be
-            # controlling.
-            unknown = [s for s in gate.inputs if values[s] == X]
-            if len(unknown) == 1 and all(
-                values[s] == 1 - ctrl for s in gate.inputs if s != unknown[0]
-            ):
-                r = _set(values, unknown[0], ctrl)
-            else:
-                r = False
-    else:  # XOR / XNOR
-        unknown = [s for s in gate.inputs if values[s] == X]
-        if len(unknown) == 1:
-            parity = sum(values[s] for s in gate.inputs if s != unknown[0]) % 2
-            needed = out if gt == GateType.XOR else 1 - out
-            r = _set(values, unknown[0], needed ^ parity)
-        else:
-            r = False
-    if r is None:
-        return None
-    return bool(r)
+    return compiled.as_dict(values)
 
 
 def merge_assignments(

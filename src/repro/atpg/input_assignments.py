@@ -31,9 +31,10 @@ The four-step procedure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
-from repro.atpg.implication import imply, merge_assignments
+from repro.atpg.implication import binary_only, imply, merge_assignments
 from repro.atpg.unroll import TwoFrameModel
 from repro.circuits.gates import controlling_value
 from repro.faults.models import TransitionFault, TransitionPathDelayFault
@@ -90,16 +91,23 @@ def _input_lines(model: TwoFrameModel) -> list[tuple[str, int, str]]:
 
 def transition_fault_na(
     model: TwoFrameModel, fault: TransitionFault
-) -> dict[str, int] | None:
-    """Necessary assignments of one transition fault over the two-frame model."""
-    seed = {
-        TwoFrameModel.line(fault.line, 1): fault.initial_value,
-        TwoFrameModel.line(fault.line, 2): fault.final_value,
-    }
-    values = imply(model.model, seed)
-    if values is None:
-        return None
-    return {k: v for k, v in values.items() if is_binary(v)}
+) -> Mapping[str, int] | None:
+    """Necessary assignments of one transition fault over the two-frame model.
+
+    Seeds ``g@1 = v`` and ``g@2 = v'`` and closes under implication;
+    ``None`` means the fault is undetectable.  Memoized on ``model``
+    (:attr:`TwoFrameModel.na_memo`); the result is a read-only view.
+    """
+    memo = model.na_memo
+    if fault not in memo:
+        seed = {
+            TwoFrameModel.line(fault.line, 1): fault.initial_value,
+            TwoFrameModel.line(fault.line, 2): fault.final_value,
+        }
+        values = imply(model.model, seed)
+        memo[fault] = None if values is None else binary_only(values)
+    na = memo[fault]
+    return None if na is None else MappingProxyType(na)
 
 
 def compute_input_assignments(
@@ -136,7 +144,7 @@ def compute_input_assignments(
     closed = imply(model.model, det_con)
     if closed is None:
         return InputAssignments(status=UNDETECTABLE)
-    det_con = {k: v for k, v in closed.items() if is_binary(v)}
+    det_con = binary_only(closed)
 
     # Step 3: off-path propagation conditions under the second pattern.
     for i in range(1, fault.path.length):
@@ -158,7 +166,7 @@ def compute_input_assignments(
     closed = imply(model.model, det_con)
     if closed is None:
         return InputAssignments(status=UNDETECTABLE)
-    det_con = {k: v for k, v in closed.items() if is_binary(v)}
+    det_con = binary_only(closed)
 
     # Step 4: probe unspecified inputs with both values.
     if step4:
@@ -174,16 +182,12 @@ def compute_input_assignments(
             ]
             candidates.sort(key=lambda l: (l not in support, l))
             for line in candidates[:step4_candidates]:
-                ok0 = imply(model.model, det_con | {line: 0}) is not None
-                ok1 = imply(model.model, det_con | {line: 1}) is not None
-                if not ok0 and not ok1:
+                closed0 = imply(model.model, det_con | {line: 0})
+                closed1 = imply(model.model, det_con | {line: 1})
+                if closed0 is None and closed1 is None:
                     return InputAssignments(status=UNDETECTABLE)
-                if ok0 != ok1:
-                    value = 0 if ok0 else 1
-                    closed = imply(model.model, det_con | {line: value})
-                    if closed is None:  # pragma: no cover - just proven ok
-                        return InputAssignments(status=UNDETECTABLE)
-                    det_con = {k: v for k, v in closed.items() if is_binary(v)}
+                if closed0 is None or closed1 is None:
+                    det_con = binary_only(closed1 if closed0 is None else closed0)
                     changed = True
 
     inputs: dict[tuple[str, int], int] = {}

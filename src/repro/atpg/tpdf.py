@@ -137,7 +137,6 @@ class TpdfPipeline:
         self.bnb_time_limit = bnb_time_limit
         self.bnb_backtrack_limit = bnb_backtrack_limit
         self.rng = random.Random(seed)
-        self._na_cache: dict[TransitionFault, dict[str, int] | None] = {}
 
     # ------------------------------------------------------------------
     def run(self, faults: Sequence[TransitionPathDelayFault]) -> TpdfReport:
@@ -231,11 +230,6 @@ class TpdfPipeline:
         return report
 
     # ------------------------------------------------------------------
-    def _na_of(self, fault: TransitionFault) -> dict[str, int] | None:
-        if fault not in self._na_cache:
-            self._na_cache[fault] = transition_fault_na(self.atpg.model, fault)
-        return self._na_cache[fault]
-
     def _preprocess(
         self,
         constituents: Sequence[TransitionFault],
@@ -246,7 +240,7 @@ class TpdfPipeline:
         for tr in constituents:
             if tr in undetectable:
                 return None
-            na = self._na_of(tr)
+            na = transition_fault_na(self.atpg.model, tr)
             if na is None:
                 return None
             merged2 = merge_assignments(merged, na)
@@ -351,7 +345,7 @@ class TpdfPipeline:
                 binary = {k: v for k, v in implied.items() if is_binary(v)}
                 valid = True
                 for tr in undetected_faults():
-                    na = self._na_of(tr)
+                    na = transition_fault_na(self.atpg.model, tr)
                     if na is None or merge_assignments(binary, na) is None:
                         valid = False
                         break

@@ -26,13 +26,16 @@ a dedicated line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.circuits.netlist import Circuit
 from repro.circuits.scan import ScanChains
 from repro.logic.patterns import BroadsideTest
 from repro.logic.simulator import simulate_comb, next_state
 from repro.logic.values import X
+
+if TYPE_CHECKING:
+    from repro.faults.models import TransitionFault
 
 BROADSIDE = "broadside"
 SKEWED_LOAD = "skewed_load"
@@ -47,6 +50,11 @@ class TwoFrameModel:
     model: Circuit
     style: str = BROADSIDE
     chains: ScanChains | None = field(default=None, compare=False)
+    #: Transition fault -> its necessary assignments over this model, the
+    #: memo of :func:`repro.atpg.input_assignments.transition_fault_na`.
+    na_memo: dict[TransitionFault, dict[str, int] | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -24,15 +24,17 @@ into flat integer-indexed structures that all simulators share:
   construction and every ``simulate_*`` call reuse one compiled instance
   until the netlist is structurally edited.
 
-The scalar three-valued kernel here is property-tested against the
-pre-refactor dict-based reference (:mod:`repro.logic.reference`); the word
-kernel -- the one bit-parallel evaluator, up to 64 lanes per Python int --
-is in turn tested against the scalar kernel.  Layering::
+The scalar three-valued and implication kernels here are property-tested
+against the pre-refactor dict-based references (:mod:`repro.logic.
+reference`); the word kernel -- the one bit-parallel evaluator, up to 64
+lanes per Python int -- is in turn tested against the scalar kernel.
+Layering::
 
     Circuit  --compile_circuit-->  CompiledCircuit
                                        |-- repro.logic.simulator   (scalar 0/1/X)
                                        |-- repro.logic.bitsim      (bit-parallel words)
                                        |-- repro.faults.fsim       (PPSFP fault grading)
+                                       |-- repro.atpg.implication  (event-driven implication)
                                        `-- repro.core.builtin_gen  (Fig 4.9 loop)
 """
 
@@ -330,6 +332,126 @@ class CompiledCircuit:
                 r = values[fis[0]]
             values[out] = r if r == 2 else r ^ inv
         return values
+
+    def imply_scalar(self, values: list[int]) -> bool:
+        """Close a three-valued valuation under implications, in place.
+
+        The kernel of :func:`repro.atpg.implication.imply`.  Every gate
+        starts on a worklist; visiting a gate applies forward implication
+        (the output takes the three-valued evaluation of the inputs) and
+        then backward implication (a binary output forces the inputs it
+        leaves no choice for).  When a line becomes binary, the gate
+        driving it and every gate reading it are requeued, so a gate is
+        revisited only when one of its lines changed.  Lines only move
+        from X to 0 or 1 and every rule is monotone, so this reaches the
+        fixpoint or conflict of the reference sweep
+        (:func:`repro.logic.reference.imply_reference`).
+
+        Returns False on a 0/1 conflict, leaving ``values`` partly closed.
+        """
+        schedule = self._schedule
+        fanout = self._fanout_positions
+        n_sources = self.n_sources
+        work = list(range(self.n_gates - 1, -1, -1))  # a stack: gate 0 first
+        queued = [True] * self.n_gates
+        changed: list[int] = []
+        while work:
+            g = work.pop()
+            queued[g] = False
+            out, family, inv, fis = schedule[g]
+            # Forward implication: eval_scalar's gate evaluation, inlined.
+            if family == _FAM_AND:
+                r = 1
+                for f in fis:
+                    v = values[f]
+                    if v == 0:
+                        r = 0
+                        break
+                    if v == 2:
+                        r = 2
+            elif family == _FAM_OR:
+                r = 0
+                for f in fis:
+                    v = values[f]
+                    if v == 1:
+                        r = 1
+                        break
+                    if v == 2:
+                        r = 2
+            elif family == _FAM_XOR:
+                r = 0
+                for f in fis:
+                    v = values[f]
+                    if v == 2:
+                        r = 2
+                        break
+                    r ^= v
+            else:
+                r = values[fis[0]]
+            cur = values[out]
+            if r != 2:
+                r ^= inv
+                if cur == 2:
+                    values[out] = cur = r
+                    changed.append(out)
+                elif cur != r:
+                    return False
+            # Backward implication.
+            if cur != 2:
+                if family == _FAM_AND or family == _FAM_OR:
+                    ctrl = 0 if family == _FAM_AND else 1
+                    if cur != ctrl ^ inv:
+                        # Non-controlled output: every input is non-controlling.
+                        for f in fis:
+                            v = values[f]
+                            if v == 2:
+                                values[f] = 1 - ctrl
+                                changed.append(f)
+                            elif v == ctrl:
+                                return False
+                    else:
+                        # Controlled output: a sole X input among
+                        # non-controlling ones must be controlling.
+                        unknown = -1
+                        for f in fis:
+                            v = values[f]
+                            if v == ctrl or (v == 2 and unknown >= 0):
+                                unknown = -1
+                                break
+                            if v == 2:
+                                unknown = f
+                        if unknown >= 0:
+                            values[unknown] = ctrl
+                            changed.append(unknown)
+                else:
+                    # BUF/NOT, XOR/XNOR: a sole X input takes the value
+                    # that makes the output's parity.
+                    unknown = -1
+                    parity = cur ^ inv
+                    for f in fis:
+                        v = values[f]
+                        if v != 2:
+                            parity ^= v
+                        elif unknown >= 0:
+                            unknown = -1
+                            break
+                        else:
+                            unknown = f
+                    if unknown >= 0:
+                        values[unknown] = parity
+                        changed.append(unknown)
+            # Requeue the gate driving each changed line and the gates reading it.
+            for line in changed:
+                d = line - n_sources
+                if d >= 0 and not queued[d]:
+                    queued[d] = True
+                    work.append(d)
+                for p in fanout[line]:
+                    if not queued[p]:
+                        queued[p] = True
+                        work.append(p)
+            changed.clear()
+        return True
 
     def eval_words(self, values: list[int], mask: int) -> list[int]:
         """Bitwise word evaluation of the schedule, in place.

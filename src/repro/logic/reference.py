@@ -1,14 +1,16 @@
 """Pre-refactor scalar reference implementations (semantic ground truth).
 
-These are the original dict-based, string-keyed simulation routines the
-repository shipped before the compiled circuit IR (:mod:`repro.core.
-compiled`) became the shared evaluation core.  They are deliberately kept
-byte-for-byte simple -- one dict lookup per gate input, `Circuit.topo_gates`
-walked per call -- and serve two purposes:
+These are the original dict-based, string-keyed simulation and
+implication routines the repository shipped before the compiled circuit
+IR (:mod:`repro.core.compiled`) became the shared evaluation core.  They
+are deliberately kept byte-for-byte simple -- one dict lookup per gate
+input, `Circuit.topo_gates` walked per call -- and serve two purposes:
 
 * **oracle**: ``tests/test_compiled.py`` property-checks the compiled
   scalar kernel, the bit-parallel word kernel, and the PPSFP fault-grading
-  verdicts against these functions on random circuits;
+  verdicts against these functions on random circuits, and
+  ``tests/test_implication.py`` checks the event-driven
+  :func:`repro.atpg.implication.imply` against :func:`imply_reference`;
 * **baseline**: ``benchmarks/bench_kernel.py`` times them against the
   compiled paths to track the repository's performance trajectory.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.circuits.gates import evaluate
+from repro.circuits.gates import GateType, controlling_value, evaluate
 from repro.circuits.netlist import Circuit
 from repro.faults.models import TransitionFault
 from repro.logic.patterns import BroadsideTest
@@ -154,3 +156,105 @@ def grade_transition_faults_reference(
                 detected.add(fault)
                 break
     return detected
+
+
+def imply_reference(
+    circuit: Circuit, assignments: Mapping[str, int]
+) -> dict[str, int] | None:
+    """The seed ``imply``: forward/backward sweeps until nothing changes.
+
+    Every round evaluates all gates forward in topological order, then
+    applies backward implication to all gates in reverse order.  Same
+    contract as :func:`repro.atpg.implication.imply`: the closed map over
+    :attr:`Circuit.lines`, ``None`` on a 0/1 conflict, :class:`KeyError`
+    on an unknown line.
+    """
+    values: dict[str, int] = {line: X for line in circuit.lines}
+    for line, v in assignments.items():
+        if v == X:
+            continue
+        if line not in values:
+            raise KeyError(f"unknown line {line!r}")
+        values[line] = v
+
+    topo = circuit.topo_gates
+    changed = True
+    while changed:
+        changed = False
+        # Forward pass.
+        for gate in topo:
+            out = evaluate(gate.gate_type, [values[i] for i in gate.inputs])
+            cur = values[gate.name]
+            if out != X:
+                if cur == X:
+                    values[gate.name] = out
+                    changed = True
+                elif cur != out:
+                    return None
+        # Backward pass.
+        for gate in reversed(topo):
+            r = _imply_backward(gate, values)
+            if r is None:
+                return None
+            changed = changed or r
+    # The loop only exits after a full forward+backward iteration makes no
+    # change, so the result is a conflict-free fixpoint.
+    return values
+
+
+def _set(values: dict[str, int], line: str, v: int) -> bool | None:
+    """Assign with conflict detection: True if changed, None on conflict."""
+    cur = values[line]
+    if cur == X:
+        values[line] = v
+        return True
+    if cur != v:
+        return None
+    return False
+
+
+def _imply_backward(gate, values: dict[str, int]) -> bool | None:
+    """Backward implication for one gate; None on conflict."""
+    out = values[gate.name]
+    if out == X:
+        return False
+    gt = gate.gate_type
+    if gt == GateType.BUF:
+        r = _set(values, gate.inputs[0], out)
+    elif gt == GateType.NOT:
+        r = _set(values, gate.inputs[0], 1 - out)
+    elif gt in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR):
+        ctrl = controlling_value(gt)
+        inverting = gt in (GateType.NAND, GateType.NOR)
+        controlled_out = ctrl if not inverting else 1 - ctrl
+        if out != controlled_out:
+            # Output at the non-controlled value: every input must be
+            # non-controlling.
+            r = False
+            for src in gate.inputs:
+                s = _set(values, src, 1 - ctrl)
+                if s is None:
+                    return None
+                r = r or s
+        else:
+            # Output at the controlled value: if exactly one input is
+            # still X and all others are non-controlling, it must be
+            # controlling.
+            unknown = [s for s in gate.inputs if values[s] == X]
+            if len(unknown) == 1 and all(
+                values[s] == 1 - ctrl for s in gate.inputs if s != unknown[0]
+            ):
+                r = _set(values, unknown[0], ctrl)
+            else:
+                r = False
+    else:  # XOR / XNOR
+        unknown = [s for s in gate.inputs if values[s] == X]
+        if len(unknown) == 1:
+            parity = sum(values[s] for s in gate.inputs if s != unknown[0]) % 2
+            needed = out if gt == GateType.XOR else 1 - out
+            r = _set(values, unknown[0], needed ^ parity)
+        else:
+            r = False
+    if r is None:
+        return None
+    return bool(r)

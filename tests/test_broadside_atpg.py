@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.atpg.broadside import BroadsideAtpg
+from repro.atpg.input_assignments import transition_fault_na
 from repro.atpg.podem import DETECTED, UNDETECTABLE
 from repro.atpg.unroll import TwoFrameModel
 from repro.circuits.benchmarks import get_circuit
@@ -86,7 +87,7 @@ class TestGeneration:
         c = get_circuit("s27")
         atpg = BroadsideAtpg(c)
         fault = TransitionFault("G14", RISE)
-        na = atpg.necessary_assignments(fault)
+        na = transition_fault_na(atpg.model, fault)
         assert na is not None
         assert na["G14@1"] == 0 and na["G14@2"] == 1
         # G14 = NOT(G0): the input values are implied.
@@ -104,4 +105,4 @@ class TestGeneration:
         c.add_dff(q="q", d="po")
         c.validate()
         atpg = BroadsideAtpg(c)
-        assert atpg.necessary_assignments(TransitionFault("o", RISE)) is None
+        assert transition_fault_na(atpg.model, TransitionFault("o", RISE)) is None

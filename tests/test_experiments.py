@@ -1,5 +1,8 @@
 """Smoke tests for the table/figure regeneration harness."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.builtin_gen import BuiltinGenConfig
@@ -7,6 +10,7 @@ from repro.experiments.format import render, seconds
 from repro.experiments.runner import ExperimentTask, derive_seed, run_tasks
 from repro.experiments.tables2 import render_table, run_chapter2
 from repro.experiments.tables3 import (
+    render_table_3_1,
     run_selection,
     table_3_1_rows,
     table_3_4_rows,
@@ -63,6 +67,16 @@ class TestChapter3Harness:
             "final (ns)",
             "new paths",
         }
+
+    def test_experiments_table_3_1_block_is_what_the_cli_prints(self):
+        """EXPERIMENTS.md shows ``repro-eda table 3.1`` (s298, n = 6)."""
+        text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text()
+        section = text.split("## Tables 3.1 / 3.2 / 3.3 ")[1]
+        measured = section.split("**Measured (s298 stand-in):**")[1]
+        block = re.search(r"```\n(.*?)\n```", measured, re.S).group(1)
+        assert block == render_table_3_1("s298", n=6)
+        _, result = run_selection("s298", n=6)
+        assert f"Target_PDF grew {result.original_size} -> {result.final_size};" in measured
 
     def test_table_3_4_ordering(self):
         rows = table_3_4_rows("s298", n=4, max_faults=3)

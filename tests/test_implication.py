@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.atpg.implication import binary_only, imply, merge_assignments
 from repro.circuits.netlist import Circuit
+from repro.logic.reference import imply_reference
 from repro.logic.values import ONE, X, ZERO
 
 
@@ -134,12 +135,70 @@ class TestFixpoint:
         sim = simulate_comb(c, full)
         for line, v in values.items():
             if v != X and line in c.gates:
-                # The implied value must be produced whenever implications
-                # were forced; forward-implied gates must match exactly.
-                pass
+                assert sim[line] == v, line
         for line in c.comb_input_lines:
             if values[line] != X:
                 assert sim[line] == values[line]
+
+
+GATE_TYPES = ("BUF", "NOT", "AND", "NAND", "OR", "NOR", "XOR", "XNOR")
+
+
+@st.composite
+def seeded_circuits(draw):
+    """A random small circuit over all eight gate types, plus a seed.
+
+    Fan-ins are drawn with replacement, so repeated fan-in occurs, and
+    seeds land on gate lines as well as inputs, so conflicts occur.
+    """
+    c = Circuit(name="rand")
+    lines = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
+    for line in lines:
+        c.add_input(line)
+    for g in range(draw(st.integers(1, 12))):
+        gtype = draw(st.sampled_from(GATE_TYPES))
+        arity = 1 if gtype in ("BUF", "NOT") else draw(st.integers(2, 4))
+        fanin = draw(st.lists(st.sampled_from(lines), min_size=arity, max_size=arity))
+        c.add_gate(f"g{g}", gtype, fanin)
+        lines.append(f"g{g}")
+    c.add_output(lines[-1])
+    c.validate()
+    seed = draw(st.dictionaries(st.sampled_from(lines), st.integers(0, 1), max_size=5))
+    return c, seed
+
+
+@pytest.fixture(scope="module", params=["s27", "s298"])
+def two_frame_model(request):
+    from repro.atpg.unroll import TwoFrameModel
+    from repro.circuits.benchmarks import get_circuit
+
+    return TwoFrameModel.build(get_circuit(request.param)).model
+
+
+def assert_matches_reference(c, seed):
+    got = imply(c, seed)
+    want = imply_reference(c, seed)
+    assert got == want
+    if got is not None:
+        assert list(got) == c.lines
+
+
+class TestAgainstReference:
+    """The event-driven ``imply`` equals the round-robin sweep it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=seeded_circuits())
+    def test_random_circuits(self, case):
+        assert_matches_reference(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_two_frame_models(self, two_frame_model, data):
+        c = two_frame_model
+        seed = data.draw(
+            st.dictionaries(st.sampled_from(c.lines), st.integers(0, 1), max_size=8)
+        )
+        assert_matches_reference(c, seed)
 
 
 class TestMerge:

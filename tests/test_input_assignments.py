@@ -1,9 +1,12 @@
 """Tests for input necessary assignments (Section 3.2)."""
 
+import contextlib
 import itertools
 
 import pytest
 
+from repro.atpg import input_assignments
+from repro.atpg.implication import imply
 from repro.atpg.input_assignments import (
     POTENTIALLY_DETECTABLE,
     UNDETECTABLE,
@@ -13,7 +16,7 @@ from repro.atpg.input_assignments import (
 from repro.atpg.unroll import TwoFrameModel
 from repro.circuits.benchmarks import get_circuit
 from repro.experiments.figures import fig_2_1_circuit
-from repro.faults.lists import tpdf_list_all_paths
+from repro.faults.lists import all_transition_faults, tpdf_list_all_paths
 from repro.faults.models import Path, RISE, TransitionFault, TransitionPathDelayFault
 from repro.faults.pdfsim import tpdf_detection_words
 from repro.logic.simulator import make_broadside_test
@@ -45,6 +48,50 @@ class TestSteps:
         assert na is not None
         # G14 = NOT(G0): backward implication determines G0 in both frames.
         assert na["G0@1"] == 1 and na["G0@2"] == 0
+
+
+class TestNaMemo:
+    """``transition_fault_na`` is memoized on the two-frame model."""
+
+    def test_memo_equals_a_fresh_model(self, s27_model, monkeypatch):
+        faults = all_transition_faults(s27_model.base)
+        first = {tr: transition_fault_na(s27_model, tr) for tr in faults}
+        fresh = TwoFrameModel.build(s27_model.base)
+        expected = {tr: transition_fault_na(fresh, tr) for tr in faults}
+        assert any(na is None for na in expected.values())
+        calls = []
+        monkeypatch.setattr(
+            input_assignments, "imply", lambda *a: calls.append(a) or imply(*a)
+        )
+        for tr in faults:
+            assert transition_fault_na(s27_model, tr) == first[tr] == expected[tr]
+        assert not calls  # every repeat call is served from the memo
+
+    def test_mutating_a_result_cannot_change_the_next(self, s27_model):
+        fault = TransitionFault("G14", RISE)
+        na = transition_fault_na(s27_model, fault)
+        before = dict(na)
+        with contextlib.suppress(TypeError):
+            na["G0@1"] = 0
+        with contextlib.suppress(TypeError):
+            na["ghost"] = 1
+        with contextlib.suppress(TypeError):
+            del na["G14@2"]
+        assert transition_fault_na(s27_model, fault) == before
+
+    def test_scan_styles_keep_separate_entries(self):
+        c = get_circuit("s27")
+        broadside = TwoFrameModel.build(c)
+        enhanced = TwoFrameModel.build_enhanced(c)
+        # q@2 is BUF(d@1) under broadside but a free input under enhanced
+        # scan, so a state-line fault's NAs differ between the two.
+        fault = TransitionFault(c.state_lines[0], RISE)
+        na_broadside = dict(transition_fault_na(broadside, fault))
+        na_enhanced = dict(transition_fault_na(enhanced, fault))
+        assert na_broadside != na_enhanced
+        assert transition_fault_na(broadside, fault) == na_broadside
+        assert transition_fault_na(enhanced, fault) == na_enhanced
+        assert transition_fault_na(TwoFrameModel.build_enhanced(c), fault) == na_enhanced
 
 
 class TestSoundness:
