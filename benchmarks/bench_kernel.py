@@ -35,11 +35,6 @@ performance trajectory.  Two workloads:
   ``compile()``, and fault-list collapse -- measured against an empty
   cache (cold) and a populated one (warm).  Warm setup must be at least
   5x faster than cold.
-* **executor dispatch overhead** (the ``repro.exec`` seam): the same
-  s1423 task list driven through the pre-refactor path (the
-  self-healing pool's ``run`` called directly) and through
-  ``LocalPoolExecutor.submit``/``drain``; results are asserted
-  identical and the executor wrapping must add < 5% wall-clock.
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_kernel.py``
 (options: ``--quick`` for a reduced workload; ``--sections LIST`` to run
@@ -119,17 +114,6 @@ CACHE_CIRCUIT = "s1423"
 
 #: Required warm-vs-cold setup speedup with a populated artifact cache.
 CACHE_SPEEDUP_FLOOR = 5.0
-
-#: Circuit and pool size for the executor dispatch-overhead gate.
-EXECUTOR_CIRCUIT = "s1423"
-EXECUTOR_WORKERS = 2
-
-#: Maximum tolerated ``LocalPoolExecutor`` wall-clock overhead versus
-#: driving the self-healing pool directly (fraction).  Only enforced on
-#: hosts with at least :data:`EXECUTOR_MIN_CPUS` cores; with fewer, the
-#: workers time-slice one core and the timings are too noisy to gate on.
-EXECUTOR_OVERHEAD_BUDGET = 0.05
-EXECUTOR_MIN_CPUS = 2
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -448,96 +432,6 @@ def bench_fault_sharding(
     return result
 
 
-def _executor_probe(name: str, length: int, seed: int):
-    """One dispatch-probe task: a compiled functional simulation."""
-    circuit = get_circuit(name)
-    rng = random.Random(seed)
-    vectors = [[rng.randint(0, 1) for _ in circuit.inputs] for _ in range(length)]
-    result = simulate_sequence(
-        circuit, [0] * len(circuit.flops), vectors, keep_line_values=False
-    )
-    return result.states, tuple(result.switching)
-
-
-def _discard(slot, outcome, snapshot) -> None:
-    """A no-op completion callback for the raw-pool timing path."""
-
-
-def bench_executor_overhead(
-    n_tasks: int, length: int, repeats: int
-) -> dict[str, object]:
-    """Raw pool dispatch vs the executor seam, equality asserted.
-
-    The same task list is driven through the pre-refactor path (the
-    self-healing pool's ``run`` called directly) and through
-    ``LocalPoolExecutor.submit``/``drain``.  Both pools are constructed
-    once and warmed outside the timed region (workers compile their own
-    s1423 IR on the first pass), so the measured delta is pure dispatch
-    bookkeeping -- futures, ordering, metric hooks -- which must stay
-    under :data:`EXECUTOR_OVERHEAD_BUDGET`.
-    """
-    from repro.exec import LocalPoolExecutor
-    from repro.experiments.runner import ExperimentTask
-    from repro.resilience.policy import RetryPolicy
-    from repro.resilience.pool import SelfHealingPool
-
-    tasks = [
-        ExperimentTask(
-            key=f"probe/{i}",
-            fn=_executor_probe,
-            kwargs={"name": EXECUTOR_CIRCUIT, "length": length, "seed": i},
-        )
-        for i in range(n_tasks)
-    ]
-    policy = RetryPolicy()
-    pool = SelfHealingPool(n_workers=EXECUTOR_WORKERS, policy=policy, collect=False)
-    executor = LocalPoolExecutor(
-        n_workers=EXECUTOR_WORKERS, policy=policy, collect=False
-    )
-
-    def run_raw():
-        outcomes = pool.run(range(len(tasks)), _discard, tasks=tasks)
-        return [outcomes[i] for i in range(len(tasks))]
-
-    def run_exec():
-        for task in tasks:
-            executor.submit(task)
-        return executor.drain()
-
-    try:
-        raw = run_raw()  # warm-up: spawns + compiles in the raw pool
-        wrapped = run_exec()  # warm-up: same for the executor's pool
-        assert raw == wrapped, "executor dispatch diverges from the raw pool"
-        t_raw = _best_of(repeats, run_raw)
-        t_exec = _best_of(repeats, run_exec)
-    finally:
-        executor.close()
-        pool.close()
-
-    cpus = os.cpu_count() or 1
-    overhead = (t_exec - t_raw) / t_raw if t_raw else 0.0
-    result = {
-        "circuit": EXECUTOR_CIRCUIT,
-        "n_tasks": n_tasks,
-        "sequence_length": length,
-        "workers": EXECUTOR_WORKERS,
-        "cpus": cpus,
-        "floor_enforced": cpus >= EXECUTOR_MIN_CPUS,
-        "raw_pool_s": t_raw,
-        "executor_s": t_exec,
-        "overhead_fraction": overhead,
-        "budget_fraction": EXECUTOR_OVERHEAD_BUDGET,
-    }
-    note = "" if result["floor_enforced"] else f" [not enforced: {cpus} cpu(s)]"
-    print(
-        f"  {EXECUTOR_CIRCUIT} ({n_tasks} tasks x length {length}): "
-        f"raw pool {t_raw:.3f} s | executor {t_exec:.3f} s | "
-        f"overhead {100 * overhead:+.2f}% "
-        f"(budget {100 * EXECUTOR_OVERHEAD_BUDGET:.0f}%){note}"
-    )
-    return result
-
-
 def bench_cache_warm_start(repeats: int) -> dict[str, object]:
     """Cold vs warm per-process setup under :mod:`repro.cache`.
 
@@ -620,7 +514,6 @@ SECTIONS = (
     "builtin_generation",
     "fault_sharding",
     "cache_warm_start",
-    "executor_overhead",
 )
 
 
@@ -709,14 +602,6 @@ def main(argv: list[str] | None = None) -> int:
     if "cache_warm_start" in selected:
         print(f"artifact-cache warm start (cold vs warm setup on {CACHE_CIRCUIT}):")
         results["cache_warm_start"] = bench_cache_warm_start(max(repeats, 2))
-    if "executor_overhead" in selected:
-        print(
-            f"executor dispatch overhead (raw pool vs LocalPoolExecutor on "
-            f"{EXECUTOR_CIRCUIT}):"
-        )
-        results["executor_overhead"] = bench_executor_overhead(
-            4 if args.quick else 8, 24 if args.quick else 60, max(repeats, 3)
-        )
     if trace_path:
         n_spans = obs.save_trace(trace_path)
         print(f"wrote {n_spans} trace span(s) to {trace_path}")
@@ -807,19 +692,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"WARNING: cache warm start below the {CACHE_SPEEDUP_FLOOR:.0f}x "
             f"floor ({cache_warm['speedup']:.1f}x)",
-            file=sys.stderr,
-        )
-        status = 1
-    executor_overhead = results.get("executor_overhead")
-    if (
-        executor_overhead is not None
-        and executor_overhead["floor_enforced"]
-        and executor_overhead["overhead_fraction"] > EXECUTOR_OVERHEAD_BUDGET
-    ):
-        print(
-            f"WARNING: executor dispatch overhead "
-            f"{100 * executor_overhead['overhead_fraction']:+.2f}% exceeds "
-            f"the {100 * EXECUTOR_OVERHEAD_BUDGET:.0f}% budget",
             file=sys.stderr,
         )
         status = 1

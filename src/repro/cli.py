@@ -96,8 +96,8 @@ def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
 
     Returns the new run id, or ``None`` when recording is off.  The path
     and run id are exported (``REPRO_DB`` / ``REPRO_DB_RUN``) so pool
-    workers inherit them.  The run's ``executor`` column names the
-    backend ``--jobs`` / ``--shards`` select: ``pool`` above 1, else
+    workers inherit them.  The run's ``executor`` column records where
+    ``--jobs`` / ``--shards`` place task attempts: ``pool`` above 1, else
     ``inprocess``.
     """
     import os
@@ -166,12 +166,13 @@ def _validate_dispatch(args: argparse.Namespace) -> str | None:
     """
     import os
 
-    from repro.exec import validate_jobs, validate_shards
     from repro.resilience import faultpoints
 
+    for name, unit in (("jobs", "worker"), ("shards", "shard")):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            return f"{name} must be a positive {unit} count, got {value!r}"
     try:
-        validate_jobs(getattr(args, "jobs", None))
-        validate_shards(getattr(args, "shards", None))
         faultpoints.parse(os.environ.get(faultpoints.ENV_VAR, ""))
     except ValueError as exc:
         return str(exc)

@@ -9,14 +9,14 @@ campaign plumbing:
 
 * :class:`ExperimentTask` -- one picklable unit of work (a module-level
   function plus keyword arguments), labelled by a stable ``key`` and
-  optionally carrying its own ``timeout_s`` / ``max_retries``;
-* :func:`run_tasks` -- dispatch tasks over the execution plane
-  (:mod:`repro.exec`): inline (``jobs <= 1`` maps to
-  :class:`repro.exec.inprocess.InProcessExecutor`), across the
-  self-healing pool (:class:`repro.exec.localpool.LocalPoolExecutor`),
-  or over any caller-supplied executor -- always returning results
-  **in task order**, so every backend's output equals ``jobs=1``
-  output exactly;
+  optionally carrying its own ``timeout_s`` / ``max_retries``; it lives
+  next to the scheduler in :mod:`repro.resilience.pool` and is
+  re-exported here;
+* :func:`run_tasks` -- run tasks through the one scheduler,
+  :class:`repro.resilience.pool.SelfHealingPool`: inline for ``jobs <= 1``
+  (no pool, no pickling), across self-healing worker processes above
+  that -- always returning results **in task order**, so every worker
+  count's output equals ``jobs=1`` output exactly;
 * :func:`derive_seed` -- a per-task RNG seed derived from a base seed and
   the task key, stable across runs, task orderings, and worker counts.
 
@@ -56,36 +56,14 @@ prefix grows, backing the per-row progress lines of ``repro-eda table``.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import expdb, obs
 from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.policy import RetryPolicy, TaskFailure
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.base import Executor
+from repro.resilience.pool import ExperimentTask, SelfHealingPool
 
 _PENDING = object()  # results-slot sentinel: not yet resolved
-
-
-@dataclass(frozen=True)
-class ExperimentTask:
-    """One unit of experiment work.
-
-    ``fn`` must be a module-level function and ``kwargs`` picklable -- the
-    requirements of process-pool dispatch.  ``key`` names the task for
-    seed derivation, diagnostics, progress lines, checkpoint rows, and
-    merged-trace attribution.  ``timeout_s`` / ``max_retries`` override
-    the campaign :class:`repro.resilience.policy.RetryPolicy` for this
-    task alone (``None`` defers to the policy).
-    """
-
-    key: str
-    fn: Callable[..., Any]
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
-    timeout_s: float | None = None
-    max_retries: int | None = None
 
 
 def derive_seed(base_seed: int, key: str) -> int:
@@ -137,35 +115,28 @@ def run_tasks(
     progress: Callable[[int, ExperimentTask], None] | None = None,
     policy: RetryPolicy | None = None,
     checkpoint: CheckpointJournal | None = None,
-    executor: Executor | None = None,
 ) -> list[Any]:
     """Run every task; returns results (or ``TaskFailure``s) in task order.
 
-    Dispatch goes over the execution plane (:mod:`repro.exec`).  With no
-    ``executor``, ``jobs`` of ``None``, 0, or 1 (or a single runnable
-    task) runs inline in this process -- no pool, no pickling -- and
-    larger ``jobs`` fans out over the self-healing worker pool, capped
-    at the task count; negative ``jobs`` is rejected with a
-    ``ValueError``.  A caller-supplied ``executor`` (either backend) is
-    used as-is -- its own retry policy applies and the caller keeps
-    ownership of its lifetime, while ``jobs`` only sizes executors this
-    function creates.  Because each task is self-contained and results
-    are collected in input order, the returned list is byte-for-byte
-    the same for every backend and worker count.
+    ``jobs`` of ``None``, 0, or 1 (or a single runnable task) runs inline
+    in this process -- no pool, no pickling -- and larger ``jobs`` fans
+    out over self-healing worker processes, capped at the task count;
+    negative ``jobs`` is rejected with a ``ValueError``.  Both go through
+    :class:`repro.resilience.pool.SelfHealingPool`, and because each task
+    is self-contained and results are collected in input order, the
+    returned list is byte-for-byte the same for every worker count.
 
     ``policy`` supplies campaign-wide deadline/retry/backoff defaults
-    for owned executors (per-task fields override it); ``checkpoint``
-    journals completed rows the moment they finish and replays rows the
-    journal already holds.  ``progress(index, task)`` is invoked per
-    task in task order as the completed prefix grows.
+    (per-task fields override it); ``checkpoint`` journals completed rows
+    the moment they finish and replays rows the journal already holds.
+    ``progress(index, task)`` is invoked per task in task order as the
+    completed prefix grows.
     """
     tasks = list(tasks)
     if jobs is not None and int(jobs) < 0:
         raise ValueError(
             f"jobs must be a non-negative worker count, got {jobs!r}"
         )
-    n_jobs = int(jobs or 1)
-    policy = policy or RetryPolicy()
     results: list[Any] = [_PENDING] * len(tasks)
     pending: list[int] = []
     for i, task in enumerate(tasks):
@@ -193,21 +164,6 @@ def run_tasks(
     if not pending:
         return results
 
-    owned = executor is None
-    if owned:
-        if n_jobs <= 1 or len(pending) <= 1:
-            from repro.exec.inprocess import InProcessExecutor
-
-            executor = InProcessExecutor(policy=policy)
-        else:
-            from repro.exec.localpool import LocalPoolExecutor
-
-            executor = LocalPoolExecutor(
-                n_workers=min(n_jobs, len(pending)),
-                policy=policy,
-                collect=obs.enabled(),
-            )
-
     def on_complete(slot: int, outcome: Any, snapshot: dict | None) -> None:
         """Merge a finished row's worker metrics and journal/report it."""
         index = pending[slot]
@@ -222,12 +178,11 @@ def run_tasks(
         _record_outcome(tasks[index], index, outcome, "ok")
         emit_progress()
 
-    try:
-        for i in pending:
-            executor.submit(tasks[i])
-        executor.drain(on_complete)
-    finally:
-        if owned:
-            executor.close()
+    with SelfHealingPool(
+        n_workers=min(int(jobs or 1), len(pending)),
+        policy=policy,
+        collect=obs.enabled(),
+    ) as pool:
+        pool.run([tasks[i] for i in pending], on_complete)
     emit_progress()
     return results

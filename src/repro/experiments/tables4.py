@@ -244,22 +244,20 @@ def run_table_4_3(
     policy: RetryPolicy | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    executor=None,
 ) -> list[Table43Case | TaskFailure]:
     """Run Table 4.3: per target, ``buffers`` + highest/lowest-SWA drivers.
 
     ``jobs > 1`` fans the per-target work across the self-healing worker
-    pool, and ``executor`` (any :class:`repro.exec.base.Executor`)
-    replaces the dispatch backend outright; every target builds its own
-    generator and RNG stream, so the returned cases are identical for
-    any ``jobs`` value and any backend (same order, same contents).
+    pool; every target builds its own generator and RNG stream, so the
+    returned cases are identical for any ``jobs`` value (same order,
+    same contents).
     ``timeout_s`` / ``max_retries`` bound each target row; a row that
     exhausts its retries comes back as a
     :class:`repro.resilience.policy.TaskFailure` in its slot instead of
     aborting the campaign.  ``checkpoint_path``
     journals completed rows (``repro-resume-v1``, fingerprinted by this
-    function's parameters -- throughput knobs, the executor included,
-    are normalized out, so a journal resumes across backends);
+    function's parameters -- throughput knobs are normalized out, so a
+    journal written under one ``jobs`` value resumes under another);
     ``resume=True`` skips rows the journal already holds.  ``progress``
     is forwarded to :func:`repro.experiments.runner.run_tasks` and fires
     once per completed target.
@@ -310,7 +308,6 @@ def run_table_4_3(
         progress=progress,
         policy=policy,
         checkpoint=checkpoint,
-        executor=executor,
     )
     cases: list[Table43Case | TaskFailure] = []
     for group in groups:

@@ -17,15 +17,13 @@ frames are flat arrays, cones are precompiled schedule slices, and each
 fault checks only the observation lines its cone can reach.
 
 Fault-parallel grading: :class:`FaultGrader` optionally partitions its
-undetected-fault frontier into contiguous *shards* and grades them over
-the execution plane (:mod:`repro.exec`) -- by default a persistent
-:class:`repro.exec.localpool.LocalPoolExecutor` over the self-healing
-worker pool, or an injected backend (serial or pool).  A crashed shard
-is retried, per-shard obs snapshots merge back into the parent
-registry, and a shard that exhausts its retry budget is re-graded
-inline.  Shards partition the fault list, so the merged detection sets
-are *exactly* the serial sets for any shard count and any backend;
-sharding is purely a wall-clock knob.
+undetected-fault frontier into contiguous *shards* and grades them on a
+persistent :class:`repro.resilience.pool.SelfHealingPool` of worker
+processes.  A crashed shard is retried, per-shard obs snapshots merge
+back into the parent registry, and a shard that exhausts its retry
+budget is re-graded inline.  Shards partition the fault list, so the
+merged detection sets are *exactly* the serial sets for any shard and
+worker count; sharding is purely a wall-clock knob.
 
 The module also provides test-set compaction over *seed groups* -- the
 reverse-order / forward-looking pass of [89] used by Chapter 4 to reduce
@@ -35,8 +33,8 @@ the number of selected LFSR seeds.
 from __future__ import annotations
 
 import multiprocessing as mp
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.circuits.netlist import Circuit
@@ -45,9 +43,6 @@ from repro.faults.models import StuckAtFault, TransitionFault
 from repro.logic.bitsim import pack_columns_indexed
 from repro.logic.patterns import BroadsideTest, Pattern
 from repro.obs import OBS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.base import Executor
 
 #: Below this many frontier faults per shard, sharded grading falls back
 #: to the serial path: the PPSFP pass is too small for dispatch to pay.
@@ -223,22 +218,6 @@ def _split_groups(
     return out
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """One shard's grading work, shaped for the execution plane.
-
-    Mirrors :class:`repro.experiments.runner.ExperimentTask` (executors
-    read ``key`` / ``fn`` / ``kwargs`` / ``timeout_s`` / ``max_retries``)
-    without importing the experiments layer from the faults layer.
-    """
-
-    key: str
-    fn: Any
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
-    timeout_s: float | None = None
-    max_retries: int | None = None
-
-
 #: Worker-process memo: one simulator per netlist text, persistent across
 #: shard tasks (the pool keeps workers alive between PPSFP passes).
 _WORKER_SIMULATORS: dict[tuple[str, str], TransitionFaultSimulator] = {}
@@ -281,18 +260,16 @@ class FaultGrader:
     remaining faults.
 
     With ``shards > 1`` each preview partitions the frontier into
-    contiguous shards (:func:`partition_shards`) and grades them over an
-    executor (:mod:`repro.exec`): by default a lazily created, persistent
-    :class:`repro.exec.localpool.LocalPoolExecutor` of up to ``jobs``
-    self-healing workers, or a caller-supplied ``executor`` (either
-    backend -- the caller keeps its lifetime).
-    The merged sets are exactly the serial sets, so callers cannot
-    observe the difference except in wall-clock.  Call :meth:`close` (or
-    use the grader as a context manager) when a long-lived grader with
-    ``shards > 1`` is done.  Grading falls back to the serial path for
-    tiny frontiers (< ``MIN_FAULTS_PER_SHARD`` per shard) and, for
-    backends that would spawn local children, inside daemonic pool
-    workers (which cannot).
+    contiguous shards (:func:`partition_shards`) and grades them on a
+    lazily created, persistent
+    :class:`repro.resilience.pool.SelfHealingPool` of up to ``jobs``
+    self-healing workers.  The merged sets are exactly the serial sets,
+    so callers cannot observe the difference except in wall-clock.  Call
+    :meth:`close` (or use the grader as a context manager) when a
+    long-lived grader with ``shards > 1`` is done.  Grading stays serial
+    when it would get fewer than two workers (``min(jobs, shards) <= 1``),
+    for tiny frontiers (< ``MIN_FAULTS_PER_SHARD`` per shard), and inside
+    daemonic pool workers (which cannot spawn children).
     """
 
     def __init__(
@@ -301,13 +278,11 @@ class FaultGrader:
         faults: Sequence[TransitionFault],
         shards: int = 1,
         jobs: int | None = None,
-        executor: Executor | None = None,
     ):
         """Grade ``faults`` on ``circuit``, optionally across ``shards``.
 
-        ``jobs`` caps the worker count of the default pool backend
-        (default: one per shard); an explicit ``executor`` overrides the
-        backend entirely and is *not* closed by the grader.
+        ``jobs`` caps the shard pool's worker count (default: one per
+        shard).
         """
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -319,8 +294,7 @@ class FaultGrader:
         self.detected: set[TransitionFault] = set()
         self.shards = int(shards)
         self.jobs = int(jobs) if jobs is not None else self.shards
-        self._executor = executor
-        self._pool = None  # lazily owned executor (None with an injected one)
+        self._pool = None  # lazily created shard pool
         self._bench_text: str | None = None
 
     def __enter__(self) -> "FaultGrader":
@@ -332,10 +306,7 @@ class FaultGrader:
         self.close()
 
     def close(self) -> None:
-        """Shut down the owned shard executor, if one was ever started.
-
-        An injected ``executor`` belongs to the caller and is left open.
-        """
+        """Shut down the shard pool, if one was ever started."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -395,33 +366,19 @@ class FaultGrader:
     # -- sharded path ----------------------------------------------------
     def _use_shards(self) -> bool:
         """Whether the next preview should fan out over the shard pool."""
-        if self.shards <= 1:
+        if min(self.jobs, self.shards) <= 1:
             return False
         if len(self.remaining) < self.shards * MIN_FAULTS_PER_SHARD:
             if OBS.enabled:
                 OBS.count("fsim.shard.small_frontier_fallbacks")
             return False
-        daemon_safe = self._executor is not None and self._executor.daemon_safe
-        if mp.current_process().daemon and not daemon_safe:
+        if mp.current_process().daemon:
             # A pool worker cannot spawn its own children (e.g. a sharded
             # grader inside a `table --jobs N` row): grade serially.
             if OBS.enabled:
                 OBS.count("fsim.shard.daemon_fallbacks")
             return False
         return True
-
-    def _shard_executor(self, n_tasks: int):
-        """The shard executor: injected, else a lazy persistent local pool."""
-        if self._executor is not None:
-            return self._executor
-        if self._pool is None:
-            from repro.exec.localpool import LocalPoolExecutor
-
-            self._pool = LocalPoolExecutor(
-                n_workers=min(self.jobs, self.shards, n_tasks),
-                collect=OBS.enabled,
-            )
-        return self._pool
 
     def _netlist_text(self) -> str:
         """The target's ``.bench`` text, serialized once per grader."""
@@ -444,6 +401,7 @@ class FaultGrader:
         environment degrades to serial speed, never to wrong results.
         """
         from repro.resilience.policy import TaskFailure
+        from repro.resilience.pool import ExperimentTask, SelfHealingPool
 
         flat = [t for g in groups for t in g]
         group_sizes = [len(g) for g in groups]
@@ -451,7 +409,7 @@ class FaultGrader:
         text = self._netlist_text()
         name = self.simulator.circuit.name
         tasks = [
-            _ShardTask(
+            ExperimentTask(
                 key=f"fsim.shard/{i}",
                 fn=_grade_shard,
                 kwargs={
@@ -464,20 +422,17 @@ class FaultGrader:
             )
             for i, shard in enumerate(shards)
         ]
-        executor = self._shard_executor(len(tasks))
-        for task in tasks:
-            executor.submit(task)
+        if self._pool is None:
+            self._pool = SelfHealingPool(
+                n_workers=min(self.jobs, self.shards), collect=OBS.enabled
+            )
 
-        def on_complete(slot: int, outcome: Any, snapshot: dict | None) -> None:
+        def on_complete(index: int, outcome: Any, snapshot: dict | None) -> None:
             """Merge a finished shard's worker metrics into the parent."""
-            if (
-                snapshot is not None
-                and OBS.enabled
-                and not isinstance(outcome, TaskFailure)
-            ):
-                obs.merge(snapshot, task=tasks[slot].key)
+            if snapshot is not None and OBS.enabled:
+                obs.merge(snapshot, task=tasks[index].key)
 
-        outcomes = executor.drain(on_complete)
+        outcomes = self._pool.run(tasks, on_complete)
         if OBS.enabled:
             OBS.count("fsim.shard.passes")
             OBS.count("fsim.shard.tasks", len(tasks))

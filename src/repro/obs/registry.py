@@ -4,10 +4,10 @@ The registry is the passive half of the observability subsystem
 (:mod:`repro.obs`): a plain in-process store that instrumented code writes
 into and the run-report formatter (:mod:`repro.obs.report`) reads out of.
 Everything is standard-library only and JSON-serializable, because
-registries cross process boundaries: each
-:class:`~concurrent.futures.ProcessPoolExecutor` worker of the experiment
-runner serializes its registry with :meth:`MetricsRegistry.snapshot` and
-the parent folds it back in with :meth:`MetricsRegistry.merge`.
+registries cross process boundaries: each worker of the self-healing
+pool (:mod:`repro.resilience.pool`) serializes its registry with
+:meth:`MetricsRegistry.snapshot` and the parent folds it back in with
+:meth:`MetricsRegistry.merge`.
 
 Cost model (the <2% overhead budget of ``benchmarks/bench_kernel.py``):
 

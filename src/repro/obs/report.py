@@ -23,10 +23,8 @@ campaign (:mod:`repro.resilience`): ``runner.retries``,
 ``runner.task_failures``, and ``runner.tasks_resumed`` land there by
 prefix, next to ``runner.tasks_completed``.  The "sharded grading"
 section (``fsim.shard.*``) carries the fault-parallel grading story,
-"artifact cache" (``cache.*``) the warm-start hit/miss/store counts of
-:mod:`repro.cache`, and "execution plane" (``executor.*``) the dispatch
-story of :mod:`repro.exec` -- tasks submitted/degraded, the queue-depth
-gauge, and the per-backend ``dispatch_ms`` latency histogram.
+and "artifact cache" (``cache.*``) the warm-start hit/miss/store counts
+of :mod:`repro.cache`.
 
 The formatter is read-only and stdlib-only; golden-string tests pin the
 layout (``tests/test_obs.py``).
@@ -51,7 +49,6 @@ SECTIONS: tuple[tuple[str, str], ...] = (
     ("LFSR stepping", "lfsr."),
     ("TPDF pipeline", "tpdf."),
     ("experiment runner", "runner."),
-    ("execution plane", "executor."),
 )
 
 

@@ -12,12 +12,13 @@ partially degradable*; it sits directly under
   a deterministic exponential backoff schedule; a task that exhausts its
   budget degrades to a typed :class:`TaskFailure` record in the results
   list instead of aborting the run.
-* **Cooperative deadlines** (:mod:`repro.resilience.deadline`): the
-  per-task ``timeout_s`` is published process-locally so long-running
-  inner loops (the Fig 4.9 construction deadline in
-  :mod:`repro.core.builtin_gen`, the heuristic/branch-and-bound budgets
-  in :mod:`repro.atpg.tpdf`) clamp their own time limits to the
-  remaining task budget and stop *before* the watchdog has to kill them.
+* **Cooperative deadlines** (:mod:`repro.resilience.deadline`): each
+  attempt's deadline (the task's ``timeout_s``, else the policy's) is
+  published in the process running it, so long-running inner loops
+  (the Fig 4.9 construction deadline in :mod:`repro.core.builtin_gen`,
+  the heuristic/branch-and-bound budgets in :mod:`repro.atpg.tpdf`)
+  clamp their own time limits to the remaining task budget and stop
+  *before* the watchdog has to kill them.
 * **Checkpoint/resume** (:mod:`repro.resilience.checkpoint`): completed
   row results (plus their obs snapshots) are journaled as JSONL
   (schema ``repro-resume-v1``) keyed by task key + campaign fingerprint;
@@ -30,10 +31,13 @@ partially degradable*; it sits directly under
   drivable from tests, which assert byte-identical final tables against
   uninjected runs.
 
-The preemptive half (kill a hung or crashed worker, respawn, retry with
-the *same* task kwargs so the derived seed and therefore the row is
-reproduced exactly) lives in :mod:`repro.resilience.pool`, a small
-self-healing process pool imported lazily by the runner.
+Dispatch itself lives in :mod:`repro.resilience.pool`: one scheduler,
+:class:`repro.resilience.pool.SelfHealingPool`, runs every
+:class:`repro.resilience.pool.ExperimentTask` of the campaign runner and
+the sharded fault grader, inline or on respawnable worker processes.
+Both placements share one retry loop; the pooled one also kills a hung
+or crashed worker and respawns it.  A retry runs the *same* task kwargs,
+so the derived seed and therefore the row are reproduced exactly.
 
 Everything here is standard-library only.
 """

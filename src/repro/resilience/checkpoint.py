@@ -15,10 +15,10 @@ drivers, generator config, ...); resuming against a journal written for
 different parameters raises :class:`CheckpointError` rather than
 silently mixing incompatible rows.  Pure-throughput knobs are
 deliberately **excluded** from fingerprints: callers normalize ``jobs``
-/ ``shards`` out of the hashed config, and the execution backend
-(:mod:`repro.exec`) never enters it at all, so a journal written by a
-``--jobs 2`` campaign on the pool resumes inline under ``--jobs 1``
-(or the other way round) -- same keys, same derived seeds, same rows.
+/ ``shards`` out of the hashed config, and where the attempts ran never
+enters it at all, so a journal written by a ``--jobs 2`` campaign on the
+pool resumes inline under ``--jobs 1`` (or the other way round) -- same
+keys, same derived seeds, same rows.
 Task results are arbitrary Python objects (dataclasses holding fault
 sets), so rows carry them pickled and base64-wrapped inside the JSON
 envelope; ``snapshot`` is the worker's

@@ -4,12 +4,12 @@ The watchdog in :mod:`repro.resilience.pool` is the enforcement of last
 resort: it kills a worker that overruns its ``timeout_s``, losing every
 partial result the task produced.  Well-behaved inner loops should stop
 *before* that happens, and this module is how they find out when: the
-worker wrapper (and the inline path of
-:func:`repro.experiments.runner.run_tasks`) publishes the running task's
-deadline here, and budgeted loops -- the Fig 4.9 construction deadline
-in :mod:`repro.core.builtin_gen`, the heuristic and branch-and-bound
-time limits in :mod:`repro.atpg.tpdf` -- clamp their own limits to the
-remaining task budget via :func:`clamp_budget`.
+scheduler publishes each attempt's deadline here -- the task's
+``timeout_s``, else the campaign policy's -- in whichever process runs
+the attempt, inline or in a worker.  Budgeted loops -- the Fig 4.9
+construction deadline in :mod:`repro.core.builtin_gen`, the heuristic
+and branch-and-bound time limits in :mod:`repro.atpg.tpdf` -- clamp
+their own limits to the remaining task budget via :func:`clamp_budget`.
 
 One deadline per process: experiment tasks run one at a time per worker,
 so a module global (not a thread/context variable) is the honest scope.

@@ -29,7 +29,7 @@ class RetryPolicy:
     """Campaign-wide defaults for deadlines, retries, and backoff.
 
     Per-task ``timeout_s`` / ``max_retries`` on
-    :class:`repro.experiments.runner.ExperimentTask` override these; the
+    :class:`repro.resilience.pool.ExperimentTask` override these; the
     policy fills in whatever the task leaves ``None``.
     """
 

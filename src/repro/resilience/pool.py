@@ -1,58 +1,66 @@
-"""Self-healing process pool: per-task deadlines, respawn, retry.
+"""Self-healing task scheduler: one queue, inline or pooled attempts.
 
-``ProcessPoolExecutor.map`` -- the runner's previous pool path -- has
-exactly the failure modes a campaign cannot afford: a worker exception
-propagates and discards every finished row, a dead worker poisons the
-pool (``BrokenProcessPool``), and a hung worker stalls the run forever
-because a running future cannot be cancelled.  This module replaces it
-with a small scheduler the parent fully controls:
+Every embarrassingly parallel campaign in the repo -- the Chapter 4
+table rows (:func:`repro.experiments.runner.run_tasks`) and the sharded
+PPSFP grading passes (:class:`repro.faults.fsim.FaultGrader`) -- runs
+through :class:`SelfHealingPool`.  ``run(tasks)`` returns one outcome per
+task **in task order**, whatever order the attempts complete in, so
+``jobs=N`` output equals ``jobs=1`` output and ``--jobs`` / ``--shards``
+are pure wall-clock knobs.
 
-* one dedicated ``Pipe`` per worker, so the parent always knows *which*
-  process owns *which* task -- a hung worker can be terminated and its
-  task retried without touching the others, and a crashed worker is
-  detected for free as EOF on its pipe;
-* a **watchdog**: each dispatched task carries a deadline
-  (``timeout_s``); the scheduler's wait loop wakes at the earliest one
-  and terminates + respawns any overrunning worker;
+Where attempts run is picked by ``n_workers``:
+
+* ``n_workers <= 1`` -- in the calling process, one after another: no
+  pickling, and metrics land directly in the live obs registry.  The
+  per-attempt deadline is cooperative only; nothing can preempt an
+  attempt without a process to kill.
+* ``n_workers > 1`` -- on respawnable worker processes with one
+  dedicated ``Pipe`` each, so the parent always knows *which* process
+  owns *which* task.  A crashed worker is detected for free as EOF on
+  its pipe, and a **watchdog** terminates and respawns any worker that
+  overruns its attempt's deadline without touching the others.
+  (``ProcessPoolExecutor.map``, the runner's original pool path, loses
+  every finished row to one worker exception, is poisoned by one dead
+  worker, and stalls forever on a hung one.)
+
+Both placements share one queue, one attempt body and one retry
+decision:
+
+* every attempt publishes its deadline -- the task's ``timeout_s``, else
+  the policy's -- through :mod:`repro.resilience.deadline`, so budgeted
+  inner loops stop before the watchdog has to kill them, and fires the
+  ``runner.task`` fault point of :mod:`repro.resilience.faultpoints`
+  (workers re-arm the spec active when they are spawned; in a worker a
+  ``crash`` is a hard ``os._exit``, inline it raises);
 * **deterministic retry with backoff**: a failed attempt re-enters the
-  queue with the same task object (same kwargs, same derived seed) and
-  a not-before time from :meth:`repro.resilience.policy.RetryPolicy.
-  backoff_s`; after the budget is spent the slot degrades to a
-  :class:`repro.resilience.policy.TaskFailure`;
-* **fault points**: workers re-arm the parent's
-  :mod:`repro.resilience.faultpoints` spec and fire the ``runner.task``
-  point around every attempt, which is how the test suite drives real
-  crashes, hangs, and flaky schedules through this scheduler.
+  head of the queue with the same task object (same kwargs, same derived
+  seed) and a not-before time from :meth:`repro.resilience.policy.
+  RetryPolicy.backoff_s`, so inline a task's retries finish before the
+  next task starts; after the budget is spent the slot degrades to a
+  :class:`repro.resilience.policy.TaskFailure`.
 
-Results are delivered through an ``on_complete(index, outcome,
-snapshot)`` callback in completion order *and* returned as a dict; the
-runner re-assembles task order, so ``jobs=N`` output still equals
-``jobs=1`` output.  Observability: workers snapshot a fresh registry per
-task exactly as the old pool path did; the parent additionally counts
-``runner.retries`` / ``runner.timeouts`` / ``runner.worker_crashes`` /
+``on_complete(index, outcome, snapshot)`` fires once per task in
+completion order.  With ``collect`` on, each worker attempt runs against
+a fresh registry whose snapshot travels with the reply; inline there is
+nothing to ship.  The scheduler counts ``runner.retries`` /
+``runner.timeouts`` / ``runner.worker_crashes`` /
 ``runner.worker_respawns`` / ``runner.task_failures`` and emits a
 ``runner.retry`` span per retry decision.
 
-The pool is **persistent**: workers survive across :meth:`SelfHealingPool.
-run` calls (each call may carry a fresh task list), so a caller issuing
-many small batches -- the sharded fault grader
-(:class:`repro.faults.fsim.FaultGrader`) issues one per PPSFP pass --
-pays the process spawn cost once.  Call :meth:`SelfHealingPool.close`
-(or use the pool as a context manager) when done; an exception escaping
-``run`` closes the pool so no orphan workers linger.
-
-Callers normally reach this pool through the execution plane
-(:class:`repro.exec.localpool.LocalPoolExecutor`, picked by ``--jobs``
-or ``--shards`` above 1) rather than directly.
+Workers are **persistent**: they survive across :meth:`SelfHealingPool.
+run` calls, so a caller issuing many small batches -- the sharded fault
+grader issues one per PPSFP pass -- pays the process spawn cost once.
+Call :meth:`SelfHealingPool.close` (or use the pool as a context
+manager) when done; an exception escaping ``run`` closes the pool so no
+orphan workers linger.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait as conn_wait
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro import obs
 from repro.resilience import faultpoints
@@ -65,46 +73,60 @@ from repro.resilience.policy import (
     TaskFailure,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing.connection import Connection
+
 #: How long to wait for a worker to exit after the shutdown sentinel.
 _JOIN_TIMEOUT_S = 2.0
 
 
-def attempt_reply(
-    index: int, task: Any, attempt: int, collect: bool
-) -> tuple[int, str, Any, dict | None]:
-    """One task attempt in this process, shaped as a worker reply tuple.
+@dataclass(frozen=True)
+class ExperimentTask:
+    """One unit of campaign work.
 
-    Returns ``(index, "ok", result, snapshot|None)`` on success or
-    ``(index, "error", message, None)`` on an exception the worker
-    survives.  The attempt body -- cooperative deadline, per-task obs
-    registry + ``runner.task`` span when ``collect``, the ``runner.task``
-    fault point with hard-death ``crash`` semantics -- runs in the pool
-    workers (:func:`_worker_main`).  A hard crash (``os._exit`` via an
-    armed fault point, a segfault, the OOM killer) never returns; the
-    parent sees EOF on the connection instead.
+    ``fn`` must be a module-level function and ``kwargs`` picklable -- the
+    requirements of pooled attempts.  ``key`` names the task for seed
+    derivation, diagnostics, progress lines, checkpoint rows, fault
+    points, and merged-trace attribution.  ``timeout_s`` /
+    ``max_retries`` override the campaign
+    :class:`repro.resilience.policy.RetryPolicy` for this task alone
+    (``None`` defers to the policy).
     """
-    set_task_deadline(task.timeout_s)
+
+    key: str
+    fn: Callable[..., Any]
+    kwargs: Mapping[str, Any] = field(default_factory=dict)
+    timeout_s: float | None = None
+    max_retries: int | None = None
+
+
+def _attempt(
+    task: ExperimentTask, attempt: int, timeout_s: float | None, in_worker: bool
+) -> tuple[str, Any]:
+    """One attempt of ``task`` here: ``("ok", value)`` or ``("error", text)``.
+
+    Publishes the cooperative deadline, opens the ``runner.task`` span
+    and fires the ``runner.task`` fault point, whose ``crash`` modes kill
+    the process when ``in_worker`` -- that never returns; the parent sees
+    EOF on the worker's pipe instead.
+    """
+    set_task_deadline(timeout_s)
     try:
-        if collect:
-            obs.reset()
-            obs.enable()
-            with obs.span("runner.task", key=task.key, attempt=attempt):
-                faultpoints.check("runner.task", task.key, attempt, in_worker=True)
-                result = task.fn(**dict(task.kwargs))
-            return (index, "ok", result, obs.snapshot())
-        faultpoints.check("runner.task", task.key, attempt, in_worker=True)
-        return (index, "ok", task.fn(**dict(task.kwargs)), None)
-    except Exception as exc:  # degrade, never kill the worker loop
-        return (index, "error", f"{type(exc).__name__}: {exc}", None)
+        with obs.span("runner.task", key=task.key, attempt=attempt):
+            faultpoints.check("runner.task", task.key, attempt, in_worker=in_worker)
+            return ("ok", task.fn(**dict(task.kwargs)))
+    except Exception as exc:  # degrade, never kill the caller or worker loop
+        return ("error", f"{type(exc).__name__}: {exc}")
     finally:
         clear_task_deadline()
 
 
 def _worker_main(conn: Connection, collect: bool, fault_spec: str | None) -> None:
-    """Worker loop: receive ``(index, task, attempt)``, send back the outcome.
+    """Worker loop: receive ``(index, task, attempt, timeout_s)``, reply.
 
-    Replies are :func:`attempt_reply` tuples.  A hard crash sends
-    nothing; the parent sees EOF on the pipe instead.
+    Replies are ``(index, status, payload, snapshot|None)``; ``snapshot``
+    is the attempt's fresh obs registry when ``collect`` is on and the
+    attempt succeeded.
     """
     faultpoints.install(fault_spec)
     try:
@@ -115,8 +137,13 @@ def _worker_main(conn: Connection, collect: bool, fault_spec: str | None) -> Non
                 return
             if item is None:
                 return
-            index, task, attempt = item
-            conn.send(attempt_reply(index, task, attempt, collect))
+            index, task, attempt, timeout_s = item
+            if collect:
+                obs.reset()
+                obs.enable()
+            status, payload = _attempt(task, attempt, timeout_s, in_worker=True)
+            snapshot = obs.snapshot() if collect and status == "ok" else None
+            conn.send((index, status, payload, snapshot))
     finally:
         conn.close()
 
@@ -143,29 +170,28 @@ class _Queued:
 
 
 class SelfHealingPool:
-    """Run experiment tasks across respawnable workers (see module docstring)."""
+    """Run tasks inline or across respawnable workers (see module docstring)."""
 
     def __init__(
         self,
-        tasks: Sequence[Any] = (),
         n_workers: int = 1,
         policy: RetryPolicy | None = None,
         collect: bool = False,
     ) -> None:
-        """A pool of up to ``n_workers`` respawnable task workers.
+        """A scheduler for up to ``n_workers`` concurrent attempts.
 
-        ``tasks`` may be empty at construction and supplied per
-        :meth:`run` call instead.  ``collect`` makes every worker ship an
-        obs snapshot per task back to the parent.
+        ``n_workers <= 1`` runs every attempt in the calling process;
+        above that, workers are spawned on the first :meth:`run` that
+        needs them.  ``collect`` makes every worker ship an obs snapshot
+        per task back to the parent.
         """
-        self.tasks = list(tasks)
         self.policy = policy or RetryPolicy()
         self.collect = collect
-        self._ctx = mp.get_context()
-        self._fault_spec = faultpoints.active_spec()
         self._n_workers = n_workers
         self._slots: list[_Slot] = []
-        self._results: dict[int, Any] = {}
+        self._tasks: list[ExperimentTask] = []
+        self._results: list[Any] = []
+        self._unresolved = 0
         self._queue: list[_Queued] = []
         self._started: dict[int, float] = {}
         self._on_complete: Callable[[int, Any, dict | None], None] | None = None
@@ -181,76 +207,92 @@ class SelfHealingPool:
     # ------------------------------------------------------------------
     def run(
         self,
-        indices: Sequence[int],
-        on_complete: Callable[[int, Any, dict | None], None],
-        tasks: Sequence[Any] | None = None,
-    ) -> dict[int, Any]:
-        """Execute the tasks at ``indices``; returns index -> outcome.
+        tasks: Sequence[ExperimentTask],
+        on_complete: Callable[[int, Any, dict | None], None] | None = None,
+    ) -> list[Any]:
+        """Run every task; returns the outcomes in task order.
 
         An outcome is the task's return value or a :class:`TaskFailure`.
-        ``on_complete`` fires once per resolved index, in completion
-        order, with the worker's obs snapshot when collection is on.
-
-        ``tasks`` replaces the pool's task list for this call.  Workers
-        stay alive afterwards for the next ``run``; an escaping exception
-        closes the pool.
+        ``on_complete(index, outcome, snapshot)`` fires once per task in
+        completion order, with the worker's obs snapshot when collection
+        is on (``None`` inline).  Workers stay alive afterwards for the
+        next ``run``; an escaping exception closes the pool.
         """
-        if tasks is not None:
-            self.tasks = list(tasks)
-        indices = list(indices)
+        self._tasks = list(tasks)
         self._on_complete = on_complete
-        self._results = {}
+        self._results = [None] * len(self._tasks)
+        self._unresolved = len(self._tasks)
         self._started = {}
-        self._queue = [_Queued(index=i) for i in indices]
-        while len(self._slots) < min(self._n_workers, len(self._queue)):
-            self._slots.append(self._spawn())
-        slots = self._slots
+        self._queue = [_Queued(index=i) for i in range(len(self._tasks))]
         try:
-            while len(self._results) < len(indices):
-                now = time.monotonic()
-                self._dispatch(slots, now)
-                self._await_events(slots)
+            if self._n_workers <= 1:
+                while self._queue:
+                    self._run_inline(self._queue.pop(0))
+            else:
+                while len(self._slots) < min(self._n_workers, len(self._queue)):
+                    self._slots.append(self._spawn())
+                while self._unresolved:
+                    self._dispatch(time.monotonic())
+                    self._await_events()
         except BaseException:
             self.close()
             raise
         return self._results
 
+    def _timeout(self, task: ExperimentTask) -> float | None:
+        return self.policy.effective_timeout(task.timeout_s)
+
+    def _run_inline(self, item: _Queued) -> None:
+        """One attempt in this process, once its retry backoff has passed."""
+        delay = item.ready_at - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        task = self._tasks[item.index]
+        self._started.setdefault(item.index, time.monotonic())
+        status, payload = _attempt(
+            task, item.attempt, self._timeout(task), in_worker=False
+        )
+        if status == "ok":
+            self._complete(item.index, payload, None)
+        else:
+            self._retry_or_fail(item.index, item.attempt, KIND_ERROR, payload)
+
     # ------------------------------------------------------------------
     def _spawn(self) -> _Slot:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
+        parent_conn, child_conn = mp.Pipe()
+        proc = mp.Process(
             target=_worker_main,
-            args=(child_conn, self.collect, self._fault_spec),
+            args=(child_conn, self.collect, faultpoints.active_spec()),
             daemon=True,
         )
         proc.start()
         child_conn.close()  # parent keeps one end; EOF now detects worker death
         return _Slot(proc=proc, conn=parent_conn)
 
-    def _respawn(self, slots: list[_Slot], slot: _Slot) -> None:
+    def _respawn(self, slot: _Slot) -> None:
         slot.conn.close()
         if slot.proc.is_alive():
             slot.proc.terminate()
         slot.proc.join(_JOIN_TIMEOUT_S)
-        slots[slots.index(slot)] = self._spawn()
+        self._slots[self._slots.index(slot)] = self._spawn()
         obs.count("runner.worker_respawns")
 
-    def _dispatch(self, slots: list[_Slot], now: float) -> None:
-        for slot in slots:
+    def _dispatch(self, now: float) -> None:
+        for slot in self._slots:
             if slot.busy_index is not None:
                 continue
             item = self._pop_ready(now)
             if item is None:
                 return
-            task = self.tasks[item.index]
+            task = self._tasks[item.index]
+            timeout = self._timeout(task)
             try:
-                slot.conn.send((item.index, task, item.attempt))
+                slot.conn.send((item.index, task, item.attempt, timeout))
             except (OSError, ValueError):
                 # The worker died while idle; heal the seat and requeue.
                 self._queue.insert(0, item)
-                self._respawn(slots, slot)
+                self._respawn(slot)
                 continue
-            timeout = self.policy.effective_timeout(task.timeout_s)
             slot.busy_index = item.index
             slot.attempt = item.attempt
             slot.timeout_s = timeout
@@ -264,10 +306,14 @@ class SelfHealingPool:
         return None
 
     # ------------------------------------------------------------------
-    def _await_events(self, slots: list[_Slot]) -> None:
-        """Block until a result, a worker death, a deadline, or a backoff expiry."""
+    def _await_events(self) -> None:
+        """Block until a reply, a worker death, a deadline, or a backoff expiry."""
+        # Imported here: the inline placement never needs the connection
+        # machinery, and importing it costs a table run several ms.
+        from multiprocessing.connection import wait
+
         now = time.monotonic()
-        busy = [s for s in slots if s.busy_index is not None]
+        busy = [s for s in self._slots if s.busy_index is not None]
         horizons = [s.deadline for s in busy if s.deadline is not None]
         horizons += [q.ready_at for q in self._queue if q.ready_at > now]
         timeout = max(0.0, min(horizons) - now) if horizons else None
@@ -275,12 +321,12 @@ class SelfHealingPool:
             if timeout:
                 time.sleep(min(timeout, 0.2))
             return
-        for conn in conn_wait([s.conn for s in busy], timeout):
+        for conn in wait([s.conn for s in busy], timeout):
             slot = next(s for s in busy if s.conn is conn)
             try:
                 index, status, payload, snapshot = conn.recv()
             except (EOFError, OSError):
-                self._worker_died(slots, slot)
+                self._worker_died(slot)
                 continue
             slot.busy_index = None
             slot.deadline = None
@@ -288,25 +334,25 @@ class SelfHealingPool:
                 self._complete(index, payload, snapshot)
             else:
                 self._retry_or_fail(index, slot.attempt, KIND_ERROR, payload)
-        self._sweep_deadlines(slots)
+        self._sweep_deadlines()
 
-    def _sweep_deadlines(self, slots: list[_Slot]) -> None:
+    def _sweep_deadlines(self) -> None:
         now = time.monotonic()
-        for slot in list(slots):
+        for slot in list(self._slots):
             if slot.busy_index is None or slot.deadline is None or now <= slot.deadline:
                 continue
             if slot.conn.poll(0):  # finished just as the deadline passed
                 continue
             index, attempt, timeout = slot.busy_index, slot.attempt, slot.timeout_s
-            self._respawn(slots, slot)
+            self._respawn(slot)
             obs.count("runner.timeouts")
             self._retry_or_fail(
                 index, attempt, KIND_TIMEOUT, f"exceeded timeout_s={timeout:g}"
             )
 
-    def _worker_died(self, slots: list[_Slot], slot: _Slot) -> None:
+    def _worker_died(self, slot: _Slot) -> None:
         index, attempt = slot.busy_index, slot.attempt
-        self._respawn(slots, slot)
+        self._respawn(slot)
         obs.count("runner.worker_crashes")
         if index is not None:
             self._retry_or_fail(
@@ -315,20 +361,20 @@ class SelfHealingPool:
 
     # ------------------------------------------------------------------
     def _retry_or_fail(self, index: int, attempt: int, kind: str, message: str) -> None:
-        task = self.tasks[index]
-        budget = self.policy.effective_retries(task.max_retries)
-        if attempt < budget:
+        task = self._tasks[index]
+        if attempt < self.policy.effective_retries(task.max_retries):
             obs.count("runner.retries")
             with obs.span(
                 "runner.retry", key=task.key, attempt=attempt + 1, cause=kind
             ):
                 pass
-            self._queue.append(
+            self._queue.insert(
+                0,
                 _Queued(
                     index=index,
                     attempt=attempt + 1,
                     ready_at=time.monotonic() + self.policy.backoff_s(attempt),
-                )
+                ),
             )
             return
         elapsed = time.monotonic() - self._started.get(index, time.monotonic())
@@ -344,6 +390,7 @@ class SelfHealingPool:
 
     def _complete(self, index: int, outcome: Any, snapshot: dict | None) -> None:
         self._results[index] = outcome
+        self._unresolved -= 1
         if self._on_complete is not None:
             self._on_complete(index, outcome, snapshot)
 

@@ -102,6 +102,25 @@ class TestCommands:
         assert captured.err.startswith("error: bad fault mode 'bogus'")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table", "4.3", "--jobs", "0"], "jobs must be a positive worker count, got 0"),
+            (["table", "4.3", "--jobs", "-7"], "jobs must be a positive worker count, got -7"),
+            (["table", "4.3", "--shards", "0"], "shards must be a positive shard count, got 0"),
+            (
+                ["generate", "s27", "--shards", "-1"],
+                "shards must be a positive shard count, got -1",
+            ),
+        ],
+        ids=["table-jobs0", "table-jobs-7", "table-shards0", "generate-shards-1"],
+    )
+    def test_bad_dispatch_count_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestObservabilityCommands:
     @pytest.fixture(autouse=True)

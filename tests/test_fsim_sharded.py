@@ -124,6 +124,15 @@ class TestFallbacks:
         finally:
             grader.close()
 
+    def test_one_worker_grades_inline(self):
+        c = get_circuit("s298")
+        faults = collapsed_transition_faults(c)
+        tests = random_tests(c, 16)
+        assert len(faults) >= 4 * MIN_FAULTS_PER_SHARD
+        with FaultGrader(c, faults, shards=4, jobs=1) as grader:
+            assert grader.preview(tests) == FaultGrader(c, faults).preview(tests)
+            assert grader._pool is None  # never started a pool
+
     def test_shards_1_never_pools(self):
         c = get_circuit("s298")
         faults = collapsed_transition_faults(c)
