@@ -93,13 +93,20 @@ class MultiSegmentSequence:
 class BuiltinGenConfig:
     """Tunable parameters of the construction procedure.
 
+    ``hold_period_log2`` is the paper's ``h``: held state variables skip
+    capture every ``2**h`` cycles.  It must be at least 1, so that no
+    capture transition of a test is ever held (Section 4.5).
+
     ``lanes`` caps the packed seed-trial engine: per decision point, up to
     ``min(lanes, R - current failures)`` candidate seeds are drawn,
     expanded, and simulated as bit lanes of one packed run (``None`` means
-    64, one word's worth; ``1`` is the one-seed scalar loop).  The accepted
-    segments are bit-identical to the scalar loop for the same
-    ``rng_seed`` (the random stream is rewound past speculatively drawn
-    seeds), so ``lanes`` is purely a throughput knob.
+    64, one word's worth).  A decision of width 1 -- such as each one of
+    the ``R = Q = 1`` holding probes -- is a one-lane packed run too.
+    ``lanes=1`` instead sends every seed through the one-seed scalar
+    loop, the oracle the packed engine is tested against.  The accepted
+    segments are bit-identical to that oracle for the same ``rng_seed``
+    (the random stream is rewound past speculatively drawn seeds), so
+    ``lanes`` is purely a throughput knob.
 
     ``grade_shards``/``grade_jobs`` likewise are pure throughput knobs:
     with ``grade_shards > 1`` the grader partitions its fault frontier
@@ -121,9 +128,14 @@ class BuiltinGenConfig:
     grade_jobs: int | None = None  # grading workers (default: one per shard)
 
     def __post_init__(self) -> None:
-        """Reject lane caps one 64-bit packed word cannot carry."""
+        """Reject lane caps one 64-bit packed word cannot carry, and ``h < 1``."""
         if self.lanes is not None and not 1 <= self.lanes <= 64:
             raise ValueError(f"lanes must be in 1..64, got {self.lanes}")
+        if self.hold_period_log2 < 1:
+            raise ValueError(
+                "hold_period_log2 must be >= 1 so capture transitions are "
+                f"never held, got {self.hold_period_log2}"
+            )
 
 
 @dataclass
@@ -349,8 +361,8 @@ class BuiltinGenerator:
         while r_failures < cfg.r_limit:
             if deadline and time.monotonic() > deadline:
                 break
-            width = min(cap, cfg.r_limit - r_failures)
-            if width > 1:
+            if cap > 1:
+                width = min(cap, cfg.r_limit - r_failures)
                 failures, accepted = self._trial_batch(state, width, hold_set)
             else:
                 failures, accepted = self._trial_single(state, hold_set)
@@ -390,6 +402,8 @@ class BuiltinGenerator:
     def _trial_single(self, state: Sequence[int], hold_set: Sequence[str] | None):
         """Draw and evaluate one seed the Fig 4.9 way.
 
+        The ``lanes=1`` oracle and the pattern-bank path: every other
+        decision, width 1 included, goes through :meth:`_trial_batch`.
         Returns ``(failures, acceptance)``: ``(1, None)`` for a failing
         seed, ``(0, (...))`` with the acceptance payload otherwise.
         """
@@ -444,11 +458,6 @@ class BuiltinGenerator:
         if hold_set:
             from repro.core.state_holding import hold_indices
 
-            if self.pattern_bank is not None:
-                raise ValueError(
-                    "pattern-bound generation cannot be combined with state "
-                    "holding: held transitions leave the functional pattern space"
-                )
             hold_idx = hold_indices(self.circuit, hold_set)
         with obs.span("gen.simulate", lanes=width):
             packed = simulate_packed_words(

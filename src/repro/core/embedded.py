@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.bist.tpg import DevelopedTpg
 from repro.circuits.benchmarks import make_buffers_block
 from repro.circuits.netlist import Circuit
-from repro.logic.bitsim import simulate_sequences_packed
+from repro.logic.bitsim import simulate_packed_words
 
 
 @dataclass(frozen=True)
@@ -106,21 +106,23 @@ def estimate_swa_func(
     Per Section 4.6, the functional input sequences are produced by the
     TPG designed for the *driving block* (for the ``buffers`` driver this
     degenerates to the target's own TPG); both blocks start from the all-0
-    state.  Sequences are packed into bit lanes, so the default 30
-    sequences cost a single simulation pass.
+    state.  The TPG expands every seed at once into lane-packed words
+    (:meth:`~repro.bist.tpg.DevelopedTpg.sequence_batch`), which feed one
+    packed simulation pass directly, so the default 30 sequences cost a
+    single pass.
     """
     if n_sequences > 64:
         raise ValueError("at most 64 packed functional sequences")
     tpg = tpg or DevelopedTpg.for_circuit(design.driver)
-    sequences = []
-    for k in range(n_sequences):
-        seed = (base_seed + 0x9E3779B9 * (k + 1)) & 0xFFFFFFFF or 1
-        sequences.append(tpg.sequence(seed, length))
-    zero = [0] * len(design.circuit.flops)
-    result = simulate_sequences_packed(
+    seeds = [
+        (base_seed + 0x9E3779B9 * (k + 1)) & 0xFFFFFFFF or 1
+        for k in range(n_sequences)
+    ]
+    result = simulate_packed_words(
         design.circuit,
-        [zero] * n_sequences,
-        sequences,
+        [0] * len(design.circuit.flops),
+        tpg.sequence_batch(seeds, length),
+        n_sequences,
         count_lines=design.target_lines,
     )
     percent = result.switching_percent(len(design.target_lines))

@@ -300,7 +300,7 @@ def generate_report(fast: bool = True) -> str:
         "",
     ] + _runbook(
         [
-            "# quick CLI version (s27 + s298, reduced workload), ~5 s:",
+            "# quick CLI version (s27 + s298, reduced workload), ~1 s:",
             "repro-eda table 4.3",
             "",
             "# the full campaign toolkit -- rows fan out over 4 workers, fault",
@@ -321,7 +321,7 @@ def generate_report(fast: bool = True) -> str:
             "# full workload (s298 + s344, all drivers):",
             "pytest benchmarks/bench_table_4_3.py --benchmark-only -s",
         ],
-        "5-10 s (CLI) / several minutes (full benchmark)",
+        "about 1.2 s (CLI) / 2-3 s (benchmark) on a 2-vCPU x86-64 host",
         "Per row: the SWA_func bound from the driving block, the applied"
         " tests' peak SWA (never above the bound), fault coverage, and the"
         " hardware area model -- `buffers` rows are the unconstrained"
@@ -353,7 +353,7 @@ def generate_report(fast: bool = True) -> str:
             "repro-eda table 4.4 --jobs 2 --stats",
             "pytest benchmarks/bench_table_4_4.py --benchmark-only -s",
         ],
-        "5-10 s (CLI) / several minutes (full benchmark)",
+        "about 1.5 s (CLI) / 2-3 s (benchmark) on a 2-vCPU x86-64 host",
         "Compare each row's fault coverage against its Table 4.3"
         " counterpart: NSP > 0 rows should close part of the gap to the"
         " unconstrained `buffers` baseline while P_SWA stays at or under"

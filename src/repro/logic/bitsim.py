@@ -9,18 +9,25 @@ them all):
   independent patterns at once, with a fanout-cone re-evaluation API used
   by single-fault-injection fault simulation (PPSFP-style,
   :mod:`repro.faults.fsim`).
-* :func:`simulate_sequences_packed` -- cycle-accurate functional
-  simulation of up to 64 *independent sequences* in parallel (each bit
-  lane has its own initial state and its own primary input sequence).
-  Per-cycle, per-lane switching activity is extracted with a vectorised
-  numpy popcount, which is what makes Chapter 4's SWA estimation over many
-  LFSR seeds tractable in pure Python.
-* :func:`simulate_packed_words` -- the same multi-lane kernel fed with
-  *pre-packed* per-input words (one word per input per cycle, bit ``t`` =
-  lane ``t``), every lane starting from one shared state, with optional
-  lane-wise state holding.  This is the simulation core of the packed
-  Fig 4.9 seed-trial loop (:mod:`repro.core.builtin_gen`), consuming
+* :func:`simulate_packed_words` -- cycle-accurate functional simulation
+  of up to 64 lanes fed with *pre-packed* per-input words (one word per
+  input per cycle, bit ``t`` = lane ``t``), every lane starting from one
+  shared state, with optional lane-wise state holding.  It is the
+  simulation core of every Fig 4.9 seed trial
+  (:mod:`repro.core.builtin_gen`: one lane per candidate seed, a
+  one-lane run for a width-1 decision) and of the SWA_func estimate
+  (:mod:`repro.core.embedded`), consuming
   :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output directly.
+* :func:`simulate_sequences_packed` -- the same kernel for up to 64
+  *independent sequences* (each lane has its own initial state and its
+  own primary input sequence, packed here).
+
+The two packed simulations share one trajectory loop that does nothing
+per cycle but evaluate the word kernel into one reused frame and keep a
+byte copy of it (each line word as one 1-, 2-, 4- or 8-byte item, the
+narrowest that holds the lanes).  Switching activity is counted once,
+after the loop: consecutive frames are XORed in chunked numpy passes and
+each lane's toggles summed over the counted lines.
 
 All three evaluate through the compiled circuit IR
 (:mod:`repro.core.compiled`): one integer-indexed schedule shared with the
@@ -32,8 +39,10 @@ property-check agreement.
 
 from __future__ import annotations
 
+import operator
+import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -178,27 +187,30 @@ class PackedSequenceResult:
 
     Attributes
     ----------
-    states:
-        ``L+1`` entries; each maps a state line to its packed word.
     switching_counts:
-        Array of shape ``(L, n_lanes)``: number of lines that toggled in
-        each cycle, per lane.  Row 0 is all zeros (undefined, see
-        Section 4.4).
+        Array of shape ``(L, n_lanes)``: number of counted lines that
+        toggled in each cycle, per lane.  Row 0 is all zeros (undefined,
+        see Section 4.4).
     n_lanes:
         Number of packed sequences.
-    final_line_values:
-        Line valuation words of the last simulated cycle.
     state_words:
-        The raw per-cycle state rows (``L+1`` rows of per-state-line
-        packed words, scan order) that :attr:`states` wraps -- the form
-        the packed generation loop slices lanes out of.
+        ``L+1`` per-cycle state rows; row ``i`` holds one packed word per
+        state line (scan order), bit ``t`` = lane ``t`` -- the form the
+        packed generation loop slices lanes out of.
+    state_lines:
+        The state-line names, in the order of each row of
+        :attr:`state_words`.
     """
 
-    states: list[dict[str, int]]
     switching_counts: np.ndarray
     n_lanes: int
-    final_line_values: dict[str, int]
-    state_words: list[list[int]] = field(default_factory=list)
+    state_words: list[tuple[int, ...]]
+    state_lines: tuple[str, ...]
+
+    @property
+    def states(self) -> list[dict[str, int]]:
+        """``L+1`` maps from state line to packed word, built on each read."""
+        return [dict(zip(self.state_lines, row)) for row in self.state_words]
 
     def switching_percent(self, n_lines: int) -> np.ndarray:
         """Switching counts converted to the paper's percentage metric."""
@@ -236,9 +248,74 @@ def unpack_lane_bits(rows: Sequence[Sequence[int]], n_lanes: int) -> np.ndarray:
     return bits[:, :, :n_lanes]
 
 
+#: Upper bound on the numpy temporaries of one switching-count chunk.
+_CHUNK_BYTES = 1 << 20
+
+
+def _frame_packer(n_lanes: int, n_lines: int):
+    """``(pack, dtype)`` serialising a valuation frame to fixed-width items.
+
+    Each line word becomes one little-endian unsigned item of the
+    narrowest width (1, 2, 4 or 8 bytes) that holds ``n_lanes`` bits:
+    ``bytes`` itself up to 8 lanes, a precompiled :class:`struct.Struct`
+    above.
+    """
+    for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
+        if 8 * size >= n_lanes:
+            break
+    if size == 1:
+        return bytes, np.dtype(np.uint8)
+    packer = struct.Struct(f"<{n_lines}{code}")
+    return (lambda frame: packer.pack(*frame)), np.dtype(f"<u{size}")
+
+
+def _switching_counts(
+    frames: bytes,
+    dtype: np.dtype,
+    shape: tuple[int, int],
+    n_lanes: int,
+    count_idx: Sequence[int] | None,
+) -> np.ndarray:
+    """Per-cycle, per-lane toggle counts of the serialised frames.
+
+    ``frames`` holds ``shape = (L, lines)`` items of ``dtype``, one row
+    per simulated cycle.  Consecutive rows are XORed and each lane's bit
+    of the difference is summed over the counted lines -- one shift, mask
+    and sum per lane, in row chunks whose temporaries stay within
+    :data:`_CHUNK_BYTES`.
+    """
+    length = shape[0]
+    n_count = shape[1] if count_idx is None else len(count_idx)
+    switching = np.zeros((length, n_lanes), dtype=np.int64)
+    if length < 2 or n_count == 0:
+        return switching
+    words = np.frombuffer(frames, dtype=dtype).reshape(shape)
+    step = max(1, _CHUNK_BYTES // (n_count * dtype.itemsize))
+    for start in range(1, length, step):
+        stop = min(start + step, length)
+        block = words[start - 1 : stop]
+        if count_idx is not None:
+            block = block.take(count_idx, axis=1)
+        diff = block[1:] ^ block[:-1]
+        for t in range(n_lanes):
+            switching[start:stop, t] = ((diff >> t) & 1).sum(axis=1)
+    return switching
+
+
+def _picker(indices: Sequence[int]):
+    """``frame -> tuple(frame[i] for i in indices)`` for any number of indices.
+
+    :func:`operator.itemgetter` picks in C, but returns a bare item for one
+    index and cannot be built from none, so those fall back to Python.
+    """
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return lambda frame: tuple(frame[i] for i in indices)
+
+
 def _run_packed(
     cc,
-    state_words: list[int],
+    state_words: Sequence[int],
     pi_word_rows: Sequence[Sequence[int]],
     n_lanes: int,
     count_idx: Sequence[int] | None,
@@ -252,41 +329,39 @@ def _run_packed(
     state-variable positions skip capture at every cycle ``i`` with
     ``i % hold_period == 0`` -- the packed analogue of
     :func:`repro.core.state_holding.simulate_with_holding`.
+
+    The cycle loop only evaluates the word kernel into one reused frame
+    and keeps a serialised copy of it; switching is counted once, after
+    the loop, over all cycles (:func:`_switching_counts`).
     """
     mask = (1 << n_lanes) - 1
     n_inputs = cc.n_inputs
     n_sources = cc.n_sources
-    state_lines = cc.circuit.state_lines
-    ns_indices = cc.next_state_indices
-    n_lines = cc.num_lines if count_idx is None else len(count_idx)
-    length = len(pi_word_rows)
+    next_state = _picker(cc.next_state_indices)
+    pack, dtype = _frame_packer(n_lanes, cc.num_lines)
     t_start = time.perf_counter() if OBS.enabled else 0.0
 
-    word_rows = [list(state_words)]
-    states = [dict(zip(state_lines, state_words))]
-    switching = np.zeros((length, n_lanes), dtype=np.int64)
-    prev_arr: np.ndarray | None = None
-    values: list[int] = cc.zero_frame()
-    for cycle in range(length):
-        values = cc.zero_frame()
-        values[0:n_inputs] = pi_word_rows[cycle]
-        values[n_inputs:n_sources] = state_words
-        cc.eval_words(values, mask)
-        counted = values if count_idx is None else [values[i] for i in count_idx]
-        cur_arr = np.fromiter(counted, dtype=np.uint64, count=n_lines)
-        if prev_arr is not None:
-            diff = prev_arr ^ cur_arr
-            bits = np.unpackbits(diff.view(np.uint8), bitorder="little")
-            counts = bits.reshape(n_lines, 64).sum(axis=0)
-            switching[cycle] = counts[:n_lanes]
-        prev_arr = cur_arr
-        nxt = [values[i] for i in ns_indices]
+    state_words = tuple(state_words)
+    word_rows = [state_words]
+    frames: list[bytes] = []
+    frame = cc.zero_frame()
+    for cycle, pi_words in enumerate(pi_word_rows):
+        frame[:n_inputs] = pi_words
+        frame[n_inputs:n_sources] = state_words
+        cc.eval_words(frame, mask)
+        frames.append(pack(frame))
+        nxt = next_state(frame)
         if hold_indices and cycle % hold_period == 0:
+            held = list(nxt)
             for k in hold_indices:
-                nxt[k] = state_words[k]
+                held[k] = state_words[k]
+            nxt = tuple(held)
         state_words = nxt
         word_rows.append(state_words)
-        states.append(dict(zip(state_lines, state_words)))
+    length = len(frames)
+    switching = _switching_counts(
+        b"".join(frames), dtype, (length, cc.num_lines), n_lanes, count_idx
+    )
     if OBS.enabled:
         # One record per packed run: the kernel itself stays untouched.
         OBS.count("bitsim.packed_runs")
@@ -296,11 +371,10 @@ def _run_packed(
         OBS.observe("bitsim.lanes_per_run", n_lanes)
         OBS.observe("span.bitsim.packed_run", time.perf_counter() - t_start)
     return PackedSequenceResult(
-        states=states,
         switching_counts=switching,
         n_lanes=n_lanes,
-        final_line_values=cc.as_dict(values),
         state_words=word_rows,
+        state_lines=cc.names[n_inputs:n_sources],
     )
 
 
@@ -325,7 +399,7 @@ def simulate_sequences_packed(
     if n_lanes == 0:
         raise ValueError("no lanes")
     if n_lanes > 64:
-        raise ValueError("at most 64 packed lanes (uint64 switching counters)")
+        raise ValueError("at most 64 packed lanes (one 64-bit word per line)")
     if len(pi_sequences) != n_lanes:
         raise ValueError("one PI sequence required per lane")
     length = len(pi_sequences[0])
@@ -367,12 +441,20 @@ def simulate_packed_words(
     :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` (bit ``t`` of
     ``pi_word_rows[i][j]`` is input ``j`` at cycle ``i`` in lane ``t``),
     and an optional hold set replays the state-holding DFT of Section 4.5
-    lane-wise (identical cycle alignment in every lane).
+    lane-wise (identical cycle alignment in every lane).  Every word must
+    fit in ``n_lanes`` bits, and a non-empty hold set needs
+    ``hold_period_log2 >= 1`` (a hold never falls on a capture cycle);
+    anything else raises :class:`ValueError`.
     """
     if not 0 < n_lanes <= 64:
         raise ValueError(
             f"simulate_packed_words: n_lanes={n_lanes} is outside the "
-            "supported 1..64 range (uint64 switching counters)"
+            "supported 1..64 range (one 64-bit word per line)"
+        )
+    if hold_indices and hold_period_log2 < 1:
+        raise ValueError(
+            "simulate_packed_words: hold_period_log2 must be >= 1 so capture "
+            f"transitions are never held, got {hold_period_log2}"
         )
     cc = compiled if compiled is not None else compile_circuit(circuit)
     if len(initial_state) != cc.n_state:
@@ -380,6 +462,7 @@ def simulate_packed_words(
             f"initial state has {len(initial_state)} bits, "
             f"circuit has {cc.n_state} flops"
         )
+    mask = (1 << n_lanes) - 1
     for i, row in enumerate(pi_word_rows):
         if len(row) != cc.n_inputs:
             raise ValueError(
@@ -387,7 +470,12 @@ def simulate_packed_words(
                 f"input words, circuit {circuit.name!r} has {cc.n_inputs} "
                 "primary inputs"
             )
-    mask = (1 << n_lanes) - 1
+        if row and (min(row) < 0 or max(row) > mask):
+            j = next(j for j, word in enumerate(row) if not 0 <= word <= mask)
+            raise ValueError(
+                f"simulate_packed_words: pi_word_rows[{i}][{j}] = {row[j]:#x} "
+                f"does not fit in n_lanes={n_lanes} bits"
+            )
     count_idx = (
         None if count_lines is None else [cc.index[line] for line in count_lines]
     )

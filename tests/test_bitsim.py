@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.generator import GeneratorSpec, generate
+from repro.core.state_holding import hold_indices, simulate_with_holding
+from repro.logic import bitsim
 from repro.logic.bitsim import (
     PatternSimulator,
     broadcast_state_words,
@@ -216,8 +218,6 @@ class TestPackedWords:
 
     def test_hold_matches_scalar_holding(self):
         """Packed hold-indices semantics == simulate_with_holding."""
-        from repro.core.state_holding import hold_indices, simulate_with_holding
-
         c = get_circuit("s298")
         rng = random.Random(8)
         length = 12
@@ -236,6 +236,25 @@ class TestPackedWords:
         assert packed.lane_states(0, length) == [
             tuple(s) for s in scalar.states
         ]
+
+
+    @pytest.mark.parametrize("n_flops", [0, 1])
+    def test_zero_and_one_flop_circuits(self, n_flops):
+        """Next-state picking holds at the degenerate state widths."""
+        spec = GeneratorSpec(
+            name=f"bitsim-flops{n_flops}", n_inputs=3, n_outputs=2, n_flops=n_flops, n_gates=20
+        )
+        c = generate(spec)
+        rng = random.Random(n_flops)
+        lanes, length = 3, 8
+        seqs = _random_lanes(c, lanes, length, rng)
+        packed = simulate_packed_words(c, [0] * n_flops, _pack_lanes(seqs), lanes)
+        for t, seq in enumerate(seqs):
+            scalar = simulate_sequence(c, [0] * n_flops, seq)
+            assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
+            assert packed.switching_counts[:, t].tolist() == _toggles(
+                scalar.line_values, c.lines
+            )
 
 
 class TestPackedWordsValidation:
@@ -258,3 +277,139 @@ class TestPackedWordsValidation:
         assert "pi_word_rows[1]" in msg
         assert f"{len(c.inputs) + 1} input words" in msg
         assert "s27" in msg
+
+    def test_word_wider_than_lanes_names_row(self):
+        c = get_circuit("s27")
+        rows = [[0] * len(c.inputs), [0b100] + [0] * (len(c.inputs) - 1)]
+        msg = r"pi_word_rows\[1\]\[0\] = 0x4 does not fit in n_lanes=2 bits"
+        with pytest.raises(ValueError, match=msg):
+            simulate_packed_words(c, [0] * len(c.flops), rows, 2)
+
+    def test_negative_word_rejected(self):
+        c = get_circuit("s27")
+        rows = [[0] * (len(c.inputs) - 1) + [-1]]
+        with pytest.raises(ValueError, match=r"pi_word_rows\[0\]\[3\]"):
+            simulate_packed_words(c, [0] * len(c.flops), rows, 8)
+
+    def test_hold_period_zero_rejected_with_a_hold_set(self):
+        c = get_circuit("s27")
+        rows = [[0] * len(c.inputs)] * 4
+        with pytest.raises(ValueError, match="hold_period_log2 must be >= 1"):
+            simulate_packed_words(
+                c, [0] * len(c.flops), rows, 1, hold_indices=[0], hold_period_log2=0
+            )
+        # Without a hold set there is nothing to misalign.
+        simulate_packed_words(
+            c, [0] * len(c.flops), rows, 1, hold_indices=[], hold_period_log2=0
+        )
+
+
+#: Lane counts straddling every item-size boundary of the serialised frames
+#: (1-, 2-, 4- and 8-byte words).
+LANE_WIDTHS = (1, 8, 9, 16, 17, 32, 33, 64)
+
+
+def _pack_lanes(seqs):
+    """Lane-packed PI rows: bit ``t`` of ``rows[i][j]`` is ``seqs[t][i][j]``."""
+    return [
+        [sum(seq[i][j] << t for t, seq in enumerate(seqs)) for j in range(len(seqs[0][i]))]
+        for i in range(len(seqs[0]))
+    ]
+
+
+def _toggles(line_values, lines):
+    """Exact per-cycle toggle counts over ``lines`` (cycle 0 counts 0)."""
+    return [0] + [
+        sum(1 for line in lines if cur[line] != prev[line])
+        for prev, cur in zip(line_values, line_values[1:])
+    ]
+
+
+def _random_lanes(c, lanes, length, rng):
+    return [
+        [[rng.randint(0, 1) for _ in c.inputs] for _ in range(length)]
+        for _ in range(lanes)
+    ]
+
+
+class TestEveryLaneWidth:
+    """simulate_packed_words == per-lane scalar simulation at every width."""
+
+    @pytest.mark.parametrize("lanes", LANE_WIDTHS)
+    def test_counts_and_states_match_scalar(self, lanes):
+        c = get_circuit("s298")
+        rng = random.Random(lanes)
+        length = 14
+        init = [rng.randint(0, 1) for _ in c.flops]
+        seqs = _random_lanes(c, lanes, length, rng)
+        packed = simulate_packed_words(c, init, _pack_lanes(seqs), lanes)
+        assert packed.switching_counts.shape == (length, lanes)
+        for t, seq in enumerate(seqs):
+            scalar = simulate_sequence(c, init, seq)
+            assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
+            assert packed.switching_counts[:, t].tolist() == _toggles(
+                scalar.line_values, c.lines
+            )
+
+    @pytest.mark.parametrize("lanes", LANE_WIDTHS)
+    def test_count_lines_subset_matches_scalar(self, lanes):
+        c = get_circuit("s298")
+        rng = random.Random(100 + lanes)
+        length = 10
+        subset = rng.sample(c.lines, len(c.lines) // 3)
+        init = [rng.randint(0, 1) for _ in c.flops]
+        seqs = _random_lanes(c, lanes, length, rng)
+        packed = simulate_packed_words(
+            c, init, _pack_lanes(seqs), lanes, count_lines=subset
+        )
+        for t, seq in enumerate(seqs):
+            scalar = simulate_sequence(c, init, seq)
+            assert packed.switching_counts[:, t].tolist() == _toggles(
+                scalar.line_values, subset
+            )
+
+    @pytest.mark.parametrize("lanes", LANE_WIDTHS)
+    def test_hold_matches_scalar_holding(self, lanes):
+        c = get_circuit("s298")
+        rng = random.Random(200 + lanes)
+        length = 12
+        hold_set = tuple(c.state_lines[::3])
+        init = [rng.randint(0, 1) for _ in c.flops]
+        seqs = _random_lanes(c, lanes, length, rng)
+        packed = simulate_packed_words(
+            c,
+            init,
+            _pack_lanes(seqs),
+            lanes,
+            hold_indices=hold_indices(c, hold_set),
+            hold_period_log2=1,
+        )
+        pct = packed.switching_percent(c.num_lines)
+        for t, seq in enumerate(seqs):
+            scalar = simulate_with_holding(c, init, seq, hold_set, hold_period_log2=1)
+            assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
+            # Exact: the generator stores these percentages in its results.
+            assert pct[1:, t].tolist() == scalar.switching[1:]
+
+    def test_sequence_spanning_several_chunks(self):
+        """Counts stay exact across the row chunks of the counting pass."""
+        c = get_circuit("s298")
+        lanes = 64
+        rows_per_chunk = bitsim._CHUNK_BYTES // (c.num_lines * 8)
+        length = rows_per_chunk + 40
+        rng = random.Random(11)
+        subset = rng.sample(c.lines, 50)
+        init = [0] * len(c.flops)
+        seqs = _random_lanes(c, lanes, length, rng)
+        rows = _pack_lanes(seqs)
+        full = simulate_packed_words(c, init, rows, lanes)
+        sub = simulate_packed_words(c, init, rows, lanes, count_lines=subset)
+        for t in (0, 37, 63):
+            scalar = simulate_sequence(c, init, seqs[t])
+            assert full.lane_states(t, length) == [tuple(s) for s in scalar.states]
+            assert full.switching_counts[:, t].tolist() == _toggles(
+                scalar.line_values, c.lines
+            )
+            assert sub.switching_counts[:, t].tolist() == _toggles(
+                scalar.line_values, subset
+            )

@@ -78,6 +78,43 @@ class TestSimulateWithHolding:
         assert set(held.states) != set(plain.states)
 
 
+class TestHoldingProbe:
+    """The R = Q = 1 probes of Fig 4.12 on the packed path."""
+
+    def test_config_rejects_h_zero(self):
+        # h = 0 would hold state during capture cycles (Section 4.5).
+        with pytest.raises(ValueError, match="hold_period_log2 must be >= 1"):
+            BuiltinGenConfig(hold_period_log2=0)
+
+    @pytest.mark.parametrize("rng_seed", [4, 11, 13])
+    def test_packed_probe_equals_scalar_oracle(self, s298, rng_seed):
+        """Width-1 packed probes accept exactly what the lanes=1 oracle does."""
+        faults = collapse_transition(s298, all_transition_faults(s298))
+        hold = tuple(s298.state_lines[::2])
+        runs = []
+        for lanes in (1, None):
+            cfg = BuiltinGenConfig(
+                segment_length=60,
+                r_limit=1,
+                q_limit=1,
+                rng_seed=rng_seed,
+                time_limit=None,
+                lanes=lanes,
+            )
+            gen = BuiltinGenerator(s298, faults, 28.0, config=cfg)
+            runs.append((gen, gen.run(hold_set=hold)))
+        (oracle, res_o), (packed, res_p) = runs
+        segments = [seg for m in res_o.sequences for seg in m.segments]
+        assert segments
+        assert [seg for m in res_p.sequences for seg in m.segments] == segments
+        assert res_p.coverage == res_o.coverage
+        assert res_p.detected == res_o.detected
+        assert packed.stats.seeds_evaluated == oracle.stats.seeds_evaluated
+        assert oracle.stats.scalar_trials == oracle.stats.seeds_evaluated
+        assert packed.stats.scalar_trials == 0
+        assert packed.stats.packed_batches == packed.stats.seeds_evaluated
+
+
 class TestSetSelection:
     @pytest.fixture(scope="class")
     def remaining(self, s298):
