@@ -42,9 +42,11 @@ inherit) to append the run -- its parameters, fingerprint, every
 completed row, and the end-of-run metric snapshot with p50/p95/p99
 histogram summaries -- to a sqlite experiment database.  ``repro-eda db
 {runs,show,query,trend,gate}`` reads the history back: ``db gate``
-checks bench samples against the rolling median of the last N recorded
-batches instead of static floors, and ``repro-eda stats --db PATH``
-re-renders any stored run report.  Recording never changes results.
+judges the newest ``benchmarks/e2e/run.py --record`` batch against the
+rolling median of up to N earlier batches, with the bounds of
+``BENCHMARK.json`` in the working directory, and ``repro-eda stats --db
+PATH`` re-renders any stored run report.  Recording never changes
+results.
 
 All output is plain text; every command is deterministic for fixed seeds.
 """
@@ -619,7 +621,6 @@ def _stats_from_db(args: argparse.Namespace) -> int:
 
 def _cmd_db(args: argparse.Namespace) -> int:
     """``repro-eda db {runs,show,query,trend,gate}`` over the experiment DB."""
-    import json
     import os
 
     from repro import expdb
@@ -657,17 +658,12 @@ def _cmd_db(args: argparse.Namespace) -> int:
             return 0
         if args.action == "trend":
             return _db_trend(db, args)
-        # gate
-        current = None
-        if args.input:
-            try:
-                current = json.loads(open(args.input).read())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot read bench payload: {exc}", file=sys.stderr)
-                return 2
-        result = expdb.gate(
-            db, current=current, last=args.last, tolerance=args.tolerance
-        )
+        # gate: the bounds come from ./BENCHMARK.json, read only here.
+        try:
+            result = expdb.gate(db, expdb.load_bounds("BENCHMARK.json"), last=args.last)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(result.report())
         return 0 if result.ok else 1
     finally:
@@ -697,6 +693,9 @@ def _db_show(db, args: argparse.Namespace) -> int:
     """Print one run's summary + rows for ``repro-eda db show [RUN]``."""
     from repro import expdb
 
+    if args.arg and not args.arg.isdigit():
+        print(f"error: db show needs a run id, got {args.arg!r}", file=sys.stderr)
+        return 2
     run_id = int(args.arg) if args.arg else db.latest_run_id()
     if run_id is None:
         print(f"no runs recorded in {db.path}", file=sys.stderr)
@@ -917,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "file",
         nargs="?",
-        help="trace file written by --trace or REPRO_TRACE "
+        help="trace file written by --trace "
         "(omit with --db to render a stored run report instead)",
     )
     p.add_argument(
@@ -947,7 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("runs", "show", "query", "trend", "gate"),
         help="runs: list recorded runs; show: one run's rows and summary; "
         "query: run a read-only SQL statement; trend: one metric across "
-        "runs; gate: check bench samples against rolling history",
+        "runs; gate: judge the newest benchmarks/e2e batch against rolling "
+        "history with the bounds of ./BENCHMARK.json",
     )
     p.add_argument(
         "arg",
@@ -971,21 +971,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=5,
         metavar="N",
-        help="history window: batches the gate's rolling median covers, "
-        "or trend rows shown (default 5; 0 means unlimited for trend)",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="gate slack below the rolling median (default 0.10 = 10%%)",
-    )
-    p.add_argument(
-        "--input",
-        metavar="FILE",
-        help="bench payload JSON to gate (default: judge the newest "
-        "recorded batch against the batches before it)",
+        help="history window: earlier batches the gate's rolling median "
+        "covers (at least 2), or trend rows shown (default 5; 0 means "
+        "unlimited for trend)",
     )
     p.add_argument(
         "--limit",

@@ -1,13 +1,13 @@
 """``repro.expdb`` -- the experiment database: queryable, gated run history.
 
-Eight PRs of instrumentation each left evidence in its own place: JSONL
-checkpoints, ``--trace`` files, a single overwritten ``BENCH_kernel.json``.
-This package lands all of it in one stdlib-``sqlite3`` file so questions
-like "fault coverage vs LFSR width across all campaigns" or "did
-fault grading regress since the last code change" become SQL
-(:mod:`repro.expdb.store` documents the schema), and perf gates compare
-against *rolling history* instead of static floors
-(:mod:`repro.expdb.gate`).
+Campaign rows, run-end metric snapshots, trace spans and end-to-end
+benchmark batches land in one stdlib-``sqlite3`` file, so questions like
+"fault coverage vs LFSR width across all campaigns" or "did Table 4.3's
+wall clock regress since the last code change" become SQL
+(:mod:`repro.expdb.store` documents the schema).  The performance gate
+(:mod:`repro.expdb.gate`) judges the newest ``benchmarks/e2e/run.py
+--record`` batch against the rolling history with the bounds
+``BENCHMARK.json`` declares.
 
 Activation mirrors :mod:`repro.cache` -- process-wide and opt-in:
 
@@ -17,10 +17,11 @@ Activation mirrors :mod:`repro.cache` -- process-wide and opt-in:
 * :func:`configure` from code.
 
 With neither set, :func:`active` returns ``None`` and every producer
-(the experiment runner, checkpoint replay, the CLI run wrapper,
-``bench_kernel.py --record``) skips recording -- the database never
-changes results, it only remembers them.  ``repro-eda db
-{runs,show,query,trend,gate}`` reads the history back.
+(the experiment runner, checkpoint replay, the CLI run wrapper) skips
+recording -- the database never changes results, it only remembers
+them.  ``benchmarks/e2e/run.py --record --db PATH`` opens its database
+explicitly.  ``repro-eda db {runs,show,query,trend,gate}`` reads the
+history back.
 
 Worker processes also carry the *run id* (:data:`RUN_ENV_VAR`) so their
 row records attach to the run the parent opened, not runs of their own.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import os
 
-from repro.expdb.gate import GATED_METRICS, GateCheck, GateResult, gate
+from repro.expdb.gate import Bound, GateCheck, GateResult, gate, load_bounds
 from repro.expdb.store import (
     ENV_VAR,
     MIGRATIONS,
@@ -45,8 +46,8 @@ from repro.expdb.store import (
 )
 
 __all__ = [
+    "Bound",
     "ENV_VAR",
-    "GATED_METRICS",
     "GateCheck",
     "GateResult",
     "MIGRATIONS",
@@ -61,6 +62,7 @@ __all__ = [
     "flatten_bench",
     "gate",
     "jsonable",
+    "load_bounds",
     "payload_of",
     "reset",
     "set_current_run",

@@ -21,11 +21,12 @@ upgrade in place)::
                    count/total/min/max plus p50/p95/p99 estimates
     spans          child: completed trace spans (name, start, dur, depth,
                    parent, JSON attrs)
-    bench_samples  flattened numeric leaves of a ``bench_kernel.py``
-                   payload, grouped by a monotonically increasing
-                   ``batch`` id and stamped with the code hash and UTC
-                   time -- the history ``repro-eda db gate`` regresses
-                   against
+    bench_samples  flattened numeric leaves of a ``benchmarks/e2e/run.py
+                   --record`` payload, grouped by a monotonically
+                   increasing ``batch`` id and stamped with the code hash
+                   and UTC time (the ``kernel`` column is historical; new
+                   batches leave it empty) -- the history ``repro-eda db
+                   gate`` judges against
 
 Durability and concurrency: connections run in WAL mode with a busy
 timeout, every write happens inside one transaction, and transient
@@ -47,7 +48,7 @@ import sqlite3
 import time
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 #: Environment variable carrying the active database path across
 #: processes (exported by the CLI like ``REPRO_CACHE_DIR``, so pool
@@ -216,35 +217,23 @@ def payload_of(result: Any) -> Any:
     return jsonable(result)
 
 
-def _flatten_section(
-    section: str, body: Mapping[str, Any]
-) -> Iterable[tuple[str, str, str, float]]:
-    """Yield ``(section, subject, metric, value)`` for one bench section."""
-    if body and all(isinstance(v, Mapping) for v in body.values()):
-        for subject, metrics in body.items():
-            for metric, value in metrics.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    yield section, str(subject), str(metric), float(value)
-        return
-    subject = str(body.get("circuit", "-"))
-    for metric, value in body.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield section, subject, str(metric), float(value)
-
-
 def flatten_bench(payload: Mapping[str, Any]) -> list[tuple[str, str, str, float]]:
-    """Flatten a ``bench_kernel.py`` payload into bench-sample tuples.
+    """Flatten a bench payload into ``(section, subject, metric, value)`` tuples.
 
-    Walks every top-level dict section (``sequence_simulation``,
-    ``fault_grading``, ...), handling both per-circuit nesting and flat
-    single-subject sections; non-numeric leaves and the bookkeeping keys
-    (``workload``, ``benchmark``, timestamps) are skipped.
+    The payload nests ``section -> subject -> metric -> number``, the shape
+    ``benchmarks/e2e/run.py`` emits (``bench_payload``); any other key or
+    leaf (a flat section, a string, a boolean) is skipped.
     """
     out: list[tuple[str, str, str, float]] = []
     for section, body in payload.items():
-        if section == "workload" or not isinstance(body, Mapping):
+        if not isinstance(body, Mapping):
             continue
-        out.extend(_flatten_section(section, body))
+        for subject, metrics in body.items():
+            if not isinstance(metrics, Mapping):
+                continue
+            for metric, value in metrics.items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    out.append((str(section), str(subject), str(metric), float(value)))
     return out
 
 
@@ -449,21 +438,15 @@ class ExperimentDB:
             )
 
     # -- bench samples -------------------------------------------------
-    def record_bench(
-        self,
-        payload: Mapping[str, Any],
-        quick: bool = False,
-        kernel: str | None = None,
-    ) -> int:
+    def record_bench(self, payload: Mapping[str, Any], quick: bool = False) -> int:
         """Record one bench payload as a flattened sample batch; returns its id.
 
-        The batch id groups every sample of one ``bench_kernel.py``
-        invocation; ``db gate`` compares the newest batch (or an
-        explicit payload) against the batches before it.
+        The batch id groups every sample of one ``benchmarks/e2e/run.py
+        --record`` invocation; ``db gate`` judges the newest batch against
+        the batches before it.
         """
         samples = flatten_bench(payload)
-        stamp = str(payload.get("utc") or utc_now())
-        chash = str(payload.get("code_hash") or code_hash())
+        stamp, chash = utc_now(), code_hash()
         with self._write():
             row = self._conn.execute(
                 "SELECT COALESCE(MAX(batch), 0) + 1 FROM bench_samples"
@@ -471,12 +454,9 @@ class ExperimentDB:
             batch = int(row[0])
             self._conn.executemany(
                 "INSERT INTO bench_samples (batch, recorded_utc, code_hash,"
-                " kernel, quick, section, subject, metric, value)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (batch, stamp, chash, kernel, int(quick)) + sample
-                    for sample in samples
-                ],
+                " quick, section, subject, metric, value)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                [(batch, stamp, chash, int(quick)) + sample for sample in samples],
             )
         return batch
 
@@ -633,13 +613,22 @@ class ExperimentDB:
         return rows
 
     def query(self, sql: str) -> tuple[list[str], list[tuple]]:
-        """Run one read-only SQL statement; returns (column names, rows)."""
+        """Run one read-only SQL statement; returns (column names, rows).
+
+        The statement runs under ``PRAGMA query_only``, so a write raises
+        :class:`ExperimentDBError` instead of being silently rolled back.
+        """
+        self._conn.execute("PRAGMA query_only = ON")
         try:
             cur = self._conn.execute(sql)
-        except sqlite3.Error as exc:
+            columns = [d[0] for d in cur.description] if cur.description else []
+            return columns, [tuple(r) for r in cur.fetchall()]
+        except (sqlite3.Error, sqlite3.Warning) as exc:
             raise ExperimentDBError(f"query failed: {exc}") from exc
-        columns = [d[0] for d in cur.description] if cur.description else []
-        return columns, [tuple(r) for r in cur.fetchall()]
+        finally:
+            if self._conn.in_transaction:
+                self._conn.rollback()
+            self._conn.execute("PRAGMA query_only = OFF")
 
 
 class _WriteTxn:

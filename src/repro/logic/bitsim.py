@@ -1,9 +1,9 @@
 """Bit-parallel logic simulation.
 
-Three fast paths built on Python's arbitrary-precision integers, where bit
+Two fast paths built on Python's arbitrary-precision integers, where bit
 position ``t`` of every line's word carries pattern/lane ``t`` (one word
 kernel, :meth:`repro.core.compiled.CompiledCircuit.eval_words`, serves
-them all):
+both):
 
 * :class:`PatternSimulator` -- evaluates the combinational core for many
   independent patterns at once, with a fanout-cone re-evaluation API used
@@ -18,18 +18,15 @@ them all):
   one-lane run for a width-1 decision) and of the SWA_func estimate
   (:mod:`repro.core.embedded`), consuming
   :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output directly.
-* :func:`simulate_sequences_packed` -- the same kernel for up to 64
-  *independent sequences* (each lane has its own initial state and its
-  own primary input sequence, packed here).
 
-The two packed simulations share one trajectory loop that does nothing
-per cycle but evaluate the word kernel into one reused frame and keep a
-byte copy of it (each line word as one 1-, 2-, 4- or 8-byte item, the
-narrowest that holds the lanes).  Switching activity is counted once,
-after the loop: consecutive frames are XORed in chunked numpy passes and
-each lane's toggles summed over the counted lines.
+The packed trajectory loop does nothing per cycle but evaluate the word
+kernel into one reused frame and keep a byte copy of it (each line word
+as one 1-, 2-, 4- or 8-byte item, the narrowest that holds the lanes).
+Switching activity is counted once, after the loop: consecutive frames
+are XORed in chunked numpy passes and each lane's toggles summed over
+the counted lines.
 
-All three evaluate through the compiled circuit IR
+Both evaluate through the compiled circuit IR
 (:mod:`repro.core.compiled`): one integer-indexed schedule shared with the
 scalar simulator, compiled once per netlist version.  The scalar
 three-valued simulator (:mod:`repro.logic.simulator`) is the semantic
@@ -197,20 +194,11 @@ class PackedSequenceResult:
         ``L+1`` per-cycle state rows; row ``i`` holds one packed word per
         state line (scan order), bit ``t`` = lane ``t`` -- the form the
         packed generation loop slices lanes out of.
-    state_lines:
-        The state-line names, in the order of each row of
-        :attr:`state_words`.
     """
 
     switching_counts: np.ndarray
     n_lanes: int
     state_words: list[tuple[int, ...]]
-    state_lines: tuple[str, ...]
-
-    @property
-    def states(self) -> list[dict[str, int]]:
-        """``L+1`` maps from state line to packed word, built on each read."""
-        return [dict(zip(self.state_lines, row)) for row in self.state_words]
 
     def switching_percent(self, n_lines: int) -> np.ndarray:
         """Switching counts converted to the paper's percentage metric."""
@@ -322,7 +310,7 @@ def _run_packed(
     hold_indices: Sequence[int] | None,
     hold_period: int,
 ) -> PackedSequenceResult:
-    """Shared packed-lane trajectory kernel.
+    """The packed-lane trajectory kernel of :func:`simulate_packed_words`.
 
     ``pi_word_rows[i][j]`` is the packed word of primary input ``j`` at
     cycle ``i`` (bit ``t`` = lane ``t``).  With ``hold_indices``, the named
@@ -371,57 +359,8 @@ def _run_packed(
         OBS.observe("bitsim.lanes_per_run", n_lanes)
         OBS.observe("span.bitsim.packed_run", time.perf_counter() - t_start)
     return PackedSequenceResult(
-        switching_counts=switching,
-        n_lanes=n_lanes,
-        state_words=word_rows,
-        state_lines=cc.names[n_inputs:n_sources],
+        switching_counts=switching, n_lanes=n_lanes, state_words=word_rows
     )
-
-
-def simulate_sequences_packed(
-    circuit: Circuit,
-    initial_states: Sequence[Sequence[int]],
-    pi_sequences: Sequence[Sequence[Sequence[int]]],
-    count_lines: Sequence[str] | None = None,
-) -> PackedSequenceResult:
-    """Simulate up to 64 independent input sequences in one packed run.
-
-    Parameters
-    ----------
-    initial_states:
-        One state vector per lane.
-    pi_sequences:
-        One primary-input sequence per lane; all must share the same
-        length ``L``.  ``pi_sequences[k][i][j]`` is input ``j`` at cycle
-        ``i`` in lane ``k``.
-    """
-    n_lanes = len(initial_states)
-    if n_lanes == 0:
-        raise ValueError("no lanes")
-    if n_lanes > 64:
-        raise ValueError("at most 64 packed lanes (one 64-bit word per line)")
-    if len(pi_sequences) != n_lanes:
-        raise ValueError("one PI sequence required per lane")
-    length = len(pi_sequences[0])
-    if any(len(seq) != length for seq in pi_sequences):
-        raise ValueError("all lanes must have equal sequence length")
-
-    cc = compile_circuit(circuit)
-    n_inputs = cc.n_inputs
-    # Line order of ``cc.names`` equals ``circuit.lines``, so counting all
-    # lines reads the valuation array directly; a subset goes through a
-    # precomputed index list.
-    count_idx = (
-        None if count_lines is None else [cc.index[line] for line in count_lines]
-    )
-    state_words = [0] * cc.n_state
-    pack_columns_indexed(state_words, initial_states, 0)
-    pi_word_rows: list[list[int]] = []
-    for cycle in range(length):
-        row = [0] * n_inputs
-        pack_columns_indexed(row, [pi_sequences[k][cycle] for k in range(n_lanes)], 0)
-        pi_word_rows.append(row)
-    return _run_packed(cc, state_words, pi_word_rows, n_lanes, count_idx, None, 1)
 
 
 def simulate_packed_words(
@@ -488,9 +427,3 @@ def simulate_packed_words(
         hold_indices,
         1 << hold_period_log2,
     )
-
-
-def lane_state(states: Sequence[Mapping[str, int]], circuit: Circuit, cycle: int, lane: int) -> tuple[int, ...]:
-    """Extract lane ``lane``'s state vector at ``cycle`` from packed states."""
-    words = states[cycle]
-    return tuple((words[q] >> lane) & 1 for q in circuit.state_lines)

@@ -11,8 +11,9 @@ input, `Circuit.topo_gates` walked per call -- and serve two purposes:
   verdicts against these functions on random circuits, and
   ``tests/test_implication.py`` checks the event-driven
   :func:`repro.atpg.implication.imply` against :func:`imply_reference`;
-* **baseline**: ``benchmarks/bench_kernel.py`` times them against the
-  compiled paths to track the repository's performance trajectory.
+* **regrade**: ``benchmarks/e2e`` regrades a fault sample of a Table 4.3
+  row with :func:`grade_transition_faults_reference` and compares the
+  detected sets with the PPSFP grader's.
 
 Nothing on a hot path may import this module.
 """
@@ -146,8 +147,8 @@ def grade_transition_faults_reference(
     """Scalar fault grading: the pre-refactor one-test-at-a-time path.
 
     Quadratic in (tests x faults) with full per-test scalar resimulation --
-    exactly the workload the compiled bit-parallel grader replaces; used as
-    the baseline in ``benchmarks/bench_kernel.py``.
+    exactly the workload the compiled bit-parallel grader replaces, and the
+    oracle the end-to-end benchmark regrades its tests with.
     """
     detected: set[TransitionFault] = set()
     for fault in faults:

@@ -13,10 +13,10 @@ Three pieces (see DESIGN.md, *Observability*):
 
 Observability is **off by default** and costs one attribute lookup per
 instrumented site while off (``if OBS.enabled: ...`` or an early-return
-method); ``benchmarks/bench_kernel.py`` enforces a <2% overhead budget for
-the *enabled* path on an end-to-end generation run, which is why every
-instrumented site records per batch / chunk / trial rather than per gate
-or per cycle.
+method).  The *enabled* path has a <2% overhead budget, measured by
+``benchmarks/obs_overhead.py`` on ``repro-eda table 4.3`` with and
+without ``--stats``, which is why every instrumented site records per
+batch / chunk / trial rather than per gate or per cycle.
 
 Cross-process: :func:`snapshot` / :meth:`MetricsRegistry.merge` carry a
 worker's registry back to the parent (done transparently by
@@ -25,16 +25,13 @@ N`` still yields one merged report.
 
 This package sits at the very bottom of the layering -- it imports
 nothing from :mod:`repro` and nothing outside the standard library -- so
-any module may instrument itself without import cycles.
-
-Environment: ``REPRO_TRACE=<path>`` makes the benchmarks (and anything
-else calling :func:`enable_from_env`) enable collection and write the
-trace JSONL to ``<path>`` at exit of the instrumented region.
+any module may instrument itself without import cycles.  Collection is
+switched on by the CLI's ``--stats``/``--trace``/``--db`` flags or by
+:func:`enable` from code.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Mapping
 
@@ -59,7 +56,6 @@ __all__ = [
     "disable",
     "dump_trace",
     "enable",
-    "enable_from_env",
     "enabled",
     "gauge",
     "merge",
@@ -79,9 +75,6 @@ __all__ = [
 
 #: The process-local registry every instrumented module writes into.
 OBS = MetricsRegistry()
-
-#: Environment variable naming a trace output path (benchmark hook).
-TRACE_ENV = "REPRO_TRACE"
 
 
 def registry() -> MetricsRegistry:
@@ -107,19 +100,6 @@ def disable() -> None:
 def reset() -> None:
     """Drop everything recorded so far (enabled flag unchanged)."""
     OBS.reset()
-
-
-def enable_from_env() -> str | None:
-    """Enable collection when ``REPRO_TRACE`` is set; returns the path.
-
-    The benchmark entry points call this once at startup so ``REPRO_TRACE=
-    trace.jsonl python benchmarks/bench_kernel.py`` records and saves a
-    trace with no code change.
-    """
-    path = os.environ.get(TRACE_ENV)
-    if path:
-        enable()
-    return path or None
 
 
 def count(name: str, n: float = 1) -> None:

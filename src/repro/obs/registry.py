@@ -9,7 +9,7 @@ pool (:mod:`repro.resilience.pool`) serializes its registry with
 :meth:`MetricsRegistry.snapshot` and the parent folds it back in with
 :meth:`MetricsRegistry.merge`.
 
-Cost model (the <2% overhead budget of ``benchmarks/bench_kernel.py``):
+Cost model (the <2% overhead budget ``benchmarks/obs_overhead.py`` measures):
 
 * **disabled** -- every instrumented site guards on the
   :attr:`MetricsRegistry.enabled` attribute (or calls a method that

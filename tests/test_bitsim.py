@@ -13,11 +13,9 @@ from repro.logic import bitsim
 from repro.logic.bitsim import (
     PatternSimulator,
     broadcast_state_words,
-    lane_state,
     pack_bits,
     pack_vectors,
     simulate_packed_words,
-    simulate_sequences_packed,
     unpack_bits,
     unpack_lane_bits,
 )
@@ -103,69 +101,6 @@ def _forced_scalar(circuit, inputs, line, value):
     return values
 
 
-class TestPackedSequences:
-    def test_matches_scalar_states_and_switching(self):
-        c = get_circuit("s298")
-        rng = random.Random(2)
-        lanes = 5
-        length = 12
-        states0 = [[rng.randint(0, 1) for _ in c.flops] for _ in range(lanes)]
-        seqs = [
-            [[rng.randint(0, 1) for _ in c.inputs] for _ in range(length)]
-            for _ in range(lanes)
-        ]
-        packed = simulate_sequences_packed(c, states0, seqs)
-        for k in range(lanes):
-            scalar = simulate_sequence(c, states0[k], seqs[k])
-            for cyc in range(length + 1):
-                assert lane_state(packed.states, c, cyc, k) == tuple(
-                    scalar.states[cyc]
-                )
-            pct = packed.switching_percent(c.num_lines)
-            for cyc in range(1, length):
-                assert pct[cyc, k] == pytest.approx(scalar.switching[cyc])
-
-    def test_lane_limit(self):
-        c = get_circuit("s27")
-        with pytest.raises(ValueError):
-            simulate_sequences_packed(c, [[0, 0, 0]] * 65, [[[0, 0, 0, 0]]] * 65)
-
-    def test_lane_count_mismatch(self):
-        c = get_circuit("s27")
-        with pytest.raises(ValueError):
-            simulate_sequences_packed(c, [[0, 0, 0]], [])
-
-    def test_unequal_lengths_rejected(self):
-        c = get_circuit("s27")
-        with pytest.raises(ValueError):
-            simulate_sequences_packed(
-                c,
-                [[0, 0, 0], [0, 0, 0]],
-                [[[0, 0, 0, 0]], [[0, 0, 0, 0], [0, 0, 0, 0]]],
-            )
-
-    def test_count_lines_subset(self):
-        """Switching restricted to a subset counts only that subset."""
-        c = get_circuit("s27")
-        seq = [[[1, 0, 1, 0]], [[0, 1, 0, 1]]]
-        full = simulate_sequences_packed(c, [[0] * 3] * 2, seq)
-        sub = simulate_sequences_packed(
-            c, [[0] * 3] * 2, seq, count_lines=c.inputs
-        )
-        assert sub.switching_counts.shape == full.switching_counts.shape
-
-    def test_random_circuit_cross_check(self):
-        spec = GeneratorSpec(
-            name="bitsim-mini", n_inputs=4, n_outputs=3, n_flops=4, n_gates=40
-        )
-        c = generate(spec)
-        rng = random.Random(9)
-        seqs = [[[rng.randint(0, 1) for _ in c.inputs] for _ in range(6)]]
-        packed = simulate_sequences_packed(c, [[0] * 4], seqs)
-        scalar = simulate_sequence(c, [0] * 4, seqs[0])
-        assert lane_state(packed.states, c, 6, 0) == tuple(scalar.states[6])
-
-
 class TestWordHelpers:
     def test_broadcast_state_words(self):
         words = broadcast_state_words([1, 0, 1, 1], 0b111)
@@ -238,9 +173,9 @@ class TestPackedWords:
         ]
 
 
-    @pytest.mark.parametrize("n_flops", [0, 1])
+    @pytest.mark.parametrize("n_flops", [0, 1, 4])
     def test_zero_and_one_flop_circuits(self, n_flops):
-        """Next-state picking holds at the degenerate state widths."""
+        """Next-state picking holds at the degenerate state widths (and at 4)."""
         spec = GeneratorSpec(
             name=f"bitsim-flops{n_flops}", n_inputs=3, n_outputs=2, n_flops=n_flops, n_gates=20
         )

@@ -7,10 +7,12 @@ producer wiring (runner rows, CLI run lifecycle, stored-run reports) and
 the ``repro-eda db`` / ``stats --db`` surfaces.
 """
 
-import json
+import importlib.util
 import multiprocessing
 import os
 import sqlite3
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,18 +51,66 @@ def snapshot_with_metrics() -> dict:
     return reg.snapshot()
 
 
-def bench_payload(speedup: float = 8.0) -> dict:
-    """A minimal bench payload with one gated and one ungated metric."""
-    return {
-        "benchmark": "kernel",
-        "code_hash": "cafe0123cafe0123",
-        "utc": "2026-01-01T00:00:00Z",
-        "workload": {"repeats": 2},
-        "sequence_simulation": {
-            "s1423": {"lines": 657, "packed_per_lane_speedup": speedup},
-        },
-        "fault_grading": {"circuit": "b14", "speedup": 500.0, "n_tests": 64},
-    }
+REPO = Path(__file__).resolve().parent.parent
+
+#: The benchmark spec ``db gate`` reads its bounds from.
+SPEC = REPO / "BENCHMARK.json"
+
+
+def _load_e2e_run():
+    """``benchmarks/e2e/run.py`` as a module: the producer of bench batches."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_run", REPO / "benchmarks" / "e2e" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module
+
+
+E2E = _load_e2e_run()
+
+#: Historical end-to-end medians of every workload in :func:`e2e_batch`.
+MEDIANS = {"wall_s": 1.5, "cpu_s": 1.4, "setup_s": 0.3, "peak_rss_mb": 80.0}
+WORKLOADS = ("table4.3", "table4.3-jobs2", "chapter4-report", "table3.1")
+
+
+def e2e_batch(fail_rate: float = 0.0, layer: float = 1.0, **factors: float) -> dict:
+    """One ``run.py --record`` payload: every workload at ``MEDIANS`` x ``factors``.
+
+    Built by ``run.py``'s own ``bench_payload``; ``layer`` scales the
+    per-layer leaves, which the gate must ignore.
+    """
+    results = []
+    for workload in WORKLOADS:
+        end_to_end = {}
+        for metric, base in MEDIANS.items():
+            m = base * factors.get(metric, 1.0)
+            end_to_end[metric] = {"median": m, "q1": 0.9 * m, "q3": 1.1 * m, "n": 5}
+        per_layer = {"logic.bitsim.self_s": 0.25 * layer, "trace.overhead": 0.02 * layer}
+        results.append(
+            {
+                "workload": workload,
+                "fail_rate": fail_rate,
+                "end_to_end": end_to_end,
+                "per_layer": per_layer,
+            }
+        )
+    return E2E.bench_payload(results)
+
+
+def gate_history(db, *newest: dict, last: int = 5, bounds=None):
+    """Record two batches at ``MEDIANS`` then ``newest``; gate the last one."""
+    db.record_bench(e2e_batch())
+    db.record_bench(e2e_batch())
+    for payload in newest:
+        db.record_bench(payload)
+    return expdb.gate(db, bounds or expdb.load_bounds(SPEC), last=last)
+
+
+def statuses(result) -> dict[str, str]:
+    """Check label -> status."""
+    return {c.label: c.status for c in result.checks}
 
 
 class TestSchema:
@@ -246,54 +296,116 @@ class TestConcurrency:
 
 class TestBenchAndGate:
     def test_flatten_handles_nested_and_flat_sections(self):
-        samples = expdb.flatten_bench(bench_payload())
-        assert ("sequence_simulation", "s1423", "packed_per_lane_speedup", 8.0) in samples
-        assert ("fault_grading", "b14", "speedup", 500.0) in samples
-        # Bookkeeping keys and non-numeric leaves never become samples.
-        assert not any(s[0] in ("workload", "benchmark", "utc") for s in samples)
+        payload = e2e_batch()
+        payload["fault_grading"] = {"circuit": "b14", "speedup": 500.0}  # flat
+        payload["benchmark"] = "kernel"
+        samples = expdb.flatten_bench(payload)
+        assert ("table4_3", "wall_s", "median", 1.5) in samples
+        assert ("table4_3", "fail_rate", "value", 0.0) in samples
+        assert ("chapter4-report", "logic_bitsim", "self_s", 0.25) in samples
+        # A flat section, a bookkeeping key or a string leaf is no sample.
+        assert not any(s[0] in ("fault_grading", "benchmark") for s in samples)
 
     def test_gate_skips_without_history(self, tmp_path):
         with ExperimentDB(tmp_path / "e.db") as db:
-            result = expdb.gate(db, current=bench_payload())
-        assert result.ok  # skips never fail a fresh database
-        assert all(c.status == "skip" for c in result.checks)
+            bounds = expdb.load_bounds(SPEC)
+            assert expdb.gate(db, bounds).checks == []
+            for n_before in (0, 1):
+                db.record_bench(e2e_batch(wall_s=2.0))
+                result = expdb.gate(db, bounds)
+                assert len(result.checks) == 20
+                assert all(c.status == "skip" for c in result.checks)
+                assert result.ok  # skips never fail a fresh database
+                assert f"{n_before} earlier batch(es), need 2" in result.report()
 
     def test_gate_passes_at_historical_level(self, tmp_path):
         with ExperimentDB(tmp_path / "e.db") as db:
-            db.record_bench(bench_payload(8.0))
-            db.record_bench(bench_payload(8.2))
-            result = expdb.gate(db, current=bench_payload(8.0))
+            result = gate_history(db, e2e_batch())
         assert isinstance(result, GateResult)
         assert result.ok
-        by_label = {c.label: c for c in result.checks}
-        assert by_label["sequence_simulation.s1423.packed_per_lane_speedup"].status == "pass"
+        assert sorted(statuses(result)) == sorted(
+            f"{w.replace('.', '_')}.{m}"
+            for w in WORKLOADS
+            for m in ("wall_s.median", "cpu_s.median", "setup_s.median",
+                      "peak_rss_mb.median", "fail_rate.value")
+        )
+        assert set(statuses(result).values()) == {"pass"}
+        assert result.report().endswith("PASS: 20 passed, 0 failed, 0 skipped")
 
     def test_gate_fails_on_20_percent_regression(self, tmp_path):
+        """Every median 20% worse: only the 5% RSS bound is crossed."""
+        factors = dict.fromkeys(MEDIANS, 1.2)
         with ExperimentDB(tmp_path / "e.db") as db:
-            db.record_bench(bench_payload(8.0))
-            db.record_bench(bench_payload(8.0))
-            result = expdb.gate(db, current=bench_payload(8.0 * 0.8))
+            result = gate_history(db, e2e_batch(**factors))
         assert not result.ok
-        failed = [c for c in result.checks if c.status == "fail"]
-        assert [c.label for c in failed] == ["sequence_simulation.s1423.packed_per_lane_speedup"]
-        assert "FAIL" in result.report()
+        failed = sorted(c.label for c in result.checks if c.status == "fail")
+        assert failed == sorted(
+            f"{w.replace('.', '_')}.peak_rss_mb.median" for w in WORKLOADS
+        )
+        assert "FAIL: 16 passed, 4 failed, 0 skipped" in result.report()
+
+    @pytest.mark.parametrize("factor, ok", [(1.2, True), (1.3, False)])
+    def test_wall_clock_bound_is_25_percent(self, tmp_path, factor, ok):
+        with ExperimentDB(tmp_path / "e.db") as db:
+            result = gate_history(db, e2e_batch(wall_s=factor))
+        assert result.ok is ok
+        assert statuses(result)["table4_3.wall_s.median"] == ("pass" if ok else "fail")
+
+    def test_rss_bound_comes_from_the_spec(self, tmp_path):
+        with ExperimentDB(tmp_path / "e.db") as db:
+            assert gate_history(db, e2e_batch(peak_rss_mb=1.04)).ok
+            db.record_bench(e2e_batch(peak_rss_mb=1.06))
+            assert not expdb.gate(db, expdb.load_bounds(SPEC)).ok
+            looser = dict(expdb.load_bounds(SPEC))
+            looser["peak_rss_mb"] = expdb.Bound("lower", 0.10)
+            assert expdb.gate(db, looser).ok
+
+    def test_higher_is_better_bound(self, tmp_path):
+        bounds = {"wall_s": expdb.Bound("higher", 0.10)}
+        with ExperimentDB(tmp_path / "e.db") as db:
+            assert gate_history(db, e2e_batch(wall_s=0.95), bounds=bounds).ok
+            db.record_bench(e2e_batch(wall_s=0.85))
+            assert not expdb.gate(db, bounds).ok
+
+    def test_fail_rate_above_history_fails(self, tmp_path):
+        with ExperimentDB(tmp_path / "e.db") as db:
+            result = gate_history(db, e2e_batch(fail_rate=0.1))
+        assert not result.ok
+        failed = {c.label for c in result.checks if c.status == "fail"}
+        assert failed == {f"{w.replace('.', '_')}.fail_rate.value" for w in WORKLOADS}
+
+    def test_old_kernel_sections_and_per_layer_leaves_are_ignored(self, tmp_path):
+        def with_kernel_section(payload: dict, speedup: float) -> dict:
+            payload["fault_grading"] = {"b14": {"speedup": speedup, "n_tests": 64}}
+            return payload
+
+        with ExperimentDB(tmp_path / "e.db") as db:
+            db.record_bench(with_kernel_section(e2e_batch(), 500.0))
+            db.record_bench(with_kernel_section(e2e_batch(), 500.0))
+            db.record_bench(with_kernel_section(e2e_batch(layer=10.0), 5.0))
+            result = expdb.gate(db, expdb.load_bounds(SPEC))
+        assert result.ok
+        assert len(result.checks) == 20
+        assert not any(
+            c.section == "fault_grading" or c.subject in ("logic_bitsim", "trace")
+            for c in result.checks
+        )
 
     def test_gate_latest_batch_judged_against_prior_only(self, tmp_path):
         with ExperimentDB(tmp_path / "e.db") as db:
-            db.record_bench(bench_payload(8.0))
-            db.record_bench(bench_payload(8.0))
-            db.record_bench(bench_payload(8.0 * 0.8))  # the newest batch
-            result = expdb.gate(db)
-        assert not result.ok  # its own value must not dilute the history
+            # With the newest batch in its own window, the median would be
+            # (1.0 + 1.3) / 2 of the base and 1.3x would pass.
+            result = gate_history(db, e2e_batch(wall_s=1.3), last=2)
+        check = next(c for c in result.checks if c.label == "table4_3.wall_s.median")
+        assert check.history == [1.5, 1.5]
+        assert check.status == "fail" and not result.ok
 
     def test_bench_history_is_newest_first_and_bounded(self, tmp_path):
         with ExperimentDB(tmp_path / "e.db") as db:
             for s in (1.0, 2.0, 3.0):
-                db.record_bench(bench_payload(s))
-            history = db.bench_history(
-                "sequence_simulation", "s1423", "packed_per_lane_speedup", last=2
-            )
-        assert history == [3.0, 2.0]
+                db.record_bench(e2e_batch(wall_s=s))
+            history = db.bench_history("table4_3", "wall_s", "median", last=2)
+        assert history == [4.5, 3.0]
 
 
 class TestCliDb:
@@ -302,8 +414,8 @@ class TestCliDb:
             run_id = db.begin_run("table", "4.3", fingerprint="aa" * 8)
             db.record_row(run_id, "t/a#0", 0, {"Circuit": "s27", "FC %": 46.9})
             db.finish_run(run_id, snapshot=snapshot_with_metrics())
-            db.record_bench(bench_payload(8.0))
-            db.record_bench(bench_payload(8.0))
+            db.record_bench(e2e_batch())
+            db.record_bench(e2e_batch())
 
     def test_db_runs_and_show(self, tmp_path, capsys):
         path = str(tmp_path / "e.db")
@@ -329,23 +441,105 @@ class TestCliDb:
         assert main(["db", "trend", "--metric", "gen.seeds_evaluated", "--db", path]) == 0
         assert "128" in capsys.readouterr().out
         assert main(
-            ["db", "trend", "--metric", "sequence_simulation.s1423.packed_per_lane_speedup",
-             "--db", path]
+            ["db", "trend", "--metric", "table4_3.wall_s.median", "--db", path]
         ) == 0
-        assert "8" in capsys.readouterr().out
+        assert "(newest first): 1.5, 1.5" in capsys.readouterr().out
+        # --last 0 keeps meaning "unlimited" for trend.
+        assert main(["db", "trend", "gen.seeds_evaluated", "--last", "0", "--db", path]) == 0
+        assert "128" in capsys.readouterr().out
         assert main(["db", "trend", "--metric", "no.such.metricxyz9", "--db", path]) == 1
 
-    def test_db_gate_exit_codes(self, tmp_path, capsys):
+    def test_db_gate_exit_codes(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "e.db")
         self._seed(path)
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(bench_payload(8.0)))
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(bench_payload(8.0 * 0.8)))
-        assert main(["db", "gate", "--db", path, "--input", str(good)]) == 0
-        assert "PASS" in capsys.readouterr().out
-        assert main(["db", "gate", "--db", path, "--input", str(bad)]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        monkeypatch.chdir(REPO)
+        with ExperimentDB(path) as db:
+            db.record_bench(e2e_batch())
+        assert main(["db", "gate", "--db", path]) == 0
+        out = capsys.readouterr().out
+        assert out.count("  PASS ") == 20
+        assert "PASS: 20 passed, 0 failed, 0 skipped" in out
+        with ExperimentDB(path) as db:
+            db.record_bench(e2e_batch(wall_s=1.3))
+        assert main(["db", "gate", "--db", path]) == 1
+        out = capsys.readouterr().out
+        assert "  FAIL table4_3.wall_s.median: 1.95 > 1.875" in out
+        assert "FAIL: 16 passed, 4 failed, 0 skipped" in out
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            None,
+            "{not json",
+            "[1, 2]",
+            '{"workloads": []}',
+            '{"end_to_end": []}',
+            '{"end_to_end": [{"name": "wall_s", "better": "lower"}]}',
+            '{"end_to_end": [{"name": "wall_s", "better": "down", "bound": 0.25}]}',
+            '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": -1}]}',
+        ],
+        ids=[
+            "missing", "not-json", "not-an-object", "no-end-to-end", "empty",
+            "no-bound", "bad-better", "negative-bound",
+        ],
+    )
+    def test_db_gate_needs_a_benchmark_spec(self, tmp_path, capsys, monkeypatch, spec):
+        path = str(tmp_path / "e.db")
+        self._seed(path)
+        workdir = tmp_path / "elsewhere"
+        workdir.mkdir()
+        if spec is not None:
+            (workdir / "BENCHMARK.json").write_text(spec)
+        monkeypatch.chdir(workdir)
+        assert main(["db", "gate", "--db", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "BENCHMARK.json" in captured.err
+
+    @pytest.mark.parametrize("last", ["0", "1"])
+    def test_db_gate_window_below_two_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, last
+    ):
+        path = str(tmp_path / "e.db")
+        self._seed(path)
+        monkeypatch.chdir(REPO)
+        with ExperimentDB(path) as db:
+            db.record_bench(e2e_batch(wall_s=3.0))  # fails with --last 5
+        assert main(["db", "gate", "--db", path]) == 1
+        capsys.readouterr()
+        assert main(["db", "gate", "--db", path, "--last", last]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            f"error: --last must be at least 2 (the gate needs 2 earlier "
+            f"batches), got {last}"
+        )
+
+    def test_db_show_non_integer_run_is_usage_error(self, tmp_path, capsys):
+        path = str(tmp_path / "e.db")
+        self._seed(path)
+        assert main(["db", "show", "abc", "--db", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: db show needs a run id, got 'abc'"
+        assert main(["db", "show", "1", "--db", path]) == 0
+
+    def test_db_query_refuses_writes(self, tmp_path, capsys):
+        path = str(tmp_path / "e.db")
+        self._seed(path)
+        count = "SELECT COUNT(*) FROM bench_samples"
+        assert main(["db", "query", count, "--db", path]) == 0
+        before = capsys.readouterr().out
+        assert main(["db", "query", "DELETE FROM bench_samples", "--db", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "readonly" in err
+        assert main(["db", "query", count, "--db", path]) == 0
+        assert capsys.readouterr().out == before
+        # The refusal leaves the handle writable for the store's own writes.
+        with ExperimentDB(path) as db:
+            with pytest.raises(expdb.ExperimentDBError):
+                db.query("DROP TABLE runs")
+            assert db.record_bench(e2e_batch()) == 3
 
     def test_db_without_path_is_usage_error(self, capsys):
         assert main(["db", "runs"]) == 2
