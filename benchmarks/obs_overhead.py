@@ -44,7 +44,7 @@ def run(stats: bool) -> tuple[float, str]:
 
 
 def main() -> int:
-    for name in ("REPRO_DB", "REPRO_CACHE_DIR", "REPRO_FAULT"):
+    for name in ("REPRO_DB", "REPRO_FAULT"):
         os.environ.pop(name, None)  # each would change what a run does
     _, table = run(stats=False)
     run(stats=True)

@@ -10,14 +10,15 @@ Subcommands mirror the paper's three methods plus utilities::
     repro-eda table 4.3                     # regenerate a paper table
     repro-eda stats trace.jsonl             # re-render a saved trace
     repro-eda db runs --db exp.db           # browse the experiment history
-    repro-eda cache stats --cache-dir DIR   # inspect the artifact cache
 
 Every command runs on the local machine.  ``table --jobs N`` fans the
 table rows out over N pool workers, and ``--shards N`` grades fault
-shards in parallel; with both at 1 everything runs in this process.
-Neither changes any output byte.  Bad ``--jobs`` / ``--shards`` values
-and a malformed ``REPRO_FAULT`` spec fail fast with exit code 2 before
-any work is dispatched.
+shards in parallel in rows that run in this process (a row inside a pool
+worker grades serially); with both at 1 everything runs in this process.
+Neither changes any output byte.  Bad input -- an unknown benchmark or
+table, an out-of-range count or time budget, a flag the chosen table
+does not use, or a malformed ``REPRO_FAULT`` spec -- fails fast with a
+one-line ``error:`` diagnostic and exit code 2 before any work.
 
 Observability: ``generate`` and ``table`` accept ``--stats`` (print the
 run report: per-phase time breakdown, seeds tried/accepted, truncation
@@ -30,11 +31,6 @@ and ``--retries`` (per-row deadline and retry budget; exhausted rows
 render as ``FAILED`` annotations and flip the exit code to 1 *after* the
 table prints) plus ``--checkpoint FILE`` / ``--resume`` (journal
 completed rows as ``repro-resume-v1`` JSONL and skip them on rerun).
-
-Warm starts (see :mod:`repro.cache`): ``generate`` and ``table`` accept
-``--cache-dir DIR`` (equivalently ``REPRO_CACHE_DIR``) to persist
-compiled-IR schedules, word-kernel code, and collapsed fault lists across
-runs.  ``repro-eda cache {stats,clear}`` manages a cache directory.
 
 Experiment history (see :mod:`repro.expdb`): ``generate`` and ``table``
 accept ``--db PATH`` (equivalently ``REPRO_DB``, which pool workers
@@ -142,60 +138,79 @@ def _db_finish(run_id: int | None, exit_code: int, started: float) -> None:
     expdb.set_current_run(None)
 
 
-def _cache_setup(args: argparse.Namespace) -> None:
-    """Activate the artifact cache when ``--cache-dir`` asks for it.
+#: Tables ``repro-eda table`` regenerates.
+_TABLES = ("2.1", "2.2", "2.3", "2.4", "2.5", "2.6", "3.1", "4.2", "4.3", "4.4")
 
-    The directory is also exported as ``REPRO_CACHE_DIR`` so worker
-    processes (``--jobs``, ``--shards``) inherit the same cache.
+#: Integer options and the least value each accepts, with what it counts.
+_INT_MINIMUMS = (
+    ("jobs", 1, "a positive worker count"),
+    ("shards", 1, "a positive shard count"),
+    ("length", 1, "a positive segment length"),
+    ("max_faults", 1, "a positive fault count"),
+    ("n", 1, "a positive path count"),
+    ("retries", 0, "a non-negative retry count"),
+)
+
+
+def _check_args(args: argparse.Namespace) -> str | None:
+    """Fail-fast guard for every subcommand's arguments.
+
+    Returns the one-line error message to print (the caller exits 2), or
+    ``None`` when the arguments are valid.  Checks benchmark and table
+    names, numeric ranges, table-specific flags, and (for ``generate``
+    and ``table``) the ``REPRO_FAULT`` spec -- all before any work, so a
+    bad value never becomes a traceback, an empty result, or a failure
+    retried on every row.
     """
-    import os
+    if hasattr(args, "circuit"):
+        from repro.circuits.benchmarks import available
 
-    from repro import cache
-
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        os.environ[cache.ENV_VAR] = cache_dir
-        cache.configure(cache_dir)
-
-
-def _validate_dispatch(args: argparse.Namespace) -> str | None:
-    """Fail-fast guard for ``--jobs``/``--shards`` and ``REPRO_FAULT``.
-
-    Returns the error message to print (the caller exits 2), or ``None``
-    when every dispatch knob the subcommand carries is valid.  A
-    malformed fault spec is caught here, before any row runs, rather
-    than retried as a failure of every row.
-    """
-    import os
-
-    from repro.resilience import faultpoints
-
-    for name, unit in (("jobs", "worker"), ("shards", "shard")):
+        names = [args.circuit]
+        if getattr(args, "driver", None) not in (None, "buffers"):
+            names.append(args.driver)
+        for name in names:
+            if name not in available():
+                return f"unknown benchmark {name!r} (see repro-eda circuits)"
+    for name, least, what in _INT_MINIMUMS:
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            return f"{name} must be a positive {unit} count, got {value!r}"
-    try:
-        faultpoints.parse(os.environ.get(faultpoints.ENV_VAR, ""))
-    except ValueError as exc:
-        return str(exc)
+        if value is not None and value < least:
+            return f"{name.replace('_', '-')} must be {what}, got {value!r}"
+    for name in ("time_limit", "timeout"):
+        value = getattr(args, name, None)
+        if value is not None and not value > 0:
+            return (
+                f"{name.replace('_', '-')} must be a positive number of "
+                f"seconds, got {value!r}"
+            )
+    if args.command == "table":
+        if args.table not in _TABLES:
+            return f"unknown table {args.table!r} (one of {', '.join(_TABLES)})"
+        for flag in ("checkpoint", "resume"):
+            if getattr(args, flag) and args.table != "4.3":
+                return f"--{flag} applies only to table 4.3, not {args.table}"
+        if args.resume and not args.checkpoint:
+            return "--resume requires --checkpoint FILE"
+    if args.command in ("generate", "table"):
+        import os
+
+        from repro.resilience import faultpoints
+
+        try:
+            faultpoints.parse(os.environ.get(faultpoints.ENV_VAR, ""))
+        except ValueError as exc:
+            return str(exc)
     return None
 
 
 def _run_campaign(args: argparse.Namespace, kind: str, label: str, body) -> int:
     """Run ``body(args)`` for ``generate``/``table`` with the shared set-up.
 
-    Turns on obs and the artifact cache, rejects bad dispatch knobs with
-    exit 2 before any work, and records the run in the experiment
-    database when one is active.
+    Turns on obs and records the run in the experiment database when one
+    is active.
     """
     import time
 
     _obs_setup(args)
-    _cache_setup(args)
-    problem = _validate_dispatch(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     run_id = _db_setup(args, kind, label)
     started = time.monotonic()
     code = 1
@@ -204,33 +219,6 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, body) -> int:
         return code
     finally:
         _db_finish(run_id, code, started)
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.cache import ENV_VAR, KINDS, ArtifactCache
-
-    root = args.cache_dir or os.environ.get(ENV_VAR)
-    if not root:
-        print(
-            f"no cache directory: pass --cache-dir DIR or set {ENV_VAR}",
-            file=sys.stderr,
-        )
-        return 2
-    store = ArtifactCache(root)
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} cached artifact(s) from {store.root}")
-        return 0
-    stats = store.stats()
-    print(f"artifact cache at {stats['root']}")
-    print(f"{'kind':10s} {'entries':>8s} {'bytes':>12s}")
-    for kind in KINDS:
-        info = stats["kinds"][kind]
-        print(f"{kind:10s} {info['entries']:8d} {info['bytes']:12d}")
-    print(f"{'total':10s} {stats['entries']:8d} {stats['bytes']:12d}")
-    return 0
 
 
 def _cmd_circuits(args: argparse.Namespace) -> int:
@@ -458,9 +446,6 @@ def _run_table(args: argparse.Namespace) -> int:
         from repro.experiments.tables4 import render_table_4_3, run_table_4_3
         from repro.resilience import CheckpointError, TaskFailure
 
-        if args.resume and not args.checkpoint:
-            print("--resume requires --checkpoint FILE", file=sys.stderr)
-            return 2
         try:
             cases = run_table_4_3(
                 targets=("s27", "s298"),
@@ -535,9 +520,6 @@ def _run_table(args: argparse.Namespace) -> int:
                 )
             _obs_finish(args)
             return 1
-    else:
-        print(f"unknown or unsupported table {table!r}", file=sys.stderr)
-        return 2
     _obs_finish(args)
     return 0
 
@@ -794,12 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(results are identical for any value)",
     )
     p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persist compiled/kernel/fault artifacts under DIR "
-        "(same as REPRO_CACHE_DIR)",
-    )
-    p.add_argument(
         "--stats", action="store_true", help="print the observability run report"
     )
     p.add_argument(
@@ -850,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-row deadline; an overrunning worker is killed and the row "
-        "retried (table 4.3)",
+        "retried (tables 4.3 and 4.4)",
     )
     p.add_argument(
         "--retries",
@@ -858,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="retries per row before it degrades to a FAILED entry "
-        "(default 2; table 4.3)",
+        "(default 2; tables 4.3 and 4.4)",
     )
     p.add_argument(
         "--checkpoint",
@@ -869,20 +845,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resume",
         action="store_true",
-        help="skip rows already journaled in --checkpoint FILE",
+        help="skip rows already journaled in --checkpoint FILE (table 4.3)",
     )
     p.add_argument(
         "--shards",
         type=int,
         default=1,
-        help="fault shards graded in parallel per PPSFP pass "
-        "(results are identical for any value; table 4.3)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persist compiled/kernel/fault artifacts under DIR "
-        "(same as REPRO_CACHE_DIR; workers inherit it)",
+        help="fault shards graded in parallel per PPSFP pass; rows inside "
+        "--jobs pool workers grade serially (results are identical for any "
+        "value; tables 4.3 and 4.4)",
     )
     p.add_argument(
         "--stats",
@@ -900,15 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_DB, which workers inherit; implies metric collection)",
     )
     p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("cache", help="inspect or clear the artifact cache")
-    p.add_argument("action", choices=("stats", "clear"), help="what to do")
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="cache directory (default: the REPRO_CACHE_DIR environment variable)",
-    )
-    p.set_defaults(func=_cmd_cache)
 
     p = sub.add_parser(
         "stats", help="re-render a saved trace file or a stored run report"
@@ -992,6 +954,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # The verbatim invocation, recorded on experiment-database runs.
     args.argv = list(argv) if argv is not None else sys.argv[1:]
+    problem = _check_args(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BrokenPipeError:

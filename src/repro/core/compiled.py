@@ -40,9 +40,8 @@ Layering::
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro import cache as artifact_cache
 from repro.circuits.gates import COMBINATIONAL_TYPES, GateType
 from repro.circuits.netlist import Circuit
 from repro.logic.values import X
@@ -66,24 +65,6 @@ _OPCODE_OF: dict[GateType, int] = {
 #: Gate type of each opcode (inverse of the lowering map).
 OP_GATE_TYPES: tuple[GateType, ...] = tuple(
     sorted(_OPCODE_OF, key=_OPCODE_OF.__getitem__)
-)
-
-#: Attributes a compiled circuit persists through :mod:`repro.cache`.
-_ARTIFACT_FIELDS = (
-    "names",
-    "n_inputs",
-    "n_state",
-    "n_sources",
-    "n_gates",
-    "num_lines",
-    "op_codes",
-    "fanin_offsets",
-    "fanin_indices",
-    "output_indices",
-    "next_state_indices",
-    "observation_indices",
-    "_schedule",
-    "_fanout_positions",
 )
 
 # The interpreters fuse each opcode into (family, inversion): AND/NAND,
@@ -214,42 +195,6 @@ class CompiledCircuit:
             int, tuple[list[tuple[int, int, int, tuple[int, ...]]], tuple[int, ...]]
         ] = {}
         self._word_kernel = None  # built lazily on first eval_words call
-
-    # ------------------------------------------------------------------
-    # Persistence (repro.cache warm start)
-    # ------------------------------------------------------------------
-    def to_artifact(self) -> dict[str, Any]:
-        """Picklable snapshot of the lowering (no circuit, no kernel).
-
-        Everything :meth:`from_artifact` cannot cheaply rederive: the
-        schedule arrays, the fused tuples, the fanout adjacency, and the
-        observation groups.  The word kernel is cached separately (it is
-        bytecode-version specific); the cone cache is rebuilt on demand.
-        """
-        return {field: getattr(self, field) for field in _ARTIFACT_FIELDS}
-
-    @classmethod
-    def from_artifact(
-        cls, circuit: Circuit, version: int, artifact: Mapping[str, Any]
-    ) -> "CompiledCircuit":
-        """Rehydrate a compiled instance from :meth:`to_artifact` output.
-
-        Raises on any missing field or shape mismatch against the live
-        netlist -- :class:`repro.cache.store.ArtifactCache` treats that as
-        a corrupt entry and rebuilds from source.
-        """
-        self = cls.__new__(cls)
-        self.circuit = circuit
-        self.version = version
-        for field in _ARTIFACT_FIELDS:
-            setattr(self, field, artifact[field])
-        if self.num_lines != len(self.names) or self.n_gates != len(self.op_codes):
-            raise ValueError("artifact shape mismatch")
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self._observed = set(self.observation_indices)
-        self._cone_cache = {}
-        self._word_kernel = None
-        return self
 
     # ------------------------------------------------------------------
     # Frames and views
@@ -473,8 +418,8 @@ class CompiledCircuit:
             OBS.count("compile.word_kernel_calls")
         return kernel(values, mask)
 
-    def _word_kernel_source(self) -> str:
-        """Generate the unrolled word-evaluation source.
+    def _build_word_kernel(self):
+        """Generate, compile and exec the unrolled word-evaluation function.
 
         Emits ``v[out] = (v[a] OP v[b] ...) ^ mask`` per scheduled gate --
         semantically the loop body of the old interpreted ``eval_words``,
@@ -491,25 +436,9 @@ class CompiledCircuit:
             if inv:
                 expr = f"({expr}) ^ mask" if op else f"{expr} ^ mask"
             body.append(f"    v[{out}] = {expr}")
-        return "def kernel(v, mask):\n" + "\n".join(body or ["    pass"]) + "\n    return v\n"
-
-    def _build_word_kernel(self):
-        """Compile the unrolled word-evaluation function.
-
-        The code object -- not the function -- is what :mod:`repro.cache`
-        persists: warm starts skip both the codegen and CPython's parse +
-        compile of a function with one statement per gate, which dominates
-        kernel setup on the larger benchmarks.
-        """
-        store = artifact_cache.active()
-        code = store.load_kernel(self.circuit) if store is not None else None
-        if code is None:
-            src = self._word_kernel_source()
-            code = compile(src, f"<word-kernel:{self.circuit.name}>", "exec")
-            if store is not None:
-                store.store_kernel(self.circuit, src, code)
+        src = "def kernel(v, mask):\n" + "\n".join(body or ["    pass"]) + "\n    return v\n"
         namespace: dict[str, object] = {}
-        exec(code, namespace)
+        exec(compile(src, f"<word-kernel:{self.circuit.name}>", "exec"), namespace)
         return namespace["kernel"]
 
     # ------------------------------------------------------------------
@@ -598,10 +527,6 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     The compiled instance is cached on the circuit object and transparently
     rebuilt after any structural edit (``add_gate`` and friends bump
     :attr:`Circuit.version`), so callers may invoke this in hot loops.
-
-    With an active :mod:`repro.cache` an in-memory miss consults the disk
-    store before lowering (counted as ``compile.artifact_loads``), and a
-    fresh lowering is persisted for the next process.
     """
     cached: CompiledCircuit | None = getattr(circuit, "_compiled", None)
     version = circuit.version
@@ -609,18 +534,10 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         if OBS.enabled:
             OBS.count("compile.cache_hits")
         return cached
-    store = artifact_cache.active()
-    compiled = store.load_compiled(circuit) if store is not None else None
-    if compiled is not None:
-        if OBS.enabled:
-            OBS.count("compile.artifact_loads")
-    else:
-        with _obs_span("compile", circuit=circuit.name):
-            compiled = CompiledCircuit(circuit, version)
-        if OBS.enabled:
-            OBS.count("compile.cache_misses")
-            OBS.count("compile.gates_lowered", compiled.n_gates)
-        if store is not None:
-            store.store_compiled(circuit, compiled)
+    with _obs_span("compile", circuit=circuit.name):
+        compiled = CompiledCircuit(circuit, version)
+    if OBS.enabled:
+        OBS.count("compile.cache_misses")
+        OBS.count("compile.gates_lowered", compiled.n_gates)
     circuit._compiled = compiled
     return compiled

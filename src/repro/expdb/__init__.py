@@ -9,7 +9,7 @@ wall clock regress since the last code change" become SQL
 --record`` batch against the rolling history with the bounds
 ``BENCHMARK.json`` declares.
 
-Activation mirrors :mod:`repro.cache` -- process-wide and opt-in:
+Activation is process-wide and opt-in:
 
 * ``repro-eda ... --db PATH`` (which also exports the variable so pool
   workers inherit it), or

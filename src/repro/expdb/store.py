@@ -51,8 +51,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 #: Environment variable carrying the active database path across
-#: processes (exported by the CLI like ``REPRO_CACHE_DIR``, so pool
-#: workers inherit it).
+#: processes (exported by the CLI, so pool workers inherit it).
 ENV_VAR = "REPRO_DB"
 
 #: Current schema version; :data:`MIGRATIONS` must have this many steps.

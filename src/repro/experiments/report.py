@@ -303,13 +303,11 @@ def generate_report(fast: bool = True) -> str:
             "# quick CLI version (s27 + s298, reduced workload), ~1 s:",
             "repro-eda table 4.3",
             "",
-            "# the full campaign toolkit -- rows fan out over 4 workers, fault",
-            "# grading shards over 2 workers per row, warm-start artifacts",
-            "# persist under .cache/, every finished row is journaled, and the",
-            "# merged run report prints at the end (output is byte-identical",
-            "# for ANY --jobs/--shards value, including 1):",
-            "repro-eda table 4.3 --jobs 4 --shards 2 --cache-dir .cache \\",
-            "    --checkpoint t43.jsonl --stats",
+            "# the full campaign toolkit -- rows fan out over 4 workers, every",
+            "# finished row is journaled, and the merged run report prints at",
+            "# the end (output is byte-identical for ANY --jobs value,",
+            "# including 1):",
+            "repro-eda table 4.3 --jobs 4 --checkpoint t43.jsonl --stats",
             "",
             "# killed partway?  resume re-runs only the unfinished rows:",
             "repro-eda table 4.3 --jobs 4 --checkpoint t43.jsonl --resume",

@@ -20,7 +20,6 @@ structurally deepest line, matching common ATPG practice).
 
 from __future__ import annotations
 
-from repro import cache as artifact_cache
 from repro.circuits.gates import GateType, controlling_value, is_inverting
 from repro.circuits.netlist import Circuit
 from repro.faults.lists import all_transition_faults
@@ -165,20 +164,11 @@ def collapsed_transition_faults(circuit: Circuit) -> list[TransitionFault]:
     mutation counter :func:`repro.core.compiled.compile_circuit` keys on)
     makes the re-derivation free.  Returns a fresh list each call so
     callers may filter or reorder without corrupting the cache.
-
-    With an active :mod:`repro.cache` an in-memory miss consults the disk
-    store before collapsing, and a fresh collapse is persisted for the
-    next process -- warm starts of a campaign skip collapsing entirely.
     """
     cached = getattr(circuit, "_collapsed_transition", None)
     version = circuit.version
     if cached is not None and cached[0] == version:
         return list(cached[1])
-    store = artifact_cache.active()
-    faults = store.load_collapsed(circuit) if store is not None else None
-    if faults is None:
-        faults = collapse_transition(circuit, all_transition_faults(circuit))
-        if store is not None:
-            store.store_collapsed(circuit, faults)
+    faults = collapse_transition(circuit, all_transition_faults(circuit))
     circuit._collapsed_transition = (version, tuple(faults))
     return list(faults)

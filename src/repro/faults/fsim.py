@@ -233,8 +233,7 @@ def _grade_shard(
     """One shard's PPSFP pass (runs inside a pool worker).
 
     Rebuilds the circuit from its ``.bench`` text on first use and memoizes
-    the simulator for the worker's lifetime; with ``REPRO_CACHE_DIR`` set
-    the rebuild warm-starts from the artifact cache.  Detection sets are
+    the simulator for the worker's lifetime.  Detection sets are
     named by line, so they are identical to the parent grading the same
     shard regardless of the rebuilt netlist's internal schedule order.
     """

@@ -22,9 +22,7 @@ campaign (:mod:`repro.resilience`): ``runner.retries``,
 ``runner.timeouts``, ``runner.worker_crashes`` / ``runner.worker_respawns``,
 ``runner.task_failures``, and ``runner.tasks_resumed`` land there by
 prefix, next to ``runner.tasks_completed``.  The "sharded grading"
-section (``fsim.shard.*``) carries the fault-parallel grading story,
-and "artifact cache" (``cache.*``) the warm-start hit/miss/store counts
-of :mod:`repro.cache`.
+section (``fsim.shard.*``) carries the fault-parallel grading story.
 
 The formatter is read-only and stdlib-only; golden-string tests pin the
 layout (``tests/test_obs.py``).
@@ -43,7 +41,6 @@ SECTIONS: tuple[tuple[str, str], ...] = (
     ("fault grading (PPSFP)", "fsim."),
     ("sharded grading", "fsim.shard."),
     ("compiled circuit IR", "compile."),
-    ("artifact cache", "cache."),
     ("packed word kernel", "bitsim."),
     ("test pattern generation", "tpg."),
     ("LFSR stepping", "lfsr."),

@@ -141,7 +141,13 @@ class PathSelector:
         up to ``max_pool`` -- while fewer than ``n`` candidates survive
         the undetectability screen: on these benchmarks the overwhelming
         majority of the longest paths carry undetectable faults.
+
+        Raises :class:`ValueError` when ``n`` is below 1: the default pool
+        would be empty and could never grow, so the doubling loop would
+        not end.
         """
+        if n < 1:
+            raise ValueError(f"n must be a positive path count, got {n!r}")
         m = m or 4 * n
         records: dict[PathDelayFault, SelectedFault] = {}
         undetectable: list[PathDelayFault] = []

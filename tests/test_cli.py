@@ -112,14 +112,82 @@ class TestCommands:
                 ["generate", "s27", "--shards", "-1"],
                 "shards must be a positive shard count, got -1",
             ),
+            (
+                ["table", "4.3", "--timeout", "-1"],
+                "timeout must be a positive number of seconds, got -1.0",
+            ),
+            (
+                ["table", "4.3", "--timeout", "0"],
+                "timeout must be a positive number of seconds, got 0.0",
+            ),
+            (
+                ["table", "4.3", "--retries", "-1"],
+                "retries must be a non-negative retry count, got -1",
+            ),
+            (
+                ["generate", "s27", "--length", "0"],
+                "length must be a positive segment length, got 0",
+            ),
+            (
+                ["generate", "s27", "--length", "-5"],
+                "length must be a positive segment length, got -5",
+            ),
+            (
+                ["generate", "s27", "--time-limit", "-1"],
+                "time-limit must be a positive number of seconds, got -1.0",
+            ),
+            (
+                ["tpdf", "s27", "--max-faults", "-3"],
+                "max-faults must be a positive fault count, got -3",
+            ),
+            (
+                ["select-paths", "s27", "--n", "0"],
+                "n must be a positive path count, got 0",
+            ),
+            (
+                ["table", "4.4", "--resume"],
+                "--resume applies only to table 4.3, not 4.4",
+            ),
+            (
+                ["table", "3.1", "--checkpoint", "ck.jsonl"],
+                "--checkpoint applies only to table 4.3, not 3.1",
+            ),
+            (
+                ["table", "2.9"],
+                "unknown table '2.9' (one of 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, "
+                "3.1, 4.2, 4.3, 4.4)",
+            ),
         ],
-        ids=["table-jobs0", "table-jobs-7", "table-shards0", "generate-shards-1"],
+        ids=[
+            "table-jobs0", "table-jobs-7", "table-shards0", "generate-shards-1",
+            "table-timeout-1", "table-timeout0", "table-retries-1",
+            "generate-length0", "generate-length-5", "generate-time-limit-1",
+            "tpdf-max-faults-3", "select-paths-n0", "table4.4-resume",
+            "table3.1-checkpoint", "table2.9",
+        ],
     )
     def test_bad_dispatch_count_exits_2(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "nosuch"],
+            ["info", "nosuch"],
+            ["tpdf", "nosuch"],
+            ["select-paths", "nosuch"],
+            ["generate", "s27", "--driver", "nosuch"],
+        ],
+        ids=["generate", "info", "tpdf", "select-paths", "generate-driver"],
+    )
+    def test_unknown_benchmark_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown benchmark 'nosuch' (see repro-eda circuits)\n"
 
 
 class TestObservabilityCommands:

@@ -2,8 +2,8 @@
 
 The pydocstyle checks mirror the ruff ``D`` rules selected in
 ``pyproject.toml`` for the public API surface (``repro.core``,
-``repro.faults``, ``repro.experiments``, ``repro.cache``) so the contract
-is enforced even where ruff is not installed.
+``repro.faults``, ``repro.experiments``) so the contract is enforced
+even where ruff is not installed.
 """
 
 import ast
@@ -63,7 +63,7 @@ def test_package_exports_resolve():
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
 #: Packages whose docstrings are gated by ruff's D rules in pyproject.toml.
-PUBLIC_API_PACKAGES = ("core", "faults", "experiments", "cache")
+PUBLIC_API_PACKAGES = ("core", "faults", "experiments")
 
 
 def _public_api_files():

@@ -14,6 +14,12 @@ def s298_selection():
 
 
 class TestRun:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_count_is_rejected(self, n):
+        selector = PathSelector(get_circuit("s27"), closure_scan=24)
+        with pytest.raises(ValueError, match="n must be a positive path count"):
+            selector.run(n=n)
+
     def test_requested_count_met_or_ties(self, s298_selection):
         _, result = s298_selection
         assert result.original_size >= 5
