@@ -7,7 +7,7 @@ Subcommands mirror the paper's three methods plus utilities::
     repro-eda generate s298 --driver s953   # Chapter 4 flow (opt. --hold)
     repro-eda tpdf s27 --max-faults 60      # Chapter 2 pipeline
     repro-eda select-paths s298 --n 6       # Chapter 3 procedure
-    repro-eda table 4.3                     # regenerate a paper table
+    repro-eda table 4.3                     # regenerate a paper artifact
     repro-eda stats trace.jsonl             # re-render a saved trace
     repro-eda db runs --db exp.db           # browse the experiment history
 
@@ -15,10 +15,13 @@ Every command runs on the local machine.  ``table --jobs N`` fans the
 table rows out over N pool workers, and ``--shards N`` grades fault
 shards in parallel in rows that run in this process (a row inside a pool
 worker grades serially); with both at 1 everything runs in this process.
-Neither changes any output byte.  Bad input -- an unknown benchmark or
-table, an out-of-range count or time budget, a flag the chosen table
-does not use, or a malformed ``REPRO_FAULT`` spec -- fails fast with a
-one-line ``error:`` diagnostic and exit code 2 before any work.
+Neither changes any output byte.  ``table ID`` runs any entry of the
+artifact registry (:mod:`repro.experiments.artifacts`) at its one
+shipped configuration.  Bad input -- an unknown benchmark or table id,
+an out-of-range count or time budget, a flag the chosen table does not
+use, an output file in a missing directory, or a malformed
+``REPRO_FAULT`` spec -- fails fast with a one-line ``error:``
+diagnostic and exit code 2 before any work.
 
 Observability: ``generate`` and ``table`` accept ``--stats`` (print the
 run report: per-phase time breakdown, seeds tried/accepted, truncation
@@ -26,11 +29,12 @@ histogram, grading passes, compile-cache hits) and ``--trace FILE``
 (write the span trace as JSONL; view it later with ``repro-eda stats``).
 ``table --jobs N`` merges each worker's metrics back into one report.
 
-Resilience (see :mod:`repro.resilience`): ``table`` accepts ``--timeout``
-and ``--retries`` (per-row deadline and retry budget; exhausted rows
-render as ``FAILED`` annotations and flip the exit code to 1 *after* the
-table prints) plus ``--checkpoint FILE`` / ``--resume`` (journal
-completed rows as ``repro-resume-v1`` JSONL and skip them on rerun).
+Resilience (see :mod:`repro.resilience`): tables 4.3, 4.4 and
+``chapter4`` accept ``--timeout`` and ``--retries`` (per-row deadline
+and retry budget; exhausted rows render as ``FAILED`` annotations and
+flip the exit code to 1 *after* the table prints), and table 4.3 also
+``--checkpoint FILE`` / ``--resume`` (journal completed rows as
+``repro-resume-v1`` JSONL and skip them on rerun).
 
 Experiment history (see :mod:`repro.expdb`): ``generate`` and ``table``
 accept ``--db PATH`` (equivalently ``REPRO_DB``, which pool workers
@@ -138,9 +142,6 @@ def _db_finish(run_id: int | None, exit_code: int, started: float) -> None:
     expdb.set_current_run(None)
 
 
-#: Tables ``repro-eda table`` regenerates.
-_TABLES = ("2.1", "2.2", "2.3", "2.4", "2.5", "2.6", "3.1", "4.2", "4.3", "4.4")
-
 #: Integer options and the least value each accepts, with what it counts.
 _INT_MINIMUMS = (
     ("jobs", 1, "a positive worker count"),
@@ -149,7 +150,47 @@ _INT_MINIMUMS = (
     ("max_faults", 1, "a positive fault count"),
     ("n", 1, "a positive path count"),
     ("retries", 0, "a non-negative retry count"),
+    ("tree_height", 0, "a non-negative tree height"),
 )
+
+#: ``table`` flags that only some artifacts take (``Artifact.flags``).
+_ARTIFACT_FLAGS = ("timeout", "retries", "checkpoint", "resume")
+
+
+def _check_table(args: argparse.Namespace) -> str | None:
+    """The table id exists and takes every flag given (see ``Artifact.flags``)."""
+    from repro.experiments.artifacts import ARTIFACTS
+
+    artifact = ARTIFACTS.get(args.table)
+    if artifact is None:
+        return f"unknown table {args.table!r} (one of {', '.join(ARTIFACTS)})"
+    for flag in _ARTIFACT_FLAGS:
+        value = getattr(args, flag)
+        if value is None or value is False or flag in artifact.flags:
+            continue
+        takers = [a.id for a in ARTIFACTS.values() if flag in a.flags]
+        where = f"table {takers[0]}" if len(takers) == 1 else f"tables {', '.join(takers)}"
+        return f"--{flag} applies only to {where}, not {args.table}"
+    if args.resume and not args.checkpoint:
+        return "--resume requires --checkpoint FILE"
+    return None
+
+
+def _check_outputs(args: argparse.Namespace) -> str | None:
+    """Every file a run will write has an existing directory to go in."""
+    import os
+
+    from repro.expdb import ENV_VAR
+
+    outputs = [(f"--{name}", getattr(args, name, None)) for name in ("trace", "checkpoint", "db")]
+    if not args.db:
+        outputs.append((ENV_VAR, os.environ.get(ENV_VAR)))
+    for label, path in outputs:
+        if path:
+            directory = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(directory):
+                return f"cannot write {label} {path}: no directory {directory}"
+    return None
 
 
 def _check_args(args: argparse.Namespace) -> str | None:
@@ -157,10 +198,10 @@ def _check_args(args: argparse.Namespace) -> str | None:
 
     Returns the one-line error message to print (the caller exits 2), or
     ``None`` when the arguments are valid.  Checks benchmark and table
-    names, numeric ranges, table-specific flags, and (for ``generate``
-    and ``table``) the ``REPRO_FAULT`` spec -- all before any work, so a
-    bad value never becomes a traceback, an empty result, or a failure
-    retried on every row.
+    names, numeric ranges, table-specific flags, output paths, and (for
+    ``generate`` and ``table``) the ``REPRO_FAULT`` spec -- all before
+    any work, so a bad value never becomes a traceback, an empty result,
+    or a failure retried on every row.
     """
     if hasattr(args, "circuit"):
         from repro.circuits.benchmarks import available
@@ -182,19 +223,15 @@ def _check_args(args: argparse.Namespace) -> str | None:
                 f"{name.replace('_', '-')} must be a positive number of "
                 f"seconds, got {value!r}"
             )
-    if args.command == "table":
-        if args.table not in _TABLES:
-            return f"unknown table {args.table!r} (one of {', '.join(_TABLES)})"
-        for flag in ("checkpoint", "resume"):
-            if getattr(args, flag) and args.table != "4.3":
-                return f"--{flag} applies only to table 4.3, not {args.table}"
-        if args.resume and not args.checkpoint:
-            return "--resume requires --checkpoint FILE"
+    if args.command == "table" and (problem := _check_table(args)):
+        return problem
     if args.command in ("generate", "table"):
         import os
 
         from repro.resilience import faultpoints
 
+        if problem := _check_outputs(args):
+            return problem
         try:
             faultpoints.parse(os.environ.get(faultpoints.ENV_VAR, ""))
         except ValueError as exc:
@@ -413,7 +450,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _run_table(args: argparse.Namespace) -> int:
     """Body of ``repro-eda table`` once dispatch knobs are validated."""
-    table = args.table
+    from repro.experiments.artifacts import ARTIFACTS, Dispatch, failures
+    from repro.resilience import CheckpointError
+
     progress = None
     if args.jobs and args.jobs > 1 and not args.quiet:
 
@@ -421,107 +460,32 @@ def _run_table(args: argparse.Namespace) -> int:
             """Per-completed-row progress line on stderr (``--quiet`` hides it)."""
             print(f"row {i + 1} done: {task.key}", file=sys.stderr, flush=True)
 
-    if table.startswith("2."):
-        from repro.experiments.tables2 import render_table, run_chapter2
-
-        if table in ("2.1", "2.3", "2.5"):
-            runs = run_chapter2(("s27", "s298"), mode="all", max_faults=150)
-        else:
-            runs = run_chapter2(
-                ("s526",), mode="longest", min_detected=6, max_faults=200
-            )
-        print(render_table(table, runs))
-    elif table == "3.1":
-        from repro.experiments.tables3 import render_table_3_1
-
-        print(render_table_3_1("s298", n=6))
-    elif table == "4.2":
-        from repro.experiments.format import render
-        from repro.experiments.tables4 import table_4_2_rows
-
-        rows = table_4_2_rows(("s27", "s298", "s344"))
-        print(render("Table 4.2", ["Circuit", "NPO", "NPI", "NSP", "NSV"], rows))
-    elif table == "4.3":
-        from repro.core.builtin_gen import BuiltinGenConfig
-        from repro.experiments.tables4 import render_table_4_3, run_table_4_3
-        from repro.resilience import CheckpointError, TaskFailure
-
-        try:
-            cases = run_table_4_3(
-                targets=("s27", "s298"),
-                drivers=("s344", "s953"),
-                config=BuiltinGenConfig(
-                    segment_length=120,
-                    time_limit=10,
-                    grade_shards=args.shards,
-                ),
+    artifact = ARTIFACTS[args.table]
+    try:
+        value = artifact.run(
+            Dispatch(
                 jobs=args.jobs,
                 progress=progress,
                 timeout_s=args.timeout,
                 max_retries=args.retries,
                 checkpoint_path=args.checkpoint,
                 resume=args.resume,
+                shards=args.shards,
             )
-        except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return 2
-        print(render_table_4_3(cases))
-        failures = [c for c in cases if isinstance(c, TaskFailure)]
-        if failures:
-            # Degrade late: the table above is complete minus the failed
-            # rows; the nonzero exit flags the campaign as partial.
-            print(f"{len(failures)} row(s) failed:", file=sys.stderr)
-            for f in failures:
-                print(
-                    f"  {f.key}: {f.describe()} ({f.message})", file=sys.stderr
-                )
-            _obs_finish(args)
-            return 1
-    elif table == "4.4":
-        from repro.core.builtin_gen import BuiltinGenConfig
-        from repro.experiments.tables4 import (
-            render_table_4_4,
-            run_table_4_3,
-            run_table_4_4,
         )
-        from repro.resilience import TaskFailure
-
-        config = BuiltinGenConfig(
-            segment_length=120,
-            time_limit=10,
-            grade_shards=args.shards,
-        )
-        base = run_table_4_3(
-            targets=("s27", "s298"),
-            drivers=("s344", "s953"),
-            config=config,
-            jobs=args.jobs,
-            progress=progress,
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-        )
-        held = run_table_4_4(
-            base,
-            fc_threshold=95.0,
-            tree_height=2,
-            config=config,
-            jobs=args.jobs,
-            progress=progress,
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-        )
-        print(render_table_4_4(held))
-        failures = [c for c in list(base) + list(held) if isinstance(c, TaskFailure)]
-        if failures:
-            print(f"{len(failures)} row(s) failed:", file=sys.stderr)
-            for f in failures:
-                print(
-                    f"  {f.key}: {f.describe()} ({f.message})", file=sys.stderr
-                )
-            _obs_finish(args)
-            return 1
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return 2
+    print(artifact.render(value))
+    failed = failures(value)
+    if failed:
+        # Degrade late: the table above is complete minus the failed
+        # rows; the nonzero exit flags the campaign as partial.
+        print(f"{len(failed)} row(s) failed:", file=sys.stderr)
+        for f in failed:
+            print(f"  {f.key}: {f.describe()} ({f.message})", file=sys.stderr)
     _obs_finish(args)
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -808,8 +772,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6, help="paths to select initially")
     p.set_defaults(func=_cmd_select_paths)
 
-    p = sub.add_parser("table", help="regenerate a paper table")
-    p.add_argument("table", help="e.g. 2.1, 3.1, 4.2, 4.3, 4.4")
+    p = sub.add_parser("table", help="regenerate a paper table, figure or ablation")
+    p.add_argument(
+        "table",
+        help="artifact id, e.g. 2.1, 3.4, 4.3, chapter4, fig1-scan, ndetect "
+        "(an unknown id lists them all)",
+    )
     p.add_argument(
         "--jobs",
         type=int,
@@ -826,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-row deadline; an overrunning worker is killed and the row "
-        "retried (tables 4.3 and 4.4)",
+        "retried (tables 4.3, 4.4 and chapter4)",
     )
     p.add_argument(
         "--retries",
@@ -834,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="retries per row before it degrades to a FAILED entry "
-        "(default 2; tables 4.3 and 4.4)",
+        "(default 2; tables 4.3, 4.4 and chapter4)",
     )
     p.add_argument(
         "--checkpoint",
@@ -853,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="fault shards graded in parallel per PPSFP pass; rows inside "
         "--jobs pool workers grade serially (results are identical for any "
-        "value; tables 4.3 and 4.4)",
+        "value; tables 4.3, 4.4 and chapter4)",
     )
     p.add_argument(
         "--stats",

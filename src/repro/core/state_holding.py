@@ -154,8 +154,11 @@ def select_holding_sets(
     randomly halving the parent's set; each node's detecting ability is
     evaluated top-down, then the bottom-up pass decides which subsets
     survive: a leaf with no detections becomes empty; a parent whose
-    children jointly do at least as well is replaced by them.
+    children jointly do at least as well is replaced by them.  Height 0
+    is the root set alone; a negative height raises ``ValueError``.
     """
+    if tree_height < 0:
+        raise ValueError(f"tree_height must be non-negative, got {tree_height}")
     config = config or BuiltinGenConfig()
     rng = random.Random(rng_seed)
     all_sv = tuple(circuit.state_lines)

@@ -1,11 +1,13 @@
-"""EXPERIMENTS.md generator: paper-vs-measured for every table and figure.
+"""EXPERIMENTS.md generator: paper vs. measured for every registry artifact.
 
-Runs every experiment at a configurable scale and renders a markdown
-report.  Paper reference values (from the dissertation's tables) are
-embedded alongside the measured results so the *shape* comparison -- who
-wins, by roughly what factor, where the behaviour flips -- is explicit
-even though absolute numbers differ (synthetic benchmark stand-ins,
-scaled workloads; see DESIGN.md).
+Runs every entry of :mod:`repro.experiments.artifacts` once, at its one
+shipped configuration, and renders a markdown report.  Each Measured
+block is the text ``repro-eda table ID`` prints for that entry, followed
+by one PASS/FAIL line per shape check.  Paper reference values (from the
+dissertation's tables) are embedded alongside, so the *shape* comparison
+-- who wins, by roughly what factor, where the behaviour flips -- is
+explicit even though absolute numbers differ (synthetic benchmark
+stand-ins, scaled workloads; see DESIGN.md).
 
 Usage::
 
@@ -17,9 +19,7 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.core.builtin_gen import BuiltinGenConfig
-from repro.experiments.format import render
-from repro.experiments import tables2, tables3, tables4
+from repro.experiments.artifacts import ARTIFACTS
 
 #: Representative rows from the dissertation's tables, quoted for the
 #: shape comparison (circuit: (faults, detected, undetectable, aborted)).
@@ -49,46 +49,65 @@ def _section(title: str, body: list[str]) -> list[str]:
     return [f"## {title}", ""] + body + [""]
 
 
-def _runbook(commands: list[str], wall: str, read: str) -> list[str]:
-    """A "Reproduce" block: exact commands, expected wall-clock, how to read."""
-    return (
-        ["**Reproduce:**", "```bash"]
-        + commands
-        + ["```", f"*Expected wall-clock: {wall}.*  {read}"]
-    )
+def _runbook(ids: list[str], wall: str, read: str, extra: tuple[str, ...] = ()) -> list[str]:
+    """A "Reproduce" block: the commands, expected wall-clock, how to read."""
+    commands = [f"repro-eda table {i}" for i in ids] + list(extra)
+    tail = f"*Expected wall-clock: {wall}.*  {read}"
+    return ["**Reproduce:**", "```bash", *commands, "```", tail]
 
 
-def generate_report(fast: bool = True) -> str:
-    """Run every experiment and render the markdown report."""
+def _checks(values: dict, ids: list[str]) -> list[str]:
+    """One ``PASS``/``FAIL`` line per shape check of each artifact in ``ids``."""
+    lines = ["**Checks:**"]
+    for artifact_id in ids:
+        for name, reason in ARTIFACTS[artifact_id].check(values[artifact_id]):
+            verdict = "PASS" if reason is None else "FAIL"
+            tail = "" if reason is None else f" — {reason}"
+            lines.append(f"- {verdict} `{artifact_id}`: {name}{tail}")
+    return lines + [""]
+
+
+def _block(label: str, texts: list[str]) -> list[str]:
+    return [label, "```", *texts, "```", ""]
+
+
+def _measured(values: dict, ids: list[str], label: str = "**Measured:**") -> list[str]:
+    """The artifacts' text in one fenced block, then their check lines."""
+    texts = [ARTIFACTS[i].render(values[i]) for i in ids]
+    return _block(label, texts) + _checks(values, ids)
+
+
+def generate_report() -> str:
+    """Run every registry artifact and render the markdown report."""
     t_start = time.time()
+    values = {artifact_id: a.run() for artifact_id, a in ARTIFACTS.items()}
     lines: list[str] = [
         "# EXPERIMENTS — paper vs. measured, and how to rerun everything",
         "",
-        "Every table and figure of the dissertation's evaluation, regenerated",
-        "by `benchmarks/` (pytest-benchmark) and summarised here.  Absolute",
-        "numbers differ from the paper because the benchmark circuits are",
-        "synthetic stand-ins and workloads are scaled for pure Python (see",
-        "DESIGN.md, *Substitutions*); the comparisons below therefore focus",
-        "on the paper's qualitative claims.",
+        "Every table, figure and ablation of the dissertation's evaluation is",
+        "an entry of the artifact registry (`repro.experiments.artifacts`),",
+        "run at its one shipped configuration by `repro-eda table ID` and",
+        "summarised here.  Absolute numbers differ from the paper because the",
+        "benchmark circuits are synthetic stand-ins and workloads are scaled",
+        "for pure Python (see DESIGN.md, *Substitutions*); the comparisons",
+        "below therefore focus on the paper's qualitative claims.",
         "",
-        "Each section carries a **Reproduce** block with the exact command,",
-        "its expected wall-clock on a laptop-class core, and what to look for",
-        "in the output.  `repro-eda table` commands run reduced workloads for",
-        "fast iteration; the `pytest benchmarks/...` commands run the full",
-        "workloads these measured blocks were generated from.  Wall-clocks",
-        "scale with the machine; treat them as orders of magnitude.  See",
-        "`docs/CLI.md` for every flag.  Regenerate this file with",
-        "`python -m repro.experiments.report` (about 5-10 minutes).",
+        "Each Measured block is what `repro-eda table ID` prints (Chapter 2",
+        "run times are wall clock, so they vary from run to run), followed by",
+        "one PASS/FAIL line per shape check of that artifact; the tier-1",
+        "suite runs the same checks on reduced inputs.  Each section carries",
+        "a **Reproduce** block with the exact commands, their expected",
+        "wall-clock on a 2-vCPU x86-64 host, and what to look for in the",
+        "output.  See `docs/CLI.md` for every flag, and `docs/ARCHITECTURE.md`",
+        "(*repro.expdb*) for recording runs and gating the benchmark history.",
+        "Regenerate this file with `python -m repro.experiments.report`",
+        "(about a minute).",
         "",
     ]
 
     # ------------------------------------------------------------------
     # Chapter 2
     # ------------------------------------------------------------------
-    runs_all = tables2.run_chapter2(("s27", "s298", "s344"), mode="all", max_faults=200)
-    runs_long = tables2.run_chapter2(
-        ("s526", "s641"), mode="longest", min_detected=8, max_faults=300
-    )
     body = [
         "**Paper (Table 2.1, excerpt):** "
         + "; ".join(
@@ -96,24 +115,19 @@ def generate_report(fast: bool = True) -> str:
             for c, (n, d, u, a) in PAPER_TABLE_2_1.items()
         ),
         "",
-        "**Measured:**",
-        "```",
-        tables2.render_table("2.1", runs_all),
-        "```",
-        "",
+        *_measured(values, ["2.1", "2.2"]),
         "**Shape:** most faults are proven detected or undetectable; aborted",
         "faults are rare on small circuits — matches.  On the real `s27`",
         "netlist our exhaustive ground truth finds 23 detectable TPDFs vs the",
         "paper's 25; the pipeline classifies all 56 faults with zero false",
         "claims (verified against all 2048 broadside tests), so the ±2 is a",
         "detection-semantics/netlist-variant difference, not a search gap.",
+        "Table 2.2's longest paths of the s526 stand-in are all undetectable",
+        "or aborted within the 200-fault cap, so its detection check fails.",
         "",
     ] + _runbook(
-        [
-            "repro-eda table 2.1                       # s27 + s298, ~10 s",
-            "pytest benchmarks/bench_table_2_1.py --benchmark-only -s   # full",
-        ],
-        "10 s (CLI) / minutes (full benchmark)",
+        ["2.1", "2.2"],
+        "about 12 s (2.1) / 22 s (2.2)",
         "Columns: faults classified, then Det./Undet./Abr. counts per circuit;"
         " Det. + Undet. + Abr. always sums to the fault count.",
     )
@@ -126,25 +140,15 @@ def generate_report(fast: bool = True) -> str:
             for c, (p, f, h, b) in PAPER_TABLE_2_3.items()
         ),
         "",
-        "**Measured:**",
-        "```",
-        tables2.render_table("2.3", runs_all),
-        tables2.render_table("2.4", runs_long),
-        "```",
-        "",
+        *_measured(values, ["2.3", "2.4"]),
         "**Shape:** the preprocessing procedure proves the bulk of the",
         "undetectable faults; fault simulation of the transition-fault tests",
         "plus the heuristic detect most detectable faults; branch-and-bound",
-        "mops up a minority (and a relatively larger share on the",
-        "longest-path workload) — matches the paper's observations.",
+        "mops up a minority — matches the paper's observations.",
         "",
     ] + _runbook(
-        [
-            "repro-eda table 2.3                       # all-paths workload",
-            "pytest benchmarks/bench_table_2_3.py benchmarks/bench_table_2_4.py \\",
-            "    --benchmark-only -s",
-        ],
-        "10 s (CLI) / minutes (full benchmarks)",
+        ["2.3", "2.4"],
+        "about 10 s (2.3) / 23 s (2.4), each the run of Table 2.1 / 2.2",
         "One column per sub-procedure; a fault is credited to the first"
         " sub-procedure that detects it, so rows sum to the detected count.",
     )
@@ -155,22 +159,13 @@ def generate_report(fast: bool = True) -> str:
         "passes cost a small fraction of branch-and-bound (e.g. s713: fsim",
         "0:01 vs bnb 3:17:28).",
         "",
-        "**Measured:**",
-        "```",
-        tables2.render_table("2.5", runs_all),
-        tables2.render_table("2.6", runs_long),
-        "```",
-        "",
+        *_measured(values, ["2.5", "2.6"]),
         "**Shape:** preprocessing + fault simulation stay near-zero while the",
         "heuristic and branch-and-bound dominate the budget — matches.",
         "",
     ] + _runbook(
-        [
-            "repro-eda table 2.5",
-            "pytest benchmarks/bench_table_2_5.py benchmarks/bench_table_2_6.py \\",
-            "    --benchmark-only -s",
-        ],
-        "10 s (CLI) / minutes (full benchmarks)",
+        ["2.5", "2.6"],
+        "about 12 s (2.5) / 27 s (2.6)",
         "Wall-clock per sub-procedure in h:mm:ss; compare columns within a"
         " row, not across machines.",
     )
@@ -179,35 +174,30 @@ def generate_report(fast: bool = True) -> str:
     # ------------------------------------------------------------------
     # Chapter 3
     # ------------------------------------------------------------------
-    # Table 3.1 as ``repro-eda table 3.1`` prints it (the same cached run).
-    _, sel = tables3.run_selection("s298", n=6)
-    rows34 = tables3.table_3_4_rows("s298", n=5, max_faults=5)
-    rows35 = tables3.table_3_5_rows(("s298", "s344"), n=4, max_tg=4)
+    _, sel = values["3.1"]
     body = [
         "**Paper (Table 3.1, s13207):** 16 initial faults; recalculated",
         "delays drop by up to 0.06 ns; 8 new faults absorbed (fp17-fp24);",
         "ranks change in all three ways described in Section 3.3.2.",
         "",
-        "**Measured (s298 stand-in):**",
-        "```",
-        tables3.render_table_3_1("s298", n=6),
-        "```",
-        "",
+        *_block("**Measured (s298 stand-in):**", [ARTIFACTS["3.1"].render(values["3.1"])]),
         f"Target_PDF grew {sel.original_size} -> {sel.final_size}; the refined",
         f"selection differs from traditional STA in {sel.unique_to_one_set()}",
         "fault(s).  **Shape:** delays never increase, usually decrease, and",
         "the closure can absorb newly-critical faults — matches.",
         "",
+        *_checks(values, ["3.1"]),
+        "**Paper (Tables 3.2/3.3):** Target_PDF grows after recalculation for",
+        "many circuits, and the refined and traditional selections differ.",
+        "",
+        *_measured(values, ["3.2", "3.3"]),
     ] + _runbook(
-        [
-            "repro-eda select-paths s298 --n 6          # the selection flow",
-            "repro-eda table 3.1",
-            "pytest benchmarks/bench_table_3_1.py --benchmark-only -s",
-        ],
-        "about 1 s (CLI) / 2 s (benchmark) on a 2-vCPU x86-64 host",
+        ["3.1", "3.2", "3.3"],
+        "about 1 s (3.1) / 3 s (3.2, 3.3)",
         "Per fault: the original STA delay, the recalculated (final) delay"
         " after case-analysis constants, and any newly-absorbed paths --"
         " final never exceeds original.",
+        ("repro-eda select-paths s298 --n 6          # the selection flow",),
     )
     lines += _section("Tables 3.1 / 3.2 / 3.3 — path selection", body)
 
@@ -216,27 +206,15 @@ def generate_report(fast: bool = True) -> str:
         "every fault; diffs of 0.03-0.06 ns = 1-2 inverter delays.",
         "**Paper (Table 3.5):** Pct.1 14-99%, Pct.2 21-89% across circuits.",
         "",
-        "**Measured:**",
-        "```",
-        render(
-            "Table 3.4  Path delay comparison of s298",
-            ["fault", "original", "final", "after TG", "diff", "diff_unit"],
-            rows34,
-        ),
-        render("Table 3.5  Path delay comparison", ["Circuit", "Pct. 1 %", "Pct. 2 %"], rows35),
-        "```",
-        "",
+        *_measured(values, ["3.4", "3.5"]),
         "**Shape:** the ordering original >= final >= after-TG holds for",
         "every measured fault, diffs are a few unit (inverter) delays, and",
         "for most faults whose original delay is wrong the recalculated one",
         "is closer — matches.",
         "",
     ] + _runbook(
-        [
-            "pytest benchmarks/bench_table_3_4.py benchmarks/bench_table_3_5.py \\",
-            "    --benchmark-only -s",
-        ],
-        "1-2 min",
+        ["3.4", "3.5"],
+        "about 4 s (3.4) / 5 s (3.5)",
         "`diff_unit` is the original-vs-after-TG gap in inverter delays;"
         " Pct.1/Pct.2 are the share of faults whose recalculated delay is"
         " closer to the post-TG truth.",
@@ -246,49 +224,37 @@ def generate_report(fast: bool = True) -> str:
     # ------------------------------------------------------------------
     # Chapter 4
     # ------------------------------------------------------------------
-    cfg = BuiltinGenConfig(segment_length=120, time_limit=15, rng_seed=2)
-    cases = tables4.run_table_4_3(
-        targets=("s298", "s344"),
-        drivers=("s344", "s641", "s953", "s820"),
-        config=cfg,
-        n_sequences=12,
-        func_length=100,
-    )
-    rows41, subs = tables4.table_4_1_rows("s298", length=20)
+    _, subs = values["4.1"]
+    trace = ARTIFACTS["4.1"].params
     body = [
         "**Paper (Table 4.1):** a trace with two violating cycles splits into",
         "three admissible subsequences (P0,j / Pj+1,u / Pu+1,L).",
         "",
-        f"**Measured:** a 20-cycle s298 trace splits into subsequences {subs}",
+        f"**Measured:** a {trace['length']}-cycle {trace['target_name']} trace splits "
+        f"into subsequences {subs}",
         "with the violating cycles excluded — same mechanism.",
         "",
+        *_measured(values, ["4.1"], "**Measured (the trace):**"),
         "**Paper (Table 4.2):** interface parameters incl. N_SP (biasing",
         "gates); N_SP is small relative to N_PI (e.g. s35932: 1 of 35).",
         "",
-        "**Measured:**",
-        "```",
-        render(
-            "Table 4.2  Parameters for benchmark circuits",
-            ["Circuit", "NPO", "NPI", "NSP", "NSV"],
-            tables4.table_4_2_rows(("s27", "s298", "s344", "s386", "spi", "wb_dma")),
-        ),
-        "```",
-        "",
+        *_measured(values, ["4.2"]),
     ] + _runbook(
-        ["repro-eda table 4.2"],
-        "under 5 s",
+        ["4.1", "4.2"],
+        "under 1 s each",
         "NPO/NPI are the embedded interface widths, NSP the biasing gates,"
         " NSV the state variables -- NSP stays small relative to NPI.",
     )
     lines += _section("Tables 4.1 / 4.2 — workload parameters", body)
 
+    base, _ = values["chapter4"]
     body = [
         f"**Paper (Table 4.3, shape):** {PAPER_TABLE_4_3_SHAPE}.",
         "",
-        "**Measured:**",
-        "```",
-        tables4.render_table_4_3(cases),
-        "```",
+        *_block("**Measured:**", [ARTIFACTS["4.3"].render(base)]),
+        "This is the Table 4.3 half of `repro-eda table chapter4` (targets",
+        "s298 + s344, every driver, `rng_seed=2`); its checks are listed",
+        "under Table 4.4.",
         "",
         "**Shape:** SWA_func under a constraining driving block is lower than",
         "under `buffers`; the applied tests' peak SWA never exceeds the bound",
@@ -298,10 +264,15 @@ def generate_report(fast: bool = True) -> str:
         "shrinks with circuit size — all match.  (Per-cycle bound compliance",
         "is re-verified by `tests/test_builtin_gen.py`.)",
         "",
+        *_measured(values, ["4.3"], "**Measured (`repro-eda table 4.3`, s27 + s298):**"),
     ] + _runbook(
-        [
-            "# quick CLI version (s27 + s298, reduced workload), ~1 s:",
-            "repro-eda table 4.3",
+        ["4.3", "chapter4"],
+        "about 1.2 s (4.3) / 3 s (chapter4) on a 2-vCPU x86-64 host",
+        "Per row: the SWA_func bound from the driving block, the applied"
+        " tests' peak SWA (never above the bound), fault coverage, and the"
+        " hardware area model -- `buffers` rows are the unconstrained"
+        " baseline.",
+        (
             "",
             "# the full campaign toolkit -- rows fan out over 4 workers, every",
             "# finished row is journaled, and the merged run report prints at",
@@ -315,47 +286,29 @@ def generate_report(fast: bool = True) -> str:
             "# bound each row and survive injected worker crashes:",
             "repro-eda table 4.3 --jobs 2 --timeout 120 --retries 2",
             "REPRO_FAULT='runner.task:s298:crash_once' repro-eda table 4.3 --jobs 2",
-            "",
-            "# full workload (s298 + s344, all drivers):",
-            "pytest benchmarks/bench_table_4_3.py --benchmark-only -s",
-        ],
-        "about 1.2 s (CLI) / 2-3 s (benchmark) on a 2-vCPU x86-64 host",
-        "Per row: the SWA_func bound from the driving block, the applied"
-        " tests' peak SWA (never above the bound), fault coverage, and the"
-        " hardware area model -- `buffers` rows are the unconstrained"
-        " baseline.",
+        ),
     )
     lines += _section("Table 4.3 — built-in generation under PI constraints", body)
 
-    t44 = tables4.run_table_4_4(
-        cases,
-        fc_threshold=95.0,
-        tree_height=2,
-        config=BuiltinGenConfig(segment_length=120, time_limit=10, rng_seed=3),
-    )
     body = [
         f"**Paper (Table 4.4, shape):** {PAPER_TABLE_4_4_SHAPE}.",
         "",
-        "**Measured:**",
-        "```",
-        tables4.render_table_4_4(t44),
-        "```",
-        "",
+        *_block("**Measured:**", [ARTIFACTS["4.4"].render(values["chapter4"])]),
+        *_checks(values, ["chapter4"]),
         "**Shape:** state holding recovers part of the coverage lost to the",
         "functional-only restriction by steering the circuit into unreachable",
         "states, while per-cycle SWA stays within SWA_func and the extra",
         "hardware is a small increment over the Table 4.3 logic — matches.",
         "",
+        *_measured(values, ["4.4"], "**Measured (`repro-eda table 4.4`, s27 + s298):**"),
     ] + _runbook(
-        [
-            "repro-eda table 4.4 --jobs 2 --stats",
-            "pytest benchmarks/bench_table_4_4.py --benchmark-only -s",
-        ],
-        "about 1.5 s (CLI) / 2-3 s (benchmark) on a 2-vCPU x86-64 host",
+        ["4.4"],
+        "about 1.5 s (4.4) / 3 s (chapter4) on a 2-vCPU x86-64 host",
         "Compare each row's fault coverage against its Table 4.3"
         " counterpart: NSP > 0 rows should close part of the gap to the"
         " unconstrained `buffers` baseline while P_SWA stays at or under"
         " the bound.",
+        ("repro-eda table chapter4 --jobs 2 --stats",),
     )
     lines += _section("Table 4.4 — state holding", body)
 
@@ -364,37 +317,21 @@ def generate_report(fast: bool = True) -> str:
     # ------------------------------------------------------------------
     body = [
         "Figures are circuit examples, waveforms and hardware schematics;",
-        "each is reproduced as executable structure and exercised by a",
-        "benchmark or test:",
+        "each is reproduced as executable structure.  DESIGN.md's",
+        "per-experiment index maps every figure to the artifact, test or",
+        "example that exercises it; the three figure artifacts print:",
         "",
-        "| figure | reproduction | where |",
-        "|---|---|---|",
-        "| 1.1-1.5 | example circuits + exact tests; robust/non-robust classification | `bench_fig_1_examples.py`, `tests/test_pdfsim.py` |",
-        "| 1.6/1.7 | non-robust PDF test missing an on-path transition fault (found on s298) | `bench_fig_1_examples.py` |",
-        "| 1.8-1.10 | structural scan insertion; SE-at-speed comparison (skewed True / broadside False) | `bench_fig_1_scan.py`, `tests/test_scan.py` |",
-        "| 2.1 | necessary-assignment conflict proves the c-d-e TPDF undetectable in preprocessing | `tests/test_tpdf_pipeline.py` |",
-        "| 2.2/2.3 | heuristic and branch-and-bound procedures | `repro.atpg.tpdf` + pipeline tests |",
-        "| 3.1 | selection flow incl. transitive closure | `repro.paths.selection` + Table 3.x benches |",
-        "| 4.1 | embedded block composition | `repro.core.embedded` |",
-        "| 4.2/4.5 | architecture: TPG/MISR/controller, cycle-accurate application | `bench_fig_4_hardware.py`, `examples/scan_and_onchip_application.py` |",
-        "| 4.3/4.4 | LFSR maximal period (2^n - 1), MISR compaction | `tests/test_lfsr.py` |",
-        "| 4.6/4.11 | apply / hold-enable counter taps (every 2 / 4 cycles) | `tests/test_counters.py` |",
-        "| 4.7/4.8 | reference-vs-developed TPG sizing (fixed 32-stage LFSR wins on wide interfaces) | `bench_fig_4_hardware.py` |",
-        "| 4.9 | multi-segment construction procedure | `repro.core.builtin_gen` + Table 4.3 bench |",
-        "| 4.10/4.12/4.13 | state-holding clock gating, binary-tree set selection, set decoder | `repro.core.state_holding`, `tests/test_state_holding.py` |",
-        "",
-    ] + _runbook(
-        [
-            "pytest benchmarks/bench_fig_1_examples.py --benchmark-only -s",
-            "pytest benchmarks/bench_fig_1_scan.py --benchmark-only -s",
-            "pytest benchmarks/bench_fig_4_hardware.py --benchmark-only -s",
-            "python examples/scan_and_onchip_application.py",
-        ],
-        "1-2 min total",
-        "Each bench prints the figure's claim next to the measured"
-        " counterpart (classification counts, scan comparison verdicts,"
-        " TPG area crossover); the example script walks one test through"
-        " the on-chip application timeline cycle by cycle.",
+    ]
+    for artifact_id in ("fig1-examples", "fig1-scan", "fig4-hardware"):
+        body += _measured(values, [artifact_id], f"**Measured (`{artifact_id}`):**")
+    body += _runbook(
+        ["fig1-examples", "fig1-scan", "fig4-hardware"],
+        "about 1 s each",
+        "Each artifact prints the figure's claim next to the measured"
+        " counterpart (classification, scan comparison verdicts, TPG area"
+        " crossover); the example script walks one test through the on-chip"
+        " application timeline cycle by cycle.",
+        ("python examples/scan_and_onchip_application.py",),
     )
     lines += _section("Figures", body)
 
@@ -406,27 +343,29 @@ def generate_report(fast: bool = True) -> str:
         "extensions the dissertation references:",
         "",
         "* **scan styles** (Section 1.3): enhanced-scan and skewed-load",
-        "  two-frame models; `bench_ablation_scan_styles.py` confirms",
-        "  enhanced scan's coverage dominance.",
-        "* **n-detection** ([60], Section 4.1): `bench_ndetect.py` shows the",
+        "  two-frame models; `ablation-scan-styles` confirms enhanced",
+        "  scan's coverage dominance.",
+        "* **n-detection** ([60], Section 4.1): `ndetect` shows the",
         "  built-in test set detects most detected faults many times.",
         "* **segment delay faults** ([24][25], Section 2.1): bounded-length",
         "  segments graded through the TPDF machinery.",
         "* **patterns of signal-transitions** ([90], Section 5.1 future",
         "  work): implemented as an alternative admissibility rule for the",
-        "  construction procedure; `bench_ablation_signal_patterns.py`",
-        "  verifies it implies the SWA bound and restricts coverage.",
+        "  construction procedure; `ablation-signal-patterns` verifies it",
+        "  implies the SWA bound and restricts coverage.",
+        "* **COP-weighted TPG** ([84]-[87]): `ablation-weighted-tpg`",
+        "  compares it with the Fig 4.8 input-cube biasing.",
         "",
-    ] + _runbook(
-        [
-            "pytest benchmarks/bench_ablation_scan_styles.py --benchmark-only -s",
-            "pytest benchmarks/bench_ndetect.py --benchmark-only -s",
-            "pytest benchmarks/bench_ablation_signal_patterns.py --benchmark-only -s",
-        ],
-        "2-4 min total",
-        "Each ablation prints its own verdict line; a violated ordering"
-        " (e.g. broadside coverage exceeding enhanced scan) fails the"
-        " bench outright.",
+    ]
+    ablations = ["ablation-scan-styles", "ablation-signal-patterns", "ablation-weighted-tpg"]
+    for artifact_id in ablations + ["ndetect"]:
+        body += _measured(values, [artifact_id], f"**Measured (`{artifact_id}`):**")
+    body += _runbook(
+        ablations + ["ndetect"],
+        "about 10 s (scan styles) / 1 s (each other one)",
+        "Each ablation prints its rows; its checks above state the ordering"
+        " it must show (e.g. enhanced scan detecting at least as many faults"
+        " as broadside).",
     )
     lines += _section("Extensions and ablations", body)
 

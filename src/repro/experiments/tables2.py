@@ -7,9 +7,8 @@ One pipeline run per circuit yields every Chapter 2 table:
 * 2.3 / 2.4 -- detected-fault split per sub-procedure;
 * 2.5 / 2.6 -- run-time split per sub-procedure.
 
-The circuit lists and fault-count targets are scaled-down defaults; the
-paper's full lists are reproduced by passing larger parameters (see
-EXPERIMENTS.md for the configurations used there).
+The circuit lists and fault-count targets are parameters; the shipped
+ones live in :mod:`repro.experiments.artifacts`.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ import itertools
 
 from repro.faults.lists import tpdfs_of_paths
 from repro.paths.enumeration import iter_paths, k_longest_paths
-
-#: Default circuit lists (scaled from the paper's Tables 2.1 / 2.2).
-ENUMERATE_CIRCUITS = ("s27", "s298", "s344", "s386")
-LONGEST_CIRCUITS = ("s526", "s641", "s1423")
 
 
 @dataclass
@@ -67,8 +62,8 @@ def run_chapter2(
     detected (Table 2.2 workload), growing the list in chunks.
 
     Results are cached per parameter set: Tables 2.1/2.3/2.5 (and
-    2.2/2.4/2.6) are different views of the *same* runs, so the benchmark
-    harness only pays for the pipeline once.
+    2.2/2.4/2.6) are different views of the *same* runs, so the artifact
+    registry only pays for the pipeline once.
     """
     key = (tuple(circuits), mode, min_detected, max_faults,
            heuristic_time_limit, bnb_time_limit)

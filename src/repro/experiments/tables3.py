@@ -23,9 +23,6 @@ from repro.circuits.library import UNIT_DELAY_NS
 from repro.experiments.format import render
 from repro.paths.selection import PathSelector, SelectionResult
 
-#: Default circuits (stand-ins for the paper's Table 3.2 list).
-CHAPTER3_CIRCUITS = ("s298", "s344", "s641", "s1423")
-
 
 _SELECTION_CACHE: dict[tuple, tuple[PathSelector, SelectionResult]] = {}
 
@@ -66,47 +63,30 @@ def table_3_1_rows(result: SelectionResult) -> list[dict]:
     return rows
 
 
-def table_3_2_rows(
-    circuits: Sequence[str] = CHAPTER3_CIRCUITS,
-    ns: Sequence[int] = (4, 8, 12),
-    closure_scan: int = 24,
-) -> list[dict]:
+def table_3_2_rows(circuits: Sequence[str], ns: Sequence[int], closure_scan: int) -> list[dict]:
     """Rows of Table 3.2: Target_PDF size before/after recalculation."""
     rows = []
     for name in circuits:
-        original: dict[int, int] = {}
-        final: dict[int, int] = {}
-        for n in ns:
-            _, result = run_selection(name, n, closure_scan=closure_scan)
-            original[n] = result.original_size
-            final[n] = result.final_size
-        rows.append(
-            {"Circuit": name, "row": "original"}
-            | {str(n): original[n] for n in ns}
-        )
-        rows.append({"Circuit": "", "row": "final"} | {str(n): final[n] for n in ns})
+        results = {str(n): run_selection(name, n, closure_scan=closure_scan)[1] for n in ns}
+        rows.append({"Circuit": name, "row": "original"} | {
+            n: r.original_size for n, r in results.items()
+        })
+        rows.append({"Circuit": "", "row": "final"} | {n: r.final_size for n, r in results.items()})
     return rows
 
 
-def table_3_3_rows(
-    circuits: Sequence[str] = CHAPTER3_CIRCUITS,
-    ns: Sequence[int] = (4, 8, 12),
-    closure_scan: int = 24,
-) -> list[dict]:
+def table_3_3_rows(circuits: Sequence[str], ns: Sequence[int], closure_scan: int) -> list[dict]:
     """Rows of Table 3.3: faults unique to one selection."""
-    rows = []
-    for name in circuits:
-        row: dict = {"Circuit": name}
-        for n in ns:
-            _, result = run_selection(name, n, closure_scan=closure_scan)
-            row[str(n)] = result.unique_to_one_set(n)
-        rows.append(row)
-    return rows
+    return [
+        {"Circuit": name} | {
+            str(n): run_selection(name, n, closure_scan=closure_scan)[1].unique_to_one_set(n)
+            for n in ns
+        }
+        for name in circuits
+    ]
 
 
-def table_3_4_rows(
-    circuit_name: str = "s298", n: int = 8, max_faults: int = 8
-) -> list[dict]:
+def table_3_4_rows(circuit_name: str, n: int, max_faults: int) -> list[dict]:
     """Rows of Table 3.4: original / final / after-TG delay comparison."""
     selector, result = run_selection(circuit_name, n)
     rows = []
@@ -131,11 +111,7 @@ def table_3_4_rows(
     return rows
 
 
-def table_3_5_rows(
-    circuits: Sequence[str] = CHAPTER3_CIRCUITS,
-    n: int = 8,
-    max_tg: int = 10,
-) -> list[dict]:
+def table_3_5_rows(circuits: Sequence[str], n: int, max_tg: int) -> list[dict]:
     """Rows of Table 3.5: how often recalculation improves delay accuracy.
 
     ``Pct.1`` -- of the faults with an after-TG delay, the percentage whose
@@ -172,7 +148,7 @@ def table_3_5_rows(
     return rows
 
 
-def render_table_3_1(circuit_name: str = "s298", n: int = 8) -> str:
+def render_table_3_1(circuit_name: str, n: int) -> str:
     """Render Table 3.1 for one circuit."""
     _, result = run_selection(circuit_name, n)
     return render(

@@ -35,10 +35,6 @@ from repro.logic.simulator import simulate_sequence
 from repro.resilience.checkpoint import CheckpointJournal, fingerprint_of
 from repro.resilience.policy import RetryPolicy, TaskFailure
 
-#: Default embedded-block suite (scaled stand-ins for Table 4.2's list).
-CHAPTER4_TARGETS = ("s298", "s344", "s386", "s526")
-CHAPTER4_DRIVERS = ("s344", "s641", "s953", "s820")
-
 
 def collapsed_faults(circuit: Circuit):
     """The graded fault list: collapsed transition faults (version-cached)."""
@@ -51,9 +47,9 @@ def collapsed_faults(circuit: Circuit):
 
 
 def table_4_1_rows(
-    target_name: str = "s298",
+    target_name: str,
+    length: int,
     seed: int = 11,
-    length: int = 24,
     swa_func: float | None = None,
 ) -> tuple[list[dict], list[tuple[int, int]]]:
     """One trace with per-cycle SWA and the selected subsequences.
@@ -98,7 +94,7 @@ def table_4_1_rows(
 # ---------------------------------------------------------------------------
 
 
-def table_4_2_rows(targets: Sequence[str] = CHAPTER4_TARGETS) -> list[dict]:
+def table_4_2_rows(targets: Sequence[str]) -> list[dict]:
     """Rows of Table 4.2: benchmark circuit parameters."""
     rows = []
     for name in targets:
@@ -232,9 +228,9 @@ TABLE_4_3_COLUMNS = (
 
 
 def run_table_4_3(
-    targets: Sequence[str] = CHAPTER4_TARGETS,
-    drivers: Sequence[str] = CHAPTER4_DRIVERS,
-    config: BuiltinGenConfig | None = None,
+    targets: Sequence[str],
+    drivers: Sequence[str],
+    config: BuiltinGenConfig,
     n_sequences: int = 16,
     func_length: int = 120,
     jobs: int | None = None,
@@ -262,7 +258,6 @@ def run_table_4_3(
     is forwarded to :func:`repro.experiments.runner.run_tasks` and fires
     once per completed target.
     """
-    config = config or BuiltinGenConfig(segment_length=150, time_limit=20)
     fingerprint = fingerprint_of(
         {
             "table": "4.3",
@@ -404,9 +399,9 @@ TABLE_4_4_COLUMNS = (
 
 def run_table_4_4(
     cases: Sequence[Table43Case | TaskFailure],
-    fc_threshold: float = 90.0,
-    tree_height: int = 2,
-    config: BuiltinGenConfig | None = None,
+    fc_threshold: float,
+    tree_height: int,
+    config: BuiltinGenConfig,
     jobs: int | None = None,
     progress: Callable[[int, ExperimentTask], None] | None = None,
     timeout_s: float | None = None,
@@ -421,7 +416,6 @@ def run_table_4_4(
     base result to improve and are skipped; Table 4.4 rows that exhaust
     their own retries degrade to ``TaskFailure`` in place.
     """
-    config = config or BuiltinGenConfig(segment_length=150, time_limit=15)
     tasks = [
         ExperimentTask(
             key=f"table4.4/{case.target}/{case.driver}",

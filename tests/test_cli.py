@@ -155,7 +155,23 @@ class TestCommands:
             (
                 ["table", "2.9"],
                 "unknown table '2.9' (one of 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, "
-                "3.1, 4.2, 4.3, 4.4)",
+                "3.1, 3.2, 3.3, 3.4, 3.5, 4.1, 4.2, 4.3, 4.4, chapter4, "
+                "fig1-examples, fig1-scan, fig4-hardware, ablation-scan-styles, "
+                "ablation-signal-patterns, ablation-weighted-tpg, ndetect)",
+            ),
+            *(
+                (["table", t, f"--{flag}", v], f"--{flag} applies only to {takers}, not {t}")
+                for t, flag, v, takers in (
+                    ("3.1", "timeout", "0.01", "tables 4.3, 4.4, chapter4"),
+                    ("3.1", "retries", "0", "tables 4.3, 4.4, chapter4"),
+                    ("2.1", "timeout", "5", "tables 4.3, 4.4, chapter4"),
+                    ("4.2", "retries", "1", "tables 4.3, 4.4, chapter4"),
+                    ("chapter4", "checkpoint", "ck.jsonl", "table 4.3"),
+                )
+            ),
+            (
+                ["generate", "s27", "--hold", "--tree-height", "-1"],
+                "tree-height must be a non-negative tree height, got -1",
             ),
         ],
         ids=[
@@ -163,7 +179,9 @@ class TestCommands:
             "table-timeout-1", "table-timeout0", "table-retries-1",
             "generate-length0", "generate-length-5", "generate-time-limit-1",
             "tpdf-max-faults-3", "select-paths-n0", "table4.4-resume",
-            "table3.1-checkpoint", "table2.9",
+            "table3.1-checkpoint", "table2.9", "table3.1-timeout",
+            "table3.1-retries0", "table2.1-timeout", "table4.2-retries",
+            "chapter4-checkpoint", "generate-tree-height-1",
         ],
     )
     def test_bad_dispatch_count_exits_2(self, argv, message, capsys):
@@ -171,6 +189,29 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["table", "4.3", "--checkpoint", "{}/f.jsonl"], "--checkpoint"),
+            (["table", "4.2", "--db", "{}/x.db"], "--db"),
+            (["table", "4.2"], "REPRO_DB"),
+            (["generate", "s27", "--length", "20", "--trace", "{}/t.jsonl"], "--trace"),
+        ],
+        ids=["table-checkpoint", "table-db", "table-repro-db", "generate-trace"],
+    )
+    def test_unwritable_output_exits_2_before_any_work(
+        self, argv, label, tmp_path, monkeypatch, capsys
+    ):
+        missing = str(tmp_path / "no" / "such")
+        path = f"{missing}/x.db" if label == "REPRO_DB" else argv[-1].format(missing)
+        monkeypatch.delenv("REPRO_DB", raising=False)
+        if label == "REPRO_DB":
+            monkeypatch.setenv("REPRO_DB", path)
+        assert main([a.format(missing) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {label} {path}: no directory {missing}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -134,6 +134,15 @@ class TestSetSelection:
             seen |= set(subset)
         assert selection.n_bits == len(seen)
 
+    def test_negative_height_rejected(self, s298, remaining):
+        with pytest.raises(ValueError, match="tree_height must be non-negative, got -1"):
+            select_holding_sets(s298, remaining, None, tree_height=-1)
+
+    def test_height_zero_is_the_root_set_alone(self, s298, remaining):
+        cfg = BuiltinGenConfig(segment_length=100, time_limit=8, rng_seed=4)
+        selection = select_holding_sets(s298, remaining, 30.0, tree_height=0, config=cfg)
+        assert selection.sets in ([], [tuple(s298.state_lines)])
+
     def test_empty_inputs(self, s298):
         selection = select_holding_sets(s298, [], 30.0, tree_height=2)
         assert selection.sets == []
