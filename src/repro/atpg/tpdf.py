@@ -44,7 +44,6 @@ from repro.faults.models import TransitionFault, TransitionPathDelayFault
 from repro.faults.pdfsim import tpdf_detection_words
 from repro.logic.patterns import BroadsideTest
 from repro.logic.values import is_binary
-from repro.resilience.deadline import clamp_budget
 
 DETECTED = "detected"
 UNDETECTABLE = "undetectable"
@@ -261,9 +260,8 @@ class TpdfPipeline:
     ) -> dict[str, int] | None:
         """Fig 2.2: dynamic-compaction-style multi-target generation."""
         watch = obs.stopwatch()
-        limit = clamp_budget(self.heuristic_time_limit)
         used: set[TransitionFault] = set()
-        while not watch.expired(limit):
+        while not watch.expired(self.heuristic_time_limit):
             candidates = [tr for tr in constituents if tr not in used]
             if not candidates:
                 return None
@@ -313,7 +311,6 @@ class TpdfPipeline:
         podem = self.atpg.podem
         model = self.atpg.model.model
         watch = obs.stopwatch()
-        limit = clamp_budget(self.bnb_time_limit)
         # Start from the fault hardest for the heuristic (highest failures).
         order = sorted(constituents, key=lambda tr: -failures[tr])
         assignments: dict[str, int] = dict(na_inputs)
@@ -354,7 +351,7 @@ class TpdfPipeline:
             return False
 
         while True:
-            if watch.expired(limit) or backtracks > self.bnb_backtrack_limit:
+            if watch.expired(self.bnb_time_limit) or backtracks > self.bnb_backtrack_limit:
                 return (ABORTED, None)
             undetected = undetected_faults()
             if not undetected:

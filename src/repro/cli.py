@@ -30,11 +30,14 @@ histogram, grading passes, compile-cache hits) and ``--trace FILE``
 ``table --jobs N`` merges each worker's metrics back into one report.
 
 Resilience (see :mod:`repro.resilience`): tables 4.3, 4.4 and
-``chapter4`` accept ``--timeout`` and ``--retries`` (per-row deadline
-and retry budget; exhausted rows render as ``FAILED`` annotations and
-flip the exit code to 1 *after* the table prints), and table 4.3 also
-``--checkpoint FILE`` / ``--resume`` (journal completed rows as
-``repro-resume-v1`` JSONL and skip them on rerun).
+``chapter4`` accept ``--timeout`` and ``--retries``, the per-row
+deadline and retry budget.  A timed table runs its rows on worker
+processes even at ``--jobs 1``, so a row that overruns the deadline is
+killed, never cut short.  Rows that exhaust their retries render as
+``FAILED`` annotations and flip the exit code to 1 *after* the table
+prints.  Table 4.3 also takes ``--checkpoint FILE`` / ``--resume``
+(journal completed rows as ``repro-resume-v1`` JSONL and skip them on
+rerun).
 
 Experiment history (see :mod:`repro.expdb`): ``generate`` and ``table``
 accept ``--db PATH`` (equivalently ``REPRO_DB``, which pool workers
@@ -99,12 +102,14 @@ def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
     Returns the new run id, or ``None`` when recording is off.  The path
     and run id are exported (``REPRO_DB`` / ``REPRO_DB_RUN``) so pool
     workers inherit them.  The run's ``executor`` column records where
-    ``--jobs`` / ``--shards`` place task attempts: ``pool`` above 1, else
-    ``inprocess``.
+    task attempts run, by the pool's own rule
+    (:func:`repro.resilience.pool.runs_inline`): ``pool`` when ``--jobs``
+    / ``--shards`` is above 1 or ``--timeout`` is set, else ``inprocess``.
     """
     import os
 
     from repro import expdb
+    from repro.resilience.pool import runs_inline
 
     path = getattr(args, "db", None) or os.environ.get(expdb.ENV_VAR)
     if not path:
@@ -115,11 +120,22 @@ def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
     run_id = db.begin_run(
         kind,
         label,
-        executor="pool" if workers > 1 else "inprocess",
+        executor="inprocess" if runs_inline(workers, _retry_policy(args)) else "pool",
         argv=getattr(args, "argv", None),
     )
     expdb.set_current_run(run_id)
     return run_id
+
+
+def _retry_policy(args: argparse.Namespace):
+    """The run's one ``RetryPolicy``, from ``--timeout`` and ``--retries``."""
+    from repro.resilience import RetryPolicy
+
+    retries = getattr(args, "retries", None)
+    return RetryPolicy(
+        timeout_s=getattr(args, "timeout", None),
+        **({} if retries is None else {"max_retries": retries}),
+    )
 
 
 def _db_finish(run_id: int | None, exit_code: int, started: float) -> None:
@@ -311,8 +327,8 @@ def _run_generate(args: argparse.Namespace) -> int:
     from repro import expdb
     from repro.circuits.benchmarks import get_circuit
     from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator
-    from repro.core.embedded import compose, compose_with_buffers, estimate_swa_func
     from repro.core.state_holding import run_with_state_holding
+    from repro.experiments.tables4 import swa_func_of
     from repro.faults.collapse import collapsed_transition_faults
     from repro.resilience.checkpoint import fingerprint_of
 
@@ -325,12 +341,8 @@ def _run_generate(args: argparse.Namespace) -> int:
         grade_shards=args.shards,
     )
     swa_func = None
-    if args.driver:
-        if args.driver == "buffers":
-            design = compose_with_buffers(target)
-        else:
-            design = compose(get_circuit(args.driver), target)
-        swa_func = estimate_swa_func(design, n_sequences=16, length=120).swa_func
+    if args.driver not in (None, "buffers"):  # buffers: no bound, as in Table 4.3
+        swa_func = swa_func_of(target, args.driver)
         print(f"SWA_func under {args.driver}: {swa_func:.2f}%")
     result = BuiltinGenerator(target, faults, swa_func, config=config).run()
     db = expdb.active()
@@ -466,8 +478,7 @@ def _run_table(args: argparse.Namespace) -> int:
             Dispatch(
                 jobs=args.jobs,
                 progress=progress,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
+                policy=_retry_policy(args),
                 checkpoint_path=args.checkpoint,
                 resume=args.resume,
                 shards=args.shards,
@@ -719,7 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="built-in functional broadside generation")
     p.add_argument("circuit", help="target circuit name (see `repro-eda circuits`)")
-    p.add_argument("--driver", help="driving block name or 'buffers'")
+    p.add_argument(
+        "--driver",
+        help="driving block whose SWA_func bounds the switching activity; "
+        "'buffers' runs unconstrained, like no --driver",
+    )
     p.add_argument("--length", type=int, default=200, help="segment length L")
     p.add_argument(
         "--time-limit", type=float, default=30.0, help="generation budget in seconds"
@@ -793,8 +808,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-row deadline; an overrunning worker is killed and the row "
-        "retried (tables 4.3, 4.4 and chapter4)",
+        help="per-row deadline; rows then run on worker processes even at "
+        "--jobs 1, and a row that overruns it is killed and retried, then "
+        "FAILED (tables 4.3, 4.4 and chapter4)",
     )
     p.add_argument(
         "--retries",

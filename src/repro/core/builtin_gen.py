@@ -52,7 +52,6 @@ from repro.logic.simulator import (
     extract_tests_from_sequence,
     simulate_sequence,
 )
-from repro.resilience.deadline import task_deadline
 
 #: Surviving candidate lanes are graded in blocks of this many through one
 #: PPSFP pass (:meth:`repro.faults.fsim.FaultGrader.preview_groups`): big
@@ -241,13 +240,13 @@ class BuiltinGenerator:
                 self.grader.close()
 
     def _run(self, hold_set: Sequence[str] | None) -> BuiltinGenResult:
+        if hold_set and self.pattern_bank is not None:
+            raise ValueError(
+                "pattern-bound generation cannot be combined with state "
+                "holding: held transitions leave the functional pattern space"
+            )
         cfg = self.config
         deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
-        # Under a campaign deadline (repro.resilience), finish the row
-        # cooperatively before the pool watchdog would kill the worker.
-        task_dl = task_deadline()
-        if task_dl is not None:
-            deadline = task_dl if deadline is None else min(deadline, task_dl)
         sequences: list[MultiSegmentSequence] = []
         per_sequence_tests: list[list[BroadsideTest]] = []
         detection_sets: list[set[TransitionFault]] = []
@@ -314,34 +313,28 @@ class BuiltinGenerator:
         )
 
     # ------------------------------------------------------------------
+    def _hold_indices(self, hold_set: Sequence[str] | None) -> list[int] | None:
+        """State-vector positions of ``hold_set`` (``None`` without holding)."""
+        if not hold_set:
+            return None
+        from repro.core.state_holding import hold_indices
+
+        return hold_indices(self.circuit, hold_set)
+
     def _simulate(
         self,
         state: Sequence[int],
         pi_vectors: Sequence[Sequence[int]],
         hold_set: Sequence[str] | None,
     ):
-        if hold_set:
-            if self.pattern_bank is not None:
-                raise ValueError(
-                    "pattern-bound generation cannot be combined with state "
-                    "holding: held transitions leave the functional pattern space"
-                )
-            from repro.core.state_holding import simulate_with_holding
-
-            return simulate_with_holding(
-                self.circuit,
-                state,
-                pi_vectors,
-                hold_set=hold_set,
-                hold_period_log2=self.config.hold_period_log2,
-                compiled=self.compiled,
-            )
         return simulate_sequence(
             self.circuit,
             state,
             pi_vectors,
             keep_line_values=self.pattern_bank is not None,
             compiled=self.compiled,
+            hold_indices=self._hold_indices(hold_set),
+            hold_period_log2=self.config.hold_period_log2,
         )
 
     def _construct_sequence(
@@ -454,18 +447,13 @@ class BuiltinGenerator:
         seeds = [self.rng.getrandbits(n_bits) or 1 for _ in range(width)]
         with obs.span("gen.expand", seeds=width):
             pi_rows = self._lane_pi_words(seeds, cfg.segment_length)
-        hold_idx = None
-        if hold_set:
-            from repro.core.state_holding import hold_indices
-
-            hold_idx = hold_indices(self.circuit, hold_set)
         with obs.span("gen.simulate", lanes=width):
             packed = simulate_packed_words(
                 self.circuit,
                 state,
                 pi_rows,
                 width,
-                hold_indices=hold_idx,
+                hold_indices=self._hold_indices(hold_set),
                 hold_period_log2=cfg.hold_period_log2,
                 compiled=self.compiled,
             )

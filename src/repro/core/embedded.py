@@ -104,9 +104,8 @@ def estimate_swa_func(
     """Peak target SWA under TPG-generated functional input sequences.
 
     Per Section 4.6, the functional input sequences are produced by the
-    TPG designed for the *driving block* (for the ``buffers`` driver this
-    degenerates to the target's own TPG); both blocks start from the all-0
-    state.  The TPG expands every seed at once into lane-packed words
+    TPG designed for the *driving block* (unless ``tpg`` is given); both
+    blocks start from the all-0 state.  The TPG expands every seed at once into lane-packed words
     (:meth:`~repro.bist.tpg.DevelopedTpg.sequence_batch`), which feed one
     packed simulation pass directly, so the default 30 sequences cost a
     single pass.

@@ -27,73 +27,18 @@ from typing import Sequence
 
 from repro.circuits.netlist import Circuit
 from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator, BuiltinGenResult
-from repro.core.compiled import CompiledCircuit, compile_circuit
 from repro.faults.models import TransitionFault
-from repro.logic.simulator import SequenceResult
 
 
 def hold_indices(circuit: Circuit, hold_set: Sequence[str]) -> list[int]:
     """State-vector positions of the held state variables.
 
     The index form both holding simulators consume: the scalar
-    :func:`simulate_with_holding` and the packed lane-wise analogue
-    (:func:`repro.logic.bitsim.simulate_packed_words`).
+    :func:`repro.logic.simulator.simulate_sequence` and the packed
+    lane-wise analogue (:func:`repro.logic.bitsim.simulate_packed_words`).
     """
     hold_names = set(hold_set)
     return [k for k, q in enumerate(circuit.state_lines) if q in hold_names]
-
-
-def simulate_with_holding(
-    circuit: Circuit,
-    initial_state: Sequence[int],
-    pi_vectors: Sequence[Sequence[int]],
-    hold_set: Sequence[str],
-    hold_period_log2: int = 2,
-    compiled: CompiledCircuit | None = None,
-) -> SequenceResult:
-    """Functional simulation with periodic state holding.
-
-    At every cycle ``i`` with ``i % 2**h == 0`` the state variables in
-    ``hold_set`` do not capture: ``s(i+1)[held] = s(i)[held]``.  Because
-    tests are applied every 2 cycles starting at even ``i`` and ``h >= 1``,
-    held transitions are always launch transitions, never captures.
-
-    Like :func:`repro.logic.simulator.simulate_sequence`, the loop runs on
-    the compiled IR with flat valuation arrays; the held state variables
-    are a precomputed index list applied after each capture.
-    """
-    if hold_period_log2 < 1:
-        raise ValueError("h must be >= 1 so capture transitions are never held")
-    period = 1 << hold_period_log2
-    cc = compiled if compiled is not None else compile_circuit(circuit)
-    held = hold_indices(circuit, hold_set)
-    n_inputs = cc.n_inputs
-    n_sources = cc.n_sources
-    ns_indices = cc.next_state_indices
-    n_lines = cc.num_lines
-    state = tuple(initial_state)
-    states = [state]
-    switching: list[float] = []
-    prev: list[int] | None = None
-    for i, p in enumerate(pi_vectors):
-        values = cc.x_frame()
-        for j, b in zip(range(n_inputs), p):
-            values[j] = b
-        values[n_inputs:n_sources] = state
-        cc.eval_scalar(values)
-        if prev is None:
-            switching.append(0.0)
-        else:
-            changed = sum(1 for a, b in zip(values, prev) if a != b)
-            switching.append(100.0 * changed / n_lines)
-        nxt = [values[idx] for idx in ns_indices]
-        if held and i % period == 0:
-            for k in held:
-                nxt[k] = state[k]
-        state = tuple(nxt)
-        states.append(state)
-        prev = values
-    return SequenceResult(states=states, line_values=[], switching=switching)
 
 
 # ---------------------------------------------------------------------------

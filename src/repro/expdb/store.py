@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sqlite3
 import time
 from dataclasses import asdict, is_dataclass
@@ -177,11 +176,12 @@ def utc_now() -> str:
 def jsonable(obj: Any) -> Any:
     """A JSON-stable view of an arbitrary result object.
 
-    Mirrors the canonicalization the checkpoint fingerprint uses:
-    dataclasses become ``{TypeName: fields}``, mappings sort by key, sets
+    Dataclasses become ``{TypeName: fields}``, mappings sort by key, sets
     sort by repr, and anything else non-primitive degrades to ``repr``.
     Keeping payloads canonical makes ``db query`` JSON extraction stable
-    across runs and backends.
+    across runs and backends; the checkpoint fingerprint
+    (:func:`repro.resilience.checkpoint.fingerprint_of`) hashes this same
+    form.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
         return {type(obj).__name__: jsonable(asdict(obj))}
@@ -655,8 +655,3 @@ class _WriteTxn:
             self._conn.execute("COMMIT")
         else:
             self._conn.execute("ROLLBACK")
-
-
-def resolve_path(explicit: str | None = None) -> str | None:
-    """The database path in effect: an explicit one, else ``REPRO_DB``."""
-    return explicit or os.environ.get(ENV_VAR) or None

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resilience.policy import RetryPolicy
 
 #: Tolerance for comparing rounded delays and switching percentages.
 EPS = 1e-9
@@ -31,16 +34,17 @@ CheckFn = Callable[[Any], Iterable[str]]
 class Dispatch:
     """Where and how an artifact's rows run; no field changes a result.
 
-    The fields mirror ``repro-eda table``'s ``--jobs``, ``--timeout``,
-    ``--retries``, ``--checkpoint``, ``--resume`` and ``--shards``, plus
-    the per-row ``progress`` callback.  Entries that run no rows on the
-    worker pool ignore them.
+    The fields mirror ``repro-eda table``'s ``--jobs``, ``--checkpoint``,
+    ``--resume`` and ``--shards``, plus the per-row ``progress`` callback
+    and the :class:`repro.resilience.policy.RetryPolicy` built from
+    ``--timeout``/``--retries``.  A row that overruns the policy's
+    deadline fails; it never comes back shorter.  Entries that run no
+    rows on the worker pool ignore them.
     """
 
     jobs: int | None = None
     progress: Callable | None = None
-    timeout_s: float | None = None
-    max_retries: int | None = None
+    policy: RetryPolicy | None = None
     checkpoint_path: str | None = None
     resume: bool = False
     shards: int = 1
@@ -247,8 +251,7 @@ def _chapter4(
     per_row = {
         "jobs": dispatch.jobs,
         "progress": dispatch.progress,
-        "timeout_s": dispatch.timeout_s,
-        "max_retries": dispatch.max_retries,
+        "policy": dispatch.policy,
     }
     base = run_table_4_3(
         targets=targets,

@@ -8,23 +8,24 @@ their results are independent of scheduling.  This module provides the
 campaign plumbing:
 
 * :class:`ExperimentTask` -- one picklable unit of work (a module-level
-  function plus keyword arguments), labelled by a stable ``key`` and
-  optionally carrying its own ``timeout_s`` / ``max_retries``; it lives
-  next to the scheduler in :mod:`repro.resilience.pool` and is
+  function plus keyword arguments), labelled by a stable ``key``; it
+  lives next to the scheduler in :mod:`repro.resilience.pool` and is
   re-exported here;
 * :func:`run_tasks` -- run tasks through the one scheduler,
   :class:`repro.resilience.pool.SelfHealingPool`: inline for ``jobs <= 1``
-  (no pool, no pickling), across self-healing worker processes above
-  that -- always returning results **in task order**, so every worker
-  count's output equals ``jobs=1`` output exactly;
+  without a deadline (no pool, no pickling), across self-healing worker
+  processes otherwise -- always returning results **in task order**, so
+  every worker count's output equals ``jobs=1`` output exactly;
 * :func:`derive_seed` -- a per-task RNG seed derived from a base seed and
   the task key, stable across runs, task orderings, and worker counts.
 
-Resilience (see :mod:`repro.resilience`): a crashed or hung worker is
-killed and respawned, the task is retried with the *same* kwargs (same
-derived seed, so a recovered row is byte-identical to an unfailed one)
-under a deterministic exponential backoff, and a task that exhausts its
-retry budget degrades to a typed
+Resilience (see :mod:`repro.resilience`): one
+:class:`repro.resilience.policy.RetryPolicy` holds the campaign's
+deadline and retry budget.  A crashed worker, or one that overruns the
+deadline, is killed and respawned, the task is retried with the *same*
+kwargs (same derived seed, so a recovered row is byte-identical to an
+unfailed one) under a deterministic exponential backoff, and a task that
+exhausts its retry budget degrades to a typed
 :class:`repro.resilience.policy.TaskFailure` in its slot of the results
 list -- the campaign itself never aborts mid-run.  Passing a
 :class:`repro.resilience.checkpoint.CheckpointJournal` journals every
@@ -119,15 +120,17 @@ def run_tasks(
     """Run every task; returns results (or ``TaskFailure``s) in task order.
 
     ``jobs`` of ``None``, 0, or 1 (or a single runnable task) runs inline
-    in this process -- no pool, no pickling -- and larger ``jobs`` fans
-    out over self-healing worker processes, capped at the task count;
-    negative ``jobs`` is rejected with a ``ValueError``.  Both go through
-    :class:`repro.resilience.pool.SelfHealingPool`, and because each task
-    is self-contained and results are collected in input order, the
-    returned list is byte-for-byte the same for every worker count.
+    in this process -- no pool, no pickling -- unless ``policy`` sets a
+    ``timeout_s``, which needs a worker the watchdog can kill; larger
+    ``jobs`` fans out over self-healing worker processes, capped at the
+    task count; negative ``jobs`` is rejected with a ``ValueError``.
+    Both go through :class:`repro.resilience.pool.SelfHealingPool`, and
+    because each task is self-contained and results are collected in
+    input order, the returned list is byte-for-byte the same for every
+    worker count.
 
-    ``policy`` supplies campaign-wide deadline/retry/backoff defaults
-    (per-task fields override it); ``checkpoint`` journals completed rows
+    ``policy`` is the campaign's deadline, retry budget and backoff,
+    passed to the pool unchanged; ``checkpoint`` journals completed rows
     the moment they finish and replays rows the journal already holds.
     ``progress(index, task)`` is invoked per task in task order as the
     completed prefix grows.

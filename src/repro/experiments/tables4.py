@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from repro import expdb
 from repro.bist.tpg import DevelopedTpg
-from repro.circuits.benchmarks import get_circuit, make_buffers_block
+from repro.circuits.benchmarks import get_circuit
 from repro.circuits.netlist import Circuit
 from repro.circuits.scan import ScanChains
 from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator, BuiltinGenResult
@@ -166,17 +166,12 @@ def eligible_drivers(target: Circuit, drivers: Sequence[str]) -> list[str]:
 def swa_func_of(
     target: Circuit, driver_name: str, n_sequences: int = 16, length: int = 120
 ) -> float:
-    """SWA_func of a target under one driving block (or ``buffers``)."""
-    if driver_name == "buffers":
-        driver = make_buffers_block(target)
-        tpg = DevelopedTpg.for_circuit(target)
-    else:
-        driver = get_circuit(driver_name)
-        tpg = DevelopedTpg.for_circuit(driver)
-    design = compose(driver, target)
-    return estimate_swa_func(
-        design, n_sequences=n_sequences, length=length, tpg=tpg
-    ).swa_func
+    """SWA_func of a target under one driving block, with the block's own TPG.
+
+    The ``buffers`` row has no bound, so it never asks for one.
+    """
+    design = compose(get_circuit(driver_name), target)
+    return estimate_swa_func(design, n_sequences=n_sequences, length=length).swa_func
 
 
 def _table_4_3_target(
@@ -235,8 +230,6 @@ def run_table_4_3(
     func_length: int = 120,
     jobs: int | None = None,
     progress: Callable[[int, ExperimentTask], None] | None = None,
-    timeout_s: float | None = None,
-    max_retries: int | None = None,
     policy: RetryPolicy | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -247,8 +240,9 @@ def run_table_4_3(
     pool; every target builds its own generator and RNG stream, so the
     returned cases are identical for any ``jobs`` value (same order,
     same contents).
-    ``timeout_s`` / ``max_retries`` bound each target row; a row that
-    exhausts its retries comes back as a
+    ``policy`` is the campaign's deadline and retry budget, passed to
+    :func:`repro.experiments.runner.run_tasks` unchanged; a row that
+    overruns the deadline or exhausts its retries comes back as a
     :class:`repro.resilience.policy.TaskFailure` in its slot instead of
     aborting the campaign.  ``checkpoint_path``
     journals completed rows (``repro-resume-v1``, fingerprinted by this
@@ -292,8 +286,6 @@ def run_table_4_3(
                 "n_sequences": n_sequences,
                 "func_length": func_length,
             },
-            timeout_s=timeout_s,
-            max_retries=max_retries,
         )
         for target_name in targets
     ]
@@ -404,25 +396,22 @@ def run_table_4_4(
     config: BuiltinGenConfig,
     jobs: int | None = None,
     progress: Callable[[int, ExperimentTask], None] | None = None,
-    timeout_s: float | None = None,
-    max_retries: int | None = None,
     policy: RetryPolicy | None = None,
 ) -> list[Table44Case | TaskFailure]:
     """Run state holding for every Table 4.3 case below the FC threshold.
 
     Like :func:`run_table_4_3`, ``jobs`` only changes the wall clock:
     each eligible case is an independent task and results come back in
-    case order; ``progress`` fires once per completed case.  Failed Table 4.3 rows (``TaskFailure``) have no
-    base result to improve and are skipped; Table 4.4 rows that exhaust
-    their own retries degrade to ``TaskFailure`` in place.
+    case order; ``progress`` fires once per completed case.  Failed
+    Table 4.3 rows (``TaskFailure``) have no base result to improve and
+    are skipped; Table 4.4 rows that overrun ``policy``'s deadline or
+    exhaust its retries degrade to ``TaskFailure`` in place.
     """
     tasks = [
         ExperimentTask(
             key=f"table4.4/{case.target}/{case.driver}",
             fn=_table_4_4_case,
             kwargs={"case": case, "tree_height": tree_height, "config": config},
-            timeout_s=timeout_s,
-            max_retries=max_retries,
         )
         for case in cases
         if isinstance(case, Table43Case) and case.result.coverage < fc_threshold

@@ -315,8 +315,8 @@ def _run_packed(
     ``pi_word_rows[i][j]`` is the packed word of primary input ``j`` at
     cycle ``i`` (bit ``t`` = lane ``t``).  With ``hold_indices``, the named
     state-variable positions skip capture at every cycle ``i`` with
-    ``i % hold_period == 0`` -- the packed analogue of
-    :func:`repro.core.state_holding.simulate_with_holding`.
+    ``i % hold_period == 0`` -- the packed analogue of the holding
+    :func:`repro.logic.simulator.simulate_sequence`.
 
     The cycle loop only evaluates the word kernel into one reused frame
     and keeps a serialised copy of it; switching is counted once, after

@@ -98,12 +98,22 @@ def simulate_sequence(
     pi_vectors: Sequence[Sequence[int]],
     keep_line_values: bool = True,
     compiled: CompiledCircuit | None = None,
+    hold_indices: Sequence[int] | None = None,
+    hold_period_log2: int = 2,
 ) -> SequenceResult:
     """Functional simulation of a primary input sequence.
 
     Applies ``pi_vectors[0..L-1]`` from ``initial_state``; the circuit
     traverses ``s(0)=initial_state, s(1), ..., s(L)`` where ``s(i+1)`` is
     the response to ``<s(i), p(i)>``.
+
+    With ``hold_indices`` the run replays the state-holding DFT of
+    Section 4.5: at every cycle ``i`` with ``i % 2**h == 0`` (``h`` =
+    ``hold_period_log2``) the state variables at those positions do not
+    capture, ``s(i+1)[k] = s(i)[k]``.  Tests start at even cycles and
+    ``h >= 1`` is required, so a held transition is always a launch,
+    never a capture; :func:`repro.core.state_holding.hold_indices` maps
+    state-variable names to positions.
 
     The whole trajectory runs on the compiled IR: per cycle, one flat
     valuation array is evaluated and the switching-activity count is an
@@ -112,12 +122,15 @@ def simulate_sequence(
     generation loop simulates hundreds of segments of one circuit) may pass
     it as ``compiled``; otherwise the memoized compile cache supplies it.
     """
+    if hold_indices and hold_period_log2 < 1:
+        raise ValueError("h must be >= 1 so capture transitions are never held")
     cc = compiled if compiled is not None else compile_circuit(circuit)
     state = tuple(initial_state)
     if len(state) != cc.n_state:
         raise ValueError(
             f"initial state has {len(state)} bits, circuit has {cc.n_state} flops"
         )
+    period = 1 << hold_period_log2
     n_inputs = cc.n_inputs
     n_sources = cc.n_sources
     ns_indices = cc.next_state_indices
@@ -126,7 +139,7 @@ def simulate_sequence(
     switching: list[float] = []
     prev: list[int] | None = None
     n_lines = cc.num_lines
-    for p in pi_vectors:
+    for i, p in enumerate(pi_vectors):
         values = cc.x_frame()
         for j, b in zip(range(n_inputs), p):
             values[j] = b
@@ -137,7 +150,11 @@ def simulate_sequence(
         else:
             changed = sum(1 for a, b in zip(values, prev) if a != b)
             switching.append(100.0 * changed / n_lines)
-        state = tuple(values[i] for i in ns_indices)
+        nxt = [values[idx] for idx in ns_indices]
+        if hold_indices and i % period == 0:
+            for k in hold_indices:
+                nxt[k] = state[k]
+        state = tuple(nxt)
         states.append(state)
         if keep_line_values:
             all_values.append(cc.as_dict(values))

@@ -36,9 +36,10 @@ import base64
 import hashlib
 import json
 import pickle
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.expdb.store import jsonable
 
 #: Schema tag written into (and required of) the journal header.
 RESUME_SCHEMA = "repro-resume-v1"
@@ -48,23 +49,9 @@ class CheckpointError(RuntimeError):
     """Raised when a journal cannot back the requested campaign."""
 
 
-def _canonical(obj: Any) -> Any:
-    """A JSON-stable view of campaign parameters for fingerprinting."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {type(obj).__name__: _canonical(asdict(obj))}
-    if isinstance(obj, Mapping):
-        return {str(k): _canonical(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
-        return [_canonical(v) for v in items]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
-
-
 def fingerprint_of(params: Any) -> str:
     """A short stable hex fingerprint of a campaign's configuration."""
-    blob = json.dumps(_canonical(params), sort_keys=True).encode("utf-8")
+    blob = json.dumps(jsonable(params), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -19,8 +19,9 @@ Process-fault modes:
     retry succeeds.
 ``hang`` / ``hang_once``
     Sleep for :data:`HANG_SECONDS` -- long enough that only the pool
-    watchdog's ``timeout_s`` kill ends the attempt.  Use with pooled
-    runs (inline there is nothing to preempt the sleep).
+    watchdog's ``timeout_s`` kill ends the attempt.  Use with
+    ``--timeout``, which runs the attempt on a worker the watchdog can
+    kill at any ``--jobs``; without one nothing preempts the sleep.
 ``error`` / ``error_once``
     Raise :class:`InjectedFault` (an ordinary exception a worker
     survives and reports).

@@ -26,11 +26,11 @@ KIND_ERROR = "error"
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Campaign-wide defaults for deadlines, retries, and backoff.
+    """One campaign's deadline, retry budget and backoff, for every task.
 
-    Per-task ``timeout_s`` / ``max_retries`` on
-    :class:`repro.resilience.pool.ExperimentTask` override these; the
-    policy fills in whatever the task leaves ``None``.
+    ``repro-eda table`` builds it from ``--timeout`` / ``--retries``; only
+    :mod:`repro.resilience.pool` reads it.  A ``timeout_s`` is enforced
+    by the pool's watchdog killing the worker that overruns it.
     """
 
     max_retries: int = 2  # further attempts after the first failure
@@ -42,14 +42,6 @@ class RetryPolicy:
     def backoff_s(self, attempt: int) -> float:
         """Deterministic delay before retrying after failure ``attempt`` (0-based)."""
         return min(self.backoff_cap_s, self.backoff_base_s * self.backoff_factor**attempt)
-
-    def effective_timeout(self, task_timeout: float | None) -> float | None:
-        """The deadline for one attempt: the task's own, else the policy's."""
-        return task_timeout if task_timeout is not None else self.timeout_s
-
-    def effective_retries(self, task_retries: int | None) -> int:
-        """The retry budget for a task: its own, else the policy's."""
-        return task_retries if task_retries is not None else self.max_retries
 
 
 @dataclass(frozen=True)

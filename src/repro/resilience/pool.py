@@ -8,17 +8,19 @@ task **in task order**, whatever order the attempts complete in, so
 ``jobs=N`` output equals ``jobs=1`` output and ``--jobs`` / ``--shards``
 are pure wall-clock knobs.
 
-Where attempts run is picked by ``n_workers``:
+Where attempts run is picked by :func:`runs_inline`:
 
-* ``n_workers <= 1`` -- in the calling process, one after another: no
-  pickling, and metrics land directly in the live obs registry.  The
-  per-attempt deadline is cooperative only; nothing can preempt an
-  attempt without a process to kill.
-* ``n_workers > 1`` -- on respawnable worker processes with one
+* one seat (``n_workers <= 1``) and no ``timeout_s`` in the policy -- in
+  the calling process, one after another: no pickling, and metrics land
+  directly in the live obs registry;
+* otherwise -- on at least one respawnable worker process with one
   dedicated ``Pipe`` each, so the parent always knows *which* process
   owns *which* task.  A crashed worker is detected for free as EOF on
   its pipe, and a **watchdog** terminates and respawns any worker that
-  overruns its attempt's deadline without touching the others.
+  overruns the policy's ``timeout_s`` without touching the others.  The
+  watchdog is the only enforcement of a deadline: a timed campaign runs
+  on a worker even at ``--jobs 1``, so an overrunning row fails as a
+  ``timeout`` in every placement instead of finishing short.
   (``ProcessPoolExecutor.map``, the runner's original pool path, loses
   every finished row to one worker exception, is poisoned by one dead
   worker, and stalls forever on a hung one.)
@@ -26,18 +28,16 @@ Where attempts run is picked by ``n_workers``:
 Both placements share one queue, one attempt body and one retry
 decision:
 
-* every attempt publishes its deadline -- the task's ``timeout_s``, else
-  the policy's -- through :mod:`repro.resilience.deadline`, so budgeted
-  inner loops stop before the watchdog has to kill them, and fires the
-  ``runner.task`` fault point of :mod:`repro.resilience.faultpoints`
-  (workers re-arm the spec active when they are spawned; in a worker a
-  ``crash`` is a hard ``os._exit``, inline it raises);
+* every attempt fires the ``runner.task`` fault point of
+  :mod:`repro.resilience.faultpoints` (workers re-arm the spec active
+  when they are spawned; in a worker a ``crash`` is a hard ``os._exit``,
+  inline it raises);
 * **deterministic retry with backoff**: a failed attempt re-enters the
   head of the queue with the same task object (same kwargs, same derived
   seed) and a not-before time from :meth:`repro.resilience.policy.
   RetryPolicy.backoff_s`, so inline a task's retries finish before the
-  next task starts; after the budget is spent the slot degrades to a
-  :class:`repro.resilience.policy.TaskFailure`.
+  next task starts; after the policy's ``max_retries`` the slot degrades
+  to a :class:`repro.resilience.policy.TaskFailure`.
 
 ``on_complete(index, outcome, snapshot)`` fires once per task in
 completion order.  With ``collect`` on, each worker attempt runs against
@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro import obs
 from repro.resilience import faultpoints
-from repro.resilience.deadline import clear_task_deadline, set_task_deadline
 from repro.resilience.policy import (
     KIND_CRASH,
     KIND_ERROR,
@@ -87,42 +86,41 @@ class ExperimentTask:
     ``fn`` must be a module-level function and ``kwargs`` picklable -- the
     requirements of pooled attempts.  ``key`` names the task for seed
     derivation, diagnostics, progress lines, checkpoint rows, fault
-    points, and merged-trace attribution.  ``timeout_s`` /
-    ``max_retries`` override the campaign
-    :class:`repro.resilience.policy.RetryPolicy` for this task alone
-    (``None`` defers to the policy).
+    points, and merged-trace attribution.  Deadline and retry budget are
+    the campaign's :class:`repro.resilience.policy.RetryPolicy`.
     """
 
     key: str
     fn: Callable[..., Any]
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    timeout_s: float | None = None
-    max_retries: int | None = None
 
 
-def _attempt(
-    task: ExperimentTask, attempt: int, timeout_s: float | None, in_worker: bool
-) -> tuple[str, Any]:
+def runs_inline(n_workers: int, policy: RetryPolicy) -> bool:
+    """Whether a pool of ``n_workers`` seats runs attempts in this process.
+
+    Only with one seat and no ``timeout_s``: a deadline needs a worker
+    process the watchdog can kill.
+    """
+    return n_workers <= 1 and policy.timeout_s is None
+
+
+def _attempt(task: ExperimentTask, attempt: int, in_worker: bool) -> tuple[str, Any]:
     """One attempt of ``task`` here: ``("ok", value)`` or ``("error", text)``.
 
-    Publishes the cooperative deadline, opens the ``runner.task`` span
-    and fires the ``runner.task`` fault point, whose ``crash`` modes kill
-    the process when ``in_worker`` -- that never returns; the parent sees
-    EOF on the worker's pipe instead.
+    Opens the ``runner.task`` span and fires the ``runner.task`` fault
+    point, whose ``crash`` modes kill the process when ``in_worker`` --
+    that never returns; the parent sees EOF on the worker's pipe instead.
     """
-    set_task_deadline(timeout_s)
     try:
         with obs.span("runner.task", key=task.key, attempt=attempt):
             faultpoints.check("runner.task", task.key, attempt, in_worker=in_worker)
             return ("ok", task.fn(**dict(task.kwargs)))
     except Exception as exc:  # degrade, never kill the caller or worker loop
         return ("error", f"{type(exc).__name__}: {exc}")
-    finally:
-        clear_task_deadline()
 
 
 def _worker_main(conn: Connection, collect: bool, fault_spec: str | None) -> None:
-    """Worker loop: receive ``(index, task, attempt, timeout_s)``, reply.
+    """Worker loop: receive ``(index, task, attempt)``, reply.
 
     Replies are ``(index, status, payload, snapshot|None)``; ``snapshot``
     is the attempt's fresh obs registry when ``collect`` is on and the
@@ -137,11 +135,11 @@ def _worker_main(conn: Connection, collect: bool, fault_spec: str | None) -> Non
                 return
             if item is None:
                 return
-            index, task, attempt, timeout_s = item
+            index, task, attempt = item
             if collect:
                 obs.reset()
                 obs.enable()
-            status, payload = _attempt(task, attempt, timeout_s, in_worker=True)
+            status, payload = _attempt(task, attempt, in_worker=True)
             snapshot = obs.snapshot() if collect and status == "ok" else None
             conn.send((index, status, payload, snapshot))
     finally:
@@ -157,7 +155,6 @@ class _Slot:
     busy_index: int | None = None
     attempt: int = 0
     deadline: float | None = None
-    timeout_s: float | None = None
 
 
 @dataclass
@@ -180,10 +177,10 @@ class SelfHealingPool:
     ) -> None:
         """A scheduler for up to ``n_workers`` concurrent attempts.
 
-        ``n_workers <= 1`` runs every attempt in the calling process;
-        above that, workers are spawned on the first :meth:`run` that
-        needs them.  ``collect`` makes every worker ship an obs snapshot
-        per task back to the parent.
+        Attempts run in the calling process when :func:`runs_inline`
+        says so; otherwise workers (at least one) are spawned on the
+        first :meth:`run` that needs them.  ``collect`` makes every
+        worker ship an obs snapshot per task back to the parent.
         """
         self.policy = policy or RetryPolicy()
         self.collect = collect
@@ -225,11 +222,12 @@ class SelfHealingPool:
         self._started = {}
         self._queue = [_Queued(index=i) for i in range(len(self._tasks))]
         try:
-            if self._n_workers <= 1:
+            if runs_inline(self._n_workers, self.policy):
                 while self._queue:
                     self._run_inline(self._queue.pop(0))
             else:
-                while len(self._slots) < min(self._n_workers, len(self._queue)):
+                seats = min(max(self._n_workers, 1), len(self._queue))
+                while len(self._slots) < seats:
                     self._slots.append(self._spawn())
                 while self._unresolved:
                     self._dispatch(time.monotonic())
@@ -239,18 +237,14 @@ class SelfHealingPool:
             raise
         return self._results
 
-    def _timeout(self, task: ExperimentTask) -> float | None:
-        return self.policy.effective_timeout(task.timeout_s)
-
     def _run_inline(self, item: _Queued) -> None:
         """One attempt in this process, once its retry backoff has passed."""
         delay = item.ready_at - time.monotonic()
         if delay > 0:
             time.sleep(delay)
-        task = self._tasks[item.index]
         self._started.setdefault(item.index, time.monotonic())
         status, payload = _attempt(
-            task, item.attempt, self._timeout(task), in_worker=False
+            self._tasks[item.index], item.attempt, in_worker=False
         )
         if status == "ok":
             self._complete(item.index, payload, None)
@@ -284,10 +278,8 @@ class SelfHealingPool:
             item = self._pop_ready(now)
             if item is None:
                 return
-            task = self._tasks[item.index]
-            timeout = self._timeout(task)
             try:
-                slot.conn.send((item.index, task, item.attempt, timeout))
+                slot.conn.send((item.index, self._tasks[item.index], item.attempt))
             except (OSError, ValueError):
                 # The worker died while idle; heal the seat and requeue.
                 self._queue.insert(0, item)
@@ -295,7 +287,7 @@ class SelfHealingPool:
                 continue
             slot.busy_index = item.index
             slot.attempt = item.attempt
-            slot.timeout_s = timeout
+            timeout = self.policy.timeout_s
             slot.deadline = (now + timeout) if timeout else None
             self._started.setdefault(item.index, now)
 
@@ -343,11 +335,14 @@ class SelfHealingPool:
                 continue
             if slot.conn.poll(0):  # finished just as the deadline passed
                 continue
-            index, attempt, timeout = slot.busy_index, slot.attempt, slot.timeout_s
+            index, attempt = slot.busy_index, slot.attempt
             self._respawn(slot)
             obs.count("runner.timeouts")
             self._retry_or_fail(
-                index, attempt, KIND_TIMEOUT, f"exceeded timeout_s={timeout:g}"
+                index,
+                attempt,
+                KIND_TIMEOUT,
+                f"exceeded timeout_s={self.policy.timeout_s:g}",
             )
 
     def _worker_died(self, slot: _Slot) -> None:
@@ -362,7 +357,7 @@ class SelfHealingPool:
     # ------------------------------------------------------------------
     def _retry_or_fail(self, index: int, attempt: int, kind: str, message: str) -> None:
         task = self._tasks[index]
-        if attempt < self.policy.effective_retries(task.max_retries):
+        if attempt < self.policy.max_retries:
             obs.count("runner.retries")
             with obs.span(
                 "runner.retry", key=task.key, attempt=attempt + 1, cause=kind

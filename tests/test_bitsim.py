@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.generator import GeneratorSpec, generate
-from repro.core.state_holding import hold_indices, simulate_with_holding
+from repro.core.state_holding import hold_indices
 from repro.logic import bitsim
 from repro.logic.bitsim import (
     PatternSimulator,
@@ -152,7 +152,7 @@ class TestPackedWords:
                 assert pct[cyc, t] == pytest.approx(scalar.switching[cyc])
 
     def test_hold_matches_scalar_holding(self):
-        """Packed hold-indices semantics == simulate_with_holding."""
+        """Packed hold-indices semantics == the scalar holding simulation."""
         c = get_circuit("s298")
         rng = random.Random(8)
         length = 12
@@ -165,8 +165,8 @@ class TestPackedWords:
             hold_indices=hold_indices(c, hold_set),
             hold_period_log2=2,
         )
-        scalar = simulate_with_holding(
-            c, init, seq, hold_set, hold_period_log2=2
+        scalar = simulate_sequence(
+            c, init, seq, hold_indices=hold_indices(c, hold_set), hold_period_log2=2
         )
         assert packed.lane_states(0, length) == [
             tuple(s) for s in scalar.states
@@ -321,7 +321,9 @@ class TestEveryLaneWidth:
         )
         pct = packed.switching_percent(c.num_lines)
         for t, seq in enumerate(seqs):
-            scalar = simulate_with_holding(c, init, seq, hold_set, hold_period_log2=1)
+            scalar = simulate_sequence(
+                c, init, seq, hold_indices=hold_indices(c, hold_set), hold_period_log2=1
+            )
             assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
             # Exact: the generator stores these percentages in its results.
             assert pct[1:, t].tolist() == scalar.switching[1:]

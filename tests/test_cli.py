@@ -43,6 +43,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SWA_func" in out
 
+    def test_generate_buffers_driver_is_unconstrained(self, capsys):
+        """``--driver buffers`` is Table 4.3's buffers row: no SWA bound."""
+        assert main(["generate", "s27", "--length", "40"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["generate", "s27", "--length", "40", "--driver", "buffers"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_tpdf(self, capsys):
         assert main(["tpdf", "s27", "--max-faults", "40", "--time-limit", "1"]) == 0
         out = capsys.readouterr().out
@@ -86,6 +93,16 @@ class TestCommands:
         defaults = build_parser().parse_args(["table", "4.3"])
         assert defaults.timeout is None and defaults.retries is None
         assert defaults.checkpoint is None and not defaults.resume
+
+    def test_overrun_rows_fail_alike_at_any_jobs(self, capsys):
+        """A ``--timeout`` no row can meet fails every row; none prints shorter."""
+        outs = []
+        for jobs in ("1", "2"):
+            argv = ["table", "4.3", "--timeout", "0.01", "--retries", "0", "--quiet"]
+            assert main([*argv, "--jobs", jobs]) == 1
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].count("FAILED: timeout after 1 try") == 2
 
     def test_table_resume_requires_checkpoint(self, capsys):
         assert main(["table", "4.3", "--resume"]) == 2

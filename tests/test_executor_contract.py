@@ -8,12 +8,14 @@ that makes ``--jobs`` and ``--shards`` pure wall-clock knobs:
   task order no matter which order tasks finish in;
 * flaky attempts retry and exhausted retries degrade to typed
   :class:`TaskFailure` rows instead of raising;
-* every attempt sees the same cooperative deadline, the policy's
-  ``timeout_s`` when the task sets none;
+* an attempt that overruns the policy's ``timeout_s`` fails as a
+  ``timeout`` row -- never a shorter result -- at ``jobs=1`` as at
+  ``jobs=2``, while the other rows complete;
 * a journal written by a pooled campaign resumes inline, torn or not.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +24,6 @@ from repro.core.builtin_gen import BuiltinGenConfig
 from repro.experiments.runner import ExperimentTask, run_tasks
 from repro.experiments.tables4 import render_table_4_3, run_table_4_3
 from repro.resilience import faultpoints
-from repro.resilience.deadline import clear_task_deadline, remaining_budget
 from repro.resilience.policy import RetryPolicy, TaskFailure
 from repro.resilience.pool import SelfHealingPool
 
@@ -47,12 +48,10 @@ TINY_43 = dict(
 @pytest.fixture(autouse=True)
 def _clean_state():
     faultpoints.install(None)
-    clear_task_deadline()
     obs.disable()
     obs.reset()
     yield
     faultpoints.install(None)
-    clear_task_deadline()
     obs.disable()
     obs.reset()
 
@@ -66,19 +65,9 @@ def _sleepy(i, delay):
     return i
 
 
-def _budget():
-    return remaining_budget()
-
-
-def _tasks(count=4, timeout_s=None, max_retries=None):
+def _tasks(count=4):
     return [
-        ExperimentTask(
-            key=f"sq/{i}",
-            fn=_square,
-            kwargs={"x": i},
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-        )
+        ExperimentTask(key=f"sq/{i}", fn=_square, kwargs={"x": i})
         for i in range(count)
     ]
 
@@ -111,7 +100,7 @@ class TestRetryAfterCrash:
     def test_flaky_error_retries_everywhere(self, jobs):
         faultpoints.install("runner.task:sq/3:flaky2")
         obs.enable()
-        out = run_tasks(_tasks(max_retries=2), jobs=jobs, policy=FAST)
+        out = run_tasks(_tasks(), jobs=jobs, policy=FAST)
         assert out == [0, 1, 4, 9]
         assert obs.registry().counters["runner.retries"] == 2
 
@@ -121,7 +110,7 @@ class TestDegradation:
     def test_exhausted_retries_degrade_to_typed_failure(self, jobs):
         faultpoints.install("runner.task:sq/1:error")
         obs.enable()
-        out = run_tasks(_tasks(max_retries=1), jobs=jobs, policy=FAST)
+        out = run_tasks(_tasks(), jobs=jobs, policy=replace(FAST, max_retries=1))
         assert out[0] == 0 and out[2] == 4 and out[3] == 9
         failure = out[1]
         assert isinstance(failure, TaskFailure)
@@ -133,10 +122,21 @@ class TestDegradation:
 
 class TestDeadline:
     @pytest.mark.parametrize("jobs", (1, 2))
-    def test_policy_timeout_is_the_cooperative_deadline(self, jobs):
-        tasks = [ExperimentTask(key=f"budget/{i}", fn=_budget) for i in range(2)]
-        out = run_tasks(tasks, jobs=jobs, policy=RetryPolicy(timeout_s=30))
-        assert all(left is not None and 25 < left <= 30 for left in out), out
+    def test_overrun_fails_the_row(self, jobs):
+        """The watchdog kills the overrunning row in both placements."""
+        tasks = [
+            ExperimentTask(key="slow", fn=_sleepy, kwargs={"i": 0, "delay": 5.0}),
+            ExperimentTask(key="quick", fn=_square, kwargs={"x": 3}),
+        ]
+        t0 = time.monotonic()
+        out = run_tasks(
+            tasks, jobs=jobs, policy=RetryPolicy(timeout_s=0.5, max_retries=0)
+        )
+        assert time.monotonic() - t0 < 5.0
+        failure, quick = out
+        assert isinstance(failure, TaskFailure)
+        assert (failure.key, failure.kind, failure.attempts) == ("slow", "timeout", 1)
+        assert quick == 9
 
 
 class TestCrossBackendResume:

@@ -210,7 +210,7 @@ class TestRunsAndRows:
         expdb.set_current_run(run_id)
         tasks = [
             ExperimentTask(key="row/a", fn=_double, kwargs={"x": 2}),
-            ExperimentTask(key="row/b", fn=_boom, max_retries=0),
+            ExperimentTask(key="row/b", fn=_boom),
         ]
         journal = CheckpointJournal.open(
             journal_path, fingerprint="fp", resume=False
@@ -574,6 +574,16 @@ class TestCliCampaign:
             assert run["n_metrics"] > 0  # --db implies metric collection
         # The run id must not leak into later commands in this process.
         assert expdb.current_run() is None
+
+    def test_timed_table_records_pool_executor_at_jobs_1(self, tmp_path, capsys):
+        """``--timeout`` puts the rows on a worker even at ``--jobs 1``."""
+        path = str(tmp_path / "e.db")
+        assert main(["table", "4.2", "--db", path]) == 0
+        timed = ["table", "4.3", "--timeout", "0.01", "--retries", "0", "--quiet"]
+        assert main([*timed, "--db", path]) == 1
+        capsys.readouterr()
+        with ExperimentDB(path) as db:
+            assert [r["executor"] for r in db.runs()] == ["pool", "inprocess"]
 
     def test_generate_db_records_result_row(self, tmp_path, capsys):
         path = str(tmp_path / "e.db")

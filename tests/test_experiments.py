@@ -97,16 +97,21 @@ class TestChapter4Harness:
         # s27 has a single output: cannot drive 3 inputs.
         assert "s27" not in eligible_drivers(target, ("s27",))
 
-    def test_swa_func_buffers(self):
-        value = swa_func_of(
-            __import__("repro.circuits.benchmarks", fromlist=["get_circuit"]).get_circuit(
-                "s298"
-            ),
-            "buffers",
+    def test_swa_func_of_driving_block(self):
+        """The bound comes from the driving block's own TPG (Section 4.6)."""
+        from repro.bist.tpg import DevelopedTpg
+        from repro.circuits.benchmarks import get_circuit
+        from repro.core.embedded import compose, estimate_swa_func
+
+        target, driver = get_circuit("s298"), get_circuit("s953")
+        value = swa_func_of(target, "s953", n_sequences=4, length=40)
+        assert 0 < value < 100
+        assert value == estimate_swa_func(
+            compose(driver, target),
             n_sequences=4,
             length=40,
-        )
-        assert 0 < value < 100
+            tpg=DevelopedTpg.for_circuit(driver),
+        ).swa_func
 
 
 

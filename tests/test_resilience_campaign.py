@@ -7,6 +7,8 @@ byte-identical to an uninjected run -- the determinism contract of the
 retry design (same task kwargs => same derived seed => same row).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
@@ -15,19 +17,16 @@ from repro.experiments.runner import ExperimentTask, run_tasks
 from repro.experiments.tables4 import render_table_4_3, run_table_4_3
 from repro.resilience import faultpoints
 from repro.resilience.checkpoint import CheckpointJournal, fingerprint_of
-from repro.resilience.deadline import clear_task_deadline
 from repro.resilience.policy import RetryPolicy, TaskFailure
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
     faultpoints.install(None)
-    clear_task_deadline()
     obs.disable()
     obs.reset()
     yield
     faultpoints.install(None)
-    clear_task_deadline()
     obs.disable()
     obs.reset()
 
@@ -36,21 +35,17 @@ def _square(x):
     return x * x
 
 
-def _tasks(count=4, timeout_s=None, max_retries=None):
+def _tasks(count=4):
     return [
-        ExperimentTask(
-            key=f"sq/{i}",
-            fn=_square,
-            kwargs={"x": i},
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-        )
+        ExperimentTask(key=f"sq/{i}", fn=_square, kwargs={"x": i})
         for i in range(count)
     ]
 
 
 #: A fast backoff so retry-heavy tests stay quick.
 FAST = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
+ONE_RETRY = replace(FAST, max_retries=1)
+NO_RETRY = replace(FAST, max_retries=0)
 
 TINY_43 = dict(
     targets=("s27", "s298"),
@@ -78,10 +73,11 @@ class TestInjectedFaults:
         assert counters["runner.tasks_completed"] == 4
 
     def test_hang_killed_by_watchdog_then_retried(self):
-        clean = run_tasks(_tasks(timeout_s=0.5), jobs=2, policy=FAST)
+        timed = replace(FAST, timeout_s=0.5)
+        clean = run_tasks(_tasks(), jobs=2, policy=timed)
         faultpoints.install("runner.task:sq/2:hang_once")
         obs.enable()
-        injected = run_tasks(_tasks(timeout_s=0.5), jobs=2, policy=FAST)
+        injected = run_tasks(_tasks(), jobs=2, policy=timed)
         assert injected == clean == [0, 1, 4, 9]
         counters = obs.registry().counters
         assert counters["runner.timeouts"] == 1
@@ -90,14 +86,14 @@ class TestInjectedFaults:
     def test_flaky_then_succeed(self):
         faultpoints.install("runner.task:sq/3:flaky2")
         obs.enable()
-        out = run_tasks(_tasks(max_retries=2), jobs=2, policy=FAST)
+        out = run_tasks(_tasks(), jobs=2, policy=FAST)
         assert out == [0, 1, 4, 9]
         assert obs.registry().counters["runner.retries"] == 2
 
     def test_flaky_then_succeed_inline_matches_pool(self):
         faultpoints.install("runner.task:sq/3:flaky2")
-        inline = run_tasks(_tasks(max_retries=2), jobs=1, policy=FAST)
-        pooled = run_tasks(_tasks(max_retries=2), jobs=2, policy=FAST)
+        inline = run_tasks(_tasks(), jobs=1, policy=FAST)
+        pooled = run_tasks(_tasks(), jobs=2, policy=FAST)
         assert inline == pooled == [0, 1, 4, 9]
 
 
@@ -105,7 +101,7 @@ class TestDegradation:
     def test_exhausted_retries_degrade_to_typed_failure(self):
         faultpoints.install("runner.task:sq/1:error")
         obs.enable()
-        out = run_tasks(_tasks(max_retries=1), jobs=2, policy=FAST)
+        out = run_tasks(_tasks(), jobs=2, policy=ONE_RETRY)
         assert out[0] == 0 and out[2] == 4 and out[3] == 9
         failure = out[1]
         assert isinstance(failure, TaskFailure)
@@ -117,14 +113,14 @@ class TestDegradation:
 
     def test_inline_degrades_the_same_way(self):
         faultpoints.install("runner.task:sq/1:error")
-        out = run_tasks(_tasks(max_retries=1), jobs=1, policy=FAST)
+        out = run_tasks(_tasks(), jobs=1, policy=ONE_RETRY)
         assert isinstance(out[1], TaskFailure)
         assert out[1].attempts == 2
         assert [r for i, r in enumerate(out) if i != 1] == [0, 4, 9]
 
     def test_crashing_worker_exhausts_to_crash_failure(self):
         faultpoints.install("runner.task:sq/0:crash")
-        out = run_tasks(_tasks(max_retries=1), jobs=2, policy=FAST)
+        out = run_tasks(_tasks(), jobs=2, policy=ONE_RETRY)
         failure = out[0]
         assert isinstance(failure, TaskFailure)
         assert failure.kind == "crash"
@@ -143,7 +139,7 @@ class TestTableCampaigns:
 
     def test_table_4_3_failed_row_renders_degraded(self):
         faultpoints.install("runner.task:s27:error")
-        cases = run_table_4_3(jobs=1, max_retries=0, policy=FAST, **TINY_43)
+        cases = run_table_4_3(jobs=1, policy=NO_RETRY, **TINY_43)
         assert any(isinstance(c, TaskFailure) for c in cases)
         out = render_table_4_3(cases)
         assert "!! s27: FAILED: error after 1 try" in out
@@ -159,9 +155,9 @@ class TestCheckpointResume:
         faultpoints.install("runner.task:sq/2:error")
         obs.enable()
         first = run_tasks(
-            _tasks(max_retries=0),
+            _tasks(),
             jobs=2,
-            policy=FAST,
+            policy=NO_RETRY,
             checkpoint=CheckpointJournal.open(path, fingerprint=fp),
         )
         assert isinstance(first[2], TaskFailure)
@@ -171,9 +167,9 @@ class TestCheckpointResume:
         obs.reset()
         obs.enable()
         second = run_tasks(
-            _tasks(max_retries=0),
+            _tasks(),
             jobs=2,
-            policy=FAST,
+            policy=NO_RETRY,
             checkpoint=CheckpointJournal.open(path, fingerprint=fp, resume=True),
         )
         assert second == [0, 1, 4, 9]

@@ -4,10 +4,7 @@ import pytest
 
 from repro.circuits.benchmarks import get_circuit
 from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator
-from repro.core.state_holding import (
-    select_holding_sets,
-    simulate_with_holding,
-)
+from repro.core.state_holding import hold_indices, select_holding_sets
 from repro.faults.collapse import collapse_transition
 from repro.faults.lists import all_transition_faults
 from repro.logic.simulator import simulate_sequence
@@ -26,7 +23,9 @@ class TestSimulateWithHolding:
 
         rng = random.Random(0)
         seq = [[rng.randint(0, 1) for _ in c.inputs] for _ in range(16)]
-        res = simulate_with_holding(c, [0] * 14, seq, hold_set=hold, hold_period_log2=2)
+        res = simulate_sequence(
+            c, [0] * 14, seq, hold_indices=hold_indices(c, hold), hold_period_log2=2
+        )
         index = {q: i for i, q in enumerate(c.state_lines)}
         for i in range(0, 16, 4):  # hold cycles
             for q in hold:
@@ -40,7 +39,9 @@ class TestSimulateWithHolding:
 
         rng = random.Random(1)
         seq = [[rng.randint(0, 1) for _ in c.inputs] for _ in range(12)]
-        res = simulate_with_holding(c, [0] * 14, seq, hold_set=hold, hold_period_log2=2)
+        res = simulate_sequence(
+            c, [0] * 14, seq, hold_indices=hold_indices(c, hold), hold_period_log2=2
+        )
         from repro.logic.simulator import next_state, simulate_comb
 
         for i in range(12):
@@ -55,12 +56,14 @@ class TestSimulateWithHolding:
 
     def test_h_zero_rejected(self, s298):
         with pytest.raises(ValueError):
-            simulate_with_holding(s298, [0] * 14, [[0, 0, 0]], ["q0"], hold_period_log2=0)
+            simulate_sequence(
+                s298, [0] * 14, [[0, 0, 0]], hold_indices=[0], hold_period_log2=0
+            )
 
     def test_empty_hold_set_is_plain_simulation(self, s298):
         c = s298
         seq = [[1, 0, 1]] * 8
-        held = simulate_with_holding(c, [0] * 14, seq, hold_set=[])
+        held = simulate_sequence(c, [0] * 14, seq, hold_indices=hold_indices(c, []))
         plain = simulate_sequence(c, [0] * 14, seq, keep_line_values=False)
         assert held.states == plain.states
 
@@ -72,8 +75,8 @@ class TestSimulateWithHolding:
         rng = random.Random(2)
         seq = [[rng.randint(0, 1) for _ in c.inputs] for _ in range(40)]
         plain = simulate_sequence(c, [0] * 14, seq, keep_line_values=False)
-        held = simulate_with_holding(
-            c, [0] * 14, seq, hold_set=c.state_lines[:7], hold_period_log2=2
+        held = simulate_sequence(
+            c, [0] * 14, seq, hold_indices=hold_indices(c, c.state_lines[:7])
         )
         assert set(held.states) != set(plain.states)
 
