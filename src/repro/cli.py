@@ -12,14 +12,15 @@ Subcommands mirror the paper's three methods plus utilities::
     repro-eda db runs --db exp.db           # browse the experiment history
 
 Every command runs on the local machine.  ``table --jobs N`` fans the
-table rows out over N pool workers, and ``--shards N`` grades fault
-shards in parallel in rows that run in this process (a row inside a pool
-worker grades serially); with both at 1 everything runs in this process.
-Neither changes any output byte.  ``table ID`` runs any entry of the
-artifact registry (:mod:`repro.experiments.artifacts`) at its one
-shipped configuration.  Bad input -- an unknown benchmark or table id,
+rows of tables 4.3, 4.4 and ``chapter4`` out over N pool workers, and
+``--shards N`` grades fault shards in parallel in rows that run in this
+process (a row inside a pool worker grades serially); with both at 1
+everything runs in this process.  Neither changes any output byte.
+``table ID`` runs any entry of the artifact registry
+(:mod:`repro.experiments.artifacts`) at its one shipped configuration.  Bad input -- an unknown benchmark or table id,
 an out-of-range count or time budget, a flag the chosen table does not
-use, an output file in a missing directory, or a malformed
+use, an output path that is a directory or lies in a missing one, a
+database path that holds no experiment database, or a malformed
 ``REPRO_FAULT`` spec -- fails fast with a one-line ``error:``
 diagnostic and exit code 2 before any work.
 
@@ -35,9 +36,8 @@ deadline and retry budget.  A timed table runs its rows on worker
 processes even at ``--jobs 1``, so a row that overruns the deadline is
 killed, never cut short.  Rows that exhaust their retries render as
 ``FAILED`` annotations and flip the exit code to 1 *after* the table
-prints.  Table 4.3 also takes ``--checkpoint FILE`` / ``--resume``
-(journal completed rows as ``repro-resume-v1`` JSONL and skip them on
-rerun).
+prints.  Every row's seed derives from its key, so a killed table, run
+again, prints the same rows.
 
 Experiment history (see :mod:`repro.expdb`): ``generate`` and ``table``
 accept ``--db PATH`` (equivalently ``REPRO_DB``, which pool workers
@@ -48,8 +48,9 @@ histogram summaries -- to a sqlite experiment database.  ``repro-eda db
 judges the newest ``benchmarks/e2e/run.py --record`` batch against the
 rolling median of up to N earlier batches, with the bounds of
 ``BENCHMARK.json`` in the working directory, and ``repro-eda stats --db
-PATH`` re-renders any stored run report.  Recording never changes
-results.
+PATH`` re-renders any stored run report.  These read-only commands never
+create a database, and ``db gate`` on one without a batch is an error,
+not a pass.  Recording never changes results.
 
 All output is plain text; every command is deterministic for fixed seeds.
 """
@@ -99,12 +100,14 @@ def _obs_finish(args: argparse.Namespace) -> None:
 def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
     """Open an experiment-database run when ``--db``/``REPRO_DB`` asks.
 
-    Returns the new run id, or ``None`` when recording is off.  The path
-    and run id are exported (``REPRO_DB`` / ``REPRO_DB_RUN``) so pool
-    workers inherit them.  The run's ``executor`` column records where
-    task attempts run, by the pool's own rule
-    (:func:`repro.resilience.pool.runs_inline`): ``pool`` when ``--jobs``
-    / ``--shards`` is above 1 or ``--timeout`` is set, else ``inprocess``.
+    Returns the new run id, or ``None`` when recording is off; raises
+    :class:`repro.expdb.ExperimentDBError` when the path holds no usable
+    database.  The path and run id are exported (``REPRO_DB`` /
+    ``REPRO_DB_RUN``) so pool workers inherit them.  The run's
+    ``executor`` column records where task attempts run, by the pool's
+    own rule (:func:`repro.resilience.pool.runs_inline`): ``pool`` when
+    ``--jobs`` / ``--shards`` is above 1 or ``--timeout`` is set, else
+    ``inprocess``.
     """
     import os
 
@@ -114,8 +117,8 @@ def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
     path = getattr(args, "db", None) or os.environ.get(expdb.ENV_VAR)
     if not path:
         return None
-    os.environ[expdb.ENV_VAR] = str(path)
     db = expdb.configure(path)
+    os.environ[expdb.ENV_VAR] = str(path)
     workers = max(getattr(args, "jobs", None) or 1, getattr(args, "shards", None) or 1)
     run_id = db.begin_run(
         kind,
@@ -167,10 +170,12 @@ _INT_MINIMUMS = (
     ("n", 1, "a positive path count"),
     ("retries", 0, "a non-negative retry count"),
     ("tree_height", 0, "a non-negative tree height"),
+    ("limit", 1, "a positive count"),
 )
 
-#: ``table`` flags that only some artifacts take (``Artifact.flags``).
-_ARTIFACT_FLAGS = ("timeout", "retries", "checkpoint", "resume")
+#: ``table`` flags that only some artifacts take (``Artifact.flags``),
+#: each with its default, which asks nothing of any table.
+_ARTIFACT_FLAGS = {"jobs": 1, "timeout": None, "retries": None}
 
 
 def _check_table(args: argparse.Namespace) -> str | None:
@@ -180,25 +185,22 @@ def _check_table(args: argparse.Namespace) -> str | None:
     artifact = ARTIFACTS.get(args.table)
     if artifact is None:
         return f"unknown table {args.table!r} (one of {', '.join(ARTIFACTS)})"
-    for flag in _ARTIFACT_FLAGS:
-        value = getattr(args, flag)
-        if value is None or value is False or flag in artifact.flags:
+    for flag, default in _ARTIFACT_FLAGS.items():
+        if getattr(args, flag) == default or flag in artifact.flags:
             continue
         takers = [a.id for a in ARTIFACTS.values() if flag in a.flags]
         where = f"table {takers[0]}" if len(takers) == 1 else f"tables {', '.join(takers)}"
         return f"--{flag} applies only to {where}, not {args.table}"
-    if args.resume and not args.checkpoint:
-        return "--resume requires --checkpoint FILE"
     return None
 
 
 def _check_outputs(args: argparse.Namespace) -> str | None:
-    """Every file a run will write has an existing directory to go in."""
+    """Every file a run will write is no directory and has one to go in."""
     import os
 
     from repro.expdb import ENV_VAR
 
-    outputs = [(f"--{name}", getattr(args, name, None)) for name in ("trace", "checkpoint", "db")]
+    outputs = [(f"--{name}", getattr(args, name, None)) for name in ("trace", "db")]
     if not args.db:
         outputs.append((ENV_VAR, os.environ.get(ENV_VAR)))
     for label, path in outputs:
@@ -206,6 +208,8 @@ def _check_outputs(args: argparse.Namespace) -> str | None:
             directory = os.path.dirname(os.path.abspath(path))
             if not os.path.isdir(directory):
                 return f"cannot write {label} {path}: no directory {directory}"
+            if os.path.isdir(path):
+                return f"cannot write {label} {path}: it is a directory"
     return None
 
 
@@ -258,13 +262,20 @@ def _check_args(args: argparse.Namespace) -> str | None:
 def _run_campaign(args: argparse.Namespace, kind: str, label: str, body) -> int:
     """Run ``body(args)`` for ``generate``/``table`` with the shared set-up.
 
-    Turns on obs and records the run in the experiment database when one
-    is active.
+    Records the run in the experiment database when one is active (a
+    path that holds no database exits 2 before any work) and turns on
+    obs.
     """
     import time
 
+    from repro.expdb import ExperimentDBError
+
+    try:
+        run_id = _db_setup(args, kind, label)
+    except ExperimentDBError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _obs_setup(args)
-    run_id = _db_setup(args, kind, label)
     started = time.monotonic()
     code = 1
     try:
@@ -330,7 +341,6 @@ def _run_generate(args: argparse.Namespace) -> int:
     from repro.core.state_holding import run_with_state_holding
     from repro.experiments.tables4 import swa_func_of
     from repro.faults.collapse import collapsed_transition_faults
-    from repro.resilience.checkpoint import fingerprint_of
 
     target = get_circuit(args.circuit)
     faults = collapsed_transition_faults(target)
@@ -350,7 +360,7 @@ def _run_generate(args: argparse.Namespace) -> int:
     if db is not None and run_id is not None:
         db.annotate_run(
             run_id,
-            fingerprint=fingerprint_of(
+            fingerprint=expdb.fingerprint_of(
                 {
                     "generate": args.circuit,
                     "driver": args.driver,
@@ -463,7 +473,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _run_table(args: argparse.Namespace) -> int:
     """Body of ``repro-eda table`` once dispatch knobs are validated."""
     from repro.experiments.artifacts import ARTIFACTS, Dispatch, failures
-    from repro.resilience import CheckpointError
 
     progress = None
     if args.jobs and args.jobs > 1 and not args.quiet:
@@ -473,20 +482,14 @@ def _run_table(args: argparse.Namespace) -> int:
             print(f"row {i + 1} done: {task.key}", file=sys.stderr, flush=True)
 
     artifact = ARTIFACTS[args.table]
-    try:
-        value = artifact.run(
-            Dispatch(
-                jobs=args.jobs,
-                progress=progress,
-                policy=_retry_policy(args),
-                checkpoint_path=args.checkpoint,
-                resume=args.resume,
-                shards=args.shards,
-            )
+    value = artifact.run(
+        Dispatch(
+            jobs=args.jobs,
+            progress=progress,
+            policy=_retry_policy(args),
+            shards=args.shards,
         )
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 2
+    )
     print(artifact.render(value))
     failed = failures(value)
     if failed:
@@ -542,11 +545,26 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _history_db(path: str):
+    """The existing experiment database at ``path``, for a read-only command.
+
+    Raises :class:`repro.expdb.ExperimentDBError` instead of creating an
+    empty database where a mistyped path points.
+    """
+    import os
+
+    from repro.expdb import ExperimentDB, ExperimentDBError
+
+    if not os.path.exists(path):
+        raise ExperimentDBError(f"no experiment database at {path}")
+    return ExperimentDB(path)
+
+
 def _stats_from_db(args: argparse.Namespace) -> int:
     """Render a stored run report (``repro-eda stats --db PATH [--run N]``)."""
     import os
 
-    from repro.expdb import ENV_VAR, ExperimentDB, ExperimentDBError
+    from repro.expdb import ENV_VAR, ExperimentDBError
     from repro.obs.report import render_report
 
     path = args.db or os.environ.get(ENV_VAR)
@@ -558,7 +576,7 @@ def _stats_from_db(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        with ExperimentDB(path) as db:
+        with _history_db(path) as db:
             run_id = args.run if args.run is not None else db.latest_run_id()
             if run_id is None:
                 print(f"no runs recorded in {path}", file=sys.stderr)
@@ -590,7 +608,7 @@ def _cmd_db(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        db = expdb.ExperimentDB(path)
+        db = _history_db(path)
     except expdb.ExperimentDBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -620,6 +638,15 @@ def _cmd_db(args: argparse.Namespace) -> int:
             result = expdb.gate(db, expdb.load_bounds("BENCHMARK.json"), last=args.last)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if result.batch is None:
+            # Nothing to judge: a pass would vouch for a database that
+            # no benchmark run ever recorded into.
+            print(
+                f"error: no bench batch in {path} (record one with "
+                "benchmarks/e2e/run.py --record)",
+                file=sys.stderr,
+            )
             return 2
         print(result.report())
         return 0 if result.ok else 1
@@ -798,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for per-circuit experiment rows "
-        "(results are identical for any value)",
+        "(results are identical for any value; tables 4.3, 4.4 and chapter4)",
     )
     p.add_argument(
         "--quiet", action="store_true", help="suppress per-row progress lines"
@@ -819,17 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="retries per row before it degrades to a FAILED entry "
         "(default 2; tables 4.3, 4.4 and chapter4)",
-    )
-    p.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="journal completed rows to FILE as repro-resume-v1 JSONL "
-        "(table 4.3)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip rows already journaled in --checkpoint FILE (table 4.3)",
     )
     p.add_argument(
         "--shards",

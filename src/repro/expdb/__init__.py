@@ -17,9 +17,9 @@ Activation is process-wide and opt-in:
 * :func:`configure` from code.
 
 With neither set, :func:`active` returns ``None`` and every producer
-(the experiment runner, checkpoint replay, the CLI run wrapper) skips
-recording -- the database never changes results, it only remembers
-them.  ``benchmarks/e2e/run.py --record --db PATH`` opens its database
+(the experiment runner, the CLI run wrapper) skips recording -- the
+database never changes results, it only remembers them.
+``benchmarks/e2e/run.py --record --db PATH`` opens its database
 explicitly.  ``repro-eda db {runs,show,query,trend,gate}`` reads the
 history back.
 
@@ -39,6 +39,7 @@ from repro.expdb.store import (
     ExperimentDB,
     ExperimentDBError,
     code_hash,
+    fingerprint_of,
     flatten_bench,
     jsonable,
     payload_of,
@@ -59,6 +60,7 @@ __all__ = [
     "code_hash",
     "configure",
     "current_run",
+    "fingerprint_of",
     "flatten_bench",
     "gate",
     "jsonable",
@@ -86,6 +88,7 @@ def configure(path: str | os.PathLike | None) -> ExperimentDB | None:
     global _active, _resolved, _run_id
     if _active is not None:
         _active.close()
+        _active = None  # a failed open below must not leave the closed handle
     _active = ExperimentDB(path) if path is not None else None
     _resolved = True
     if _active is None:

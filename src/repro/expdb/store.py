@@ -7,14 +7,14 @@ upgrade in place)::
 
     runs           one row per recorded run: kind ('generate' | 'table' |
                    'bench' | ...), label, the campaign-parameter
-                   fingerprint (:func:`repro.resilience.checkpoint.
-                   fingerprint_of` of the campaign config), the
+                   fingerprint (:func:`fingerprint_of` of the campaign
+                   config), the
                    code-version hash (:func:`code_hash`), kernel label
                    (historical; new runs leave it empty),
                    executor, argv, UTC start/finish stamps, status,
                    exit code
     rows           child: one completed campaign/table row per record
-                   (key, index, status ok|failed|resumed, elapsed,
+                   (key, index, status ok|failed, elapsed,
                    canonical-JSON payload)
     metrics        child: the obs snapshot at run end -- counters and
                    gauges as scalar values, histograms as
@@ -179,8 +179,7 @@ def jsonable(obj: Any) -> Any:
     Dataclasses become ``{TypeName: fields}``, mappings sort by key, sets
     sort by repr, and anything else non-primitive degrades to ``repr``.
     Keeping payloads canonical makes ``db query`` JSON extraction stable
-    across runs and backends; the checkpoint fingerprint
-    (:func:`repro.resilience.checkpoint.fingerprint_of`) hashes this same
+    across runs and backends; :func:`fingerprint_of` hashes this same
     form.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -196,6 +195,12 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     return repr(obj)
+
+
+def fingerprint_of(params: Any) -> str:
+    """A short stable hex fingerprint of a campaign's configuration."""
+    blob = json.dumps(jsonable(params), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def payload_of(result: Any) -> Any:

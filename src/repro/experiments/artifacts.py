@@ -34,9 +34,9 @@ CheckFn = Callable[[Any], Iterable[str]]
 class Dispatch:
     """Where and how an artifact's rows run; no field changes a result.
 
-    The fields mirror ``repro-eda table``'s ``--jobs``, ``--checkpoint``,
-    ``--resume`` and ``--shards``, plus the per-row ``progress`` callback
-    and the :class:`repro.resilience.policy.RetryPolicy` built from
+    The fields mirror ``repro-eda table``'s ``--jobs`` and ``--shards``,
+    plus the per-row ``progress`` callback and the
+    :class:`repro.resilience.policy.RetryPolicy` built from
     ``--timeout``/``--retries``.  A row that overruns the policy's
     deadline fails; it never comes back shorter.  Entries that run no
     rows on the worker pool ignore them.
@@ -45,8 +45,6 @@ class Dispatch:
     jobs: int | None = None
     progress: Callable | None = None
     policy: RetryPolicy | None = None
-    checkpoint_path: str | None = None
-    resume: bool = False
     shards: int = 1
 
 
@@ -57,7 +55,7 @@ class Artifact:
     ``compute(dispatch, **params)`` runs it; ``render(value)`` is the
     text ``repro-eda table ID`` prints; ``checks`` maps each shape claim
     to its :data:`CheckFn`; ``flags`` names the dispatch flags beyond
-    ``--jobs``/``--shards`` the entry accepts.
+    ``--shards`` the entry accepts.
     """
 
     id: str
@@ -259,8 +257,6 @@ def _chapter4(
         config=BuiltinGenConfig(**config, grade_shards=dispatch.shards),
         n_sequences=n_sequences,
         func_length=func_length,
-        checkpoint_path=dispatch.checkpoint_path,
-        resume=dispatch.resume,
         **per_row,
     )
     if fc_threshold is None:
@@ -342,6 +338,9 @@ _CH4_CLI = {
     "n_sequences": 16,
     "func_length": 120,
 }
+
+#: The dispatch flags of the entries that run their rows on the worker pool.
+_POOLED = frozenset({"jobs", "timeout", "retries"})
 
 # ---------------------------------------------------------------------------
 # Figures
@@ -691,13 +690,13 @@ ARTIFACTS: dict[str, Artifact] = {
         Artifact(
             "4.3", _CH4_CLI, _chapter4, _RENDER_4_3,
             {"every target has a buffers row": _buffers_rows, _SWA_CLAIM: _swa_within_bound},
-            frozenset({"timeout", "retries", "checkpoint", "resume"}),
+            _POOLED,
         ),
         Artifact(
             "4.4",
             {**_CH4_CLI, "fc_threshold": 95.0, "tree_height": 2,
              "holding_config": _CH4_CLI["config"]},
-            _chapter4, _render_4_4, _T44_CHECKS, frozenset({"timeout", "retries"}),
+            _chapter4, _render_4_4, _T44_CHECKS, _POOLED,
         ),
         Artifact(
             "chapter4",
@@ -720,7 +719,7 @@ ARTIFACTS: dict[str, Artifact] = {
                 "holds at this seed)": lambda value: _near_buffers(value[0]),
                 **_T44_CHECKS,
             },
-            frozenset({"timeout", "retries"}),
+            _POOLED,
         ),
         Artifact(
             "fig1-examples", {"circuit": "s298", "max_paths": 60, "max_tests": 60},

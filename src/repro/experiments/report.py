@@ -274,14 +274,11 @@ def generate_report() -> str:
         " baseline.",
         (
             "",
-            "# the full campaign toolkit -- rows fan out over 4 workers, every",
-            "# finished row is journaled, and the merged run report prints at",
-            "# the end (output is byte-identical for ANY --jobs value,",
-            "# including 1):",
-            "repro-eda table 4.3 --jobs 4 --checkpoint t43.jsonl --stats",
-            "",
-            "# killed partway?  resume re-runs only the unfinished rows:",
-            "repro-eda table 4.3 --jobs 4 --checkpoint t43.jsonl --resume",
+            "# the full campaign toolkit -- rows fan out over 4 workers and",
+            "# the merged run report prints at the end (output is",
+            "# byte-identical for ANY --jobs value, including 1; a killed",
+            "# run, run again, prints the same rows):",
+            "repro-eda table 4.3 --jobs 4 --stats",
             "",
             "# bound each row and survive injected worker crashes:",
             "repro-eda table 4.3 --jobs 2 --timeout 120 --retries 2",

@@ -27,16 +27,14 @@ kwargs (same derived seed, so a recovered row is byte-identical to an
 unfailed one) under a deterministic exponential backoff, and a task that
 exhausts its retry budget degrades to a typed
 :class:`repro.resilience.policy.TaskFailure` in its slot of the results
-list -- the campaign itself never aborts mid-run.  Passing a
-:class:`repro.resilience.checkpoint.CheckpointJournal` journals every
-completed row (with its obs snapshot) the moment it finishes; rows
-already journaled are skipped and their results (and snapshots) replayed,
-which is what ``repro-eda table --checkpoint FILE --resume`` rides on.
-When an experiment database is active (``--db`` / ``REPRO_DB`` plus an
-open run id, see :mod:`repro.expdb`), every resolved row -- freshly
-completed, replayed from the journal (status ``resumed``), or degraded
-to a failure -- is also appended to the run's ``rows`` table the moment
-it resolves, so campaign history accumulates without a separate pass.
+list -- the campaign itself never aborts mid-run.  Because every row's
+seed is derived from its key, rerunning a killed campaign prints the
+same table.  When an experiment database is active (``--db`` /
+``REPRO_DB`` plus an open run id, see :mod:`repro.expdb`), every
+resolved row -- completed (status ``ok``) or degraded to a failure
+(status ``failed``) -- is also appended to the run's ``rows`` table the
+moment it resolves, so campaign history accumulates without a separate
+pass.
 
 Workers receive circuit *names*, not circuit objects: each process loads
 and compiles its own copy, which keeps task payloads small and sidesteps
@@ -48,8 +46,8 @@ task under a ``runner.task`` span, and ships the registry snapshot back
 alongside the result; the parent merges every snapshot into its registry
 (events tagged with the task key), so ``repro-eda table --stats --jobs N``
 reports one coherent story regardless of ``N``.  Retries, timeouts,
-worker crashes/respawns, failures, and resumed rows surface as
-``runner.*`` counters plus a ``runner.retry`` span per retry decision.
+worker crashes/respawns and failures surface as ``runner.*`` counters
+plus a ``runner.retry`` span per retry decision.
 A ``progress`` callback fires per task in task order as the completed
 prefix grows, backing the per-row progress lines of ``repro-eda table``.
 """
@@ -60,7 +58,6 @@ import zlib
 from typing import Any, Callable, Sequence
 
 from repro import expdb, obs
-from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.policy import RetryPolicy, TaskFailure
 from repro.resilience.pool import ExperimentTask, SelfHealingPool
 
@@ -79,15 +76,16 @@ def derive_seed(base_seed: int, key: str) -> int:
     return mixed or 1
 
 
-def _record_outcome(task: ExperimentTask, index: int, outcome: Any, status: str) -> None:
+def _record_outcome(task: ExperimentTask, index: int, outcome: Any) -> None:
     """Append one task outcome to the active experiment database, if any.
 
     A no-op unless both a database (``--db`` / ``REPRO_DB``) and an open
     run id are in effect.  List/tuple outcomes -- e.g. all Table 4.3 rows
     of one target -- flatten to one database row per element, keyed
     ``<task.key>#<i>``, so the stored rows line up one-to-one with the
-    rendered table's rows.  Failures record a ``failed`` row carrying the
-    :class:`~repro.resilience.policy.TaskFailure` description.
+    rendered table's rows, each with status ``ok``.  Failures record a
+    ``failed`` row carrying the :class:`~repro.resilience.policy.TaskFailure`
+    description.
     """
     db = expdb.active()
     run_id = expdb.current_run()
@@ -103,11 +101,9 @@ def _record_outcome(task: ExperimentTask, index: int, outcome: Any, status: str)
         )
     elif isinstance(outcome, (list, tuple)):
         for i, item in enumerate(outcome):
-            db.record_row(
-                run_id, f"{task.key}#{i}", index, expdb.payload_of(item), status=status
-            )
+            db.record_row(run_id, f"{task.key}#{i}", index, expdb.payload_of(item))
     else:
-        db.record_row(run_id, task.key, index, expdb.payload_of(outcome), status=status)
+        db.record_row(run_id, task.key, index, expdb.payload_of(outcome))
 
 
 def run_tasks(
@@ -115,12 +111,11 @@ def run_tasks(
     jobs: int | None = None,
     progress: Callable[[int, ExperimentTask], None] | None = None,
     policy: RetryPolicy | None = None,
-    checkpoint: CheckpointJournal | None = None,
 ) -> list[Any]:
     """Run every task; returns results (or ``TaskFailure``s) in task order.
 
-    ``jobs`` of ``None``, 0, or 1 (or a single runnable task) runs inline
-    in this process -- no pool, no pickling -- unless ``policy`` sets a
+    ``jobs`` of ``None``, 0, or 1 (or a single task) runs inline in this
+    process -- no pool, no pickling -- unless ``policy`` sets a
     ``timeout_s``, which needs a worker the watchdog can kill; larger
     ``jobs`` fans out over self-healing worker processes, capped at the
     task count; negative ``jobs`` is rejected with a ``ValueError``.
@@ -130,10 +125,8 @@ def run_tasks(
     worker count.
 
     ``policy`` is the campaign's deadline, retry budget and backoff,
-    passed to the pool unchanged; ``checkpoint`` journals completed rows
-    the moment they finish and replays rows the journal already holds.
-    ``progress(index, task)`` is invoked per task in task order as the
-    completed prefix grows.
+    passed to the pool unchanged.  ``progress(index, task)`` is invoked
+    per task in task order as the completed prefix grows.
     """
     tasks = list(tasks)
     if jobs is not None and int(jobs) < 0:
@@ -141,51 +134,27 @@ def run_tasks(
             f"jobs must be a non-negative worker count, got {jobs!r}"
         )
     results: list[Any] = [_PENDING] * len(tasks)
-    pending: list[int] = []
-    for i, task in enumerate(tasks):
-        if checkpoint is not None and checkpoint.has(task.key):
-            results[i] = checkpoint.result(task.key)
-            snap = checkpoint.snapshot(task.key)
-            if snap is not None and obs.enabled():
-                obs.merge(snap, task=task.key)
-            obs.count("runner.tasks_resumed")
-            _record_outcome(task, i, results[i], "resumed")
-        else:
-            pending.append(i)
-
     emitted = 0
 
-    def emit_progress() -> None:
-        """Fire ``progress`` for the resolved prefix, in task order."""
+    def on_complete(index: int, outcome: Any, snapshot: dict | None) -> None:
+        """Merge a finished row's worker metrics, record it, report progress."""
         nonlocal emitted
-        while emitted < len(results) and results[emitted] is not _PENDING:
-            if progress is not None:
-                progress(emitted, tasks[emitted])
-            emitted += 1
-
-    emit_progress()
-    if not pending:
-        return results
-
-    def on_complete(slot: int, outcome: Any, snapshot: dict | None) -> None:
-        """Merge a finished row's worker metrics and journal/report it."""
-        index = pending[slot]
         results[index] = outcome
         if not isinstance(outcome, TaskFailure):
             if snapshot is not None and obs.enabled():
                 obs.merge(snapshot, task=tasks[index].key)
                 obs.count("runner.worker_registries_merged")
             obs.count("runner.tasks_completed")
-            if checkpoint is not None:
-                checkpoint.record(tasks[index].key, outcome, snapshot=snapshot)
-        _record_outcome(tasks[index], index, outcome, "ok")
-        emit_progress()
+        _record_outcome(tasks[index], index, outcome)
+        # Fire ``progress`` for the resolved prefix, in task order.
+        while emitted < len(results) and results[emitted] is not _PENDING:
+            if progress is not None:
+                progress(emitted, tasks[emitted])
+            emitted += 1
 
     with SelfHealingPool(
-        n_workers=min(int(jobs or 1), len(pending)),
+        n_workers=min(int(jobs or 1), len(tasks)),
         policy=policy,
         collect=obs.enabled(),
     ) as pool:
-        pool.run([tasks[i] for i in pending], on_complete)
-    emit_progress()
-    return results
+        return pool.run(tasks, on_complete)

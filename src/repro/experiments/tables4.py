@@ -32,7 +32,6 @@ from repro.experiments.format import failure_row, render
 from repro.experiments.runner import ExperimentTask, run_tasks
 from repro.faults.collapse import collapsed_transition_faults
 from repro.logic.simulator import simulate_sequence
-from repro.resilience.checkpoint import CheckpointJournal, fingerprint_of
 from repro.resilience.policy import RetryPolicy, TaskFailure
 
 
@@ -231,8 +230,6 @@ def run_table_4_3(
     jobs: int | None = None,
     progress: Callable[[int, ExperimentTask], None] | None = None,
     policy: RetryPolicy | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = False,
 ) -> list[Table43Case | TaskFailure]:
     """Run Table 4.3: per target, ``buffers`` + highest/lowest-SWA drivers.
 
@@ -244,37 +241,28 @@ def run_table_4_3(
     :func:`repro.experiments.runner.run_tasks` unchanged; a row that
     overruns the deadline or exhausts its retries comes back as a
     :class:`repro.resilience.policy.TaskFailure` in its slot instead of
-    aborting the campaign.  ``checkpoint_path``
-    journals completed rows (``repro-resume-v1``, fingerprinted by this
-    function's parameters -- throughput knobs are normalized out, so a
-    journal written under one ``jobs`` value resumes under another);
-    ``resume=True`` skips rows the journal already holds.  ``progress``
-    is forwarded to :func:`repro.experiments.runner.run_tasks` and fires
-    once per completed target.
+    aborting the campaign.  ``progress`` is forwarded to
+    :func:`repro.experiments.runner.run_tasks` and fires once per
+    completed target.  With an experiment database active, the run is
+    annotated with the campaign fingerprint of these parameters.
     """
-    fingerprint = fingerprint_of(
-        {
-            "table": "4.3",
-            "targets": tuple(targets),
-            "drivers": tuple(drivers),
-            # Normalize the pure-throughput knobs: shards/jobs/lanes do
-            # not change any row, so journals stay resumable across them.
-            "config": replace(config, grade_shards=1, grade_jobs=None, lanes=None),
-            "n_sequences": n_sequences,
-            "func_length": func_length,
-        }
-    )
     db = expdb.active()
     run_id = expdb.current_run()
     if db is not None and run_id is not None:
-        # The same campaign fingerprint that keys checkpoint journals keys
-        # the run: runs with equal fingerprints are reruns of one campaign.
-        db.annotate_run(run_id, fingerprint=fingerprint)
-    checkpoint = None
-    if checkpoint_path:
-        checkpoint = CheckpointJournal.open(
-            checkpoint_path, fingerprint=fingerprint, resume=resume
+        # Runs with equal fingerprints are reruns of one campaign.
+        fingerprint = expdb.fingerprint_of(
+            {
+                "table": "4.3",
+                "targets": tuple(targets),
+                "drivers": tuple(drivers),
+                # Normalize the pure-throughput knobs: shards/jobs/lanes
+                # change no row, so runs that differ only in them match.
+                "config": replace(config, grade_shards=1, grade_jobs=None, lanes=None),
+                "n_sequences": n_sequences,
+                "func_length": func_length,
+            }
         )
+        db.annotate_run(run_id, fingerprint=fingerprint)
     tasks = [
         ExperimentTask(
             key=f"table4.3/{target_name}",
@@ -289,13 +277,7 @@ def run_table_4_3(
         )
         for target_name in targets
     ]
-    groups = run_tasks(
-        tasks,
-        jobs=jobs,
-        progress=progress,
-        policy=policy,
-        checkpoint=checkpoint,
-    )
+    groups = run_tasks(tasks, jobs=jobs, progress=progress, policy=policy)
     cases: list[Table43Case | TaskFailure] = []
     for group in groups:
         if isinstance(group, TaskFailure):

@@ -19,9 +19,9 @@ possibly merged from many worker processes) into the report printed by
 
 The "experiment runner" section also carries the resilience story of a
 campaign (:mod:`repro.resilience`): ``runner.retries``,
-``runner.timeouts``, ``runner.worker_crashes`` / ``runner.worker_respawns``,
-``runner.task_failures``, and ``runner.tasks_resumed`` land there by
-prefix, next to ``runner.tasks_completed``.  The "sharded grading"
+``runner.timeouts``, ``runner.worker_crashes`` / ``runner.worker_respawns``
+and ``runner.task_failures`` land there by prefix, next to
+``runner.tasks_completed``.  The "sharded grading"
 section (``fsim.shard.*``) carries the fault-parallel grading story.
 
 The formatter is read-only and stdlib-only; golden-string tests pin the

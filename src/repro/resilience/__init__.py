@@ -4,9 +4,9 @@ The Chapter 4 experiment tables are campaigns over several circuits,
 one task per row (Table 4.3 takes about 1 s, ``chapter4`` about 3 s).
 Without this layer one mis-parsed netlist, one worker crash, or one
 runaway row would abort the entire run and discard every finished row.
-This package makes campaigns *bounded, restartable, and partially
-degradable*; it sits directly under :mod:`repro.experiments.runner` and
-composes three pieces:
+This package makes campaigns *bounded and partially degradable*; it
+sits directly under :mod:`repro.experiments.runner` and composes two
+pieces:
 
 * **Retry policy** (:mod:`repro.resilience.policy`): one
   :class:`RetryPolicy` per campaign gives every task the same deadline,
@@ -15,11 +15,6 @@ composes three pieces:
   record in the results list instead of aborting the run.  No deadline
   ever shortens a row: an attempt that overruns it is killed, never
   told to stop early.
-* **Checkpoint/resume** (:mod:`repro.resilience.checkpoint`): completed
-  row results (plus their obs snapshots) are journaled as JSONL
-  (schema ``repro-resume-v1``) keyed by task key + campaign fingerprint;
-  a killed campaign restarted with ``--resume`` re-runs only the
-  unfinished rows.
 * **Deterministic fault injection** (:mod:`repro.resilience.faultpoints`):
   named crash/hang/flaky points (``REPRO_FAULT=runner.task:s1423:crash_once``)
   fire inside worker tasks so the whole failure surface -- worker death,
@@ -35,30 +30,21 @@ Both placements share one retry loop; the pooled one also kills a hung
 or crashed worker and respawns it.  A campaign with a deadline always
 runs pooled, since only a worker can be killed.  A retry runs the *same*
 task kwargs, so the derived seed and therefore the row are reproduced
-exactly.
+exactly; for the same reason a killed campaign, run again, prints the
+same table.
 
 Everything here is standard-library only.
 """
 
 from __future__ import annotations
 
-from repro.resilience.checkpoint import (
-    CheckpointError,
-    CheckpointJournal,
-    RESUME_SCHEMA,
-    fingerprint_of,
-)
 from repro.resilience.faultpoints import FaultSpec, InjectedFault, install
 from repro.resilience.policy import RetryPolicy, TaskFailure
 
 __all__ = [
-    "CheckpointError",
-    "CheckpointJournal",
     "FaultSpec",
     "InjectedFault",
-    "RESUME_SCHEMA",
     "RetryPolicy",
     "TaskFailure",
-    "fingerprint_of",
     "install",
 ]

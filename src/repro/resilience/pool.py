@@ -85,8 +85,8 @@ class ExperimentTask:
 
     ``fn`` must be a module-level function and ``kwargs`` picklable -- the
     requirements of pooled attempts.  ``key`` names the task for seed
-    derivation, diagnostics, progress lines, checkpoint rows, fault
-    points, and merged-trace attribution.  Deadline and retry budget are
+    derivation, diagnostics, progress lines, experiment-database rows,
+    fault points, and merged-trace attribution.  Deadline and retry budget are
     the campaign's :class:`repro.resilience.policy.RetryPolicy`.
     """
 

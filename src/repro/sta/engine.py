@@ -155,8 +155,7 @@ class StaEngine:
         the worse of the rise/fall arcs, with state-dependent margins per
         unknown side input.  This upper-bounds any event chain a timed
         simulation can produce, including hazard (glitch) propagation
-        along statically non-transitioning paths -- which is why the
-        dynamic-timing validation compares against it.
+        along statically non-transitioning paths.
         """
         pairs = self.propagate_case(case or CaseAnalysis.empty())
         arrival: dict[str, float] = {

@@ -81,18 +81,12 @@ class TestCommands:
 
     def test_table_resilience_flags(self):
         args = build_parser().parse_args(
-            [
-                "table", "4.3", "--timeout", "30", "--retries", "1",
-                "--checkpoint", "ck.jsonl", "--resume",
-            ]
+            ["table", "4.3", "--timeout", "30", "--retries", "1"]
         )
         assert args.timeout == 30.0
         assert args.retries == 1
-        assert args.checkpoint == "ck.jsonl"
-        assert args.resume
         defaults = build_parser().parse_args(["table", "4.3"])
         assert defaults.timeout is None and defaults.retries is None
-        assert defaults.checkpoint is None and not defaults.resume
 
     def test_overrun_rows_fail_alike_at_any_jobs(self, capsys):
         """A ``--timeout`` no row can meet fails every row; none prints shorter."""
@@ -103,10 +97,6 @@ class TestCommands:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert outs[0].count("FAILED: timeout after 1 try") == 2
-
-    def test_table_resume_requires_checkpoint(self, capsys):
-        assert main(["table", "4.3", "--resume"]) == 2
-        assert "--resume requires --checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--jobs", "2"]], ids=["inline", "jobs2"])
     def test_malformed_fault_spec_exits_2_before_any_row(
@@ -162,14 +152,6 @@ class TestCommands:
                 "n must be a positive path count, got 0",
             ),
             (
-                ["table", "4.4", "--resume"],
-                "--resume applies only to table 4.3, not 4.4",
-            ),
-            (
-                ["table", "3.1", "--checkpoint", "ck.jsonl"],
-                "--checkpoint applies only to table 4.3, not 3.1",
-            ),
-            (
                 ["table", "2.9"],
                 "unknown table '2.9' (one of 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, "
                 "3.1, 3.2, 3.3, 3.4, 3.5, 4.1, 4.2, 4.3, 4.4, chapter4, "
@@ -183,22 +165,24 @@ class TestCommands:
                     ("3.1", "retries", "0", "tables 4.3, 4.4, chapter4"),
                     ("2.1", "timeout", "5", "tables 4.3, 4.4, chapter4"),
                     ("4.2", "retries", "1", "tables 4.3, 4.4, chapter4"),
-                    ("chapter4", "checkpoint", "ck.jsonl", "table 4.3"),
+                    ("3.1", "jobs", "2", "tables 4.3, 4.4, chapter4"),
                 )
             ),
             (
                 ["generate", "s27", "--hold", "--tree-height", "-1"],
                 "tree-height must be a non-negative tree height, got -1",
             ),
+            (["stats", "trace.jsonl", "--limit", "-1"], "limit must be a positive count, got -1"),
+            (["db", "runs", "--limit", "-1"], "limit must be a positive count, got -1"),
         ],
         ids=[
             "table-jobs0", "table-jobs-7", "table-shards0", "generate-shards-1",
             "table-timeout-1", "table-timeout0", "table-retries-1",
             "generate-length0", "generate-length-5", "generate-time-limit-1",
-            "tpdf-max-faults-3", "select-paths-n0", "table4.4-resume",
-            "table3.1-checkpoint", "table2.9", "table3.1-timeout",
-            "table3.1-retries0", "table2.1-timeout", "table4.2-retries",
-            "chapter4-checkpoint", "generate-tree-height-1",
+            "tpdf-max-faults-3", "select-paths-n0", "table2.9",
+            "table3.1-timeout", "table3.1-retries0", "table2.1-timeout",
+            "table4.2-retries", "table3.1-jobs2", "generate-tree-height-1",
+            "stats-limit-1", "db-runs-limit-1",
         ],
     )
     def test_bad_dispatch_count_exits_2(self, argv, message, capsys):
@@ -208,27 +192,51 @@ class TestCommands:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "argv, label",
+        "argv, env, error",
         [
-            (["table", "4.3", "--checkpoint", "{}/f.jsonl"], "--checkpoint"),
-            (["table", "4.2", "--db", "{}/x.db"], "--db"),
-            (["table", "4.2"], "REPRO_DB"),
-            (["generate", "s27", "--length", "20", "--trace", "{}/t.jsonl"], "--trace"),
+            (
+                ["table", "4.2", "--db", "{missing}/x.db"], None,
+                "cannot write --db {missing}/x.db: no directory {missing}",
+            ),
+            (
+                ["table", "4.2"], "{missing}/x.db",
+                "cannot write REPRO_DB {missing}/x.db: no directory {missing}",
+            ),
+            (
+                ["generate", "s27", "--length", "20", "--trace", "{missing}/t.jsonl"], None,
+                "cannot write --trace {missing}/t.jsonl: no directory {missing}",
+            ),
+            (
+                ["table", "4.2", "--db", "{folder}"], None,
+                "cannot write --db {folder}: it is a directory",
+            ),
+            (
+                ["table", "4.2"], "{text}",
+                "{text} is not an experiment database: file is not a database",
+            ),
+            (
+                ["generate", "s27", "--length", "20", "--trace", "{folder}"], None,
+                "cannot write --trace {folder}: it is a directory",
+            ),
         ],
-        ids=["table-checkpoint", "table-db", "table-repro-db", "generate-trace"],
+        ids=[
+            "table-db", "table-repro-db", "generate-trace", "table-db-directory",
+            "table-repro-db-not-a-database", "generate-trace-directory",
+        ],
     )
     def test_unwritable_output_exits_2_before_any_work(
-        self, argv, label, tmp_path, monkeypatch, capsys
+        self, argv, env, error, tmp_path, monkeypatch, capsys
     ):
-        missing = str(tmp_path / "no" / "such")
-        path = f"{missing}/x.db" if label == "REPRO_DB" else argv[-1].format(missing)
+        text = tmp_path / "notes.txt"
+        text.write_text("not a database\n")
+        paths = {"missing": tmp_path / "no" / "such", "folder": tmp_path, "text": text}
         monkeypatch.delenv("REPRO_DB", raising=False)
-        if label == "REPRO_DB":
-            monkeypatch.setenv("REPRO_DB", path)
-        assert main([a.format(missing) for a in argv]) == 2
+        if env is not None:
+            monkeypatch.setenv("REPRO_DB", env.format(**paths))
+        assert main([a.format(**paths) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: cannot write {label} {path}: no directory {missing}\n"
+        assert captured.err == f"error: {error.format(**paths)}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -308,6 +316,10 @@ class TestObservabilityCommands:
         assert main(["stats", str(trace)]) == 2
 
     def test_table_quiet_suppresses_progress(self, capsys):
-        assert main(["table", "4.2", "--jobs", "2", "--quiet"]) == 0
-        captured = capsys.readouterr()
-        assert "done" not in captured.err
+        assert main(["table", "4.3", "--jobs", "2"]) == 0
+        loud = capsys.readouterr()
+        assert "row 1 done: table4.3/s27" in loud.err
+        assert main(["table", "4.3", "--jobs", "2", "--quiet"]) == 0
+        quiet = capsys.readouterr()
+        assert "done" not in quiet.err
+        assert quiet.out == loud.out

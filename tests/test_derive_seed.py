@@ -1,8 +1,9 @@
 """Property and regression tests for the per-task seed derivation.
 
-``derive_seed`` is the keystone of the retry/resume determinism story: a
-retried or resumed task re-runs with the same key and therefore the same
-seed, so its row is byte-identical to one that never failed.  The
+``derive_seed`` is the keystone of the retry/rerun determinism story: a
+retried task, or a killed campaign run again, re-runs with the same key
+and therefore the same seed, so its row is byte-identical to one that
+never failed.  The
 property tests pin the contract (stable, order-independent, in-range,
 key-sensitive); the pinned-value test freezes the actual mixing function
 so a refactor cannot silently reshuffle every published table.

@@ -45,8 +45,3 @@ def test_scan_and_onchip_application():
 def test_embedded_block_bist():
     out = run_example("embedded_block_bist.py", "s298", "s953")
     assert "final coverage" in out
-
-
-def test_mixed_mode_reseeding():
-    out = run_example("mixed_mode_reseeding.py", "s344")
-    assert "embedded" in out

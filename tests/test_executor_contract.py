@@ -10,8 +10,7 @@ that makes ``--jobs`` and ``--shards`` pure wall-clock knobs:
   :class:`TaskFailure` rows instead of raising;
 * an attempt that overruns the policy's ``timeout_s`` fails as a
   ``timeout`` row -- never a shorter result -- at ``jobs=1`` as at
-  ``jobs=2``, while the other rows complete;
-* a journal written by a pooled campaign resumes inline, torn or not.
+  ``jobs=2``, while the other rows complete.
 """
 
 import time
@@ -20,9 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
-from repro.core.builtin_gen import BuiltinGenConfig
 from repro.experiments.runner import ExperimentTask, run_tasks
-from repro.experiments.tables4 import render_table_4_3, run_table_4_3
 from repro.resilience import faultpoints
 from repro.resilience.policy import RetryPolicy, TaskFailure
 from repro.resilience.pool import SelfHealingPool
@@ -32,17 +29,6 @@ PLACEMENTS = pytest.mark.parametrize("jobs", (1, 2), ids=("inprocess", "pool"))
 
 #: A fast backoff so retry-heavy tests stay quick.
 FAST = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
-
-TINY_43 = dict(
-    targets=("s27", "s298"),
-    drivers=("s953",),
-    config=BuiltinGenConfig(
-        segment_length=40, time_limit=None, rng_seed=2,
-        q_limit=1, r_limit=2, max_sequences=2,
-    ),
-    n_sequences=2,
-    func_length=30,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -137,48 +123,3 @@ class TestDeadline:
         assert isinstance(failure, TaskFailure)
         assert (failure.key, failure.kind, failure.attempts) == ("slow", "timeout", 1)
         assert quick == 9
-
-
-class TestCrossBackendResume:
-    def test_checkpoint_written_by_pool_resumes_inprocess(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
-        first = run_table_4_3(
-            checkpoint_path=str(journal), jobs=2, policy=FAST, **TINY_43
-        )
-        obs.enable()
-        resumed = run_table_4_3(
-            checkpoint_path=str(journal), resume=True, jobs=1, policy=FAST, **TINY_43
-        )
-        assert render_table_4_3(resumed) == render_table_4_3(first)
-        counters = obs.registry().counters
-        # One checkpointed task per target; every one replays from the
-        # journal, so the resumed run dispatches nothing.
-        assert counters["runner.tasks_resumed"] == len(TINY_43["targets"])
-        assert "runner.tasks_completed" not in counters
-
-    def test_torn_journal_resumes_on_other_backend(self, tmp_path):
-        """Tear the journal mid-campaign; finish inline, byte-identical.
-
-        A pooled campaign journals its rows; a crash mid-write is
-        simulated by tearing the journal down to the header, one
-        complete row, and a half-written second row (the write the
-        crash interrupted).  ``--resume`` in the *other* placement must
-        replay the intact row, discard the torn line, recompute the
-        rest, and render byte-identically.
-        """
-        journal = tmp_path / "campaign.jsonl"
-        first = run_table_4_3(
-            checkpoint_path=str(journal), jobs=2, policy=FAST, **TINY_43
-        )
-        lines = journal.read_text().splitlines()
-        assert len(lines) == 1 + len(TINY_43["targets"])  # header + rows
-        torn = "\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2]
-        journal.write_text(torn)
-        obs.enable()
-        resumed = run_table_4_3(
-            checkpoint_path=str(journal), resume=True, jobs=1, policy=FAST, **TINY_43
-        )
-        assert render_table_4_3(resumed) == render_table_4_3(first)
-        counters = obs.registry().counters
-        assert counters["runner.tasks_resumed"] == 1  # the intact row
-        assert counters["runner.tasks_completed"] == 1  # the recomputed row

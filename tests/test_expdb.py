@@ -19,10 +19,9 @@ import pytest
 from repro import expdb, obs
 from repro.cli import main
 from repro.expdb.gate import GateResult
-from repro.expdb.store import MIGRATIONS, SCHEMA_VERSION, ExperimentDB
+from repro.expdb.store import MIGRATIONS, SCHEMA_VERSION, ExperimentDB, fingerprint_of
 from repro.experiments.runner import ExperimentTask, run_tasks
 from repro.obs.registry import MetricsRegistry
-from repro.resilience.checkpoint import fingerprint_of
 
 
 @pytest.fixture(autouse=True)
@@ -200,43 +199,23 @@ class TestRunsAndRows:
         assert "generation (Fig 4.9 construction)" in report
         assert "p50=" in report  # stored quantiles feed the formatter
 
-    def test_runner_records_fresh_resumed_and_failed_rows(self, tmp_path):
-        from repro.resilience.checkpoint import CheckpointJournal
+    def test_runner_records_completed_and_failed_rows(self, tmp_path):
         from repro.resilience.policy import RetryPolicy, TaskFailure
 
         db = expdb.configure(tmp_path / "e.db")
-        journal_path = tmp_path / "journal.jsonl"
         run_id = db.begin_run("table", "test")
         expdb.set_current_run(run_id)
         tasks = [
             ExperimentTask(key="row/a", fn=_double, kwargs={"x": 2}),
             ExperimentTask(key="row/b", fn=_boom),
         ]
-        journal = CheckpointJournal.open(
-            journal_path, fingerprint="fp", resume=False
-        )
-        results = run_tasks(
-            tasks, policy=RetryPolicy(max_retries=0), checkpoint=journal
-        )
+        results = run_tasks(tasks, policy=RetryPolicy(max_retries=0))
         assert results[0] == 4
         assert isinstance(results[1], TaskFailure)
         rows = db.rows(run_id)
         assert [(r["key"], r["status"]) for r in rows] == [
             ("row/a", "ok"),
             ("row/b", "failed"),
-        ]
-
-        # Re-run with the journal: the completed row replays as resumed.
-        run2 = db.begin_run("table", "test")
-        expdb.set_current_run(run2)
-        journal2 = CheckpointJournal.open(
-            journal_path, fingerprint="fp", resume=True
-        )
-        run_tasks(
-            [tasks[0]], policy=RetryPolicy(max_retries=0), checkpoint=journal2
-        )
-        assert [(r["key"], r["status"]) for r in db.rows(run2)] == [
-            ("row/a", "resumed")
         ]
 
     def test_list_outcome_flattens_to_indexed_keys(self, tmp_path):
@@ -515,6 +494,45 @@ class TestCliDb:
             f"error: --last must be at least 2 (the gate needs 2 earlier "
             f"batches), got {last}"
         )
+
+    def test_db_gate_without_a_bench_batch_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A gate with nothing to judge fails instead of passing everything."""
+        path = str(tmp_path / "e.db")
+        with ExperimentDB(path) as db:
+            db.finish_run(db.begin_run("table", "4.3"))
+        monkeypatch.chdir(REPO)
+        assert main(["db", "gate", "--db", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no bench batch in {path} (record one with "
+            "benchmarks/e2e/run.py --record)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["db", "runs"],
+            ["db", "show"],
+            ["db", "query", "SELECT 1"],
+            ["db", "trend", "--metric", "gen.seeds_evaluated"],
+            ["db", "gate"],
+            ["stats"],
+        ],
+        ids=["runs", "show", "query", "trend", "gate", "stats"],
+    )
+    def test_read_only_command_creates_no_database(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.chdir(REPO)  # where ``db gate`` finds BENCHMARK.json
+        path = tmp_path / "typo.db"
+        assert main([*argv, "--db", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no experiment database at {path}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_db_show_non_integer_run_is_usage_error(self, tmp_path, capsys):
         path = str(tmp_path / "e.db")

@@ -1,17 +1,11 @@
-"""Unit tests for the resilience layer: policy, faults, checkpoints."""
+"""Unit tests for the resilience layer: policy, faults, campaign fingerprints."""
 
-import json
 from dataclasses import replace
 
 import pytest
 
+from repro.expdb.store import fingerprint_of
 from repro.resilience import faultpoints
-from repro.resilience.checkpoint import (
-    CheckpointError,
-    CheckpointJournal,
-    RESUME_SCHEMA,
-    fingerprint_of,
-)
 from repro.resilience.faultpoints import FaultSpec, InjectedFault
 from repro.resilience.policy import RetryPolicy, TaskFailure
 
@@ -136,65 +130,3 @@ class TestFingerprint:
             "func_length": params["func_length"],
         }
         assert fingerprint_of(campaign) == "6f0ace776247efd2"
-
-
-class TestCheckpointJournal:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        fp = fingerprint_of({"t": 1})
-        j = CheckpointJournal.open(path, fingerprint=fp)
-        j.record("row/a", {"value": 41}, snapshot={"counters": {"c": 1}})
-        j2 = CheckpointJournal.open(path, fingerprint=fp, resume=True)
-        assert j2.has("row/a") and not j2.has("row/b")
-        assert j2.result("row/a") == {"value": 41}
-        assert j2.snapshot("row/a") == {"counters": {"c": 1}}
-        assert len(j2) == 1
-
-    def test_fingerprint_mismatch_refuses_resume(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        CheckpointJournal.open(path, fingerprint="aaaa").record("k", 1)
-        with pytest.raises(CheckpointError, match="different campaign"):
-            CheckpointJournal.open(path, fingerprint="bbbb", resume=True)
-
-    def test_truncated_tail_is_dropped(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        fp = "feedbeef"
-        j = CheckpointJournal.open(path, fingerprint=fp)
-        j.record("row/a", 1)
-        j.record("row/b", 2)
-        # Simulate a kill mid-write: chop the final line in half.
-        text = path.read_text()
-        path.write_text(text[: len(text) - 20])
-        j2 = CheckpointJournal.open(path, fingerprint=fp, resume=True)
-        assert j2.has("row/a") and not j2.has("row/b")
-
-    def test_resume_false_truncates(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        CheckpointJournal.open(path, fingerprint="aaaa").record("k", 1)
-        j = CheckpointJournal.open(path, fingerprint="aaaa", resume=False)
-        assert not j.has("k")
-        assert len(path.read_text().splitlines()) == 1  # header only
-
-    def test_header_carries_schema(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        CheckpointJournal.open(path, fingerprint="aaaa")
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {"schema": RESUME_SCHEMA, "fingerprint": "aaaa"}
-
-    def test_legacy_kernel_header_resumes(self, tmp_path):
-        # Older journals record the evaluation backend in their header;
-        # the field is ignored, so such a journal resumes unchanged.
-        path = tmp_path / "ck.jsonl"
-        CheckpointJournal.open(path, fingerprint="aaaa").record("k", 1)
-        lines = path.read_text().splitlines()
-        header = {"schema": RESUME_SCHEMA, "fingerprint": "aaaa", "kernel": "array"}
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        j = CheckpointJournal.open(path, fingerprint="aaaa", resume=True)
-        assert j.has("k") and j.result("k") == 1
-        assert json.loads(path.read_text().splitlines()[0]) == header
-
-    def test_non_journal_file_rejected(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        path.write_text("this is not json\n")
-        with pytest.raises(CheckpointError, match="bad header"):
-            CheckpointJournal.open(path, fingerprint="aaaa", resume=True)

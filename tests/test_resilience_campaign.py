@@ -1,4 +1,4 @@
-"""End-to-end resilience campaigns: injected faults, degradation, resume.
+"""End-to-end resilience campaigns: injected faults and degradation.
 
 These tests drive real worker crashes (``os._exit``), watchdog-killed
 hangs, and flaky-then-succeed schedules through the self-healing pool via
@@ -16,7 +16,6 @@ from repro.core.builtin_gen import BuiltinGenConfig
 from repro.experiments.runner import ExperimentTask, run_tasks
 from repro.experiments.tables4 import render_table_4_3, run_table_4_3
 from repro.resilience import faultpoints
-from repro.resilience.checkpoint import CheckpointJournal, fingerprint_of
 from repro.resilience.policy import RetryPolicy, TaskFailure
 
 
@@ -144,76 +143,3 @@ class TestTableCampaigns:
         out = render_table_4_3(cases)
         assert "!! s27: FAILED: error after 1 try" in out
         assert "s298" in out  # the healthy row still renders
-
-
-class TestCheckpointResume:
-    def test_failed_rows_rerun_on_resume(self, tmp_path):
-        """A campaign killed partway re-runs only its unfinished rows."""
-        path = tmp_path / "ck.jsonl"
-        fp = fingerprint_of({"suite": "sq", "n": 4})
-        # First run: one row fails (and is therefore not journaled).
-        faultpoints.install("runner.task:sq/2:error")
-        obs.enable()
-        first = run_tasks(
-            _tasks(),
-            jobs=2,
-            policy=NO_RETRY,
-            checkpoint=CheckpointJournal.open(path, fingerprint=fp),
-        )
-        assert isinstance(first[2], TaskFailure)
-        assert obs.registry().counters["runner.tasks_completed"] == 3
-        # Second run, fault gone: resume re-runs just the failed row.
-        faultpoints.install(None)
-        obs.reset()
-        obs.enable()
-        second = run_tasks(
-            _tasks(),
-            jobs=2,
-            policy=NO_RETRY,
-            checkpoint=CheckpointJournal.open(path, fingerprint=fp, resume=True),
-        )
-        assert second == [0, 1, 4, 9]
-        counters = obs.registry().counters
-        assert counters["runner.tasks_resumed"] == 3
-        assert counters["runner.tasks_completed"] == 1
-
-    def test_table_4_3_resume_is_identical_and_skips_done_rows(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        clean = render_table_4_3(run_table_4_3(jobs=1, **TINY_43))
-        full = run_table_4_3(jobs=1, checkpoint_path=str(path), **TINY_43)
-        obs.enable()
-        resumed = run_table_4_3(
-            jobs=1, checkpoint_path=str(path), resume=True, **TINY_43
-        )
-        assert resumed == full
-        assert render_table_4_3(resumed) == clean
-        counters = obs.registry().counters
-        assert counters["runner.tasks_resumed"] == 2
-        assert "runner.tasks_completed" not in counters
-
-    def test_snapshot_replayed_on_resume(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        fp = fingerprint_of({"suite": "sq"})
-        obs.enable()
-        run_tasks(
-            _tasks(2),
-            jobs=2,
-            policy=FAST,
-            checkpoint=CheckpointJournal.open(path, fingerprint=fp),
-        )
-        spans_first = obs.registry().counters.get("runner.tasks_completed")
-        assert spans_first == 2
-        obs.reset()
-        obs.enable()
-        run_tasks(
-            _tasks(2),
-            jobs=2,
-            policy=FAST,
-            checkpoint=CheckpointJournal.open(path, fingerprint=fp, resume=True),
-        )
-        counters = obs.registry().counters
-        assert counters["runner.tasks_resumed"] == 2
-        # The journaled worker snapshots were merged back into the
-        # registry: their span events come back tagged with the task key.
-        events = {e["attrs"].get("task") for e in obs.registry().events}
-        assert {"sq/0", "sq/1"} <= events
