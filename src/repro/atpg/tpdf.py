@@ -24,8 +24,9 @@ pipeline therefore runs five sub-procedures of increasing cost
    checked against every undetected constituent's necessary assignments.
 
 Outcomes per fault: ``detected`` (with the sub-procedure that found it),
-``undetectable`` or ``aborted`` -- the classification reported in
-Tables 2.1-2.4.
+``undetectable`` or ``aborted`` (branch and bound passed
+:data:`BNB_BACKTRACK_LIMIT` backtracks) -- the classification reported
+in Tables 2.1-2.4.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ SUB_PREPROCESS = "preprocess"
 SUB_FSIM = "fault_simulation"
 SUB_HEURISTIC = "heuristic"
 SUB_BRANCH_BOUND = "branch_and_bound"
+
+#: Backtracks after which branch and bound aborts a TPDF.
+BNB_BACKTRACK_LIMIT = 32
 
 
 @dataclass
@@ -119,23 +123,19 @@ def cube_detects(
 
 
 class TpdfPipeline:
-    """The five-sub-procedure TPDF test generation pipeline."""
+    """The five-sub-procedure TPDF test generation pipeline.
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        tf_backtrack_limit: int = 128,
-        heuristic_time_limit: float = 2.0,
-        bnb_time_limit: float = 4.0,
-        bnb_backtrack_limit: int = 2000,
-        seed: int = 0,
-    ):
+    Every search ends on work, never on seconds, as the paper bounds its
+    ATPG by backtracks: the heuristic makes at most one pass per
+    constituent fault and branch and bound at most
+    :data:`BNB_BACKTRACK_LIMIT` backtracks, so a fault's classification
+    is a function of the circuit and the fault list alone.
+    """
+
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.atpg = BroadsideAtpg(circuit, backtrack_limit=tf_backtrack_limit)
-        self.heuristic_time_limit = heuristic_time_limit
-        self.bnb_time_limit = bnb_time_limit
-        self.bnb_backtrack_limit = bnb_backtrack_limit
-        self.rng = random.Random(seed)
+        self.atpg = BroadsideAtpg(circuit)
+        self.rng = random.Random(0)
 
     # ------------------------------------------------------------------
     def run(self, faults: Sequence[TransitionPathDelayFault]) -> TpdfReport:
@@ -258,10 +258,14 @@ class TpdfPipeline:
         na_inputs: dict[str, int],
         failures: dict[TransitionFault, int],
     ) -> dict[str, int] | None:
-        """Fig 2.2: dynamic-compaction-style multi-target generation."""
-        watch = obs.stopwatch()
+        """Fig 2.2: dynamic-compaction-style multi-target generation.
+
+        Each pass picks a primary target and adds secondaries until one
+        fails; at most ``len(constituents)`` passes, since a primary whose
+        later secondary fails is not marked used and may be picked again.
+        """
         used: set[TransitionFault] = set()
-        while not watch.expired(self.heuristic_time_limit):
+        for _ in range(len(constituents)):
             candidates = [tr for tr in constituents if tr not in used]
             if not candidates:
                 return None
@@ -310,7 +314,6 @@ class TpdfPipeline:
         """Fig 2.3: complete search with cross-target backtracking."""
         podem = self.atpg.podem
         model = self.atpg.model.model
-        watch = obs.stopwatch()
         # Start from the fault hardest for the heuristic (highest failures).
         order = sorted(constituents, key=lambda tr: -failures[tr])
         assignments: dict[str, int] = dict(na_inputs)
@@ -351,7 +354,7 @@ class TpdfPipeline:
             return False
 
         while True:
-            if watch.expired(self.bnb_time_limit) or backtracks > self.bnb_backtrack_limit:
+            if backtracks > BNB_BACKTRACK_LIMIT:
                 return (ABORTED, None)
             undetected = undetected_faults()
             if not undetected:

@@ -13,9 +13,10 @@ Subcommands mirror the paper's three methods plus utilities::
 
 Every command runs on the local machine.  ``table --jobs N`` fans the
 rows of tables 4.3, 4.4 and ``chapter4`` out over N pool workers, and
-``--shards N`` grades fault shards in parallel in rows that run in this
-process (a row inside a pool worker grades serially); with both at 1
-everything runs in this process.  Neither changes any output byte.
+``--shards N`` grades fault shards of those tables in parallel in rows
+that run in this process (a row inside a pool worker grades serially);
+with both at 1 everything runs in this process.  Neither changes any
+output byte; any other table exits 2 when given either.
 ``table ID`` runs any entry of the artifact registry
 (:mod:`repro.experiments.artifacts`) at its one shipped configuration.  Bad input -- an unknown benchmark or table id,
 an out-of-range count or time budget, a flag the chosen table does not
@@ -175,7 +176,7 @@ _INT_MINIMUMS = (
 
 #: ``table`` flags that only some artifacts take (``Artifact.flags``),
 #: each with its default, which asks nothing of any table.
-_ARTIFACT_FLAGS = {"jobs": 1, "timeout": None, "retries": None}
+_ARTIFACT_FLAGS = {"jobs": 1, "shards": 1, "timeout": None, "retries": None}
 
 
 def _check_table(args: argparse.Namespace) -> str | None:
@@ -264,15 +265,18 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, body) -> int:
 
     Records the run in the experiment database when one is active (a
     path that holds no database exits 2 before any work) and turns on
-    obs.
+    obs.  ``REPRO_DB`` is exported only while the run lasts, so pool
+    workers inherit it but a later command in this process does not.
     """
+    import os
     import time
 
-    from repro.expdb import ExperimentDBError
+    from repro import expdb
 
+    prior_db = os.environ.get(expdb.ENV_VAR)
     try:
         run_id = _db_setup(args, kind, label)
-    except ExperimentDBError as exc:
+    except expdb.ExperimentDBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _obs_setup(args)
@@ -283,6 +287,11 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, body) -> int:
         return code
     finally:
         _db_finish(run_id, code, started)
+        if prior_db is None:
+            os.environ.pop(expdb.ENV_VAR, None)
+        else:
+            os.environ[expdb.ENV_VAR] = prior_db
+        expdb.configure(None)
 
 
 def _cmd_circuits(args: argparse.Namespace) -> int:
@@ -431,12 +440,7 @@ def _cmd_tpdf(args: argparse.Namespace) -> int:
     else:
         faults = tpdf_list_longest_first(circuit, args.max_faults // 2)
         workload = "longest paths"
-    pipeline = TpdfPipeline(
-        circuit,
-        heuristic_time_limit=args.time_limit / 4,
-        bnb_time_limit=args.time_limit,
-    )
-    report = pipeline.run(faults)
+    report = TpdfPipeline(circuit).run(faults)
     print(f"workload: {workload}, {len(faults)} TPDFs")
     print(f"detected     {report.count(DETECTED)}")
     print(f"undetectable {report.count(UNDETECTABLE)}")
@@ -800,12 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit", help="target circuit name (see `repro-eda circuits`)")
     p.add_argument(
         "--max-faults", type=int, default=100, help="cap on TPDFs to classify"
-    )
-    p.add_argument(
-        "--time-limit",
-        type=float,
-        default=2.0,
-        help="branch-and-bound budget per fault in seconds",
     )
     p.set_defaults(func=_cmd_tpdf)
 

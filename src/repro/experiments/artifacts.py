@@ -54,8 +54,8 @@ class Artifact:
 
     ``compute(dispatch, **params)`` runs it; ``render(value)`` is the
     text ``repro-eda table ID`` prints; ``checks`` maps each shape claim
-    to its :data:`CheckFn`; ``flags`` names the dispatch flags beyond
-    ``--shards`` the entry accepts.
+    to its :data:`CheckFn`; ``flags`` names the dispatch flags the entry
+    accepts.
     """
 
     id: str
@@ -339,8 +339,9 @@ _CH4_CLI = {
     "func_length": 120,
 }
 
-#: The dispatch flags of the entries that run their rows on the worker pool.
-_POOLED = frozenset({"jobs", "timeout", "retries"})
+#: The dispatch flags of the entries that grade faults and run their rows
+#: on the worker pool.
+_POOLED = frozenset({"jobs", "shards", "timeout", "retries"})
 
 # ---------------------------------------------------------------------------
 # Figures

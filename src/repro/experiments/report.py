@@ -93,7 +93,8 @@ def generate_report() -> str:
         "below therefore focus on the paper's qualitative claims.",
         "",
         "Each Measured block is what `repro-eda table ID` prints (Chapter 2",
-        "run times are wall clock, so they vary from run to run), followed by",
+        "run times are wall clock, so they vary from run to run; no clock",
+        "decides a count), followed by",
         "one PASS/FAIL line per shape check of that artifact; the tier-1",
         "suite runs the same checks on reduced inputs.  Each section carries",
         "a **Reproduce** block with the exact commands, their expected",

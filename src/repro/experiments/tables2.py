@@ -51,8 +51,6 @@ def run_chapter2(
     mode: str = "all",
     min_detected: int = 20,
     max_faults: int = 400,
-    heuristic_time_limit: float = 0.5,
-    bnb_time_limit: float = 1.0,
 ) -> list[Chapter2Run]:
     """Run the TPDF pipeline over a circuit list.
 
@@ -65,19 +63,14 @@ def run_chapter2(
     2.2/2.4/2.6) are different views of the *same* runs, so the artifact
     registry only pays for the pipeline once.
     """
-    key = (tuple(circuits), mode, min_detected, max_faults,
-           heuristic_time_limit, bnb_time_limit)
+    key = (tuple(circuits), mode, min_detected, max_faults)
     cached = _RUN_CACHE.get(key)
     if cached is not None:
         return cached
     runs: list[Chapter2Run] = []
     for name in circuits:
         circuit = get_circuit(name)
-        pipeline = TpdfPipeline(
-            circuit,
-            heuristic_time_limit=heuristic_time_limit,
-            bnb_time_limit=bnb_time_limit,
-        )
+        pipeline = TpdfPipeline(circuit)
         if mode == "all":
             # Enumerate every path, lazily capped: the paper's small
             # circuits are fully enumerable, and the synthetic stand-ins

@@ -1,14 +1,9 @@
 """Bit-parallel logic simulation.
 
-Two fast paths built on Python's arbitrary-precision integers, where bit
-position ``t`` of every line's word carries pattern/lane ``t`` (one word
-kernel, :meth:`repro.core.compiled.CompiledCircuit.eval_words`, serves
-both):
+Built on Python's arbitrary-precision integers, where bit position ``t``
+of every line's word carries pattern/lane ``t``, and on one word kernel,
+:meth:`repro.core.compiled.CompiledCircuit.eval_words`:
 
-* :class:`PatternSimulator` -- evaluates the combinational core for many
-  independent patterns at once, with a fanout-cone re-evaluation API used
-  by single-fault-injection fault simulation (PPSFP-style,
-  :mod:`repro.faults.fsim`).
 * :func:`simulate_packed_words` -- cycle-accurate functional simulation
   of up to 64 lanes fed with *pre-packed* per-input words (one word per
   input per cycle, bit ``t`` = lane ``t``), every lane starting from one
@@ -18,6 +13,11 @@ both):
   one-lane run for a width-1 decision) and of the SWA_func estimate
   (:mod:`repro.core.embedded`), consuming
   :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output directly.
+* :func:`pack_columns_indexed` -- the columnwise pattern packing that
+  PPSFP fault simulation (:mod:`repro.faults.fsim`) feeds to the word
+  kernel and to
+  :meth:`~repro.core.compiled.CompiledCircuit.faulty_cone_words`, its
+  single-fault-injection primitive.
 
 The packed trajectory loop does nothing per cycle but evaluate the word
 kernel into one reused frame and keep a byte copy of it (each line word
@@ -26,7 +26,7 @@ Switching activity is counted once, after the loop: consecutive frames
 are XORed in chunked numpy passes and each lane's toggles summed over
 the counted lines.
 
-Both evaluate through the compiled circuit IR
+Everything evaluates through the compiled circuit IR
 (:mod:`repro.core.compiled`): one integer-indexed schedule shared with the
 scalar simulator, compiled once per netlist version.  The scalar
 three-valued simulator (:mod:`repro.logic.simulator`) is the semantic
@@ -40,11 +40,10 @@ import operator
 import struct
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
 from repro.core.compiled import compile_circuit
 from repro.obs import OBS
@@ -64,32 +63,17 @@ def unpack_bits(word: int, n: int) -> list[int]:
     return [(word >> t) & 1 for t in range(n)]
 
 
-def pack_vectors(vectors: Sequence[Sequence[int]], names: Sequence[str]) -> dict[str, int]:
-    """Pack per-pattern vectors columnwise into per-line words.
-
-    ``vectors[t][j]`` is the value of line ``names[j]`` in pattern ``t``.
-    """
-    words = dict.fromkeys(names, 0)
-    for t, vec in enumerate(vectors):
-        bit = 1 << t
-        for name, v in zip(names, vec):
-            if v:
-                words[name] |= bit
-    return words
-
-
 def pack_columns_indexed(
     values: list[int], vectors: Sequence[Sequence[int]], offset: int
 ) -> None:
     """Pack per-pattern vectors columnwise into a valuation array slice.
 
-    ``vectors[t][j]`` lands in bit ``t`` of ``values[offset + j]`` -- the
-    index-space analogue of :func:`pack_vectors`, writing straight into a
-    compiled-circuit frame.  The transpose runs through one vectorised
-    :func:`numpy.packbits` (a byte string per column, decoded with
-    ``int.from_bytes``) rather than a Python loop over the full
-    ``patterns x lines`` grid -- frame packing is the fixed cost of every
-    PPSFP grading chunk.
+    ``vectors[t][j]`` lands in bit ``t`` of ``values[offset + j]``,
+    written straight into a compiled-circuit frame.  The transpose runs
+    through one vectorised :func:`numpy.packbits` (a byte string per
+    column, decoded with ``int.from_bytes``) rather than a Python loop
+    over the full ``patterns x lines`` grid -- frame packing is the fixed
+    cost of every PPSFP grading chunk.
     """
     if not vectors:
         return
@@ -103,79 +87,6 @@ def pack_columns_indexed(
         word = int.from_bytes(data[j * n_bytes : (j + 1) * n_bytes], "little")
         if word:
             values[offset + j] |= word
-
-
-class PatternSimulator:
-    """Bit-parallel combinational simulator with fanout-cone fault injection.
-
-    Compiles the circuit once (through the memoized compile cache) and
-    evaluates packed words over the integer-indexed schedule.  The
-    ``*_indexed`` methods work directly in line-index space -- the form
-    fault simulation uses; the name-keyed methods are thin dict views kept
-    for the pre-refactor API.
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.compiled = compile_circuit(circuit)
-
-    # -- index-space core ------------------------------------------------
-    def run_indexed(self, input_words: Mapping[str, int], n_patterns: int) -> list[int]:
-        """Evaluate all lines; returns the packed valuation array.
-
-        ``input_words`` maps primary-input and present-state line names to
-        packed words; missing inputs default to all-zero, non-input keys
-        are ignored (fault simulation passes whole-frame maps).
-        """
-        cc = self.compiled
-        mask = (1 << n_patterns) - 1
-        values = cc.zero_frame()
-        index = cc.index
-        n_sources = cc.n_sources
-        for name, word in input_words.items():
-            idx = index.get(name)
-            if idx is not None and idx < n_sources:
-                values[idx] = word & mask
-        cc.eval_words(values, mask)
-        return values
-
-    # -- name-keyed views ------------------------------------------------
-    def run(self, input_words: Mapping[str, int], n_patterns: int) -> dict[str, int]:
-        """Evaluate all lines for ``n_patterns`` packed patterns (dict view)."""
-        return self.compiled.as_dict(self.run_indexed(input_words, n_patterns))
-
-    def cone(self, line: str) -> list[tuple[str, GateType, tuple[str, ...]]]:
-        """Gates in the transitive fanout of ``line``, topologically ordered."""
-        cc = self.compiled
-        entries, _ = cc.cone(cc.index[line])
-        gates = self.circuit.gates
-        out: list[tuple[str, GateType, tuple[str, ...]]] = []
-        for out_idx, _, _, _ in entries:
-            gate = gates[cc.names[out_idx]]
-            out.append((gate.name, gate.gate_type, gate.inputs))
-        return out
-
-    def run_faulty_cone(
-        self,
-        good_values: Mapping[str, int],
-        line: str,
-        forced_word: int,
-        n_patterns: int,
-    ) -> dict[str, int]:
-        """Re-evaluate the fanout cone of ``line`` with its value forced.
-
-        Returns a sparse map holding values only for ``line`` and the cone
-        gates that diverge; lines absent from the map keep their good
-        value.  This is the single-fault-injection primitive of PPSFP fault
-        simulation (fault grading itself uses the index-space form,
-        :meth:`repro.core.compiled.CompiledCircuit.faulty_cone_words`).
-        """
-        cc = self.compiled
-        mask = (1 << n_patterns) - 1
-        good = [good_values[name] for name in cc.names]
-        faulty = cc.faulty_cone_words(good, cc.index[line], forced_word, mask)
-        names = cc.names
-        return {names[i]: w for i, w in faulty.items()}
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,12 @@
-"""Signal probability estimation (COP) and random-pattern testability.
+"""Signal probability estimation (COP).
 
 The controllability-observability program (COP) propagates per-line
 1-probabilities through the netlist under an input-independence
-assumption.  Two uses here:
-
-* random-pattern-resistance analysis: a transition fault whose launch or
-  capture value has tiny probability will escape pseudo-random testing --
-  the faults weighted random pattern generation ([84]-[87]) and
-  LFSR reseeding ([81]) exist to catch;
-* weight selection for :class:`repro.bist.weighted.WeightedTpg`.
+assumption.  Its use here is weight selection for
+:class:`repro.bist.weighted.WeightedTpg`: a transition fault whose
+launch or capture value has tiny probability escapes pseudo-random
+testing, which weighted random pattern generation ([84]-[87]) exists to
+catch.
 
 For sequential circuits the state-line probabilities are iterated to a
 fixpoint (probabilities of next-state lines feed back as present-state
@@ -71,24 +69,3 @@ def signal_probabilities(
         for flop in circuit.flops:
             prob[flop.q] = prob[flop.d]
     return prob
-
-
-def launch_probability(prob: Mapping[str, float], line: str, direction: str) -> float:
-    """Probability that consecutive random cycles launch a transition.
-
-    ``rise`` needs value 0 then 1: ``(1-p) * p`` under cycle independence
-    (and symmetrically for ``fall``) -- the launch half of a transition
-    fault's detection requirement.
-    """
-    p = prob[line]
-    return (1.0 - p) * p  # identical for rise and fall
-
-
-def resistant_lines(
-    prob: Mapping[str, float], threshold: float = 0.02
-) -> list[str]:
-    """Lines whose launch probability is below ``threshold`` (random-
-    pattern-resistant transition-fault sites)."""
-    return sorted(
-        line for line, p in prob.items() if (1.0 - p) * p < threshold
-    )

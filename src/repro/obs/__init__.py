@@ -32,7 +32,6 @@ switched on by the CLI's ``--stats``/``--trace``/``--db`` flags or by
 
 from __future__ import annotations
 
-import time
 from typing import Any, Mapping
 
 from repro.obs.registry import Histogram, MetricsRegistry
@@ -51,7 +50,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "Stopwatch",
     "count",
     "disable",
     "dump_trace",
@@ -68,7 +66,6 @@ __all__ = [
     "save_trace",
     "snapshot",
     "span",
-    "stopwatch",
     "timed",
     "write_trace",
 ]
@@ -137,37 +134,6 @@ def timed(name: str, **attrs: Any) -> Span:
     runtimes through, so run-time accounting uses one clock everywhere.
     """
     return Span(OBS, name, attrs, force=True)
-
-
-class Stopwatch:
-    """Monotonic elapsed-time reader for deadline accounting.
-
-    ``perf_counter``-based like every other obs timer, so time-limit
-    checks and reported durations agree.  Restartable via :meth:`restart`.
-    """
-
-    __slots__ = ("_start",)
-
-    def __init__(self) -> None:
-        self._start = time.perf_counter()
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
-        return time.perf_counter() - self._start
-
-    def restart(self) -> None:
-        """Reset the zero point to now."""
-        self._start = time.perf_counter()
-
-    def expired(self, limit: float | None) -> bool:
-        """Whether ``limit`` seconds have passed (never, when ``None``)."""
-        return limit is not None and self.elapsed > limit
-
-
-def stopwatch() -> Stopwatch:
-    """A fresh :class:`Stopwatch`."""
-    return Stopwatch()
 
 
 def snapshot() -> dict[str, Any]:

@@ -220,9 +220,7 @@ class PathSelector:
         )
 
     # ------------------------------------------------------------------
-    def after_tg_delay(
-        self, fault: PathDelayFault, bnb_time_limit: float = 2.0
-    ) -> float | None:
+    def after_tg_delay(self, fault: PathDelayFault) -> float | None:
         """Path delay under a generated test (Table 3.4's "after TG" row).
 
         Generates a test for the corresponding TPDF (heuristic then branch
@@ -237,10 +235,7 @@ class PathSelector:
             self._after_tg_cache: dict[PathDelayFault, float | None] = {}
         if fault in self._after_tg_cache:
             return self._after_tg_cache[fault]
-        pipeline = TpdfPipeline(
-            self.circuit, heuristic_time_limit=1.0, bnb_time_limit=bnb_time_limit
-        )
-        report = pipeline.run([_as_tpdf(fault)])
+        report = TpdfPipeline(self.circuit).run([_as_tpdf(fault)])
         outcome = next(iter(report.outcomes.values()))
         if outcome.status != DETECTED or outcome.test is None:
             self._after_tg_cache[fault] = None

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.generator import GeneratorSpec, generate
+from repro.core.compiled import compile_circuit
 from repro.core.state_holding import hold_indices
 from repro.logic import bitsim
 from repro.logic.bitsim import (
-    PatternSimulator,
     broadcast_state_words,
     pack_bits,
-    pack_vectors,
+    pack_columns_indexed,
     simulate_packed_words,
     unpack_bits,
     unpack_lane_bits,
@@ -27,12 +27,6 @@ def test_pack_unpack_round_trip(bits):
     assert unpack_bits(pack_bits(bits), len(bits)) == bits
 
 
-def test_pack_vectors_columnwise():
-    words = pack_vectors([[1, 0], [0, 1], [1, 1]], ["a", "b"])
-    assert words["a"] == 0b101
-    assert words["b"] == 0b110
-
-
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_pattern_simulator_matches_scalar(data):
@@ -41,12 +35,19 @@ def test_pattern_simulator_matches_scalar(data):
     vectors = [
         [data.draw(st.integers(0, 1)) for _ in c.comb_input_lines] for _ in range(n)
     ]
-    words = pack_vectors(vectors, c.comb_input_lines)
-    packed = PatternSimulator(c).run(words, n)
+    cc = compile_circuit(c)
+    packed = cc.as_dict(_eval_words(cc, vectors))
     for t, vec in enumerate(vectors):
         scalar = simulate_comb(c, dict(zip(c.comb_input_lines, vec)))
         for line in c.lines:
             assert (packed[line] >> t) & 1 == scalar[line], line
+
+
+def _eval_words(cc, vectors):
+    """The word frame of ``vectors`` (one per pattern, in source-line order)."""
+    values = cc.zero_frame()
+    pack_columns_indexed(values, vectors, 0)
+    return cc.eval_words(values, (1 << len(vectors)) - 1)
 
 
 class TestFaultyCone:
@@ -58,32 +59,29 @@ class TestFaultyCone:
         vectors = [
             [rng.randint(0, 1) for _ in c.comb_input_lines] for _ in range(n)
         ]
-        words = pack_vectors(vectors, c.comb_input_lines)
-        sim = PatternSimulator(c)
-        good = sim.run(words, n)
+        cc = compile_circuit(c)
+        good = _eval_words(cc, vectors)
         mask = (1 << n) - 1
         for line in rng.sample(c.lines, 15):
             forced = mask  # stuck-at-1 everywhere
-            faulty = sim.run_faulty_cone(good, line, forced, n)
+            faulty = cc.faulty_cone_words(good, cc.index[line], forced, mask)
             # Reference: replay each pattern scalar-style with the line forced.
             for t, vec in enumerate(vectors):
                 ref = _forced_scalar(c, dict(zip(c.comb_input_lines, vec)), line, 1)
                 for obs in c.observation_lines:
                     expect = ref[obs]
-                    got = (faulty.get(obs, good[obs]) >> t) & 1
+                    i = cc.index[obs]
+                    got = (faulty.get(i, good[i]) >> t) & 1
                     assert got == expect, (line, obs)
 
     def test_cone_is_sparse(self):
         c = get_circuit("s298")
-        sim = PatternSimulator(c)
+        cc = compile_circuit(c)
         n = 4
-        words = pack_vectors(
-            [[0] * len(c.comb_input_lines)] * n, c.comb_input_lines
-        )
-        good = sim.run(words, n)
+        good = _eval_words(cc, [[0] * len(c.comb_input_lines)] * n)
         line = c.lines[0]
-        faulty = sim.run_faulty_cone(good, line, 0, n)
-        assert set(faulty) <= {line} | c.transitive_fanout(line)
+        faulty = cc.faulty_cone_words(good, cc.index[line], 0, (1 << n) - 1)
+        assert {cc.names[i] for i in faulty} <= {line} | c.transitive_fanout(line)
 
 
 def _forced_scalar(circuit, inputs, line, value):

@@ -51,7 +51,7 @@ class TestCommands:
         assert capsys.readouterr().out == plain
 
     def test_tpdf(self, capsys):
-        assert main(["tpdf", "s27", "--max-faults", "40", "--time-limit", "1"]) == 0
+        assert main(["tpdf", "s27", "--max-faults", "40"]) == 0
         out = capsys.readouterr().out
         assert "detected" in out and "undetectable" in out
 
@@ -166,6 +166,7 @@ class TestCommands:
                     ("2.1", "timeout", "5", "tables 4.3, 4.4, chapter4"),
                     ("4.2", "retries", "1", "tables 4.3, 4.4, chapter4"),
                     ("3.1", "jobs", "2", "tables 4.3, 4.4, chapter4"),
+                    ("3.1", "shards", "2", "tables 4.3, 4.4, chapter4"),
                 )
             ),
             (
@@ -181,7 +182,8 @@ class TestCommands:
             "generate-length0", "generate-length-5", "generate-time-limit-1",
             "tpdf-max-faults-3", "select-paths-n0", "table2.9",
             "table3.1-timeout", "table3.1-retries0", "table2.1-timeout",
-            "table4.2-retries", "table3.1-jobs2", "generate-tree-height-1",
+            "table4.2-retries", "table3.1-jobs2", "table3.1-shards2",
+            "generate-tree-height-1",
             "stats-limit-1", "db-runs-limit-1",
         ],
     )

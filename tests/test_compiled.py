@@ -17,7 +17,7 @@ from repro.circuits.generator import GeneratorSpec, generate
 from repro.core.compiled import compile_circuit
 from repro.faults.fsim import TransitionFaultSimulator
 from repro.faults.lists import all_transition_faults
-from repro.logic.bitsim import PatternSimulator, pack_vectors
+from repro.logic.bitsim import pack_columns_indexed
 from repro.logic.reference import (
     detects_transition_reference,
     simulate_comb_reference,
@@ -163,9 +163,10 @@ class TestBitParallelAgreement:
             [data.draw(st.integers(0, 1)) for _ in c.comb_input_lines]
             for _ in range(n)
         ]
-        packed = PatternSimulator(c).run(
-            pack_vectors(vectors, c.comb_input_lines), n
-        )
+        cc = compile_circuit(c)
+        values = cc.zero_frame()
+        pack_columns_indexed(values, vectors, 0)
+        packed = cc.as_dict(cc.eval_words(values, (1 << n) - 1))
         for t, vec in enumerate(vectors):
             scalar = simulate_comb_reference(c, dict(zip(c.comb_input_lines, vec)))
             for line in c.lines:

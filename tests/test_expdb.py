@@ -593,6 +593,28 @@ class TestCliCampaign:
         # The run id must not leak into later commands in this process.
         assert expdb.current_run() is None
 
+    def test_db_flag_does_not_leak_into_later_commands(self, tmp_path, capsys):
+        """``--db`` records one run; a later command without it records none."""
+        path = str(tmp_path / "e.db")
+        assert main(["table", "4.2", "--db", path]) == 0
+        assert expdb.ENV_VAR not in os.environ
+        assert main(["table", "4.1"]) == 0
+        capsys.readouterr()
+        with ExperimentDB(path) as db:
+            assert [r["label"] for r in db.runs()] == ["4.2"]
+
+    def test_ambient_repro_db_survives_a_db_flag(self, tmp_path, capsys, monkeypatch):
+        """``--db`` overrides ``REPRO_DB`` for its run only."""
+        ambient, flagged = str(tmp_path / "ambient.db"), str(tmp_path / "flag.db")
+        monkeypatch.setenv(expdb.ENV_VAR, ambient)
+        assert main(["table", "4.2", "--db", flagged]) == 0
+        assert os.environ[expdb.ENV_VAR] == ambient
+        assert main(["table", "4.1"]) == 0
+        capsys.readouterr()
+        for path, label in ((flagged, "4.2"), (ambient, "4.1")):
+            with ExperimentDB(path) as db:
+                assert [r["label"] for r in db.runs()] == [label]
+
     def test_timed_table_records_pool_executor_at_jobs_1(self, tmp_path, capsys):
         """``--timeout`` puts the rows on a worker even at ``--jobs 1``."""
         path = str(tmp_path / "e.db")

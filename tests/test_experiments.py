@@ -45,10 +45,7 @@ class TestChapter2Harness:
             assert "s27" in out
 
     def test_longest_mode(self):
-        runs = run_chapter2(
-            ["s27"], mode="longest", min_detected=5, max_faults=60,
-            heuristic_time_limit=0.2, bnb_time_limit=0.5,
-        )
+        runs = run_chapter2(["s27"], mode="longest", min_detected=5, max_faults=60)
         from repro.atpg.tpdf import DETECTED
 
         assert runs[0].report.count(DETECTED) >= 5

@@ -6,7 +6,8 @@ import pytest
 
 from repro.circuits.benchmarks import available, entry, get_circuit
 from repro.circuits.generator import GeneratorSpec, generate
-from repro.logic.bitsim import PatternSimulator, pack_vectors
+from repro.core.compiled import compile_circuit
+from repro.logic.bitsim import pack_columns_indexed
 
 
 def spec(**kw):
@@ -59,8 +60,11 @@ class TestGenerate:
         rng = random.Random(1)
         n = 512
         vecs = [[rng.randint(0, 1) for _ in c.comb_input_lines] for _ in range(n)]
-        vals = PatternSimulator(c).run(pack_vectors(vecs, c.comb_input_lines), n)
+        cc = compile_circuit(c)
         mask = (1 << n) - 1
+        frame = cc.zero_frame()
+        pack_columns_indexed(frame, vecs, 0)
+        vals = cc.as_dict(cc.eval_words(frame, mask))
         constant = [l for l in c.lines if vals[l] in (0, mask)]
         assert len(constant) <= 0.1 * c.num_lines
 

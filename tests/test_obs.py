@@ -206,14 +206,6 @@ class TestSpans:
         assert t.elapsed > 0.0
         assert not obs.registry().events  # but records nothing
 
-    def test_stopwatch_expiry(self):
-        w = obs.stopwatch()
-        assert not w.expired(None)
-        assert not w.expired(60.0)
-        assert w.expired(-1.0)
-        w.restart()
-        assert w.elapsed < 60.0
-
 
 class TestTraceFile:
     def test_jsonl_round_trip(self, tmp_path):

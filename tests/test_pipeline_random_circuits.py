@@ -42,7 +42,7 @@ def test_pipeline_matches_exhaustive_on_random_minis(seed):
     )
     circuit = generate(spec)
     faults = tpdf_list_all_paths(circuit, max_paths=400)
-    pipeline = TpdfPipeline(circuit, heuristic_time_limit=0.5, bnb_time_limit=2.0)
+    pipeline = TpdfPipeline(circuit)
     report = pipeline.run(faults)
     words = _exhaustive_words(circuit, faults)
     for fault, outcome in report.outcomes.items():
@@ -65,7 +65,7 @@ def test_certificates_on_random_minis(seed):
     )
     circuit = generate(spec)
     faults = tpdf_list_all_paths(circuit, max_paths=600)
-    pipeline = TpdfPipeline(circuit, heuristic_time_limit=0.5, bnb_time_limit=1.0)
+    pipeline = TpdfPipeline(circuit)
     report = pipeline.run(faults)
     detected = 0
     for fault, outcome in report.outcomes.items():

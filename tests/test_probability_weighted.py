@@ -14,8 +14,6 @@ from repro.circuits.benchmarks import get_circuit
 from repro.circuits.netlist import Circuit
 from repro.logic.probability import (
     gate_one_probability,
-    launch_probability,
-    resistant_lines,
     signal_probabilities,
 )
 from repro.circuits.gates import GateType
@@ -64,7 +62,7 @@ class TestCop:
             assert prob[line] == pytest.approx(ones[line] / n, abs=0.04)
 
     def test_deep_and_chain_is_resistant(self):
-        """A wide AND cone has a tiny 1-probability: flagged as resistant."""
+        """A wide AND cone has a tiny 1-probability (a random-pattern-resistant line)."""
         c = Circuit(name="andchain")
         inputs = [c.add_input(f"i{k}") for k in range(8)]
         c.add_gate("w", "AND", inputs[:4])
@@ -74,8 +72,6 @@ class TestCop:
         c.validate()
         prob = signal_probabilities(c)
         assert prob["o"] == pytest.approx(1 / 256)
-        assert "o" in resistant_lines(prob, threshold=0.02)
-        assert launch_probability(prob, "o", "rise") < 0.01
 
     def test_sequential_fixpoint(self):
         c = get_circuit("s298")
