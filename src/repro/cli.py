@@ -8,7 +8,7 @@ Subcommands mirror the paper's three methods plus utilities::
     repro-eda tpdf s27 --max-faults 60      # Chapter 2 pipeline
     repro-eda select-paths s298 --n 6       # Chapter 3 procedure
     repro-eda table 4.3                     # regenerate a paper artifact
-    repro-eda stats trace.jsonl             # re-render a saved trace
+    repro-eda stats --db exp.db             # a stored run's report and spans
     repro-eda db runs --db exp.db           # browse the experiment history
 
 Every command runs on the local machine.  ``table --jobs N`` fans the
@@ -27,9 +27,10 @@ diagnostic and exit code 2 before any work.
 
 Observability: ``generate`` and ``table`` accept ``--stats`` (print the
 run report: per-phase time breakdown, seeds tried/accepted, truncation
-histogram, grading passes, compile-cache hits) and ``--trace FILE``
-(write the span trace as JSONL; view it later with ``repro-eda stats``).
-``table --jobs N`` merges each worker's metrics back into one report.
+histogram, grading passes, compile-cache hits).  ``table --jobs N``
+merges each worker's metrics back into one report.  A collecting run
+starts from an empty registry and leaves collection on or off as it
+found it, so a later command in the same process reports only itself.
 
 Resilience (see :mod:`repro.resilience`): tables 4.3, 4.4 and
 ``chapter4`` accept ``--timeout`` and ``--retries``, the per-row
@@ -41,17 +42,20 @@ prints.  Every row's seed derives from its key, so a killed table, run
 again, prints the same rows.
 
 Experiment history (see :mod:`repro.expdb`): ``generate`` and ``table``
-accept ``--db PATH`` (equivalently ``REPRO_DB``, which pool workers
-inherit) to append the run -- its parameters, fingerprint, every
-completed row, and the end-of-run metric snapshot with p50/p95/p99
-histogram summaries -- to a sqlite experiment database.  ``repro-eda db
-{runs,show,query,trend,gate}`` reads the history back: ``db gate``
-judges the newest ``benchmarks/e2e/run.py --record`` batch against the
-rolling median of up to N earlier batches, with the bounds of
-``BENCHMARK.json`` in the working directory, and ``repro-eda stats --db
-PATH`` re-renders any stored run report.  These read-only commands never
-create a database, and ``db gate`` on one without a batch is an error,
-not a pass.  Recording never changes results.
+accept ``--db PATH``, the one record of a run.  :func:`_run_campaign`
+opens the database once, in this process, and appends the run -- its
+argv, its fingerprint (of the artifact's registry parameters for a
+table, so ``--jobs`` never changes it), every resolved row in task
+order, and the end-of-run metric snapshot with p50/p95/p99 histogram
+summaries and every span.  ``repro-eda db {runs,show,query,trend,gate}``
+reads the history back: ``db gate`` judges the newest
+``benchmarks/e2e/run.py --record`` batch against the rolling median of
+up to N earlier batches, with the bounds of ``BENCHMARK.json`` in the
+working directory, and ``repro-eda stats --db PATH`` re-renders any
+stored run report and its span tree.  These read-only commands need
+``--db``, never create a database, and ``db gate`` on one without a
+batch is an error, not a pass.  Recording never changes results, and a
+run without ``--db`` never imports the database.
 
 All output is plain text; every command is deterministic for fixed seeds.
 """
@@ -61,74 +65,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import Sequence
-
-
-def _obs_setup(args: argparse.Namespace) -> bool:
-    """Enable metric collection when ``--stats``/``--trace``/``--db`` asks.
-
-    ``--db`` implies collection because the run's metric snapshot is what
-    lands in the experiment database at run end -- a recorded run with no
-    metrics would be an empty history entry.
-    """
-    import os
-
-    from repro import obs
-    from repro.expdb import ENV_VAR
-
-    recording = hasattr(args, "db") and bool(
-        args.db or os.environ.get(ENV_VAR)
-    )
-    wants = bool(
-        getattr(args, "stats", False) or getattr(args, "trace", None) or recording
-    )
-    if wants:
-        obs.enable()
-    return wants
-
-
-def _obs_finish(args: argparse.Namespace) -> None:
-    """Emit the run report and/or trace file requested on the command line."""
-    from repro import obs
-
-    if getattr(args, "trace", None):
-        n = obs.save_trace(args.trace)
-        print(f"wrote {n} trace span(s) to {args.trace}", file=sys.stderr)
-    if getattr(args, "stats", False):
-        print()
-        print(obs.render_report(obs.registry()))
-
-
-def _db_setup(args: argparse.Namespace, kind: str, label: str) -> int | None:
-    """Open an experiment-database run when ``--db``/``REPRO_DB`` asks.
-
-    Returns the new run id, or ``None`` when recording is off; raises
-    :class:`repro.expdb.ExperimentDBError` when the path holds no usable
-    database.  The path and run id are exported (``REPRO_DB`` /
-    ``REPRO_DB_RUN``) so pool workers inherit them.  The run's
-    ``executor`` column records where task attempts run, by the pool's
-    own rule (:func:`repro.resilience.pool.runs_inline`): ``pool`` when
-    ``--jobs`` / ``--shards`` is above 1 or ``--timeout`` is set, else
-    ``inprocess``.
-    """
-    import os
-
-    from repro import expdb
-    from repro.resilience.pool import runs_inline
-
-    path = getattr(args, "db", None) or os.environ.get(expdb.ENV_VAR)
-    if not path:
-        return None
-    db = expdb.configure(path)
-    os.environ[expdb.ENV_VAR] = str(path)
-    workers = max(getattr(args, "jobs", None) or 1, getattr(args, "shards", None) or 1)
-    run_id = db.begin_run(
-        kind,
-        label,
-        executor="inprocess" if runs_inline(workers, _retry_policy(args)) else "pool",
-        argv=getattr(args, "argv", None),
-    )
-    expdb.set_current_run(run_id)
-    return run_id
 
 
 def _retry_policy(args: argparse.Namespace):
@@ -142,26 +78,6 @@ def _retry_policy(args: argparse.Namespace):
     )
 
 
-def _db_finish(run_id: int | None, exit_code: int, started: float) -> None:
-    """Close the run opened by :func:`_db_setup` with its obs snapshot."""
-    import time
-
-    from repro import expdb, obs
-
-    db = expdb.active()
-    if db is None or run_id is None:
-        return
-    snapshot = obs.registry().snapshot() if obs.enabled() else None
-    db.finish_run(
-        run_id,
-        snapshot=snapshot,
-        status="ok" if exit_code == 0 else "failed",
-        exit_code=exit_code,
-        elapsed_s=time.monotonic() - started,
-    )
-    expdb.set_current_run(None)
-
-
 #: Integer options and the least value each accepts, with what it counts.
 _INT_MINIMUMS = (
     ("jobs", 1, "a positive worker count"),
@@ -172,6 +88,7 @@ _INT_MINIMUMS = (
     ("retries", 0, "a non-negative retry count"),
     ("tree_height", 0, "a non-negative tree height"),
     ("limit", 1, "a positive count"),
+    ("last", 0, "a non-negative window"),
 )
 
 #: ``table`` flags that only some artifacts take (``Artifact.flags``),
@@ -196,21 +113,16 @@ def _check_table(args: argparse.Namespace) -> str | None:
 
 
 def _check_outputs(args: argparse.Namespace) -> str | None:
-    """Every file a run will write is no directory and has one to go in."""
+    """The ``--db`` file is no directory and has one to go in."""
     import os
 
-    from repro.expdb import ENV_VAR
-
-    outputs = [(f"--{name}", getattr(args, name, None)) for name in ("trace", "db")]
     if not args.db:
-        outputs.append((ENV_VAR, os.environ.get(ENV_VAR)))
-    for label, path in outputs:
-        if path:
-            directory = os.path.dirname(os.path.abspath(path))
-            if not os.path.isdir(directory):
-                return f"cannot write {label} {path}: no directory {directory}"
-            if os.path.isdir(path):
-                return f"cannot write {label} {path}: it is a directory"
+        return None
+    directory = os.path.dirname(os.path.abspath(args.db))
+    if not os.path.isdir(directory):
+        return f"cannot write --db {args.db}: no directory {directory}"
+    if os.path.isdir(args.db):
+        return f"cannot write --db {args.db}: it is a directory"
     return None
 
 
@@ -219,10 +131,11 @@ def _check_args(args: argparse.Namespace) -> str | None:
 
     Returns the one-line error message to print (the caller exits 2), or
     ``None`` when the arguments are valid.  Checks benchmark and table
-    names, numeric ranges, table-specific flags, output paths, and (for
-    ``generate`` and ``table``) the ``REPRO_FAULT`` spec -- all before
-    any work, so a bad value never becomes a traceback, an empty result,
-    or a failure retried on every row.
+    names, numeric ranges, table-specific flags, the ``--db`` path (which
+    ``stats`` and ``db`` require), and (for ``generate`` and ``table``)
+    the ``REPRO_FAULT`` spec -- all before any work, so a bad value never
+    becomes a traceback, an empty result, or a failure retried on every
+    row.
     """
     if hasattr(args, "circuit"):
         from repro.circuits.benchmarks import available
@@ -244,6 +157,8 @@ def _check_args(args: argparse.Namespace) -> str | None:
                 f"{name.replace('_', '-')} must be a positive number of "
                 f"seconds, got {value!r}"
             )
+    if args.command in ("stats", "db") and not args.db:
+        return "no database: pass --db PATH"
     if args.command == "table" and (problem := _check_table(args)):
         return problem
     if args.command in ("generate", "table"):
@@ -260,38 +175,96 @@ def _check_args(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _run_campaign(args: argparse.Namespace, kind: str, label: str, body) -> int:
-    """Run ``body(args)`` for ``generate``/``table`` with the shared set-up.
+def _recorder(db, run_id: int):
+    """The ``record(index, key, outcome)`` callback storing one resolved row.
 
-    Records the run in the experiment database when one is active (a
-    path that holds no database exits 2 before any work) and turns on
-    obs.  ``REPRO_DB`` is exported only while the run lasts, so pool
-    workers inherit it but a later command in this process does not.
+    A list/tuple outcome -- e.g. all Table 4.3 rows of one target --
+    flattens to one database row per element, keyed ``<key>#<i>``, so
+    the stored rows line up one-to-one with the rendered table's rows,
+    each with status ``ok``.  A :class:`repro.resilience.TaskFailure`
+    stores a ``failed`` row carrying its description.
     """
-    import os
+    from repro.expdb import payload_of
+    from repro.resilience import TaskFailure
+
+    def record(index: int, key: str, outcome) -> None:
+        if isinstance(outcome, TaskFailure):
+            failure = {"failure": outcome.describe(), "message": outcome.message}
+            db.record_row(run_id, key, index, failure, status="failed")
+        elif isinstance(outcome, (list, tuple)):
+            for i, item in enumerate(outcome):
+                db.record_row(run_id, f"{key}#{i}", index, payload_of(item))
+        else:
+            db.record_row(run_id, key, index, payload_of(outcome))
+
+    return record
+
+
+def _run_campaign(args: argparse.Namespace, kind: str, label: str, params, body) -> int:
+    """Run ``body(args, record)`` for ``generate``/``table``: the owner of the run.
+
+    With ``--db`` it opens the experiment database once (a path that
+    holds no database exits 2 before any work), begins the run with the
+    fingerprint of ``params`` and hands ``body`` a :func:`_recorder`
+    callback; without it ``record`` is ``None`` and the database is never
+    imported.  ``--stats`` and ``--db`` collect metrics from an empty
+    registry.  The run report prints after ``body``; the ``finally``
+    stores the snapshot and its spans, finishes the run, closes the
+    database, and last restores the enabled flag it found.  The run's
+    ``executor`` column records where attempts run, by the pool's own
+    rule (:func:`repro.resilience.pool.runs_inline`).
+    """
     import time
 
-    from repro import expdb
+    from repro import obs
 
-    prior_db = os.environ.get(expdb.ENV_VAR)
-    try:
-        run_id = _db_setup(args, kind, label)
-    except expdb.ExperimentDBError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _obs_setup(args)
+    db = run_id = record = None
+    if args.db:
+        from repro.expdb import ExperimentDB, ExperimentDBError
+
+        try:
+            db = ExperimentDB(args.db)
+        except ExperimentDBError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    was_enabled = obs.enabled()
+    if args.stats or db is not None:
+        obs.reset()
+        obs.enable()
     started = time.monotonic()
     code = 1
     try:
-        code = body(args)
+        if db is not None:
+            from repro.expdb import fingerprint_of
+            from repro.resilience.pool import runs_inline
+
+            workers = max(getattr(args, "jobs", 1), args.shards)
+            run_id = db.begin_run(
+                kind,
+                label,
+                fingerprint=fingerprint_of(params),
+                executor="inprocess" if runs_inline(workers, _retry_policy(args)) else "pool",
+                argv=args.argv,
+            )
+            record = _recorder(db, run_id)
+        code = body(args, record)
+        if args.stats:
+            print()
+            print(obs.render_report(obs.registry()))
         return code
     finally:
-        _db_finish(run_id, code, started)
-        if prior_db is None:
-            os.environ.pop(expdb.ENV_VAR, None)
-        else:
-            os.environ[expdb.ENV_VAR] = prior_db
-        expdb.configure(None)
+        if run_id is not None:
+            db.finish_run(
+                run_id,
+                snapshot=obs.snapshot(),
+                status="ok" if code == 0 else "failed",
+                exit_code=code,
+                elapsed_s=time.monotonic() - started,
+            )
+        if db is not None:
+            db.close()
+        if not was_enabled:
+            obs.disable()
 
 
 def _cmd_circuits(args: argparse.Namespace) -> int:
@@ -334,17 +307,23 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    return _run_campaign(args, "generate", args.circuit, _run_generate)
+    params = {
+        "generate": args.circuit,
+        "driver": args.driver,
+        "length": args.length,
+        "time_limit": args.time_limit,
+        "seed": args.seed,
+        "hold": bool(args.hold),
+        "tree_height": args.tree_height,
+    }
+    return _run_campaign(args, "generate", args.circuit, params, _run_generate)
 
 
-def _run_generate(args: argparse.Namespace) -> int:
+def _run_generate(args: argparse.Namespace, record) -> int:
     """Body of ``repro-eda generate`` once dispatch knobs are validated.
 
-    With an experiment database active (:mod:`repro.expdb`), the run is
-    annotated with the campaign fingerprint and the result lands as one
-    ``generate/<circuit>`` row.
+    With ``--db`` the result lands as one ``generate/<circuit>`` row.
     """
-    from repro import expdb
     from repro.circuits.benchmarks import get_circuit
     from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator
     from repro.core.state_holding import run_with_state_holding
@@ -364,27 +343,10 @@ def _run_generate(args: argparse.Namespace) -> int:
         swa_func = swa_func_of(target, args.driver)
         print(f"SWA_func under {args.driver}: {swa_func:.2f}%")
     result = BuiltinGenerator(target, faults, swa_func, config=config).run()
-    db = expdb.active()
-    run_id = expdb.current_run()
-    if db is not None and run_id is not None:
-        db.annotate_run(
-            run_id,
-            fingerprint=expdb.fingerprint_of(
-                {
-                    "generate": args.circuit,
-                    "driver": args.driver,
-                    "length": args.length,
-                    "time_limit": args.time_limit,
-                    "seed": args.seed,
-                    "hold": bool(args.hold),
-                    "tree_height": args.tree_height,
-                }
-            ),
-        )
-        db.record_row(
-            run_id,
-            f"generate/{args.circuit}",
+    if record is not None:
+        record(
             0,
+            f"generate/{args.circuit}",
             {
                 "circuit": args.circuit,
                 "driver": args.driver,
@@ -423,7 +385,6 @@ def _run_generate(args: argparse.Namespace) -> int:
             f"({holding.selection.n_bits} bits), +{improvement:.2f}% FC "
             f"-> {result.coverage + improvement:.2f}%"
         )
-    _obs_finish(args)
     return 0
 
 
@@ -471,18 +432,21 @@ def _cmd_select_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    return _run_campaign(args, "table", args.table, _run_table)
+    from repro.experiments.artifacts import ARTIFACTS
+
+    params = {"table": args.table, **ARTIFACTS[args.table].params}
+    return _run_campaign(args, "table", args.table, params, _run_table)
 
 
-def _run_table(args: argparse.Namespace) -> int:
+def _run_table(args: argparse.Namespace, record) -> int:
     """Body of ``repro-eda table`` once dispatch knobs are validated."""
     from repro.experiments.artifacts import ARTIFACTS, Dispatch, failures
 
-    progress = None
-    if args.jobs and args.jobs > 1 and not args.quiet:
-
-        def progress(i: int, task) -> None:
-            """Per-completed-row progress line on stderr (``--quiet`` hides it)."""
+    def progress(i: int, task, outcome) -> None:
+        """Store each resolved row (``--db``) and print its progress line."""
+        if record is not None:
+            record(i, task.key, outcome)
+        if args.jobs > 1 and not args.quiet:
             print(f"row {i + 1} done: {task.key}", file=sys.stderr, flush=True)
 
     artifact = ARTIFACTS[args.table]
@@ -502,51 +466,7 @@ def _run_table(args: argparse.Namespace) -> int:
         print(f"{len(failed)} row(s) failed:", file=sys.stderr)
         for f in failed:
             print(f"  {f.key}: {f.describe()} ({f.message})", file=sys.stderr)
-    _obs_finish(args)
     return 1 if failed else 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.obs import read_trace, render_trace
-    from repro.obs.trace import TRACE_SCHEMA
-
-    if args.db or args.file is None:
-        return _stats_from_db(args)
-    if not os.path.exists(args.file):
-        print(f"error: no trace file at {args.file}", file=sys.stderr)
-        return 2
-    try:
-        meta, events = read_trace(args.file)
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        print(
-            f"error: {args.file} is not a {TRACE_SCHEMA} trace: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    if meta and meta.get("schema") != TRACE_SCHEMA:
-        print(
-            f"error: {args.file} is not a {TRACE_SCHEMA} trace "
-            f"(schema {meta.get('schema')!r})",
-            file=sys.stderr,
-        )
-        return 2
-    if not meta and not events:
-        # An empty or unrelated file: no header, no spans -- not a trace.
-        print(f"error: {args.file} is not a {TRACE_SCHEMA} trace", file=sys.stderr)
-        return 2
-    if not events:
-        print(f"no span events in {args.file}", file=sys.stderr)
-        return 1
-    if meta.get("schema"):
-        print(f"trace {args.file} ({meta['schema']}, {len(events)} spans)")
-    else:
-        print(f"trace {args.file} ({len(events)} spans, no meta header)")
-    print()
-    print(render_trace(events, limit=args.limit))
-    return 0
 
 
 def _history_db(path: str):
@@ -564,26 +484,16 @@ def _history_db(path: str):
     return ExperimentDB(path)
 
 
-def _stats_from_db(args: argparse.Namespace) -> int:
-    """Render a stored run report (``repro-eda stats --db PATH [--run N]``)."""
-    import os
+def _cmd_stats(args: argparse.Namespace) -> int:
+    """Render a stored run's report and span tree (``repro-eda stats --db PATH``)."""
+    from repro.expdb import ExperimentDBError
+    from repro.obs import render_report, render_trace
 
-    from repro.expdb import ENV_VAR, ExperimentDBError
-    from repro.obs.report import render_report
-
-    path = args.db or os.environ.get(ENV_VAR)
-    if not path:
-        print(
-            f"error: pass a trace file, or --db PATH / {ENV_VAR} for a "
-            "stored run report",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        with _history_db(path) as db:
+        with _history_db(args.db) as db:
             run_id = args.run if args.run is not None else db.latest_run_id()
             if run_id is None:
-                print(f"no runs recorded in {path}", file=sys.stderr)
+                print(f"no runs recorded in {args.db}", file=sys.stderr)
                 return 1
             run = db.run(run_id)
             snapshot = db.run_snapshot(run_id)
@@ -595,24 +505,18 @@ def _stats_from_db(args: argparse.Namespace) -> int:
         f"({run['started_utc']}, {run['status']}, code {run['code_hash']})"
     )
     print(render_report(snapshot, title=title))
+    if snapshot["events"]:
+        print()
+        print(render_trace(snapshot["events"], limit=args.limit))
     return 0
 
 
 def _cmd_db(args: argparse.Namespace) -> int:
     """``repro-eda db {runs,show,query,trend,gate}`` over the experiment DB."""
-    import os
-
     from repro import expdb
 
-    path = args.db or os.environ.get(expdb.ENV_VAR)
-    if not path:
-        print(
-            f"error: no database: pass --db PATH or set {expdb.ENV_VAR}",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        db = _history_db(path)
+        db = _history_db(args.db)
     except expdb.ExperimentDBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -647,7 +551,7 @@ def _cmd_db(args: argparse.Namespace) -> int:
             # Nothing to judge: a pass would vouch for a database that
             # no benchmark run ever recorded into.
             print(
-                f"error: no bench batch in {path} (record one with "
+                f"error: no bench batch in {args.db} (record one with "
                 "benchmarks/e2e/run.py --record)",
                 file=sys.stderr,
             )
@@ -718,7 +622,8 @@ def _db_trend(db, args: argparse.Namespace) -> int:
     if not metric:
         print("error: db trend needs --metric NAME", file=sys.stderr)
         return 2
-    rows = db.metric_trend(metric, last=args.last if args.last else None)
+    last = args.last or None  # 0: every run
+    rows = db.metric_trend(metric, last=last)
     if rows:
         print(
             f"{'run':>4s} {'campaign':14s} {'started (UTC)':20s} "
@@ -734,7 +639,7 @@ def _db_trend(db, args: argparse.Namespace) -> int:
     # Fall back to bench-sample history for section.subject.metric names.
     parts = metric.split(".")
     if len(parts) == 3:
-        history = db.bench_history(*parts, last=args.last or 5)
+        history = db.bench_history(*parts, last=last)
         if history:
             print(f"bench {metric} (newest first): " + ", ".join(f"{v:g}" for v in history))
             return 0
@@ -789,13 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true", help="print the observability run report"
     )
     p.add_argument(
-        "--trace", metavar="FILE", help="write the span trace as JSONL to FILE"
-    )
-    p.add_argument(
         "--db",
         metavar="PATH",
-        help="record this run (result row + metric snapshot) into the "
-        "experiment database at PATH (same as REPRO_DB; implies metric "
+        help="record this run (fingerprint, result row, metric snapshot and "
+        "spans) into the experiment database at PATH (implies metric "
         "collection)",
     )
     p.set_defaults(func=_cmd_generate)
@@ -859,25 +761,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the merged observability run report (workers included)",
     )
     p.add_argument(
-        "--trace", metavar="FILE", help="write the merged span trace as JSONL to FILE"
-    )
-    p.add_argument(
         "--db",
         metavar="PATH",
-        help="record this run (every table row + the merged metric "
-        "snapshot) into the experiment database at PATH (same as "
-        "REPRO_DB, which workers inherit; implies metric collection)",
+        help="record this run (fingerprint, every table row, the merged "
+        "metric snapshot and spans) into the experiment database at PATH "
+        "(implies metric collection)",
     )
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser(
-        "stats", help="re-render a saved trace file or a stored run report"
-    )
-    p.add_argument(
-        "file",
-        nargs="?",
-        help="trace file written by --trace "
-        "(omit with --db to render a stored run report instead)",
+        "stats", help="render a stored run's report and span tree"
     )
     p.add_argument(
         "--limit",
@@ -888,8 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--db",
         metavar="PATH",
-        help="render the run report from the experiment database at PATH "
-        "(same as REPRO_DB) instead of a trace file",
+        help="experiment database holding the run (required)",
     )
     p.add_argument(
         "--run",
@@ -917,8 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--db",
         metavar="PATH",
-        help="experiment database path (default: the REPRO_DB environment "
-        "variable)",
+        help="experiment database path (required)",
     )
     p.add_argument(
         "--metric",

@@ -30,13 +30,14 @@ upgrade in place)::
 
 Durability and concurrency: connections run in WAL mode with a busy
 timeout, every write happens inside one transaction, and transient
-``database is locked`` errors are retried with backoff -- several pool
-workers (or several campaigns) can append to one file concurrently
-without corrupting it (exercised by ``tests/test_expdb.py``).
+``database is locked`` errors are retried with backoff -- several
+processes (campaigns, benchmark batches) can append to one file
+concurrently without corrupting it (exercised by ``tests/test_expdb.py``).
 
-The store is standard-library only and sits at the bottom of the
-layering beside :mod:`repro.obs`: it imports nothing from :mod:`repro`
-above ``obs``, so any layer may record into it without import cycles.
+The store is standard-library only and imports nothing from
+:mod:`repro` above :mod:`repro.obs`.  Its writers -- the CLI's
+``--db`` and ``benchmarks/e2e/run.py --record`` -- each open their own
+:class:`ExperimentDB`.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ import time
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
-
-#: Environment variable carrying the active database path across
-#: processes (exported by the CLI, so pool workers inherit it).
-ENV_VAR = "REPRO_DB"
 
 #: Current schema version; :data:`MIGRATIONS` must have this many steps.
 SCHEMA_VERSION = 2
@@ -314,42 +311,25 @@ class ExperimentDB:
         kind: str,
         label: str,
         fingerprint: str | None = None,
-        kernel: str | None = None,
         executor: str | None = None,
         argv: Sequence[str] | None = None,
     ) -> int:
         """Insert a ``running`` run row; returns its id."""
         with self._write():
             cur = self._conn.execute(
-                "INSERT INTO runs (kind, label, fingerprint, code_hash, kernel,"
-                " executor, argv, started_utc) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT INTO runs (kind, label, fingerprint, code_hash,"
+                " executor, argv, started_utc) VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (
                     kind,
                     label,
                     fingerprint,
                     code_hash(),
-                    kernel,
                     executor,
                     json.dumps(list(argv)) if argv is not None else None,
                     utc_now(),
                 ),
             )
             return int(cur.lastrowid)
-
-    def annotate_run(self, run_id: int, **fields: Any) -> None:
-        """Update late-bound run columns (fingerprint, executor, ...)."""
-        allowed = {"fingerprint", "executor", "kernel", "label"}
-        unknown = set(fields) - allowed
-        if unknown:
-            raise ValueError(f"cannot annotate run fields: {sorted(unknown)}")
-        if not fields:
-            return
-        names = sorted(fields)
-        with self._write():
-            self._conn.execute(
-                f"UPDATE runs SET {', '.join(f'{n} = ?' for n in names)} WHERE id = ?",
-                [fields[n] for n in names] + [run_id],
-            )
 
     def record_row(
         self,
@@ -470,13 +450,13 @@ class ExperimentDB:
         subject: str,
         metric: str,
         before_batch: int | None = None,
-        last: int = 5,
+        last: int | None = 5,
     ) -> list[float]:
         """The newest-first values of one bench metric, optionally bounded.
 
         ``before_batch`` excludes that batch and everything after it --
         the shape the gate needs when judging the latest batch against
-        its own history.
+        its own history.  ``last=None`` returns every value.
         """
         sql = (
             "SELECT value FROM bench_samples WHERE section = ? AND subject = ?"
@@ -486,8 +466,10 @@ class ExperimentDB:
         if before_batch is not None:
             sql += " AND batch < ?"
             params.append(before_batch)
-        sql += " ORDER BY batch DESC LIMIT ?"
-        params.append(last)
+        sql += " ORDER BY batch DESC"
+        if last is not None:
+            sql += " LIMIT ?"
+            params.append(last)
         return [float(r[0]) for r in self._conn.execute(sql, params)]
 
     def latest_bench_batch(self) -> int | None:

@@ -35,11 +35,12 @@ class Dispatch:
     """Where and how an artifact's rows run; no field changes a result.
 
     The fields mirror ``repro-eda table``'s ``--jobs`` and ``--shards``,
-    plus the per-row ``progress`` callback and the
-    :class:`repro.resilience.policy.RetryPolicy` built from
-    ``--timeout``/``--retries``.  A row that overruns the policy's
-    deadline fails; it never comes back shorter.  Entries that run no
-    rows on the worker pool ignore them.
+    plus the :class:`repro.resilience.policy.RetryPolicy` built from
+    ``--timeout``/``--retries`` and the per-row ``progress(index, task,
+    outcome)`` callback, which fires in task order as rows resolve and
+    from which the CLI prints progress lines and records ``--db`` rows.
+    A row that overruns the policy's deadline fails; it never comes back
+    shorter.  Entries that run no rows on the worker pool ignore them.
     """
 
     jobs: int | None = None

@@ -100,7 +100,7 @@ def generate_report() -> str:
         "a **Reproduce** block with the exact commands, their expected",
         "wall-clock on a 2-vCPU x86-64 host, and what to look for in the",
         "output.  See `docs/CLI.md` for every flag, and `docs/ARCHITECTURE.md`",
-        "(*repro.expdb*) for recording runs and gating the benchmark history.",
+        "(*Experiment database*) for recording runs and gating the benchmark history.",
         "Regenerate this file with `python -m repro.experiments.report`",
         "(about a minute).",
         "",

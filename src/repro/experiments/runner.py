@@ -29,12 +29,7 @@ exhausts its retry budget degrades to a typed
 :class:`repro.resilience.policy.TaskFailure` in its slot of the results
 list -- the campaign itself never aborts mid-run.  Because every row's
 seed is derived from its key, rerunning a killed campaign prints the
-same table.  When an experiment database is active (``--db`` /
-``REPRO_DB`` plus an open run id, see :mod:`repro.expdb`), every
-resolved row -- completed (status ``ok``) or degraded to a failure
-(status ``failed``) -- is also appended to the run's ``rows`` table the
-moment it resolves, so campaign history accumulates without a separate
-pass.
+same table.
 
 Workers receive circuit *names*, not circuit objects: each process loads
 and compiles its own copy, which keeps task payloads small and sidesteps
@@ -48,8 +43,10 @@ alongside the result; the parent merges every snapshot into its registry
 reports one coherent story regardless of ``N``.  Retries, timeouts,
 worker crashes/respawns and failures surface as ``runner.*`` counters
 plus a ``runner.retry`` span per retry decision.
-A ``progress`` callback fires per task in task order as the completed
-prefix grows, backing the per-row progress lines of ``repro-eda table``.
+A ``progress(index, task, outcome)`` callback fires per task in task
+order as the resolved prefix grows, with the result or ``TaskFailure``
+in that slot; ``repro-eda table`` prints its progress lines and records
+its ``--db`` rows from it.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Sequence
 
-from repro import expdb, obs
+from repro import obs
 from repro.resilience.policy import RetryPolicy, TaskFailure
 from repro.resilience.pool import ExperimentTask, SelfHealingPool
 
@@ -76,40 +73,10 @@ def derive_seed(base_seed: int, key: str) -> int:
     return mixed or 1
 
 
-def _record_outcome(task: ExperimentTask, index: int, outcome: Any) -> None:
-    """Append one task outcome to the active experiment database, if any.
-
-    A no-op unless both a database (``--db`` / ``REPRO_DB``) and an open
-    run id are in effect.  List/tuple outcomes -- e.g. all Table 4.3 rows
-    of one target -- flatten to one database row per element, keyed
-    ``<task.key>#<i>``, so the stored rows line up one-to-one with the
-    rendered table's rows, each with status ``ok``.  Failures record a
-    ``failed`` row carrying the :class:`~repro.resilience.policy.TaskFailure`
-    description.
-    """
-    db = expdb.active()
-    run_id = expdb.current_run()
-    if db is None or run_id is None:
-        return
-    if isinstance(outcome, TaskFailure):
-        db.record_row(
-            run_id,
-            task.key,
-            index,
-            {"failure": outcome.describe(), "message": outcome.message},
-            status="failed",
-        )
-    elif isinstance(outcome, (list, tuple)):
-        for i, item in enumerate(outcome):
-            db.record_row(run_id, f"{task.key}#{i}", index, expdb.payload_of(item))
-    else:
-        db.record_row(run_id, task.key, index, expdb.payload_of(outcome))
-
-
 def run_tasks(
     tasks: Sequence[ExperimentTask],
     jobs: int | None = None,
-    progress: Callable[[int, ExperimentTask], None] | None = None,
+    progress: Callable[[int, ExperimentTask, Any], None] | None = None,
     policy: RetryPolicy | None = None,
 ) -> list[Any]:
     """Run every task; returns results (or ``TaskFailure``s) in task order.
@@ -124,9 +91,9 @@ def run_tasks(
     input order, the returned list is byte-for-byte the same for every
     worker count.
 
-    ``policy`` is the campaign's deadline, retry budget and backoff,
-    passed to the pool unchanged.  ``progress(index, task)`` is invoked
-    per task in task order as the completed prefix grows.
+    ``policy`` is the campaign's deadline and retry budget, passed to
+    the pool unchanged.  ``progress(index, task, outcome)`` is
+    invoked per task in task order as the resolved prefix grows.
     """
     tasks = list(tasks)
     if jobs is not None and int(jobs) < 0:
@@ -137,7 +104,7 @@ def run_tasks(
     emitted = 0
 
     def on_complete(index: int, outcome: Any, snapshot: dict | None) -> None:
-        """Merge a finished row's worker metrics, record it, report progress."""
+        """Merge a finished row's worker metrics, then report the resolved prefix."""
         nonlocal emitted
         results[index] = outcome
         if not isinstance(outcome, TaskFailure):
@@ -145,11 +112,10 @@ def run_tasks(
                 obs.merge(snapshot, task=tasks[index].key)
                 obs.count("runner.worker_registries_merged")
             obs.count("runner.tasks_completed")
-        _record_outcome(tasks[index], index, outcome)
         # Fire ``progress`` for the resolved prefix, in task order.
         while emitted < len(results) and results[emitted] is not _PENDING:
             if progress is not None:
-                progress(emitted, tasks[emitted])
+                progress(emitted, tasks[emitted], results[emitted])
             emitted += 1
 
     with SelfHealingPool(

@@ -17,10 +17,9 @@ reports ``buffers`` plus the drivers giving the highest and lowest
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro import expdb
 from repro.bist.tpg import DevelopedTpg
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.netlist import Circuit
@@ -228,7 +227,7 @@ def run_table_4_3(
     n_sequences: int = 16,
     func_length: int = 120,
     jobs: int | None = None,
-    progress: Callable[[int, ExperimentTask], None] | None = None,
+    progress: Callable[[int, ExperimentTask, object], None] | None = None,
     policy: RetryPolicy | None = None,
 ) -> list[Table43Case | TaskFailure]:
     """Run Table 4.3: per target, ``buffers`` + highest/lowest-SWA drivers.
@@ -243,26 +242,9 @@ def run_table_4_3(
     :class:`repro.resilience.policy.TaskFailure` in its slot instead of
     aborting the campaign.  ``progress`` is forwarded to
     :func:`repro.experiments.runner.run_tasks` and fires once per
-    completed target.  With an experiment database active, the run is
-    annotated with the campaign fingerprint of these parameters.
+    resolved target, in target order, with that target's rows (or its
+    ``TaskFailure``).
     """
-    db = expdb.active()
-    run_id = expdb.current_run()
-    if db is not None and run_id is not None:
-        # Runs with equal fingerprints are reruns of one campaign.
-        fingerprint = expdb.fingerprint_of(
-            {
-                "table": "4.3",
-                "targets": tuple(targets),
-                "drivers": tuple(drivers),
-                # Normalize the pure-throughput knobs: shards/jobs/lanes
-                # change no row, so runs that differ only in them match.
-                "config": replace(config, grade_shards=1, grade_jobs=None, lanes=None),
-                "n_sequences": n_sequences,
-                "func_length": func_length,
-            }
-        )
-        db.annotate_run(run_id, fingerprint=fingerprint)
     tasks = [
         ExperimentTask(
             key=f"table4.3/{target_name}",
@@ -377,14 +359,14 @@ def run_table_4_4(
     tree_height: int,
     config: BuiltinGenConfig,
     jobs: int | None = None,
-    progress: Callable[[int, ExperimentTask], None] | None = None,
+    progress: Callable[[int, ExperimentTask, object], None] | None = None,
     policy: RetryPolicy | None = None,
 ) -> list[Table44Case | TaskFailure]:
     """Run state holding for every Table 4.3 case below the FC threshold.
 
     Like :func:`run_table_4_3`, ``jobs`` only changes the wall clock:
     each eligible case is an independent task and results come back in
-    case order; ``progress`` fires once per completed case.  Failed
+    case order; ``progress`` fires once per resolved case.  Failed
     Table 4.3 rows (``TaskFailure``) have no base result to improve and
     are skipped; Table 4.4 rows that overrun ``policy``'s deadline or
     exhaust its retries degrade to ``TaskFailure`` in place.

@@ -7,7 +7,7 @@ Three pieces (see DESIGN.md, *Observability*):
   value/timing histograms, exposed through the module-level singleton
   :data:`OBS` and the helpers below;
 * **span tracing** (:mod:`repro.obs.trace`): ``with obs.span("grade",
-  circuit=name):`` times a nested region and emits a JSONL trace event;
+  circuit=name):`` times a nested region and records a trace event;
 * a **run-report formatter** (:mod:`repro.obs.report`) that renders the
   registry into the per-phase story ``repro-eda generate --stats`` prints.
 
@@ -26,8 +26,9 @@ N`` still yields one merged report.
 This package sits at the very bottom of the layering -- it imports
 nothing from :mod:`repro` and nothing outside the standard library -- so
 any module may instrument itself without import cycles.  Collection is
-switched on by the CLI's ``--stats``/``--trace``/``--db`` flags or by
-:func:`enable` from code.
+switched on by :func:`enable` from code, or by the CLI's ``--stats`` and
+``--db`` flags for one ``generate``/``table`` run, which starts from an
+empty registry and leaves the enabled flag as it found it.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ from typing import Any, Mapping
 
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.report import render_report
-from repro.obs.trace import (
-    NULL_SPAN,
-    Span,
-    dump_trace,
-    read_trace,
-    render_trace,
-    write_trace,
-)
+from repro.obs.trace import NULL_SPAN, Span, render_trace
 
 __all__ = [
     "OBS",
@@ -52,22 +46,18 @@ __all__ = [
     "Span",
     "count",
     "disable",
-    "dump_trace",
     "enable",
     "enabled",
     "gauge",
     "merge",
     "observe",
-    "read_trace",
     "registry",
     "render_report",
     "render_trace",
     "reset",
-    "save_trace",
     "snapshot",
     "span",
     "timed",
-    "write_trace",
 ]
 
 #: The process-local registry every instrumented module writes into.
@@ -144,8 +134,3 @@ def snapshot() -> dict[str, Any]:
 def merge(snap: Mapping[str, Any], task: str | None = None) -> None:
     """Fold a worker snapshot into the singleton registry."""
     OBS.merge(snap, task=task)
-
-
-def save_trace(path: str) -> int:
-    """Write the singleton's trace events to ``path`` (JSONL); returns count."""
-    return write_trace(path, OBS)

@@ -162,8 +162,8 @@ class MetricsRegistry:
     histograms:
         Named :class:`Histogram` instances.
     events:
-        Completed span events in completion order -- the JSONL trace rows
-        (:mod:`repro.obs.trace`).
+        Completed span events in completion order (:mod:`repro.obs.trace`);
+        a ``--db`` run stores them as its ``spans`` rows.
     """
 
     __slots__ = ("enabled", "counters", "gauges", "histograms", "events", "_stack", "epoch")

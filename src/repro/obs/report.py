@@ -2,7 +2,8 @@
 
 Turns a :class:`repro.obs.registry.MetricsRegistry` (or a snapshot dict,
 possibly merged from many worker processes) into the report printed by
-``repro-eda generate --stats`` / ``repro-eda table --stats``:
+``repro-eda generate --stats`` / ``repro-eda table --stats``, and by
+``repro-eda stats --db`` from a stored run's snapshot:
 
 * a per-phase time breakdown from the ``span.*`` duration histograms
   (count, total seconds, share of the instrumented wall time); value
@@ -162,7 +163,7 @@ def render_report(source: MetricsRegistry | Mapping[str, Any], title: str = "run
 
     n_events = len(snap["events"])
     if n_events:
-        lines += ["", f"{n_events} trace span(s) recorded (write with --trace, view with `repro-eda stats`)"]
+        lines += ["", f"{n_events} trace span(s) recorded (store with --db, view with `repro-eda stats --db`)"]
     if len(lines) == 2:
         lines += ["", "no metrics recorded (was observability enabled?)"]
     return "\n".join(lines)

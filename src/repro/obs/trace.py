@@ -1,4 +1,4 @@
-"""Span-based tracing: nested timed regions emitting JSONL trace events.
+"""Span-based tracing: nested timed regions recorded as trace events.
 
 A span is a timed region of the generation/simulation stack::
 
@@ -9,32 +9,22 @@ On exit the span records a trace event (name, start offset, duration,
 nesting depth, parent span, free-form attrs) into the process's
 :class:`repro.obs.registry.MetricsRegistry` plus a ``span.<name>``
 duration histogram, so the same instrumentation feeds both the per-phase
-time breakdown of the run report and the replayable JSONL trace.
+time breakdown of the run report and the span tree.  ``start`` is
+seconds since the registry epoch (per process -- merged worker events
+keep their own epoch and carry a ``task`` attr naming the worker's unit
+of work).
 
-File format (one JSON object per line):
-
-* a ``{"type": "meta", ...}`` header with the wall-clock time and schema
-  version;
-* one ``{"type": "span", "name": ..., "start": ..., "dur": ...,
-  "depth": ..., "parent": ..., "attrs": {...}}`` row per completed span,
-  in completion order.  ``start`` is seconds since the registry epoch
-  (per process -- merged worker events keep their own epoch and carry a
-  ``task`` attr identifying the worker's unit of work).
-
-``repro-eda stats FILE`` re-renders a saved trace with
-:func:`render_trace`.
+``repro-eda generate|table --db PATH`` stores a run's events in the
+experiment database, and ``repro-eda stats --db PATH`` renders them
+with :func:`render_trace`.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Any, Mapping, Sequence, TextIO
+from typing import Any, Mapping, Sequence
 
 from repro.obs.registry import MetricsRegistry
-
-#: Schema tag written into the trace meta header.
-TRACE_SCHEMA = "repro-trace-v1"
 
 
 class Span:
@@ -98,51 +88,6 @@ class NullSpan:
 
 #: Shared disabled-path span (allocation-free).
 NULL_SPAN = NullSpan()
-
-
-def write_trace(path: str, registry: MetricsRegistry) -> int:
-    """Write the registry's completed span events to ``path`` as JSONL.
-
-    Returns the number of span rows written (excluding the meta header).
-    """
-    with open(path, "w") as fh:
-        return dump_trace(fh, registry)
-
-
-def dump_trace(fh: TextIO, registry: MetricsRegistry) -> int:
-    """:func:`write_trace` against an open text stream."""
-    meta = {
-        "type": "meta",
-        "schema": TRACE_SCHEMA,
-        "unix_time": int(time.time()),
-        "n_spans": len(registry.events),
-    }
-    fh.write(json.dumps(meta) + "\n")
-    for event in registry.events:
-        fh.write(json.dumps({"type": "span", **event}) + "\n")
-    return len(registry.events)
-
-
-def read_trace(path: str) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Read a JSONL trace back; returns ``(meta, span_events)``.
-
-    Tolerates a missing meta header (returns an empty dict) so hand-built
-    or truncated traces still render.
-    """
-    meta: dict[str, Any] = {}
-    events: list[dict[str, Any]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("type") == "meta":
-                meta = row
-            elif row.get("type") == "span":
-                row.pop("type", None)
-                events.append(row)
-    return meta, events
 
 
 def render_trace(events: Sequence[Mapping[str, Any]], limit: int | None = None) -> str:

@@ -23,10 +23,16 @@ KIND_CRASH = "crash"
 KIND_TIMEOUT = "timeout"
 KIND_ERROR = "error"
 
+#: The retry backoff schedule: the delay before the first retry, its
+#: growth per further retry, and the cap on any one delay (seconds).
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """One campaign's deadline, retry budget and backoff, for every task.
+    """One campaign's deadline and retry budget, for every task.
 
     ``repro-eda table`` builds it from ``--timeout`` / ``--retries``; only
     :mod:`repro.resilience.pool` reads it.  A ``timeout_s`` is enforced
@@ -35,13 +41,10 @@ class RetryPolicy:
 
     max_retries: int = 2  # further attempts after the first failure
     timeout_s: float | None = None  # per-attempt deadline (None = unbounded)
-    backoff_base_s: float = 0.05  # delay before the first retry
-    backoff_factor: float = 2.0  # growth per subsequent retry
-    backoff_cap_s: float = 2.0  # upper bound on any single delay
 
     def backoff_s(self, attempt: int) -> float:
         """Deterministic delay before retrying after failure ``attempt`` (0-based)."""
-        return min(self.backoff_cap_s, self.backoff_base_s * self.backoff_factor**attempt)
+        return min(BACKOFF_CAP_S, BACKOFF_BASE_S * BACKOFF_FACTOR**attempt)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Tests for the repro-eda command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -74,10 +76,8 @@ class TestCommands:
         assert build_parser().parse_args(["table", "4.3"]).jobs == 1
 
     def test_table_quiet_and_stats_flags(self):
-        args = build_parser().parse_args(
-            ["table", "4.3", "--quiet", "--stats", "--trace", "t.jsonl"]
-        )
-        assert args.quiet and args.stats and args.trace == "t.jsonl"
+        args = build_parser().parse_args(["table", "4.3", "--quiet", "--stats"])
+        assert args.quiet and args.stats
 
     def test_table_resilience_flags(self):
         args = build_parser().parse_args(
@@ -173,8 +173,14 @@ class TestCommands:
                 ["generate", "s27", "--hold", "--tree-height", "-1"],
                 "tree-height must be a non-negative tree height, got -1",
             ),
-            (["stats", "trace.jsonl", "--limit", "-1"], "limit must be a positive count, got -1"),
+            (["stats", "--limit", "-1"], "limit must be a positive count, got -1"),
             (["db", "runs", "--limit", "-1"], "limit must be a positive count, got -1"),
+            (
+                ["db", "trend", "gen.seeds_evaluated", "--last", "-2", "--db", "x.db"],
+                "last must be a non-negative window, got -2",
+            ),
+            (["stats"], "no database: pass --db PATH"),
+            (["db", "runs"], "no database: pass --db PATH"),
         ],
         ids=[
             "table-jobs0", "table-jobs-7", "table-shards0", "generate-shards-1",
@@ -184,7 +190,8 @@ class TestCommands:
             "table3.1-timeout", "table3.1-retries0", "table2.1-timeout",
             "table4.2-retries", "table3.1-jobs2", "table3.1-shards2",
             "generate-tree-height-1",
-            "stats-limit-1", "db-runs-limit-1",
+            "stats-limit-1", "db-runs-limit-1", "db-trend-last-2",
+            "stats-no-db", "db-no-db",
         ],
     )
     def test_bad_dispatch_count_exits_2(self, argv, message, capsys):
@@ -194,51 +201,32 @@ class TestCommands:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "argv, env, error",
+        "argv, error",
         [
             (
-                ["table", "4.2", "--db", "{missing}/x.db"], None,
+                ["table", "4.2", "--db", "{missing}/x.db"],
                 "cannot write --db {missing}/x.db: no directory {missing}",
             ),
             (
-                ["table", "4.2"], "{missing}/x.db",
-                "cannot write REPRO_DB {missing}/x.db: no directory {missing}",
-            ),
-            (
-                ["generate", "s27", "--length", "20", "--trace", "{missing}/t.jsonl"], None,
-                "cannot write --trace {missing}/t.jsonl: no directory {missing}",
-            ),
-            (
-                ["table", "4.2", "--db", "{folder}"], None,
+                ["table", "4.2", "--db", "{folder}"],
                 "cannot write --db {folder}: it is a directory",
             ),
             (
-                ["table", "4.2"], "{text}",
+                ["table", "4.2", "--db", "{text}"],
                 "{text} is not an experiment database: file is not a database",
             ),
-            (
-                ["generate", "s27", "--length", "20", "--trace", "{folder}"], None,
-                "cannot write --trace {folder}: it is a directory",
-            ),
         ],
-        ids=[
-            "table-db", "table-repro-db", "generate-trace", "table-db-directory",
-            "table-repro-db-not-a-database", "generate-trace-directory",
-        ],
+        ids=["table-db", "table-db-directory", "table-db-not-a-database"],
     )
-    def test_unwritable_output_exits_2_before_any_work(
-        self, argv, env, error, tmp_path, monkeypatch, capsys
-    ):
+    def test_unwritable_output_exits_2_before_any_work(self, argv, error, tmp_path, capsys):
         text = tmp_path / "notes.txt"
         text.write_text("not a database\n")
         paths = {"missing": tmp_path / "no" / "such", "folder": tmp_path, "text": text}
-        monkeypatch.delenv("REPRO_DB", raising=False)
-        if env is not None:
-            monkeypatch.setenv("REPRO_DB", env.format(**paths))
         assert main([a.format(**paths) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error.format(**paths)}\n"
+        assert text.read_text() == "not a database\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -280,42 +268,34 @@ class TestObservabilityCommands:
         assert "compiled circuit IR" in out and "cache_" in out
         assert "fault grading (PPSFP)" in out
 
-    def test_generate_trace_then_stats(self, tmp_path, capsys):
-        trace = tmp_path / "gen.jsonl"
-        assert main(
-            [
-                "generate", "s27", "--length", "40", "--time-limit", "5",
-                "--trace", str(trace),
-            ]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "trace span(s)" in err
-        assert trace.exists()
-        assert main(["stats", str(trace)]) == 0
+    def test_generate_db_then_stats_renders_report_and_span_tree(self, tmp_path, capsys):
+        path = str(tmp_path / "gen.db")
+        argv = ["generate", "s27", "--length", "40", "--time-limit", "5", "--db", path]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["stats", "--db", path]) == 0
         out = capsys.readouterr().out
-        assert "repro-trace-v1" in out
-        assert "gen.run" in out
+        assert "run 1: generate s27" in out
+        assert "generation (Fig 4.9 construction)" in out
+        assert re.search(r"^gen\.run  \d+\.\d+ ms", out, re.MULTILINE)
 
-    def test_stats_rejects_empty_file(self, tmp_path, capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert main(["stats", str(empty)]) == 2
-        assert "not a repro-trace-v1 trace" in capsys.readouterr().err
+    def test_collection_ends_with_its_run(self, capsys):
+        """``--stats`` reports its own run only and leaves collection as found."""
+        from repro import obs
 
-    def test_stats_rejects_missing_file(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path / "nope.jsonl")]) == 2
-        assert "no trace file" in capsys.readouterr().err
-
-    def test_stats_rejects_wrong_schema(self, tmp_path, capsys):
-        trace = tmp_path / "other.jsonl"
-        trace.write_text('{"schema": "other-v9"}\n')
-        assert main(["stats", str(trace)]) == 2
-        assert "repro-trace-v1" in capsys.readouterr().err
-
-    def test_stats_rejects_binary_garbage(self, tmp_path, capsys):
-        trace = tmp_path / "garbage.jsonl"
-        trace.write_bytes(b"\x00\x01\x02 not json at all")
-        assert main(["stats", str(trace)]) == 2
+        argv = ["generate", "s27", "--length", "40", "--time-limit", "5"]
+        assert main([*argv, "--stats"]) == 0
+        assert not obs.enabled()
+        first = dict(obs.registry().counters)
+        assert first["gen.seeds_evaluated"] > 0
+        assert main(argv) == 0
+        assert obs.registry().counters == first
+        assert main([*argv, "--stats"]) == 0
+        assert obs.registry().counters["gen.seeds_evaluated"] == first["gen.seeds_evaluated"]
+        obs.enable()
+        assert main(argv) == 0
+        assert obs.enabled()
+        capsys.readouterr()
 
     def test_table_quiet_suppresses_progress(self, capsys):
         assert main(["table", "4.3", "--jobs", "2"]) == 0

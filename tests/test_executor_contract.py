@@ -14,7 +14,6 @@ that makes ``--jobs`` and ``--shards`` pure wall-clock knobs:
 """
 
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -26,9 +25,6 @@ from repro.resilience.pool import SelfHealingPool
 
 #: ``jobs`` of each placement: in the calling process, then on the pool.
 PLACEMENTS = pytest.mark.parametrize("jobs", (1, 2), ids=("inprocess", "pool"))
-
-#: A fast backoff so retry-heavy tests stay quick.
-FAST = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +69,7 @@ class TestOrdering:
         def on_complete(slot, outcome, snapshot):
             completion_slots.append(slot)
 
-        with SelfHealingPool(n_workers=jobs, policy=FAST) as pool:
+        with SelfHealingPool(n_workers=jobs, policy=RetryPolicy()) as pool:
             results = pool.run(tasks, on_complete)
         assert results == [0, 1, 2, 3]
         assert sorted(completion_slots) == [0, 1, 2, 3]
@@ -86,7 +82,7 @@ class TestRetryAfterCrash:
     def test_flaky_error_retries_everywhere(self, jobs):
         faultpoints.install("runner.task:sq/3:flaky2")
         obs.enable()
-        out = run_tasks(_tasks(), jobs=jobs, policy=FAST)
+        out = run_tasks(_tasks(), jobs=jobs, policy=RetryPolicy())
         assert out == [0, 1, 4, 9]
         assert obs.registry().counters["runner.retries"] == 2
 
@@ -96,7 +92,7 @@ class TestDegradation:
     def test_exhausted_retries_degrade_to_typed_failure(self, jobs):
         faultpoints.install("runner.task:sq/1:error")
         obs.enable()
-        out = run_tasks(_tasks(), jobs=jobs, policy=replace(FAST, max_retries=1))
+        out = run_tasks(_tasks(), jobs=jobs, policy=RetryPolicy(max_retries=1))
         assert out[0] == 0 and out[2] == 4 and out[3] == 9
         failure = out[1]
         assert isinstance(failure, TaskFailure)

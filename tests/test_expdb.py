@@ -1,15 +1,14 @@
 """Tests for the experiment database (``repro.expdb``).
 
-Covers the ISSUE's required cases -- schema-version migration (open a v1
-file with v2 code), fingerprint/code-hash round-trip, concurrent
-multi-process appends, and ``db gate`` pass/fail golden cases -- plus the
-producer wiring (runner rows, CLI run lifecycle, stored-run reports) and
-the ``repro-eda db`` / ``stats --db`` surfaces.
+Covers schema-version migration (open a v1 file with v2 code),
+fingerprint/code-hash round-trip, concurrent multi-process appends, and
+``db gate`` pass/fail golden cases -- plus the one writer of campaign
+runs (the CLI's ``--db``: run lifecycle, fingerprints, rows) and the
+``repro-eda db`` / ``stats --db`` surfaces.
 """
 
 import importlib.util
 import multiprocessing
-import os
 import sqlite3
 import sys
 from pathlib import Path
@@ -20,20 +19,15 @@ from repro import expdb, obs
 from repro.cli import main
 from repro.expdb.gate import GateResult
 from repro.expdb.store import MIGRATIONS, SCHEMA_VERSION, ExperimentDB, fingerprint_of
-from repro.experiments.runner import ExperimentTask, run_tasks
 from repro.obs.registry import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_db(monkeypatch):
-    """Isolate every test from REPRO_DB/REPRO_DB_RUN and module state."""
-    monkeypatch.delenv(expdb.ENV_VAR, raising=False)
-    monkeypatch.delenv(expdb.RUN_ENV_VAR, raising=False)
-    expdb.reset()
+def _clean_obs():
+    """Keep the obs singleton disabled and empty around every test."""
     obs.disable()
     obs.reset()
     yield
-    expdb.reset()
     obs.disable()
     obs.reset()
 
@@ -165,25 +159,37 @@ class TestSchema:
             ExperimentDB(path)
 
 
+@pytest.fixture(scope="module")
+def table_runs(tmp_path_factory) -> dict[str, dict]:
+    """``table 4.3``, ``4.3 --jobs 2``, ``4.4`` and ``4.2`` recorded into one file.
+
+    Each stored run summary also carries its stored ``rows``.
+    """
+    path = str(tmp_path_factory.mktemp("table_runs") / "e.db")
+    argvs = {
+        "4.3": ["table", "4.3", "--quiet"],
+        "4.3 --jobs 2": ["table", "4.3", "--quiet", "--jobs", "2"],
+        "4.4": ["table", "4.4"],
+        "4.2": ["table", "4.2"],
+    }
+    for argv in argvs.values():
+        assert main([*argv, "--db", path]) == 0
+    with ExperimentDB(path) as db:
+        runs = [dict(run, rows=db.rows(run["id"])) for run in reversed(db.runs())]
+    return dict(zip(argvs, runs))
+
+
 class TestRunsAndRows:
     def test_fingerprint_and_code_hash_round_trip(self, tmp_path):
         params = {"table": "4.3", "targets": ("s27",), "n_sequences": 16}
         fp = fingerprint_of(params)
         with ExperimentDB(tmp_path / "e.db") as db:
-            run_id = db.begin_run(
-                "table", "4.3", fingerprint=fp, kernel="word", executor="pool"
-            )
+            run_id = db.begin_run("table", "4.3", fingerprint=fp, executor="pool")
             db.finish_run(run_id)
             run = db.run(run_id)
         assert run["fingerprint"] == fp == fingerprint_of(params)
         assert run["code_hash"] == expdb.code_hash()
         assert len(run["code_hash"]) == 16
-
-    def test_annotate_run_rejects_unknown_fields(self, tmp_path):
-        with ExperimentDB(tmp_path / "e.db") as db:
-            run_id = db.begin_run("table", "4.3")
-            with pytest.raises(ValueError, match="status"):
-                db.annotate_run(run_id, status="hacked")
 
     def test_snapshot_round_trip_renders(self, tmp_path):
         from repro.obs.report import render_report
@@ -199,46 +205,34 @@ class TestRunsAndRows:
         assert "generation (Fig 4.9 construction)" in report
         assert "p50=" in report  # stored quantiles feed the formatter
 
-    def test_runner_records_completed_and_failed_rows(self, tmp_path):
-        from repro.resilience.policy import RetryPolicy, TaskFailure
-
-        db = expdb.configure(tmp_path / "e.db")
-        run_id = db.begin_run("table", "test")
-        expdb.set_current_run(run_id)
-        tasks = [
-            ExperimentTask(key="row/a", fn=_double, kwargs={"x": 2}),
-            ExperimentTask(key="row/b", fn=_boom),
+    def test_runner_records_completed_and_failed_rows(self, tmp_path, capsys):
+        """Rows a ``--timeout`` no row can meet land as ``failed`` rows."""
+        path = str(tmp_path / "e.db")
+        timed = ["table", "4.3", "--timeout", "0.01", "--retries", "0", "--quiet"]
+        assert main([*timed, "--db", path]) == 1
+        capsys.readouterr()
+        with ExperimentDB(path) as db:
+            run = db.runs()[0]
+            assert (run["status"], run["exit_code"]) == ("failed", 1)
+            rows = db.rows(run["id"])
+        assert [(r["key"], r["idx"], r["status"]) for r in rows] == [
+            ("table4.3/s27", 0, "failed"),
+            ("table4.3/s298", 1, "failed"),
         ]
-        results = run_tasks(tasks, policy=RetryPolicy(max_retries=0))
-        assert results[0] == 4
-        assert isinstance(results[1], TaskFailure)
-        rows = db.rows(run_id)
-        assert [(r["key"], r["status"]) for r in rows] == [
-            ("row/a", "ok"),
-            ("row/b", "failed"),
-        ]
+        assert rows[0]["payload"]["failure"] == "FAILED: timeout after 1 try"
 
-    def test_list_outcome_flattens_to_indexed_keys(self, tmp_path):
-        db = expdb.configure(tmp_path / "e.db")
-        run_id = db.begin_run("table", "test")
-        expdb.set_current_run(run_id)
-        run_tasks([ExperimentTask(key="grp", fn=_pair)])
-        assert [r["key"] for r in db.rows(run_id)] == ["grp#0", "grp#1"]
-
-
-def _double(x: int) -> int:
-    """Module-level task fn (picklable) doubling its input."""
-    return 2 * x
-
-
-def _boom() -> None:
-    """Module-level task fn that always fails."""
-    raise RuntimeError("boom")
-
-
-def _pair() -> list[dict]:
-    """Module-level task fn returning a two-element list outcome."""
-    return [{"v": 1}, {"v": 2}]
+    def test_list_outcome_flattens_to_indexed_keys(self, table_runs):
+        """A target's three Table 4.3 rows land as ``<key>#0`` .. ``#2``, in order."""
+        for label in ("4.3", "4.3 --jobs 2"):
+            rows = table_runs[label]["rows"]
+            assert [(r["key"], r["idx"], r["status"]) for r in rows] == [
+                (f"table4.3/{target}#{i}", idx, "ok")
+                for idx, target in enumerate(("s27", "s298"))
+                for i in range(3)
+            ]
+            assert [r["payload"]["Driving block"] for r in rows[:3]] == [
+                "buffers", "s953", "s344",
+            ]
 
 
 def _append_rows(args: tuple[str, int, int]) -> int:
@@ -427,6 +421,24 @@ class TestCliDb:
         assert main(["db", "trend", "gen.seeds_evaluated", "--last", "0", "--db", path]) == 0
         assert "128" in capsys.readouterr().out
         assert main(["db", "trend", "--metric", "no.such.metricxyz9", "--db", path]) == 1
+        capsys.readouterr()
+        # A negative window is a usage error on both sources, never "newest only".
+        for metric in ("gen.seeds_evaluated", "table4_3.wall_s.median"):
+            assert main(["db", "trend", metric, "--last", "-2", "--db", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: last must be a non-negative window, got -2\n"
+        # On the bench fallback too, --last bounds the window and 0 lifts it.
+        with ExperimentDB(path) as db:
+            for _ in range(4):
+                db.record_bench(e2e_batch())
+        bench = ["db", "trend", "table4_3.wall_s.median", "--db", path]
+        for last, shown in (("1", 1), ("0", 6), (None, 5)):
+            assert main([*bench, *(["--last", last] if last else [])]) == 0
+            assert capsys.readouterr().out == (
+                "bench table4_3.wall_s.median (newest first): "
+                + ", ".join(["1.5"] * shown) + "\n"
+            )
 
     def test_db_gate_exit_codes(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "e.db")
@@ -560,8 +572,11 @@ class TestCliDb:
             assert db.record_bench(e2e_batch()) == 3
 
     def test_db_without_path_is_usage_error(self, capsys):
-        assert main(["db", "runs"]) == 2
-        assert "REPRO_DB" in capsys.readouterr().err
+        for argv in (["db", "runs"], ["stats"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: no database: pass --db PATH\n"
 
     def test_stats_from_db_renders_stored_report(self, tmp_path, capsys):
         path = str(tmp_path / "e.db")
@@ -577,6 +592,22 @@ class TestCliDb:
         assert main(["stats", "--db", path]) == 1
 
 
+class TestFingerprints:
+    """A run's fingerprint is its table's registry parameters, known at start."""
+
+    def test_tables_record_distinct_fingerprints(self, table_runs):
+        fingerprints = [table_runs[t]["fingerprint"] for t in ("4.3", "4.4", "4.2")]
+        assert all(fingerprints)
+        assert len(set(fingerprints)) == 3
+        # --jobs changes where rows run, not what the run is.
+        assert table_runs["4.3 --jobs 2"]["executor"] == "pool"
+        assert table_runs["4.3 --jobs 2"]["fingerprint"] == table_runs["4.3"]["fingerprint"]
+
+    def test_shipped_table_4_3_fingerprint_is_pinned(self, table_runs):
+        """What ``table 4.3 --db`` records; it changes only with Table 4.3's parameters."""
+        assert table_runs["4.3"]["fingerprint"] == "d0ffd1ee2118cf04"
+
+
 class TestCliCampaign:
     def test_table_db_records_rows_metrics_and_fingerprint(self, tmp_path, capsys):
         path = str(tmp_path / "e.db")
@@ -590,30 +621,16 @@ class TestCliCampaign:
             assert run["status"] == "ok" and run["exit_code"] == 0
             assert run["code_hash"] == expdb.code_hash()
             assert run["n_metrics"] > 0  # --db implies metric collection
-        # The run id must not leak into later commands in this process.
-        assert expdb.current_run() is None
+        assert not obs.enabled()  # and collection ends with the run
 
     def test_db_flag_does_not_leak_into_later_commands(self, tmp_path, capsys):
         """``--db`` records one run; a later command without it records none."""
         path = str(tmp_path / "e.db")
         assert main(["table", "4.2", "--db", path]) == 0
-        assert expdb.ENV_VAR not in os.environ
         assert main(["table", "4.1"]) == 0
         capsys.readouterr()
         with ExperimentDB(path) as db:
             assert [r["label"] for r in db.runs()] == ["4.2"]
-
-    def test_ambient_repro_db_survives_a_db_flag(self, tmp_path, capsys, monkeypatch):
-        """``--db`` overrides ``REPRO_DB`` for its run only."""
-        ambient, flagged = str(tmp_path / "ambient.db"), str(tmp_path / "flag.db")
-        monkeypatch.setenv(expdb.ENV_VAR, ambient)
-        assert main(["table", "4.2", "--db", flagged]) == 0
-        assert os.environ[expdb.ENV_VAR] == ambient
-        assert main(["table", "4.1"]) == 0
-        capsys.readouterr()
-        for path, label in ((flagged, "4.2"), (ambient, "4.1")):
-            with ExperimentDB(path) as db:
-                assert [r["label"] for r in db.runs()] == [label]
 
     def test_timed_table_records_pool_executor_at_jobs_1(self, tmp_path, capsys):
         """``--timeout`` puts the rows on a worker even at ``--jobs 1``."""
@@ -634,7 +651,8 @@ class TestCliCampaign:
         capsys.readouterr()
         with ExperimentDB(path) as db:
             run = db.runs()[0]
-            assert run["kind"] == "generate" and run["fingerprint"]
+            assert run["kind"] == "generate"
+            assert run["fingerprint"] == "9cd796f153dfbda9"
             rows = db.rows(run["id"])
             assert len(rows) == 1
             assert rows[0]["key"] == "generate/s27"

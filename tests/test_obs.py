@@ -1,7 +1,7 @@
 """Tests for the repro.obs observability subsystem.
 
 Covers the metrics registry (counters/gauges/histograms, disabled no-op
-path), span tracing (nesting, trace JSONL round-trip), the run-report
+path), span tracing (nesting, the rendered span tree), the run-report
 formatter, and cross-process metric merging through the experiment
 runner.
 """
@@ -13,7 +13,7 @@ import pytest
 from repro import obs
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.report import render_report
-from repro.obs.trace import Span, read_trace, render_trace, write_trace
+from repro.obs.trace import Span, render_trace
 from repro.experiments.runner import ExperimentTask, run_tasks
 
 
@@ -208,26 +208,7 @@ class TestSpans:
 
 
 class TestTraceFile:
-    def test_jsonl_round_trip(self, tmp_path):
-        r = MetricsRegistry(enabled=True)
-        with Span(r, "a", {"n": 1}):
-            with Span(r, "b", {}):
-                pass
-        path = tmp_path / "trace.jsonl"
-        n = write_trace(str(path), r)
-        assert n == 2
-        meta, events = read_trace(str(path))
-        assert meta["schema"] == "repro-trace-v1"
-        assert meta["n_spans"] == 2
-        assert [e["name"] for e in events] == ["b", "a"]  # completion order
-        assert events[1]["attrs"] == {"n": 1}
-
-    def test_read_tolerates_missing_meta(self, tmp_path):
-        path = tmp_path / "bare.jsonl"
-        path.write_text('{"type": "span", "name": "x", "dur": 0.5}\n')
-        meta, events = read_trace(str(path))
-        assert meta == {}
-        assert events[0]["name"] == "x"
+    """The span tree ``repro-eda stats --db`` renders from stored events."""
 
     def test_render_trace_tree_and_summary(self):
         r = MetricsRegistry(enabled=True)
@@ -332,10 +313,10 @@ class TestRunnerIntegration:
 
     def test_progress_callback_order(self):
         seen = []
-        run_tasks(self._tasks(), jobs=2, progress=lambda i, t: seen.append((i, t.key)))
-        assert seen == [(0, "t0"), (1, "t1"), (2, "t2")]
+        run_tasks(self._tasks(), jobs=2, progress=lambda i, t, o: seen.append((i, t.key, o)))
+        assert seen == [(0, "t0", 0), (1, "t1", 1), (2, "t2", 4)]
 
     def test_progress_callback_inline(self):
         seen = []
-        run_tasks(self._tasks(2), jobs=1, progress=lambda i, t: seen.append(t.key))
-        assert seen == ["t0", "t1"]
+        run_tasks(self._tasks(2), jobs=1, progress=lambda i, t, o: seen.append((t.key, o)))
+        assert seen == [("t0", 0), ("t1", 1)]

@@ -1,13 +1,17 @@
 """Unit tests for the resilience layer: policy, faults, campaign fingerprints."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.expdb.store import fingerprint_of
 from repro.resilience import faultpoints
 from repro.resilience.faultpoints import FaultSpec, InjectedFault
-from repro.resilience.policy import RetryPolicy, TaskFailure
+from repro.resilience.policy import (
+    BACKOFF_BASE_S,
+    BACKOFF_CAP_S,
+    BACKOFF_FACTOR,
+    RetryPolicy,
+    TaskFailure,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -19,11 +23,12 @@ def _clean_state():
 
 class TestRetryPolicy:
     def test_backoff_schedule_is_deterministic_and_capped(self):
-        p = RetryPolicy(backoff_base_s=0.05, backoff_factor=2.0, backoff_cap_s=2.0)
-        assert p.backoff_s(0) == pytest.approx(0.05)
-        assert p.backoff_s(1) == pytest.approx(0.10)
-        assert p.backoff_s(2) == pytest.approx(0.20)
-        assert p.backoff_s(10) == 2.0  # capped
+        assert (BACKOFF_BASE_S, BACKOFF_FACTOR, BACKOFF_CAP_S) == (0.05, 2.0, 2.0)
+        p = RetryPolicy()
+        assert p.backoff_s(0) == pytest.approx(BACKOFF_BASE_S)
+        assert p.backoff_s(1) == pytest.approx(BACKOFF_BASE_S * BACKOFF_FACTOR)
+        assert p.backoff_s(2) == pytest.approx(BACKOFF_BASE_S * BACKOFF_FACTOR**2)
+        assert p.backoff_s(10) == BACKOFF_CAP_S  # capped
         assert [p.backoff_s(i) for i in range(4)] == [
             p.backoff_s(i) for i in range(4)
         ]
@@ -113,20 +118,3 @@ class TestFingerprint:
         assert fingerprint_of(RetryPolicy()) != fingerprint_of(
             RetryPolicy(max_retries=9)
         )
-
-    def test_shipped_table_4_3_fingerprint_is_pinned(self):
-        """The campaign key journals and ``--db`` runs of ``table 4.3`` carry."""
-        from repro.core.builtin_gen import BuiltinGenConfig
-        from repro.experiments.artifacts import ARTIFACTS
-
-        params = ARTIFACTS["4.3"].params
-        config = BuiltinGenConfig(**params["config"])
-        campaign = {
-            "table": "4.3",
-            "targets": tuple(params["targets"]),
-            "drivers": tuple(params["drivers"]),
-            "config": replace(config, grade_shards=1, grade_jobs=None, lanes=None),
-            "n_sequences": params["n_sequences"],
-            "func_length": params["func_length"],
-        }
-        assert fingerprint_of(campaign) == "6f0ace776247efd2"

@@ -7,8 +7,6 @@ byte-identical to an uninjected run -- the determinism contract of the
 retry design (same task kwargs => same derived seed => same row).
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import obs
@@ -41,10 +39,8 @@ def _tasks(count=4):
     ]
 
 
-#: A fast backoff so retry-heavy tests stay quick.
-FAST = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
-ONE_RETRY = replace(FAST, max_retries=1)
-NO_RETRY = replace(FAST, max_retries=0)
+ONE_RETRY = RetryPolicy(max_retries=1)
+NO_RETRY = RetryPolicy(max_retries=0)
 
 TINY_43 = dict(
     targets=("s27", "s298"),
@@ -60,10 +56,10 @@ TINY_43 = dict(
 
 class TestInjectedFaults:
     def test_worker_crash_once_recovers_identically(self):
-        clean = run_tasks(_tasks(), jobs=2, policy=FAST)
+        clean = run_tasks(_tasks(), jobs=2, policy=RetryPolicy())
         faultpoints.install("runner.task:sq/1:crash_once")
         obs.enable()
-        injected = run_tasks(_tasks(), jobs=2, policy=FAST)
+        injected = run_tasks(_tasks(), jobs=2, policy=RetryPolicy())
         assert injected == clean == [0, 1, 4, 9]
         counters = obs.registry().counters
         assert counters["runner.worker_crashes"] == 1
@@ -72,7 +68,7 @@ class TestInjectedFaults:
         assert counters["runner.tasks_completed"] == 4
 
     def test_hang_killed_by_watchdog_then_retried(self):
-        timed = replace(FAST, timeout_s=0.5)
+        timed = RetryPolicy(timeout_s=0.5)
         clean = run_tasks(_tasks(), jobs=2, policy=timed)
         faultpoints.install("runner.task:sq/2:hang_once")
         obs.enable()
@@ -85,14 +81,14 @@ class TestInjectedFaults:
     def test_flaky_then_succeed(self):
         faultpoints.install("runner.task:sq/3:flaky2")
         obs.enable()
-        out = run_tasks(_tasks(), jobs=2, policy=FAST)
+        out = run_tasks(_tasks(), jobs=2, policy=RetryPolicy())
         assert out == [0, 1, 4, 9]
         assert obs.registry().counters["runner.retries"] == 2
 
     def test_flaky_then_succeed_inline_matches_pool(self):
         faultpoints.install("runner.task:sq/3:flaky2")
-        inline = run_tasks(_tasks(), jobs=1, policy=FAST)
-        pooled = run_tasks(_tasks(), jobs=2, policy=FAST)
+        inline = run_tasks(_tasks(), jobs=1, policy=RetryPolicy())
+        pooled = run_tasks(_tasks(), jobs=2, policy=RetryPolicy())
         assert inline == pooled == [0, 1, 4, 9]
 
 
@@ -132,7 +128,7 @@ class TestTableCampaigns:
         clean = render_table_4_3(run_table_4_3(jobs=1, **TINY_43))
         faultpoints.install("runner.task:s27:crash_once")
         injected = render_table_4_3(
-            run_table_4_3(jobs=2, policy=FAST, **TINY_43)
+            run_table_4_3(jobs=2, policy=RetryPolicy(), **TINY_43)
         )
         assert injected == clean
 
