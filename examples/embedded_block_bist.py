@@ -61,7 +61,7 @@ def main(target_name: str = "s298", driver_name: str = "s953") -> None:
     improvement = 100.0 * len(holding.newly_detected) / len(faults)
     print(
         f"state holding:     +{improvement:.2f}% FC "
-        f"({holding.selection.n_sets} sets, {holding.selection.n_bits} held bits, "
+        f"({holding.n_sets} sets, {holding.n_bits} held bits, "
         f"peak SWA {holding.peak_swa:.2f}%)"
     )
     print(f"final coverage:    {constrained.coverage + improvement:.2f}%")

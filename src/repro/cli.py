@@ -18,12 +18,13 @@ that run in this process (a row inside a pool worker grades serially);
 with both at 1 everything runs in this process.  Neither changes any
 output byte; any other table exits 2 when given either.
 ``table ID`` runs any entry of the artifact registry
-(:mod:`repro.experiments.artifacts`) at its one shipped configuration.  Bad input -- an unknown benchmark or table id,
-an out-of-range count or time budget, a flag the chosen table does not
-use, an output path that is a directory or lies in a missing one, a
-database path that holds no experiment database, or a malformed
-``REPRO_FAULT`` spec -- fails fast with a one-line ``error:``
-diagnostic and exit code 2 before any work.
+(:mod:`repro.experiments.artifacts`) at its one shipped configuration.
+Bad input -- an unknown benchmark or table id, an out-of-range count or
+time budget, a flag the chosen table does not use, a ``generate
+--tree-height`` without ``--hold``, an output path that is a directory
+or lies in a missing one, a database path that holds no experiment
+database, or a malformed ``REPRO_FAULT`` spec -- fails fast with a
+one-line ``error:`` diagnostic and exit code 2 before any work.
 
 Observability: ``generate`` and ``table`` accept ``--stats`` (print the
 run report: per-phase time breakdown, seeds tried/accepted, truncation
@@ -95,6 +96,9 @@ _INT_MINIMUMS = (
 #: each with its default, which asks nothing of any table.
 _ARTIFACT_FLAGS = {"jobs": 1, "shards": 1, "timeout": None, "retries": None}
 
+#: ``generate --tree-height`` default; any other height needs ``--hold``.
+_TREE_HEIGHT = 2
+
 
 def _check_table(args: argparse.Namespace) -> str | None:
     """The table id exists and takes every flag given (see ``Artifact.flags``)."""
@@ -131,7 +135,8 @@ def _check_args(args: argparse.Namespace) -> str | None:
 
     Returns the one-line error message to print (the caller exits 2), or
     ``None`` when the arguments are valid.  Checks benchmark and table
-    names, numeric ranges, table-specific flags, the ``--db`` path (which
+    names, numeric ranges, table-specific flags, a ``--tree-height`` that
+    asks for a height without ``--hold``, the ``--db`` path (which
     ``stats`` and ``db`` require), and (for ``generate`` and ``table``)
     the ``REPRO_FAULT`` spec -- all before any work, so a bad value never
     becomes a traceback, an empty result, or a failure retried on every
@@ -157,6 +162,8 @@ def _check_args(args: argparse.Namespace) -> str | None:
                 f"{name.replace('_', '-')} must be a positive number of "
                 f"seconds, got {value!r}"
             )
+    if args.command == "generate" and not args.hold and args.tree_height != _TREE_HEIGHT:
+        return "--tree-height applies only with --hold"
     if args.command in ("stats", "db") and not args.db:
         return "no database: pass --db PATH"
     if args.command == "table" and (problem := _check_table(args)):
@@ -381,8 +388,8 @@ def _run_generate(args: argparse.Namespace, record) -> int:
         )
         improvement = 100.0 * len(holding.newly_detected) / len(faults)
         print(
-            f"state holding: {holding.selection.n_sets} sets "
-            f"({holding.selection.n_bits} bits), +{improvement:.2f}% FC "
+            f"state holding: {holding.n_sets} sets "
+            f"({holding.n_bits} bits), +{improvement:.2f}% FC "
             f"-> {result.coverage + improvement:.2f}%"
         )
     return 0
@@ -680,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tree-height",
         type=int,
-        default=2,
-        help="binary-tree height for state-holding set selection",
+        default=_TREE_HEIGHT,
+        help="binary-tree height for state-holding set selection (with --hold)",
     )
     p.add_argument(
         "--shards",

@@ -8,8 +8,9 @@
 * :mod:`repro.core.functional` -- functional broadside test extraction.
 * :mod:`repro.core.builtin_gen` -- built-in generation of functional
   broadside tests under primary input constraints (Fig 4.9).
-* :mod:`repro.core.state_holding` -- the optional state-holding DFT and
-  its set-selection procedure (Figs 4.10-4.13).
+* :mod:`repro.core.state_holding` -- the optional state-holding DFT
+  (Figs 4.10-4.13): :func:`run_with_state_holding` selects the holding
+  sets and applies each in one pass.
 * :mod:`repro.core.signal_patterns` -- the pattern-of-signal-transitions
   extension sketched in the conclusions ([90]).
 
@@ -32,7 +33,6 @@ _EXPORTS = {
     "compose_with_buffers": "repro.core.embedded",
     "estimate_swa_func": "repro.core.embedded",
     "run_with_state_holding": "repro.core.state_holding",
-    "select_holding_sets": "repro.core.state_holding",
 }
 
 __all__ = list(_EXPORTS)
@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
     )
     from repro.core.compiled import CompiledCircuit, compile_circuit
     from repro.core.embedded import compose, compose_with_buffers, estimate_swa_func
-    from repro.core.state_holding import run_with_state_holding, select_holding_sets
+    from repro.core.state_holding import run_with_state_holding
 
 
 def __getattr__(name: str):

@@ -17,17 +17,25 @@ Two constraints from the paper are honoured:
   selected by the full-binary-tree procedure of Fig 4.12: detecting
   abilities are evaluated from the root (all state variables) down to the
   leaves, then subsets are kept, split, or discarded bottom-up.
+
+:func:`run_with_state_holding` is the whole procedure, in one pass.  The
+screen that ends Fig 4.12 -- a candidate set is kept only if its full
+construction detects faults still undetected -- is Fig 4.13's per-set
+application, so the screen's runs are the result.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.circuits.netlist import Circuit
 from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator, BuiltinGenResult
 from repro.faults.models import TransitionFault
+
+#: Seed of the random halving that builds the Fig 4.12 tree.
+_TREE_SEED = 7
 
 
 def hold_indices(circuit: Circuit, hold_set: Sequence[str]) -> list[int]:
@@ -42,17 +50,87 @@ def hold_indices(circuit: Circuit, hold_set: Sequence[str]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Set selection (Fig 4.12)
+# Candidate sets (Fig 4.12)
+# ---------------------------------------------------------------------------
+
+
+def _detecting_ability(
+    circuit: Circuit,
+    remaining_faults: Sequence[TransitionFault],
+    hold_set: Sequence[str],
+    swa_func: float | None,
+    config: BuiltinGenConfig,
+) -> int:
+    """Det(set): faults in Fr detected when holding ``hold_set``.
+
+    Per Section 4.5.2, the probing runs use ``R = Q = 1`` -- the cheapest
+    configuration that still exercises the whole construction flow.
+    """
+    probe_cfg = replace(config, r_limit=1, q_limit=1)
+    generator = BuiltinGenerator(
+        circuit, remaining_faults, swa_func, config=probe_cfg
+    )
+    return len(generator.run(hold_set=hold_set).detected)
+
+
+def _candidate_sets(
+    circuit: Circuit,
+    remaining_faults: Sequence[TransitionFault],
+    swa_func: float | None,
+    tree_height: int,
+    config: BuiltinGenConfig,
+) -> list[tuple[str, ...]]:
+    """The subsets the Fig 4.12 tree keeps, left to right.
+
+    A full, complete binary tree of height ``tree_height`` is built by
+    randomly halving the parent's set; each node's detecting ability is
+    evaluated top-down.  Bottom-up, a leaf that detects nothing is
+    discarded, and a parent is replaced by its children's surviving
+    subsets when the better child's Det is at least its own (the parent
+    then takes that Det).
+    """
+    rng = random.Random(_TREE_SEED)
+    nodes: dict[tuple[int, int], tuple[str, ...]] = {(0, 0): tuple(circuit.state_lines)}
+    for level in range(tree_height):
+        for j in range(1 << level):
+            shuffled = list(nodes[(level, j)])
+            rng.shuffle(shuffled)
+            half = len(shuffled) // 2
+            nodes[(level + 1, 2 * j)] = tuple(shuffled[:half])
+            nodes[(level + 1, 2 * j + 1)] = tuple(shuffled[half:])
+
+    det = {
+        key: _detecting_ability(circuit, remaining_faults, subset, swa_func, config)
+        if subset
+        else 0
+        for key, subset in nodes.items()
+    }
+
+    def resolve(level: int, j: int) -> tuple[int, list[tuple[str, ...]]]:
+        """Det of node ``(level, j)`` after the bottom-up pass, and its subsets."""
+        own = det[(level, j)]
+        if level == tree_height:
+            return own, [nodes[(level, j)]] if own else []
+        left, right = resolve(level + 1, 2 * j), resolve(level + 1, 2 * j + 1)
+        best = max(left[0], right[0])
+        if own <= best:
+            return best, left[1] + right[1]
+        return own, [nodes[(level, j)]]
+
+    return resolve(0, 0)[1]
+
+
+# ---------------------------------------------------------------------------
+# The coverage-improvement pass (Table 4.4)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class HoldingSetSelection:
-    """Result of the binary-tree set-selection procedure."""
+class HoldingRunResult:
+    """The selected holding sets and the on-chip generation run of each."""
 
     sets: list[tuple[str, ...]]
-    #: detecting ability recorded for each examined tree node (diagnostics)
-    node_detections: dict[tuple[int, int], int] = field(default_factory=dict)
+    per_set_results: list[BuiltinGenResult]
 
     @property
     def n_sets(self) -> int:
@@ -64,121 +142,10 @@ class HoldingSetSelection:
         """Total state variables included across selected sets (``Nbits``)."""
         return sum(len(s) for s in self.sets)
 
-
-def _detecting_ability(
-    circuit: Circuit,
-    remaining_faults: Sequence[TransitionFault],
-    hold_set: Sequence[str],
-    swa_func: float | None,
-    config: BuiltinGenConfig,
-) -> tuple[int, BuiltinGenResult]:
-    """Det(set): faults in Fr detected when holding ``hold_set``.
-
-    Per Section 4.5.2, the probing runs use ``R = Q = 1`` -- the cheapest
-    configuration that still exercises the whole construction flow.
-    """
-    probe_cfg = replace(config, r_limit=1, q_limit=1)
-    generator = BuiltinGenerator(
-        circuit, remaining_faults, swa_func, config=probe_cfg
-    )
-    result = generator.run(hold_set=hold_set)
-    return len(result.detected), result
-
-
-def select_holding_sets(
-    circuit: Circuit,
-    remaining_faults: Sequence[TransitionFault],
-    swa_func: float | None,
-    tree_height: int = 3,
-    config: BuiltinGenConfig | None = None,
-    rng_seed: int = 7,
-) -> HoldingSetSelection:
-    """The Fig 4.12 procedure: partition-and-select holding sets.
-
-    A full, complete binary tree of height ``tree_height`` is built by
-    randomly halving the parent's set; each node's detecting ability is
-    evaluated top-down, then the bottom-up pass decides which subsets
-    survive: a leaf with no detections becomes empty; a parent whose
-    children jointly do at least as well is replaced by them.  Height 0
-    is the root set alone; a negative height raises ``ValueError``.
-    """
-    if tree_height < 0:
-        raise ValueError(f"tree_height must be non-negative, got {tree_height}")
-    config = config or BuiltinGenConfig()
-    rng = random.Random(rng_seed)
-    all_sv = tuple(circuit.state_lines)
-    if not all_sv or not remaining_faults:
-        return HoldingSetSelection(sets=[])
-
-    # Build the tree: nodes[(level, j)] = subset.
-    nodes: dict[tuple[int, int], tuple[str, ...]] = {(0, 0): all_sv}
-    height = tree_height
-    for level in range(height):
-        for j in range(1 << level):
-            parent = nodes[(level, j)]
-            shuffled = list(parent)
-            rng.shuffle(shuffled)
-            half = len(shuffled) // 2
-            nodes[(level + 1, 2 * j)] = tuple(shuffled[:half])
-            nodes[(level + 1, 2 * j + 1)] = tuple(shuffled[half:])
-
-    # Top-down: detecting ability per node.
-    det: dict[tuple[int, int], int] = {}
-    for key, subset in nodes.items():
-        if subset:
-            det[key], _ = _detecting_ability(
-                circuit, remaining_faults, subset, swa_func, config
-            )
-        else:
-            det[key] = 0
-
-    # Bottom-up: decide partitioning.  `resolved` maps a node to the list
-    # of surviving subsets beneath it.
-    resolved: dict[tuple[int, int], list[tuple[str, ...]]] = {}
-    for level in range(height, -1, -1):
-        for j in range(1 << level):
-            key = (level, j)
-            if key not in nodes:
-                continue
-            if level == height:  # leaf
-                resolved[key] = [nodes[key]] if det[key] > 0 and nodes[key] else []
-            else:
-                left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
-                child_best = max(det[left], det[right])
-                if det[key] <= child_best:
-                    resolved[key] = resolved[left] + resolved[right]
-                    det[key] = child_best
-                else:
-                    resolved[key] = [nodes[key]] if nodes[key] else []
-
-    # Final screen: keep subsets whose construction detects new faults,
-    # updating Fr sequentially.
-    selection: list[tuple[str, ...]] = []
-    fr = list(remaining_faults)
-    for subset in resolved[(0, 0)]:
-        if not fr:
-            break
-        generator = BuiltinGenerator(circuit, fr, swa_func, config=config)
-        result = generator.run(hold_set=subset)
-        if result.detected:
-            selection.append(subset)
-            detected = set(result.detected)
-            fr = [f for f in fr if f not in detected]
-    return HoldingSetSelection(sets=selection, node_detections=det)
-
-
-# ---------------------------------------------------------------------------
-# Full coverage-improvement pass (Table 4.4)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class HoldingRunResult:
-    """Outcome of on-chip generation with the selected holding sets."""
-
-    selection: HoldingSetSelection
-    per_set_results: list[BuiltinGenResult]
-    newly_detected: set[TransitionFault]
+    @property
+    def newly_detected(self) -> set[TransitionFault]:
+        """Faults of Fr the per-set runs detect."""
+        return set().union(*(r.detected for r in self.per_set_results))
 
     @property
     def n_multi(self) -> int:
@@ -215,29 +182,31 @@ def run_with_state_holding(
     circuit: Circuit,
     remaining_faults: Sequence[TransitionFault],
     swa_func: float | None,
-    tree_height: int = 3,
-    config: BuiltinGenConfig | None = None,
+    tree_height: int,
+    config: BuiltinGenConfig,
 ) -> HoldingRunResult:
-    """Select holding sets, then run on-chip generation for each in turn.
+    """Select holding sets and run on-chip generation with each, in one pass.
 
-    A new set is enabled only after all multi-segment sequences of the
-    current set have been applied (the set counter / decoder of Fig 4.13).
+    The Fig 4.12 tree yields the candidate subsets; each then gets the
+    full construction at ``config`` on the faults still undetected, in
+    order, and is kept if and only if that run detects.  This screen is
+    the per-set application of Fig 4.13 -- a new set is enabled only
+    after all multi-segment sequences of the current set have been
+    applied -- so the kept runs are the ``per_set_results``.  Height 0
+    is the root set alone; a negative height raises ``ValueError``.
     """
-    config = config or BuiltinGenConfig()
-    selection = select_holding_sets(
-        circuit, remaining_faults, swa_func, tree_height=tree_height, config=config
-    )
+    if tree_height < 0:
+        raise ValueError(f"tree_height must be non-negative, got {tree_height}")
     fr = list(remaining_faults)
-    newly: set[TransitionFault] = set()
-    results: list[BuiltinGenResult] = []
-    for subset in selection.sets:
+    holding = HoldingRunResult(sets=[], per_set_results=[])
+    if not fr:
+        return holding
+    for subset in _candidate_sets(circuit, fr, swa_func, tree_height, config):
         if not fr:
             break
-        generator = BuiltinGenerator(circuit, fr, swa_func, config=config)
-        result = generator.run(hold_set=subset)
-        results.append(result)
-        newly |= result.detected
-        fr = [f for f in fr if f not in result.detected]
-    return HoldingRunResult(
-        selection=selection, per_set_results=results, newly_detected=newly
-    )
+        result = BuiltinGenerator(circuit, fr, swa_func, config=config).run(hold_set=subset)
+        if result.detected:
+            holding.sets.append(subset)
+            holding.per_set_results.append(result)
+            fr = [f for f in fr if f not in result.detected]
+    return holding

@@ -312,8 +312,8 @@ class Table44Case:
         return {
             "Circuit": self.base.target,
             "Driving block": self.base.driver,
-            "Nh": self.holding.selection.n_sets,
-            "Nbits": self.holding.selection.n_bits,
+            "Nh": self.holding.n_sets,
+            "Nbits": self.holding.n_bits,
             "Nmulti": self.holding.n_multi,
             "Nsegmax": self.holding.n_seg_max,
             "Lmax": self.holding.l_max,

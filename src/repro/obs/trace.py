@@ -93,12 +93,19 @@ NULL_SPAN = NullSpan()
 def render_trace(events: Sequence[Mapping[str, Any]], limit: int | None = None) -> str:
     """Render span events as an indented text tree plus a per-name summary.
 
-    Events print in start order, indented by nesting depth, with duration
-    in milliseconds and their attrs inline; ``limit`` truncates the tree
-    (the summary always covers everything).
+    Events print grouped by their ``task`` attr, untagged first, and in
+    start order within a group -- each worker's ``start`` counts from its
+    own epoch, so only one task's starts compare.  Each line is indented
+    by nesting depth, with duration in milliseconds and the attrs inline;
+    ``limit`` truncates the tree (the summary always covers everything).
     """
+
+    def order(event: Mapping[str, Any]) -> tuple:
+        task = (event.get("attrs") or {}).get("task", "")
+        return task, event.get("start", 0.0), event.get("depth", 0)
+
     lines: list[str] = []
-    ordered = sorted(events, key=lambda e: (e.get("start", 0.0), e.get("depth", 0)))
+    ordered = sorted(events, key=order)
     shown = ordered if limit is None else ordered[:limit]
     for event in shown:
         attrs = event.get("attrs") or {}

@@ -173,6 +173,10 @@ class TestCommands:
                 ["generate", "s27", "--hold", "--tree-height", "-1"],
                 "tree-height must be a non-negative tree height, got -1",
             ),
+            (
+                ["generate", "s27", "--length", "20", "--tree-height", "5"],
+                "--tree-height applies only with --hold",
+            ),
             (["stats", "--limit", "-1"], "limit must be a positive count, got -1"),
             (["db", "runs", "--limit", "-1"], "limit must be a positive count, got -1"),
             (
@@ -189,7 +193,7 @@ class TestCommands:
             "tpdf-max-faults-3", "select-paths-n0", "table2.9",
             "table3.1-timeout", "table3.1-retries0", "table2.1-timeout",
             "table4.2-retries", "table3.1-jobs2", "table3.1-shards2",
-            "generate-tree-height-1",
+            "generate-tree-height-1", "generate-tree-height-without-hold",
             "stats-limit-1", "db-runs-limit-1", "db-trend-last-2",
             "stats-no-db", "db-no-db",
         ],

@@ -7,6 +7,7 @@ runner.
 """
 
 import json
+import re
 
 import pytest
 
@@ -207,7 +208,7 @@ class TestSpans:
         assert not obs.registry().events  # but records nothing
 
 
-class TestTraceFile:
+class TestRenderTrace:
     """The span tree ``repro-eda stats --db`` renders from stored events."""
 
     def test_render_trace_tree_and_summary(self):
@@ -227,6 +228,29 @@ class TestTraceFile:
                 pass
         text = render_trace(r.events, limit=2)
         assert "3 more spans" in text
+
+    def test_merged_worker_spans_print_one_block_per_task(self):
+        """Worker starts count from each worker's own epoch, so they interleave."""
+
+        def worker(starts):
+            events = []
+            for start in starts:  # recorded on exit: the child first
+                events.append({"name": "leaf", "start": start + 0.001, "dur": 0.001,
+                               "depth": 1, "parent": "task.run", "attrs": {}})
+                events.append({"name": "task.run", "start": start, "dur": 0.005,
+                               "depth": 0, "parent": None, "attrs": {}})
+            return {"events": events}
+
+        r = MetricsRegistry(enabled=True)
+        with Span(r, "table", {}):
+            r.merge(worker([0.01, 0.03]), task="t/b")
+            r.merge(worker([0.0, 0.02, 0.04]), task="t/a")
+        tree = render_trace(r.events).split("\n\n")[0]
+        assert re.sub(r"  [\d.]+ ms", "", tree).splitlines() == (
+            ["table"]
+            + ["task.run  [task=t/a]", "  leaf  [task=t/a]"] * 3
+            + ["task.run  [task=t/b]", "  leaf  [task=t/b]"] * 2
+        )
 
 
 class TestRenderReport:

@@ -1,18 +1,43 @@
 """Tests for the state-holding DFT (Section 4.5)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.circuits.benchmarks import get_circuit
 from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator
-from repro.core.state_holding import hold_indices, select_holding_sets
+from repro.core.state_holding import hold_indices, run_with_state_holding
 from repro.faults.collapse import collapse_transition
 from repro.faults.lists import all_transition_faults
 from repro.logic.simulator import simulate_sequence
+
+#: Two s298 configurations under which Fig 4.12 selects sets: no SWA
+#: bound (2 sets at height 2), and s953's SWA_func (3 sets at height 2).
+UNCONSTRAINED = BuiltinGenConfig(segment_length=100, rng_seed=4, time_limit=None)
+BOUNDED = BuiltinGenConfig(segment_length=60, rng_seed=3, time_limit=None)
+S953_SWA = 41.18
 
 
 @pytest.fixture(scope="module")
 def s298():
     return get_circuit("s298")
+
+
+def _undetected(circuit, swa_func, config):
+    """Fr: the collapsed faults a run without holding leaves undetected."""
+    faults = collapse_transition(circuit, all_transition_faults(circuit))
+    base = BuiltinGenerator(circuit, faults, swa_func, config=config).run()
+    return [f for f in faults if f not in base.detected]
+
+
+@pytest.fixture(scope="module")
+def unconstrained_fr(s298):
+    return _undetected(s298, None, UNCONSTRAINED)
+
+
+@pytest.fixture(scope="module")
+def bounded_fr(s298):
+    return _undetected(s298, S953_SWA, BOUNDED)
 
 
 class TestSimulateWithHolding:
@@ -119,56 +144,55 @@ class TestHoldingProbe:
 
 
 class TestSetSelection:
-    @pytest.fixture(scope="class")
-    def remaining(self, s298):
-        faults = collapse_transition(s298, all_transition_faults(s298))
-        cfg = BuiltinGenConfig(segment_length=100, time_limit=15, rng_seed=4)
-        base = BuiltinGenerator(s298, faults, 30.0, config=cfg).run()
-        return [f for f in faults if f not in base.detected]
+    """Fig 4.12's candidate sets, as :func:`run_with_state_holding` keeps them."""
 
-    def test_sets_non_overlapping(self, s298, remaining):
-        cfg = BuiltinGenConfig(segment_length=100, time_limit=8, rng_seed=4)
-        selection = select_holding_sets(
-            s298, remaining, 30.0, tree_height=2, config=cfg
-        )
+    def test_sets_non_overlapping(self, s298, bounded_fr):
+        holding = run_with_state_holding(s298, bounded_fr, S953_SWA, 2, BOUNDED)
+        assert holding.n_sets >= 1
         seen = set()
-        for subset in selection.sets:
+        for subset in holding.sets:
             assert not (set(subset) & seen)
             seen |= set(subset)
-        assert selection.n_bits == len(seen)
+        assert holding.n_bits == len(seen)
 
-    def test_negative_height_rejected(self, s298, remaining):
+    def test_negative_height_rejected(self, s298, unconstrained_fr):
         with pytest.raises(ValueError, match="tree_height must be non-negative, got -1"):
-            select_holding_sets(s298, remaining, None, tree_height=-1)
+            run_with_state_holding(s298, unconstrained_fr, None, -1, UNCONSTRAINED)
 
-    def test_height_zero_is_the_root_set_alone(self, s298, remaining):
-        cfg = BuiltinGenConfig(segment_length=100, time_limit=8, rng_seed=4)
-        selection = select_holding_sets(s298, remaining, 30.0, tree_height=0, config=cfg)
-        assert selection.sets in ([], [tuple(s298.state_lines)])
+    def test_height_zero_is_the_root_set_alone(self, s298, unconstrained_fr):
+        # Held every second cycle, the whole state register detects new faults.
+        cfg = replace(UNCONSTRAINED, hold_period_log2=1)
+        holding = run_with_state_holding(s298, unconstrained_fr, None, 0, cfg)
+        assert holding.sets == [tuple(s298.state_lines)]
 
     def test_empty_inputs(self, s298):
-        selection = select_holding_sets(s298, [], 30.0, tree_height=2)
-        assert selection.sets == []
-
-    def test_node_detections_recorded(self, s298, remaining):
-        cfg = BuiltinGenConfig(segment_length=100, time_limit=8, rng_seed=4)
-        selection = select_holding_sets(
-            s298, remaining, 30.0, tree_height=1, config=cfg
-        )
-        assert (0, 0) in selection.node_detections
+        holding = run_with_state_holding(s298, [], 30.0, 2, UNCONSTRAINED)
+        assert holding.sets == [] and holding.per_set_results == []
 
 
 class TestHoldingRun:
-    def test_improvement_within_bound(self, s298):
-        from repro.core.state_holding import run_with_state_holding
-
-        faults = collapse_transition(s298, all_transition_faults(s298))
-        cfg = BuiltinGenConfig(segment_length=100, time_limit=12, rng_seed=4)
-        base = BuiltinGenerator(s298, faults, 30.0, config=cfg).run()
-        fr = [f for f in faults if f not in base.detected]
-        holding = run_with_state_holding(
-            s298, fr, 30.0, tree_height=2, config=cfg
-        )
+    def test_improvement_within_bound(self, s298, bounded_fr):
+        holding = run_with_state_holding(s298, bounded_fr, S953_SWA, 2, BOUNDED)
+        assert holding.n_sets >= 1
         # Every newly detected fault was previously undetected.
-        assert holding.newly_detected <= set(fr)
-        assert holding.peak_swa <= 30.0 + 1e-9
+        assert holding.newly_detected and holding.newly_detected <= set(bounded_fr)
+        assert holding.peak_swa <= S953_SWA + 1e-9
+
+    def test_each_set_constructed_once(self, s298, unconstrained_fr, monkeypatch):
+        """The screen's full constructions are the per-set results, not rerun."""
+        full_runs = []
+        run = BuiltinGenerator.run
+
+        def counting_run(self, hold_set=None):
+            result = run(self, hold_set)
+            if self.config.r_limit != 1:  # the Fig 4.12 probes run at R = 1
+                full_runs.append((tuple(hold_set or ()), result))
+            return result
+
+        monkeypatch.setattr(BuiltinGenerator, "run", counting_run)
+        holding = run_with_state_holding(s298, unconstrained_fr, None, 2, UNCONSTRAINED)
+        assert holding.n_sets >= 1
+        constructed = [subset for subset, _ in full_runs]
+        assert len(constructed) == len(set(constructed))
+        kept = [result for _, result in full_runs if result.detected]
+        assert [id(r) for r in kept] == [id(r) for r in holding.per_set_results]
