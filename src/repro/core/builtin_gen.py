@@ -34,8 +34,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.bist.area import AreaReport, estimate_area
 from repro.bist.counters import ControllerCounters
@@ -45,18 +43,16 @@ from repro.circuits.scan import ScanChains
 from repro.core.compiled import compile_circuit
 from repro.faults.fsim import FaultGrader, compact_groups
 from repro.faults.models import TransitionFault
-from repro.logic.bitsim import pack_bits, simulate_packed_words, unpack_lane_bits
+from repro.logic.bitsim import LaneTests, pack_bits, simulate_packed_words
 from repro.logic.patterns import BroadsideTest
-from repro.logic.simulator import (
-    SequenceResult,
-    extract_tests_from_sequence,
-    simulate_sequence,
-)
+from repro.logic.simulator import extract_tests_from_sequence, simulate_sequence
 
 #: Surviving candidate lanes are graded in blocks of this many through one
-#: PPSFP pass (:meth:`repro.faults.fsim.FaultGrader.preview_groups`): big
-#: enough to amortize the per-fault fixed work across lanes, small enough
-#: that an early acceptance wastes at most a few lanes' grading.
+#: PPSFP pass (:meth:`repro.faults.fsim.FaultGrader.preview_groups`), each
+#: lane a :class:`~repro.logic.bitsim.LaneTests` view whose good frames
+#: are sliced out of the packed run: big enough to amortize the per-fault
+#: fixed work across lanes, small enough that an early acceptance wastes
+#: at most a few lanes' grading.
 GRADE_BLOCK_LANES = 8
 
 
@@ -462,12 +458,6 @@ class BuiltinGenerator:
         pcts = packed.switching_percent(self.compiled.num_lines)
         lengths = self._lane_lengths(pcts)
         survivors = [lane for lane in range(width) if lengths[lane] >= cfg.spacing]
-        # One bit-transpose of the whole trajectory serves every lane's
-        # test extraction: axis 2 is the lane, so a lane's states/PIs are
-        # a contiguous slice instead of per-word Python bit picking.
-        state_bits = unpack_lane_bits(packed.state_words, width)
-        pi_bits = unpack_lane_bits(pi_rows, width)
-        lane_tests: dict[int, list[BroadsideTest]] = {}
         lane_newly: dict[int, set[TransitionFault]] = {}
         failures = 0
         accepted = None
@@ -480,27 +470,21 @@ class BuiltinGenerator:
                 continue
             if lane not in lane_newly:
                 block = [k for k in survivors if k >= lane][:GRADE_BLOCK_LANES]
-                for k in block:
-                    lane_tests[k] = self._lane_tests(
-                        state_bits, pi_bits, k, lengths[k]
-                    )
                 if obs.OBS.enabled:
                     obs.count("gen.grade_blocks")
                     obs.observe("gen.lanes_per_grade_block", len(block))
                 with obs.span("gen.grade", lanes=len(block)):
-                    for k, newly in zip(
-                        block,
-                        self.grader.preview_groups([lane_tests[k] for k in block]),
-                    ):
+                    views = [LaneTests(packed, k, lengths[k], cfg.spacing) for k in block]
+                    for k, newly in zip(block, self.grader.preview_groups(views)):
                         lane_newly[k] = newly
             newly = lane_newly[lane]
             if not newly:
                 failures += 1
                 continue
-            seg_vals = pcts[1:length, lane]
-            seg_peak = float(seg_vals.max()) if seg_vals.size else 0.0
+            seg_peak = max(pcts[lane][1:length], default=0.0)
             end_state = tuple((w >> lane) & 1 for w in packed.state_words[length])
-            accepted = (seeds[lane], length, lane_tests[lane], newly, seg_peak, end_state)
+            seg_tests = list(LaneTests(packed, lane, length, cfg.spacing))
+            accepted = (seeds[lane], length, seg_tests, newly, seg_peak, end_state)
             break
         self.stats.seeds_evaluated += scanned
         obs.count("gen.seeds_evaluated", scanned)
@@ -529,29 +513,11 @@ class BuiltinGenerator:
             for i in range(length)
         ]
 
-    def _lane_lengths(self, pcts: np.ndarray) -> list[int]:
-        """Per-lane truncated segment lengths.
-
-        :meth:`_truncate_length` applied lane-wise to the packed
-        switching matrix.
-        """
-        length, lanes = pcts.shape
-        if self.swa_func is None:
-            return [length - (length % 2)] * lanes
-        viol = pcts > (self.swa_func + 1e-9)
-        if length:
-            viol[0, :] = False  # cycle 0's SWA is undefined
-        out: list[int] = []
-        for lane in range(lanes):
-            column = viol[:, lane]
-            first = int(np.argmax(column))
-            if column[first]:
-                j = first - 1
-                cut = j if j % 2 == 0 else j - 1
-            else:
-                cut = length
-            out.append(max(0, cut - (cut % 2)))
+    def _lane_lengths(self, pcts: Sequence[Sequence[float]]) -> list[int]:
+        """Per-lane truncated segment lengths of a packed run's SWA traces."""
+        out = [self._swa_cut(lane) for lane in pcts]
         if obs.OBS.enabled:
+            length = len(pcts[0])
             full = length - (length % 2)
             truncated = [v for v in out if v < full]
             if truncated:
@@ -559,21 +525,6 @@ class BuiltinGenerator:
                 for v in truncated:
                     obs.observe("gen.truncated_length", v)
         return out
-
-    def _lane_tests(
-        self,
-        state_bits: np.ndarray,
-        pi_bits: np.ndarray,
-        lane: int,
-        length: int,
-    ) -> list[BroadsideTest]:
-        """Extract one lane's broadside tests from the transposed bits."""
-        states = [tuple(row) for row in state_bits[: length + 1, :, lane].tolist()]
-        pis = pi_bits[:length, :, lane].tolist()
-        trajectory = SequenceResult(states=states, line_values=[], switching=[])
-        return extract_tests_from_sequence(
-            self.circuit, trajectory, pis, spacing=self.config.spacing
-        )
 
     def _truncate_length(self, result) -> int:
         """Largest even prefix whose every cycle respects the active bound.
@@ -583,23 +534,28 @@ class BuiltinGenerator:
         so the segment ends at the final state of its last complete test.
         With a ``pattern_bank``, a cycle violates when its pattern of
         signal-transitions is not admitted ([90]); otherwise when its SWA
-        exceeds ``swa_func``.
+        exceeds ``swa_func`` (:meth:`_swa_cut`).
         """
-        length = len(result.switching)
-        if self.pattern_bank is not None:
-            from repro.core.signal_patterns import transition_pattern
+        if self.pattern_bank is None:
+            return self._swa_cut(result.switching)
+        from repro.core.signal_patterns import transition_pattern
 
-            for i in range(1, len(result.line_values)):
-                pattern = transition_pattern(
-                    result.line_values[i - 1], result.line_values[i]
-                )
-                if not self.pattern_bank.admits(pattern):
-                    j = i - 1
-                    length = j if j % 2 == 0 else j - 1
-                    break
-        elif self.swa_func is not None:
+        length = len(result.switching)
+        for i in range(1, len(result.line_values)):
+            pattern = transition_pattern(result.line_values[i - 1], result.line_values[i])
+            if not self.pattern_bank.admits(pattern):
+                j = i - 1
+                length = j if j % 2 == 0 else j - 1
+                break
+        return max(0, length - (length % 2))
+
+    def _swa_cut(self, switching: Sequence[float]) -> int:
+        """:meth:`_truncate_length`'s SWA rule over one per-cycle trace."""
+        length = len(switching)
+        if self.swa_func is not None:
+            bound = self.swa_func + 1e-9
             for i in range(1, length):
-                if result.switching[i] > self.swa_func + 1e-9:
+                if switching[i] > bound:
                     j = i - 1
                     length = j if j % 2 == 0 else j - 1
                     break

@@ -15,10 +15,11 @@ into flat integer-indexed structures that all simulators share:
 * a levelized evaluation schedule as parallel arrays (``op_codes``,
   ``fanin_offsets``, ``fanin_indices``) plus a fused per-gate tuple form
   the interpreters iterate directly;
-* precomputed per-line fanout cones (the PPSFP single-fault-injection
-  primitive) together with the observation points -- primary outputs and
-  next-state lines -- that each cone can reach, so fault grading checks
-  only the observation lines a fault can possibly affect;
+* event-driven single-fault injection (the PPSFP primitive) over a
+  per-line fanout adjacency, plus the observation points -- primary
+  outputs and next-state lines -- that each line's cone can reach, so
+  fault grading checks only the observation lines a fault can possibly
+  affect;
 * a per-:class:`Circuit` memoized compile cache keyed on the netlist's
   mutation counter (:attr:`Circuit.version`), so repeated simulator
   construction and every ``simulate_*`` call reuse one compiled instance
@@ -40,6 +41,7 @@ Layering::
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from repro.circuits.gates import COMBINATIONAL_TYPES, GateType
@@ -191,9 +193,7 @@ class CompiledCircuit:
                 obs.append(i)
         self.observation_indices: tuple[int, ...] = tuple(obs)
         self._observed = seen
-        self._cone_cache: dict[
-            int, tuple[list[tuple[int, int, int, tuple[int, ...]]], tuple[int, ...]]
-        ] = {}
+        self._cone_cache: dict[int, tuple[int, ...]] = {}
         self._word_kernel = None  # built lazily on first eval_words call
 
     # ------------------------------------------------------------------
@@ -444,38 +444,28 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Fanout cones (single-fault injection)
     # ------------------------------------------------------------------
-    def cone(
-        self, line_index: int
-    ) -> tuple[list[tuple[int, int, int, tuple[int, ...]]], tuple[int, ...]]:
-        """Schedule slice of ``line_index``'s transitive fanout cone.
+    def cone(self, line_index: int) -> tuple[int, ...]:
+        """Observation-line indices that ``line_index``'s fanout cone reaches.
 
-        Also returns the observation-line indices that fanout (including
-        the line itself) can reach.
-
-        The slice preserves schedule (topological) order; the observation
-        tuple preserves :attr:`observation_indices` order.  Cached per line.
+        The line itself counts when it is observed.  The tuple preserves
+        :attr:`observation_indices` order and is cached per line.
         """
         cached = self._cone_cache.get(line_index)
         if cached is not None:
             return cached
         fanout = self._fanout_positions
         n_sources = self.n_sources
-        member: set[int] = set()
+        reach = {line_index}
         stack = [line_index]
         while stack:
-            cur = stack.pop()
-            for pos in fanout[cur]:
-                if pos not in member:
-                    member.add(pos)
-                    stack.append(n_sources + pos)
-        schedule = self._schedule
-        entries = [schedule[pos] for pos in sorted(member)]
-        reach = {n_sources + pos for pos in member}
-        reach.add(line_index)
+            for pos in fanout[stack.pop()]:
+                out = n_sources + pos
+                if out not in reach:
+                    reach.add(out)
+                    stack.append(out)
         obs = tuple(i for i in self.observation_indices if i in reach)
-        result = (entries, obs)
-        self._cone_cache[line_index] = result
-        return result
+        self._cone_cache[line_index] = obs
+        return obs
 
     def faulty_cone_words(
         self,
@@ -484,17 +474,23 @@ class CompiledCircuit:
         forced_word: int,
         mask: int,
     ) -> dict[int, int]:
-        """Re-evaluate the fanout cone of a line with its value forced.
+        """Re-evaluate the gates a forced line's value reaches, event-driven.
 
         Returns a sparse ``{line_index: word}`` map holding only the forced
-        line and cone gates that *diverge* from their good value -- the
-        PPSFP single-fault-injection primitive.  Downstream gates read
-        converged lines through ``good_values``.
+        line and the gates that *diverge* from their good value -- the
+        PPSFP single-fault-injection primitive.  Only gates reading a
+        diverged line are evaluated, in schedule (topological) order off a
+        heap, so a gate sees its inputs' final values; every other line
+        reads its good value from ``good_values``.
         """
-        entries, _ = self.cone(line_index)
         faulty: dict[int, int] = {line_index: forced_word & mask}
+        schedule = self._schedule
+        fanout = self._fanout_positions
         get = faulty.get
-        for out, family, inv, fis in entries:
+        heap = list(fanout[line_index])  # ascending, so already a heap
+        queued = set(heap)
+        while heap:
+            out, family, inv, fis = schedule[heappop(heap)]
             if family == _FAM_AND:
                 w = mask
                 for f in fis:
@@ -518,6 +514,10 @@ class CompiledCircuit:
                 w ^= mask
             if w != good_values[out]:
                 faulty[out] = w
+                for pos in fanout[out]:
+                    if pos not in queued:
+                        queued.add(pos)
+                        heappush(heap, pos)
         return faulty
 
 

@@ -125,7 +125,7 @@ def estimate_swa_func(
         count_lines=design.target_lines,
     )
     percent = result.switching_percent(len(design.target_lines))
-    peaks = tuple(float(percent[1:, k].max()) if length > 1 else 0.0 for k in range(n_sequences))
+    peaks = tuple(max(lane[1:], default=0.0) for lane in percent)
     return SwaFuncEstimate(
         swa_func=max(peaks) if peaks else 0.0,
         per_sequence_peak=peaks,

@@ -11,10 +11,13 @@ two-frame semantics (Section 1.2): a ``v -> v'`` transition fault at line
 
 Simulation is PPSFP-style: all tests of a chunk are packed into integer
 words (one bit lane per test), the fault-free frames are evaluated once,
-and each fault re-evaluates only its fanout cone.  Everything runs in the
-line-index space of the compiled circuit IR (:mod:`repro.core.compiled`):
-frames are flat arrays, cones are precompiled schedule slices, and each
-fault checks only the observation lines its cone can reach.
+and each fault re-evaluates, event-driven, only the gates its effect
+reaches.  Everything runs in the line-index space of the compiled circuit
+IR (:mod:`repro.core.compiled`): frames are flat arrays, and each fault
+checks only the observation lines its cone can reach.  The tests of a
+packed Fig 4.9 run need no packing or evaluation at all: their good
+frames are sliced out of the frames the run already evaluated
+(:class:`repro.logic.bitsim.LaneTests`).
 
 Fault-parallel grading: :class:`FaultGrader` optionally partitions its
 undetected-fault frontier into contiguous *shards* and grades them on a
@@ -40,7 +43,7 @@ from repro import obs
 from repro.circuits.netlist import Circuit
 from repro.core.compiled import CompiledCircuit, compile_circuit
 from repro.faults.models import StuckAtFault, TransitionFault
-from repro.logic.bitsim import pack_columns_indexed
+from repro.logic.bitsim import LaneTests, lane_test_frames, pack_columns_indexed
 from repro.logic.patterns import BroadsideTest, Pattern
 from repro.obs import OBS
 
@@ -116,6 +119,20 @@ class TransitionFaultSimulator:
         """Whether a single test detects a single fault."""
         return bool(self.detection_words([test], [fault])[fault])
 
+    def lane_detection_words(
+        self, views: Sequence[LaneTests], faults: Sequence[TransitionFault]
+    ) -> tuple[dict[TransitionFault, int], list[int]]:
+        """Per-fault detection words of lane views of one packed run, one pass.
+
+        The good frames are the run's own
+        (:func:`repro.logic.bitsim.lane_test_frames`), where a test's bit
+        is set by its lane and cycle rather than a list position, so the
+        second value holds each view's bit mask.
+        """
+        good1, good2, mask, lane_masks = lane_test_frames(views)
+        n = sum(map(len, views))
+        return self._frame_words(good1, good2, mask, n, faults), lane_masks
+
     # ------------------------------------------------------------------
     def _simulate_chunk(
         self, tests: Sequence[BroadsideTest], faults: Sequence[TransitionFault]
@@ -127,6 +144,18 @@ class TransitionFaultSimulator:
         cc = self.compiled
         good1 = _pack_frame(cc, [t.v1 for t in tests], [t.s1 for t in tests], mask)
         good2 = _pack_frame(cc, [t.v2 for t in tests], [t.s2 for t in tests], mask)
+        return self._frame_words(good1, good2, mask, n, faults)
+
+    def _frame_words(
+        self,
+        good1: Sequence[int],
+        good2: Sequence[int],
+        mask: int,
+        n_tests: int,
+        faults: Sequence[TransitionFault],
+    ) -> dict[TransitionFault, int]:
+        """The PPSFP pass over both good frames; ``mask`` holds the test bits."""
+        cc = self.compiled
         index = cc.index
         out: dict[TransitionFault, int] = {}
         # Local tallies, folded into the registry once per chunk -- the
@@ -141,7 +170,7 @@ class TransitionFaultSimulator:
                 skipped_act += 1
                 out[fault] = 0
                 continue
-            _, cone_obs = cc.cone(g)
+            cone_obs = cc.cone(g)
             if not cone_obs:
                 skipped_cone += 1
                 out[fault] = 0
@@ -161,7 +190,7 @@ class TransitionFaultSimulator:
         if OBS.enabled:
             OBS.count("fsim.ppsfp_passes")
             OBS.count("fsim.faults_graded", len(faults))
-            OBS.count("fsim.tests_graded", n)
+            OBS.count("fsim.tests_graded", n_tests)
             OBS.count("fsim.cones_resimulated", cones_run)
             OBS.count("fsim.activation_skips", skipped_act)
             OBS.count("fsim.unobservable_skips", skipped_cone)
@@ -193,26 +222,30 @@ def partition_shards(items: Sequence, shards: int) -> list[list]:
     return [s for s in out if s]
 
 
-def _split_groups(
-    words: Mapping[TransitionFault, int], group_sizes: Sequence[int]
-) -> list[set[TransitionFault]]:
-    """Split per-fault detection words on group boundaries into sets.
-
-    ``group_sizes[k]`` tests occupy the next ``group_sizes[k]`` bit lanes;
-    a fault lands in group ``k``'s set iff any of that group's lanes
-    detect it.  Shared by the serial grouped path and the shard workers,
-    so both split identically.
-    """
-    bounds: list[int] = []
+def _group_masks(group_sizes: Iterable[int]) -> list[int]:
+    """Bit masks of consecutive groups: group ``k`` takes the next ``group_sizes[k]`` bits."""
+    masks: list[int] = []
     offset = 0
     for n in group_sizes:
-        bounds.append((((1 << n) - 1) << offset) if n else 0)
+        masks.append(((1 << n) - 1) << offset)
         offset += n
-    out: list[set[TransitionFault]] = [set() for _ in group_sizes]
+    return masks
+
+
+def _split_groups(
+    words: Mapping[TransitionFault, int], group_masks: Sequence[int]
+) -> list[set[TransitionFault]]:
+    """Split per-fault detection words into per-group sets by bit mask.
+
+    A fault lands in group ``k``'s set iff one of the tests whose bits
+    ``group_masks[k]`` holds detects it.  Shared by the serial grouped
+    paths and the shard workers, so all split identically.
+    """
+    out: list[set[TransitionFault]] = [set() for _ in group_masks]
     for fault, word in words.items():
         if not word:
             continue
-        for k, group_mask in enumerate(bounds):
+        for k, group_mask in enumerate(group_masks):
             if word & group_mask:
                 out[k].add(fault)
     return out
@@ -247,7 +280,7 @@ def _grade_shard(
         _WORKER_SIMULATORS[memo_key] = sim
     if len(group_sizes) == 1:
         return [sim.detected_faults(tests, faults)]
-    return _split_groups(sim.detection_words(tests, faults), group_sizes)
+    return _split_groups(sim.detection_words(tests, faults), _group_masks(group_sizes))
 
 
 class FaultGrader:
@@ -327,21 +360,28 @@ class FaultGrader:
         surviving candidate lane of a seed batch: "would this lane's tests
         newly detect anything?".  Grading the lanes separately repeats the
         per-fault fixed work (activation words, cone lookups) once per
-        lane; here all groups' tests share one packed frame set, the
-        per-fault detection word is computed once over the concatenation,
-        and the word is split back on the group boundaries.  Each returned
-        set equals ``preview(test_groups[k])`` exactly -- grading is
-        against the current ``remaining`` frontier with no dropping
-        between groups.
+        lane; here all groups' tests share one frame set, the per-fault
+        detection word is computed once, and the word is split back per
+        group by bit masks.  When every group is a
+        :class:`~repro.logic.bitsim.LaneTests` view -- the loop's case,
+        all views of one packed run -- that frame set is sliced out of the
+        run's own frames: no test is materialised, packed or evaluated
+        again (sharded grading alone materialises them).  Each
+        returned set equals ``preview(list(test_groups[k]))`` exactly --
+        grading is against the current ``remaining`` frontier with no
+        dropping between groups.
         """
-        groups = [list(g) for g in test_groups]
-        if not self.remaining or not any(groups):
-            return [set() for _ in groups]
+        if not self.remaining or not any(map(len, test_groups)):
+            return [set() for _ in test_groups]
         if self._use_shards():
-            return self._preview_sharded(groups)
-        flat = [t for g in groups for t in g]
-        words = self.simulator.detection_words(flat, self.remaining)
-        return _split_groups(words, [len(g) for g in groups])
+            return self._preview_sharded([list(g) for g in test_groups])
+        if all(isinstance(g, LaneTests) for g in test_groups):
+            words, masks = self.simulator.lane_detection_words(test_groups, self.remaining)
+        else:
+            flat = [t for g in test_groups for t in g]
+            words = self.simulator.detection_words(flat, self.remaining)
+            masks = _group_masks(map(len, test_groups))
+        return _split_groups(words, masks)
 
     def commit(self, newly_detected: Iterable[TransitionFault]) -> None:
         """Drop faults previously returned by :meth:`preview`."""
@@ -446,7 +486,7 @@ class FaultGrader:
                 if OBS.enabled:
                     OBS.count("fsim.shard.inline_recoveries")
                 result = _split_groups(
-                    self.simulator.detection_words(flat, shard), group_sizes
+                    self.simulator.detection_words(flat, shard), _group_masks(group_sizes)
                 )
             for k, group_set in enumerate(result):
                 out[k] |= group_set
@@ -477,7 +517,7 @@ def stuck_at_detection_words(
         act = _value_word(good[g], 1 - fault.value, mask)
         if not act:
             continue
-        _, cone_obs = cc.cone(g)
+        cone_obs = cc.cone(g)
         if not cone_obs:
             continue
         forced = mask if fault.value == 1 else 0

@@ -13,18 +13,24 @@ of every line's word carries pattern/lane ``t``, and on one word kernel,
   one-lane run for a width-1 decision) and of the SWA_func estimate
   (:mod:`repro.core.embedded`), consuming
   :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output directly.
+* :class:`LaneTests` -- one lane's broadside tests of a packed run as a
+  sized view.  PPSFP grading (:mod:`repro.faults.fsim`) reads a block of
+  views through :func:`lane_test_frames`, which slices both good frames
+  of every test straight out of the frames the run serialised; only an
+  indexed view builds :class:`~repro.logic.patterns.BroadsideTest`
+  objects.
 * :func:`pack_columns_indexed` -- the columnwise pattern packing that
-  PPSFP fault simulation (:mod:`repro.faults.fsim`) feeds to the word
-  kernel and to
+  PPSFP grading of explicit test lists feeds to the word kernel and to
   :meth:`~repro.core.compiled.CompiledCircuit.faulty_cone_words`, its
   single-fault-injection primitive.
 
 The packed trajectory loop does nothing per cycle but evaluate the word
 kernel into one reused frame and keep a byte copy of it (each line word
 as one 1-, 2-, 4- or 8-byte item, the narrowest that holds the lanes).
-Switching activity is counted once, after the loop: consecutive frames
-are XORed in chunked numpy passes and each lane's toggles summed over
-the counted lines.
+Switching activity is counted once, after the loop: consecutive frames,
+read as integers, XOR to one toggle word per cycle, and a lane's count
+is the popcount (``int.bit_count``) of that word masked to the lane's
+bit of every counted line.
 
 Everything evaluates through the compiled circuit IR
 (:mod:`repro.core.compiled`): one integer-indexed schedule shared with the
@@ -39,13 +45,12 @@ from __future__ import annotations
 import operator
 import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.circuits.netlist import Circuit
 from repro.core.compiled import compile_circuit
+from repro.logic.patterns import BroadsideTest
 from repro.obs import OBS
 
 
@@ -63,64 +68,71 @@ def unpack_bits(word: int, n: int) -> list[int]:
     return [(word >> t) & 1 for t in range(n)]
 
 
+#: Item size in bytes -> ``struct``/``memoryview`` format of a frame item.
+_ITEM_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+#: ``bytes.translate`` table turning 0/1 bytes into the digits ``0``/``1``.
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def pack_columns_indexed(
     values: list[int], vectors: Sequence[Sequence[int]], offset: int
 ) -> None:
-    """Pack per-pattern vectors columnwise into a valuation array slice.
+    """Pack per-pattern 0/1 vectors columnwise into a valuation array slice.
 
     ``vectors[t][j]`` lands in bit ``t`` of ``values[offset + j]``,
-    written straight into a compiled-circuit frame.  The transpose runs
-    through one vectorised :func:`numpy.packbits` (a byte string per
-    column, decoded with ``int.from_bytes``) rather than a Python loop
-    over the full ``patterns x lines`` grid -- frame packing is the fixed
-    cost of every PPSFP grading chunk.
+    written straight into a compiled-circuit frame.  Each column is
+    transposed by C-level builtins rather than a Python loop over the
+    ``patterns x lines`` grid: its bytes, last pattern first, spell a
+    binary numeral that ``int(..., 2)`` parses.
     """
-    if not vectors:
-        return
-    arr = np.asarray(vectors, dtype=np.uint8)
-    if arr.size == 0:
-        return
-    packed = np.packbits(arr, axis=0, bitorder="little")
-    n_bytes = packed.shape[0]
-    data = packed.T.tobytes()
-    for j in range(arr.shape[1]):
-        word = int.from_bytes(data[j * n_bytes : (j + 1) * n_bytes], "little")
+    for j, column in enumerate(zip(*vectors)):
+        word = int(bytes(column[::-1]).translate(_ASCII_BITS), 2)
         if word:
             values[offset + j] |= word
 
 
 @dataclass(frozen=True)
 class PackedSequenceResult:
-    """Result of a packed multi-lane sequence simulation.
+    """Result of a packed multi-lane sequence simulation over ``L`` cycles.
 
     Attributes
     ----------
     switching_counts:
-        Array of shape ``(L, n_lanes)``: number of counted lines that
-        toggled in each cycle, per lane.  Row 0 is all zeros (undefined,
+        One list of ``L`` per-cycle counts per lane:
+        ``switching_counts[t][i]`` is the number of counted lines that
+        toggled in cycle ``i`` of lane ``t``.  Entry 0 is 0 (undefined,
         see Section 4.4).
     n_lanes:
         Number of packed sequences.
     state_words:
         ``L+1`` per-cycle state rows; row ``i`` holds one packed word per
-        state line (scan order), bit ``t`` = lane ``t`` -- the form the
-        packed generation loop slices lanes out of.
+        state line (scan order), bit ``t`` = lane ``t``.
+    pi_words:
+        The ``L`` packed primary-input rows the run applied.
+    frames:
+        Every cycle's full valuation, serialised: cycle ``i`` is the
+        ``i``-th row of one little-endian ``item_size``-byte item per
+        line, in line-index order, bit ``t`` of an item = lane ``t`` --
+        the form :func:`lane_test_frames` grades tests from.
+    item_size:
+        Bytes per item: 1, 2, 4 or 8, the narrowest that holds the lanes.
     """
 
-    switching_counts: np.ndarray
+    switching_counts: list[list[int]]
     n_lanes: int
     state_words: list[tuple[int, ...]]
+    pi_words: Sequence[Sequence[int]]
+    frames: bytes
+    item_size: int
 
-    def switching_percent(self, n_lines: int) -> np.ndarray:
-        """Switching counts converted to the paper's percentage metric."""
-        return 100.0 * self.switching_counts / float(n_lines)
+    def switching_percent(self, n_lines: int) -> list[list[float]]:
+        """Switching counts converted to the paper's percentage metric, per lane."""
+        return [[100.0 * c / n_lines for c in lane] for lane in self.switching_counts]
 
     def lane_states(self, lane: int, upto: int) -> list[tuple[int, ...]]:
         """Lane ``lane``'s state vectors for cycles ``0 .. upto``."""
-        return [
-            tuple((w >> lane) & 1 for w in row)
-            for row in self.state_words[: upto + 1]
-        ]
+        return [_lane_bits(row, 1 << lane) for row in self.state_words[: upto + 1]]
 
 
 def broadcast_state_words(state: Sequence[int], mask: int) -> list[int]:
@@ -128,77 +140,128 @@ def broadcast_state_words(state: Sequence[int], mask: int) -> list[int]:
     return [mask if b else 0 for b in state]
 
 
-def unpack_lane_bits(rows: Sequence[Sequence[int]], n_lanes: int) -> np.ndarray:
-    """Bit-transpose packed word rows into a ``(rows, words, lanes)`` array.
+class LaneTests(Sequence):
+    """One lane's broadside tests of a packed run, as a sized view.
 
-    ``out[i, j, t]`` is bit ``t`` of ``rows[i][j]`` -- lane ``t``'s value
-    of word ``j`` at row ``i``, as a uint8 0/1.  One vectorised
-    :func:`numpy.unpackbits` replaces per-lane Python bit picking, which
-    is what makes slicing individual lanes out of a 64-lane trajectory
-    (per-lane test extraction in the packed Fig 4.9 loop) cheap.
+    Test ``i`` is ``<s(c), p(c), s(c+1), p(c+1)>`` at cycle
+    ``c = i * spacing`` of lane ``lane``, for every ``c + 1 < length`` --
+    the tests :func:`repro.logic.simulator.extract_tests_from_sequence`
+    takes from the lane's first ``length`` cycles.  ``len()`` is free and
+    a :class:`~repro.logic.patterns.BroadsideTest` is built only when
+    indexed: grading reads the run's frames (:func:`lane_test_frames`).
     """
-    n_rows = len(rows)
-    n_words = len(rows[0]) if n_rows else 0
-    if n_rows == 0 or n_words == 0:
-        return np.zeros((n_rows, n_words, n_lanes), dtype=np.uint8)
-    arr = np.array(rows, dtype=np.uint64)
-    as_bytes = arr.view(np.uint8).reshape(n_rows, n_words, 8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[:, :, :n_lanes]
+
+    __slots__ = ("run", "lane", "length", "spacing")
+
+    def __init__(self, run: PackedSequenceResult, lane: int, length: int, spacing: int):
+        """View lane ``lane`` of ``run``, truncated to ``length`` cycles."""
+        self.run = run
+        self.lane = lane
+        self.length = length
+        self.spacing = spacing
+
+    def __len__(self) -> int:
+        return len(range(0, self.length - 1, self.spacing))
+
+    def __getitem__(self, i: int) -> BroadsideTest:
+        c = range(0, self.length - 1, self.spacing)[i]
+        bit = 1 << self.lane
+        states, pis = self.run.state_words, self.run.pi_words
+        return BroadsideTest(
+            s1=_lane_bits(states[c], bit),
+            v1=_lane_bits(pis[c], bit),
+            s2=_lane_bits(states[c + 1], bit),
+            v2=_lane_bits(pis[c + 1], bit),
+            source_cycle=c,
+        )
 
 
-#: Upper bound on the numpy temporaries of one switching-count chunk.
-_CHUNK_BYTES = 1 << 20
+def _lane_bits(words: Sequence[int], bit: int) -> tuple[int, ...]:
+    """Each word's value (0 or 1) in the lane whose bit is ``bit``."""
+    return tuple([1 if w & bit else 0 for w in words])
+
+
+def lane_test_frames(
+    views: Sequence[LaneTests],
+) -> tuple[list[int], list[int], int, list[int]]:
+    """``(good1, good2, mask, lane_masks)``: the views' good frames, one run's slices.
+
+    Test ``i`` of the view of lane ``k`` takes bit ``i * w + k`` of every
+    word, ``w`` being the run's item width in bits, so each line's word
+    is one strided slice of the serialised frames: its items at cycles
+    ``i * spacing`` (``good1``, the launch frame) or ``i * spacing + 1``
+    (``good2``, the capture frame).  ``mask`` holds exactly the views'
+    test bits -- the other lanes, and each lane's cycles past its own
+    length, are masked off -- and ``lane_masks[j]`` those of ``views[j]``.
+    The views must share one run of at least one cycle and one spacing.
+    """
+    run = views[0].run
+    spacing = views[0].spacing
+    if any(v.run is not run or v.spacing != spacing for v in views):
+        raise ValueError("lane_test_frames: views must share one packed run and spacing")
+    size = run.item_size
+    width = 8 * size
+    # Bit 0 of each of n test slots is (2**(n*w) - 1) // (2**w - 1).
+    ones = (1 << width) - 1
+    lane_masks = [(((1 << len(v) * width) - 1) // ones) << v.lane for v in views]
+    mask = 0
+    for lane_mask in lane_masks:
+        mask |= lane_mask
+    n_lines = len(run.frames) // (size * len(run.pi_words))
+    # Bytes slice item-wise directly; wider items need a memoryview of them.
+    items = run.frames if size == 1 else memoryview(run.frames).cast(_ITEM_FORMATS[size])
+    stride = n_lines * spacing
+    stop = max(map(len, views)) * stride
+    good1, good2 = (
+        [
+            int.from_bytes(items[g : g + stop : stride], "little") & mask
+            for g in range(first, first + n_lines)
+        ]
+        for first in (0, n_lines)
+    )
+    return good1, good2, mask, lane_masks
 
 
 def _frame_packer(n_lanes: int, n_lines: int):
-    """``(pack, dtype)`` serialising a valuation frame to fixed-width items.
+    """``(pack, size)`` serialising a valuation frame to ``size``-byte items.
 
     Each line word becomes one little-endian unsigned item of the
     narrowest width (1, 2, 4 or 8 bytes) that holds ``n_lanes`` bits:
     ``bytes`` itself up to 8 lanes, a precompiled :class:`struct.Struct`
     above.
     """
-    for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
-        if 8 * size >= n_lanes:
-            break
+    size = next(size for size in _ITEM_FORMATS if 8 * size >= n_lanes)
     if size == 1:
-        return bytes, np.dtype(np.uint8)
-    packer = struct.Struct(f"<{n_lines}{code}")
-    return (lambda frame: packer.pack(*frame)), np.dtype(f"<u{size}")
+        return bytes, size
+    packer = struct.Struct(f"<{n_lines}{_ITEM_FORMATS[size]}")
+    return (lambda frame: packer.pack(*frame)), size
 
 
 def _switching_counts(
-    frames: bytes,
-    dtype: np.dtype,
-    shape: tuple[int, int],
+    frames: Sequence[bytes],
+    n_lines: int,
+    size: int,
     n_lanes: int,
     count_idx: Sequence[int] | None,
-) -> np.ndarray:
-    """Per-cycle, per-lane toggle counts of the serialised frames.
+) -> list[list[int]]:
+    """Per-lane, per-cycle toggle counts of serialised frames.
 
-    ``frames`` holds ``shape = (L, lines)`` items of ``dtype``, one row
-    per simulated cycle.  Consecutive rows are XORed and each lane's bit
-    of the difference is summed over the counted lines -- one shift, mask
-    and sum per lane, in row chunks whose temporaries stay within
-    :data:`_CHUNK_BYTES`.
+    ``frames[i]`` is cycle ``i``'s frame of ``n_lines`` little-endian
+    ``size``-byte items.  Read as integers, consecutive frames XOR to one
+    toggle word per cycle (cycle 0, with no predecessor, toggles
+    nothing); lane ``t``'s count is the popcount of that word masked to
+    bit ``t`` of every counted line's item.
     """
-    length = shape[0]
-    n_count = shape[1] if count_idx is None else len(count_idx)
-    switching = np.zeros((length, n_lanes), dtype=np.int64)
-    if length < 2 or n_count == 0:
-        return switching
-    words = np.frombuffer(frames, dtype=dtype).reshape(shape)
-    step = max(1, _CHUNK_BYTES // (n_count * dtype.itemsize))
-    for start in range(1, length, step):
-        stop = min(start + step, length)
-        block = words[start - 1 : stop]
-        if count_idx is not None:
-            block = block.take(count_idx, axis=1)
-        diff = block[1:] ^ block[:-1]
-        for t in range(n_lanes):
-            switching[start:stop, t] = ((diff >> t) & 1).sum(axis=1)
-    return switching
+    rows = [int.from_bytes(f, "little") for f in frames]
+    toggles = [0] + [a ^ b for a, b in zip(rows, rows[1:])] if rows else []
+    first_bits = bytearray(n_lines * size)
+    for j in range(n_lines) if count_idx is None else count_idx:
+        first_bits[j * size] = 1
+    lane0 = int.from_bytes(first_bits, "little")
+    return [
+        [(d & lane).bit_count() for d in toggles]
+        for lane in (lane0 << t for t in range(n_lanes))
+    ]
 
 
 def _picker(indices: Sequence[int]):
@@ -237,7 +300,7 @@ def _run_packed(
     n_inputs = cc.n_inputs
     n_sources = cc.n_sources
     next_state = _picker(cc.next_state_indices)
-    pack, dtype = _frame_packer(n_lanes, cc.num_lines)
+    pack, size = _frame_packer(n_lanes, cc.num_lines)
     t_start = time.perf_counter() if OBS.enabled else 0.0
 
     state_words = tuple(state_words)
@@ -258,9 +321,7 @@ def _run_packed(
         state_words = nxt
         word_rows.append(state_words)
     length = len(frames)
-    switching = _switching_counts(
-        b"".join(frames), dtype, (length, cc.num_lines), n_lanes, count_idx
-    )
+    switching = _switching_counts(frames, cc.num_lines, size, n_lanes, count_idx)
     if OBS.enabled:
         # One record per packed run: the kernel itself stays untouched.
         OBS.count("bitsim.packed_runs")
@@ -270,7 +331,12 @@ def _run_packed(
         OBS.observe("bitsim.lanes_per_run", n_lanes)
         OBS.observe("span.bitsim.packed_run", time.perf_counter() - t_start)
     return PackedSequenceResult(
-        switching_counts=switching, n_lanes=n_lanes, state_words=word_rows
+        switching_counts=switching,
+        n_lanes=n_lanes,
+        state_words=word_rows,
+        pi_words=pi_word_rows,
+        frames=b"".join(frames),
+        item_size=size,
     )
 
 

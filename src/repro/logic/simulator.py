@@ -217,10 +217,11 @@ def extract_tests_from_sequence(
     Per Section 4.3, a test is defined by any two consecutive time units:
     ``t(i) = <s(i), p(i), s(i+1), p(i+1)>``.  To avoid the state-restore
     hardware an overlap would require, tests are taken every ``spacing``
-    (= ``2**q``, default 2) cycles.
+    (= ``2**q``, default 2) cycles, up to the last ``i`` whose ``p(i+1)``
+    and ``s(i+1)`` exist.
     """
     tests: list[BroadsideTest] = []
-    limit = min(len(pi_vectors) - 1, len(result.states) - 2)
+    limit = min(len(pi_vectors), len(result.states) - 1) - 2
     for i in range(start, limit + 1, spacing):
         tests.append(
             BroadsideTest(

@@ -10,14 +10,12 @@ from repro.circuits.benchmarks import get_circuit
 from repro.circuits.generator import GeneratorSpec, generate
 from repro.core.compiled import compile_circuit
 from repro.core.state_holding import hold_indices
-from repro.logic import bitsim
 from repro.logic.bitsim import (
     broadcast_state_words,
     pack_bits,
     pack_columns_indexed,
     simulate_packed_words,
     unpack_bits,
-    unpack_lane_bits,
 )
 from repro.logic.simulator import simulate_comb, simulate_sequence
 
@@ -52,7 +50,11 @@ def _eval_words(cc, vectors):
 
 class TestFaultyCone:
     def test_forced_line_matches_full_resim(self):
-        """Cone re-evaluation == forcing the line and re-simulating everything."""
+        """Cone re-evaluation == forcing the line and re-simulating everything.
+
+        Both stuck values, and every line: a line the returned map leaves
+        out must keep its good value under the forced re-simulation.
+        """
         c = get_circuit("s298")
         rng = random.Random(0)
         n = 16
@@ -63,16 +65,17 @@ class TestFaultyCone:
         good = _eval_words(cc, vectors)
         mask = (1 << n) - 1
         for line in rng.sample(c.lines, 15):
-            forced = mask  # stuck-at-1 everywhere
-            faulty = cc.faulty_cone_words(good, cc.index[line], forced, mask)
-            # Reference: replay each pattern scalar-style with the line forced.
-            for t, vec in enumerate(vectors):
-                ref = _forced_scalar(c, dict(zip(c.comb_input_lines, vec)), line, 1)
-                for obs in c.observation_lines:
-                    expect = ref[obs]
-                    i = cc.index[obs]
-                    got = (faulty.get(i, good[i]) >> t) & 1
-                    assert got == expect, (line, obs)
+            for value in (0, 1):
+                forced = mask if value else 0
+                faulty = cc.faulty_cone_words(good, cc.index[line], forced, mask)
+                # Reference: replay each pattern scalar-style with the line forced.
+                for t, vec in enumerate(vectors):
+                    inputs = dict(zip(c.comb_input_lines, vec))
+                    ref = _forced_scalar(c, inputs, line, value)
+                    for name in c.lines:
+                        i = cc.index[name]
+                        got = (faulty.get(i, good[i]) >> t) & 1
+                        assert got == ref[name], (line, value, name)
 
     def test_cone_is_sparse(self):
         c = get_circuit("s298")
@@ -104,22 +107,6 @@ class TestWordHelpers:
         words = broadcast_state_words([1, 0, 1, 1], 0b111)
         assert words == [0b111, 0, 0b111, 0b111]
 
-    def test_unpack_lane_bits_round_trip(self):
-        rng = random.Random(5)
-        lanes = 7
-        rows = [
-            [rng.getrandbits(lanes) for _ in range(4)] for _ in range(9)
-        ]
-        bits = unpack_lane_bits(rows, lanes)
-        assert bits.shape == (9, 4, lanes)
-        for i, row in enumerate(rows):
-            for j, word in enumerate(row):
-                for t in range(lanes):
-                    assert bits[i, j, t] == (word >> t) & 1
-
-    def test_unpack_lane_bits_empty(self):
-        assert unpack_lane_bits([], 4).shape == (0, 0, 4)
-
 
 class TestPackedWords:
     def test_matches_scalar_per_lane(self):
@@ -147,7 +134,7 @@ class TestPackedWords:
                 tuple(s) for s in scalar.states
             ]
             for cyc in range(1, length):
-                assert pct[cyc, t] == pytest.approx(scalar.switching[cyc])
+                assert pct[t][cyc] == pytest.approx(scalar.switching[cyc])
 
     def test_hold_matches_scalar_holding(self):
         """Packed hold-indices semantics == the scalar holding simulation."""
@@ -185,9 +172,7 @@ class TestPackedWords:
         for t, seq in enumerate(seqs):
             scalar = simulate_sequence(c, [0] * n_flops, seq)
             assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
-            assert packed.switching_counts[:, t].tolist() == _toggles(
-                scalar.line_values, c.lines
-            )
+            assert packed.switching_counts[t] == _toggles(scalar.line_values, c.lines)
 
 
 class TestPackedWordsValidation:
@@ -276,13 +261,11 @@ class TestEveryLaneWidth:
         init = [rng.randint(0, 1) for _ in c.flops]
         seqs = _random_lanes(c, lanes, length, rng)
         packed = simulate_packed_words(c, init, _pack_lanes(seqs), lanes)
-        assert packed.switching_counts.shape == (length, lanes)
+        assert [len(counts) for counts in packed.switching_counts] == [length] * lanes
         for t, seq in enumerate(seqs):
             scalar = simulate_sequence(c, init, seq)
             assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
-            assert packed.switching_counts[:, t].tolist() == _toggles(
-                scalar.line_values, c.lines
-            )
+            assert packed.switching_counts[t] == _toggles(scalar.line_values, c.lines)
 
     @pytest.mark.parametrize("lanes", LANE_WIDTHS)
     def test_count_lines_subset_matches_scalar(self, lanes):
@@ -297,9 +280,7 @@ class TestEveryLaneWidth:
         )
         for t, seq in enumerate(seqs):
             scalar = simulate_sequence(c, init, seq)
-            assert packed.switching_counts[:, t].tolist() == _toggles(
-                scalar.line_values, subset
-            )
+            assert packed.switching_counts[t] == _toggles(scalar.line_values, subset)
 
     @pytest.mark.parametrize("lanes", LANE_WIDTHS)
     def test_hold_matches_scalar_holding(self, lanes):
@@ -324,14 +305,13 @@ class TestEveryLaneWidth:
             )
             assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
             # Exact: the generator stores these percentages in its results.
-            assert pct[1:, t].tolist() == scalar.switching[1:]
+            assert pct[t][1:] == scalar.switching[1:]
 
     def test_sequence_spanning_several_chunks(self):
-        """Counts stay exact across the row chunks of the counting pass."""
+        """Counts stay exact over a long, full-width run (1,003 cycles, 64 lanes)."""
         c = get_circuit("s298")
         lanes = 64
-        rows_per_chunk = bitsim._CHUNK_BYTES // (c.num_lines * 8)
-        length = rows_per_chunk + 40
+        length = 1003
         rng = random.Random(11)
         subset = rng.sample(c.lines, 50)
         init = [0] * len(c.flops)
@@ -342,9 +322,5 @@ class TestEveryLaneWidth:
         for t in (0, 37, 63):
             scalar = simulate_sequence(c, init, seqs[t])
             assert full.lane_states(t, length) == [tuple(s) for s in scalar.states]
-            assert full.switching_counts[:, t].tolist() == _toggles(
-                scalar.line_values, c.lines
-            )
-            assert sub.switching_counts[:, t].tolist() == _toggles(
-                scalar.line_values, subset
-            )
+            assert full.switching_counts[t] == _toggles(scalar.line_values, c.lines)
+            assert sub.switching_counts[t] == _toggles(scalar.line_values, subset)

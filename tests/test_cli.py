@@ -1,10 +1,17 @@
 """Tests for the repro-eda command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -309,3 +316,35 @@ class TestObservabilityCommands:
         quiet = capsys.readouterr()
         assert "done" not in quiet.err
         assert quiet.out == loud.out
+
+
+class TestStandardLibraryOnly:
+    def test_table_4_3_runs_on_the_standard_library_alone(self):
+        """The shipped Table 4.3 imports nothing outside the standard library."""
+        code = textwrap.dedent(
+            """
+            import sys
+
+            class StandardLibraryOnly:
+                @staticmethod
+                def find_spec(name, path=None, target=None):
+                    top = name.partition(".")[0]
+                    if top != "repro" and top not in sys.stdlib_module_names:
+                        raise ImportError(f"{name} is not in the standard library")
+                    return None
+
+            sys.meta_path.insert(0, StandardLibraryOnly)
+            from repro.cli import main
+            sys.exit(main(["table", "4.3", "--quiet"]))
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        golden = REPO / "benchmarks" / "e2e" / "goldens" / "table4.3-seed1.txt"
+        assert result.stdout == golden.read_text()

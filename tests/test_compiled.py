@@ -84,13 +84,11 @@ class TestLowering:
         cc = compile_circuit(c)
         rng = random.Random(2)
         for line in rng.sample(c.lines, 10):
-            entries, obs = cc.cone(cc.index[line])
-            names = {cc.names[out] for out, _, _, _ in entries}
-            assert names == c.transitive_fanout(line)
-            # Observation lines outside the cone (and the line itself) are
-            # never reported as reachable.
-            reach = names | {line}
-            assert all(cc.names[i] in reach for i in obs)
+            # Exactly the observation lines in the cone or on the line
+            # itself, in observation order.
+            reach = c.transitive_fanout(line) | {line}
+            expect = tuple(i for i in cc.observation_indices if cc.names[i] in reach)
+            assert cc.cone(cc.index[line]) == expect
 
 
 class TestScalarAgreement:

@@ -14,10 +14,16 @@ from repro.faults.fsim import (
     compact_groups,
     stuck_at_detection_words,
 )
+from repro.core.state_holding import hold_indices
 from repro.faults.lists import all_transition_faults
 from repro.faults.models import FALL, RISE, StuckAtFault, TransitionFault
+from repro.logic.bitsim import LaneTests, simulate_packed_words
 from repro.logic.patterns import Pattern
-from repro.logic.simulator import make_broadside_test
+from repro.logic.simulator import (
+    extract_tests_from_sequence,
+    make_broadside_test,
+    simulate_sequence,
+)
 
 
 def buf_circuit():
@@ -183,6 +189,47 @@ class TestGrader:
         grader = FaultGrader(c, [])
         assert grader.coverage == 0.0
         assert grader.grade([]) == set()
+
+
+class TestLaneViews:
+    """Lane views of a packed run grade exactly like their materialised tests."""
+
+    @pytest.mark.parametrize("hold", [False, True])
+    @pytest.mark.parametrize("lanes", [1, 3, 9, 64])  # 1-, 1-, 2- and 8-byte frame items
+    def test_views_grade_like_their_tests(self, lanes, hold):
+        c = get_circuit("s298")
+        rng = random.Random(lanes)
+        length = 24
+        init = [rng.randint(0, 1) for _ in c.flops]
+        seqs = [
+            [[rng.randint(0, 1) for _ in c.inputs] for _ in range(length)]
+            for _ in range(lanes)
+        ]
+        rows = [
+            [sum(seq[i][j] << t for t, seq in enumerate(seqs)) for j in range(len(c.inputs))]
+            for i in range(length)
+        ]
+        holding = (
+            {"hold_indices": hold_indices(c, c.state_lines[::3]), "hold_period_log2": 1}
+            if hold
+            else {}
+        )
+        run = simulate_packed_words(c, init, rows, lanes, **holding)
+        # Lane 0 runs in full; every other lane is cut to its own even
+        # length, as the SWA bound cuts them, down to no test at all.
+        cuts = [length] + [rng.randrange(0, length + 1, 2) for _ in range(lanes - 1)]
+        views = [LaneTests(run, k, cut, 2) for k, cut in enumerate(cuts)]
+        for view, seq in zip(views, seqs):
+            scalar = simulate_sequence(c, init, seq, keep_line_values=False, **holding)
+            expect = extract_tests_from_sequence(c, scalar, seq[: view.length], spacing=2)
+            assert len(view) == len(expect)
+            assert list(view) == expect
+            assert [t.source_cycle for t in view] == [t.source_cycle for t in expect]
+        grader = FaultGrader(c, all_transition_faults(c))
+        for block in (views, views[1::3][:8]):
+            sets = grader.preview_groups(block)
+            assert sets == grader.preview_groups([list(v) for v in block])
+        assert any(grader.preview_groups(views))
 
 
 class TestStuckAt:

@@ -123,6 +123,17 @@ class TestBroadside:
         for t in tests:
             assert verify_broadside(c, t)
 
+    def test_extract_tests_stop_at_the_last_complete_pair(self):
+        """Every-cycle tests (2**0) end at t(L-2): t(L-1) has no p(L)."""
+        c = toggler()
+        seq = [[1], [0], [1], [1], [0]]
+        res = simulate_sequence(c, [0], seq)
+        tests = extract_tests_from_sequence(c, res, seq, spacing=1)
+        assert [t.source_cycle for t in tests] == [0, 1, 2, 3]
+        assert all(verify_broadside(c, t) for t in tests)
+        odd = extract_tests_from_sequence(c, res, seq, spacing=2)
+        assert [t.source_cycle for t in odd] == [0, 2]
+
     def test_extracted_tests_chain_states(self):
         c = toggler()
         seq = [[1], [0], [1], [1]]
