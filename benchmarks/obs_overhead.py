@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import sys
 import time
 
@@ -46,7 +45,6 @@ def run(stats: bool) -> tuple[float, str]:
 
 
 def main() -> int:
-    os.environ.pop("REPRO_FAULT", None)  # it would change what a run does
     _, table = run(stats=False)
     run(stats=True)
     best = {False: float("inf"), True: float("inf")}

@@ -22,9 +22,9 @@ output byte; any other table exits 2 when given either.
 Bad input -- an unknown benchmark or table id, an out-of-range count or
 time budget, a flag the chosen table does not use, a ``generate
 --tree-height`` without ``--hold``, an output path that is a directory
-or lies in a missing one, a database path that holds no experiment
-database, or a malformed ``REPRO_FAULT`` spec -- fails fast with a
-one-line ``error:`` diagnostic and exit code 2 before any work.
+or lies in a missing one, or a database path that holds no experiment
+database -- fails fast with a one-line ``error:`` diagnostic and exit
+code 2 before any work.
 
 Observability: ``generate`` and ``table`` accept ``--stats`` (print the
 run report: per-phase time breakdown, seeds tried/accepted, truncation
@@ -34,13 +34,13 @@ starts from an empty registry and leaves collection on or off as it
 found it, so a later command in the same process reports only itself.
 
 Resilience (see :mod:`repro.resilience`): tables 4.3, 4.4 and
-``chapter4`` accept ``--timeout`` and ``--retries``, the per-row
-deadline and retry budget.  A timed table runs its rows on worker
-processes even at ``--jobs 1``, so a row that overruns the deadline is
-killed, never cut short.  Rows that exhaust their retries render as
-``FAILED`` annotations and flip the exit code to 1 *after* the table
-prints.  Every row's seed derives from its key, so a killed table, run
-again, prints the same rows.
+``chapter4`` accept ``--timeout``, the per-row deadline.  A timed table
+runs its rows on worker processes even at ``--jobs 1``, so a row that
+overruns the deadline is killed, never cut short.  Every row runs once:
+a row that raises, crashes its worker or times out renders as a
+``FAILED`` annotation and flips the exit code to 1 *after* the table
+prints.  A row is a pure function of its task kwargs, so a failed or
+killed table, run again, prints the same rows.
 
 Experiment history (see :mod:`repro.expdb`): ``generate`` and ``table``
 accept ``--db PATH``, the one record of a run.  :func:`_run_campaign`
@@ -68,17 +68,6 @@ import sys
 from typing import Sequence
 
 
-def _retry_policy(args: argparse.Namespace):
-    """The run's one ``RetryPolicy``, from ``--timeout`` and ``--retries``."""
-    from repro.resilience import RetryPolicy
-
-    retries = getattr(args, "retries", None)
-    return RetryPolicy(
-        timeout_s=getattr(args, "timeout", None),
-        **({} if retries is None else {"max_retries": retries}),
-    )
-
-
 #: Integer options and the least value each accepts, with what it counts.
 _INT_MINIMUMS = (
     ("jobs", 1, "a positive worker count"),
@@ -86,7 +75,6 @@ _INT_MINIMUMS = (
     ("length", 1, "a positive segment length"),
     ("max_faults", 1, "a positive fault count"),
     ("n", 1, "a positive path count"),
-    ("retries", 0, "a non-negative retry count"),
     ("tree_height", 0, "a non-negative tree height"),
     ("limit", 1, "a positive count"),
     ("last", 0, "a non-negative window"),
@@ -94,7 +82,11 @@ _INT_MINIMUMS = (
 
 #: ``table`` flags that only some artifacts take (``Artifact.flags``),
 #: each with its default, which asks nothing of any table.
-_ARTIFACT_FLAGS = {"jobs": 1, "shards": 1, "timeout": None, "retries": None}
+_ARTIFACT_FLAGS = {"jobs": 1, "shards": 1, "timeout": None}
+
+#: The longest ``--timeout`` (s): the pool's watchdog waits in
+#: ``multiprocessing.connection.wait``, which takes at most 2**31 - 1 ms.
+_MAX_TIMEOUT_S = (2**31 - 1) // 1000
 
 #: ``generate --tree-height`` default; any other height needs ``--hold``.
 _TREE_HEIGHT = 2
@@ -136,10 +128,9 @@ def _check_args(args: argparse.Namespace) -> str | None:
     Returns the one-line error message to print (the caller exits 2), or
     ``None`` when the arguments are valid.  Checks benchmark and table
     names, numeric ranges, table-specific flags, a ``--tree-height`` that
-    asks for a height without ``--hold``, the ``--db`` path (which
-    ``stats`` and ``db`` require), and (for ``generate`` and ``table``)
-    the ``REPRO_FAULT`` spec -- all before any work, so a bad value never
-    becomes a traceback, an empty result, or a failure retried on every
+    asks for a height without ``--hold``, and the ``--db`` path (which
+    ``stats`` and ``db`` require) -- all before any work, so a bad value
+    never becomes a traceback, an empty result, or a failure on every
     row.
     """
     if hasattr(args, "circuit"):
@@ -162,6 +153,9 @@ def _check_args(args: argparse.Namespace) -> str | None:
                 f"{name.replace('_', '-')} must be a positive number of "
                 f"seconds, got {value!r}"
             )
+    timeout = getattr(args, "timeout", None)
+    if timeout is not None and timeout > _MAX_TIMEOUT_S:
+        return f"timeout must be at most {_MAX_TIMEOUT_S} seconds, got {timeout!r}"
     if args.command == "generate" and not args.hold and args.tree_height != _TREE_HEIGHT:
         return "--tree-height applies only with --hold"
     if args.command in ("stats", "db") and not args.db:
@@ -169,16 +163,7 @@ def _check_args(args: argparse.Namespace) -> str | None:
     if args.command == "table" and (problem := _check_table(args)):
         return problem
     if args.command in ("generate", "table"):
-        import os
-
-        from repro.resilience import faultpoints
-
-        if problem := _check_outputs(args):
-            return problem
-        try:
-            faultpoints.parse(os.environ.get(faultpoints.ENV_VAR, ""))
-        except ValueError as exc:
-            return str(exc)
+        return _check_outputs(args)
     return None
 
 
@@ -218,7 +203,7 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, params, body)
     registry.  The run report prints after ``body``; the ``finally``
     stores the snapshot and its spans, finishes the run, closes the
     database, and last restores the enabled flag it found.  The run's
-    ``executor`` column records where attempts run, by the pool's own
+    ``executor`` column records where tasks run, by the pool's own
     rule (:func:`repro.resilience.pool.runs_inline`).
     """
     import time
@@ -246,11 +231,12 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, params, body)
             from repro.resilience.pool import runs_inline
 
             workers = max(getattr(args, "jobs", 1), args.shards)
+            inline = runs_inline(workers, getattr(args, "timeout", None))
             run_id = db.begin_run(
                 kind,
                 label,
                 fingerprint=fingerprint_of(params),
-                executor="inprocess" if runs_inline(workers, _retry_policy(args)) else "pool",
+                executor="inprocess" if inline else "pool",
                 argv=args.argv,
             )
             record = _recorder(db, run_id)
@@ -461,7 +447,7 @@ def _run_table(args: argparse.Namespace, record) -> int:
         Dispatch(
             jobs=args.jobs,
             progress=progress,
-            policy=_retry_policy(args),
+            timeout=args.timeout,
             shards=args.shards,
         )
     )
@@ -743,16 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-row deadline; rows then run on worker processes even at "
-        "--jobs 1, and a row that overruns it is killed and retried, then "
-        "FAILED (tables 4.3, 4.4 and chapter4)",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retries per row before it degrades to a FAILED entry "
-        "(default 2; tables 4.3, 4.4 and chapter4)",
+        "--jobs 1, and a row that overruns it is killed and FAILED "
+        "(tables 4.3, 4.4 and chapter4)",
     )
     p.add_argument(
         "--shards",

@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.policy import RetryPolicy
+from typing import Any, Callable, Iterable, Mapping
 
 #: Tolerance for comparing rounded delays and switching percentages.
 EPS = 1e-9
@@ -34,18 +31,18 @@ CheckFn = Callable[[Any], Iterable[str]]
 class Dispatch:
     """Where and how an artifact's rows run; no field changes a result.
 
-    The fields mirror ``repro-eda table``'s ``--jobs`` and ``--shards``,
-    plus the :class:`repro.resilience.policy.RetryPolicy` built from
-    ``--timeout``/``--retries`` and the per-row ``progress(index, task,
-    outcome)`` callback, which fires in task order as rows resolve and
-    from which the CLI prints progress lines and records ``--db`` rows.
-    A row that overruns the policy's deadline fails; it never comes back
-    shorter.  Entries that run no rows on the worker pool ignore them.
+    The fields mirror ``repro-eda table``'s ``--jobs``, ``--timeout``
+    (the per-row deadline in seconds) and ``--shards``, plus the per-row
+    ``progress(index, task, outcome)`` callback, which fires in task
+    order as rows resolve and from which the CLI prints progress lines
+    and records ``--db`` rows.  A row that overruns the deadline fails;
+    it never comes back shorter.  Entries that run no rows on the worker
+    pool ignore them.
     """
 
     jobs: int | None = None
     progress: Callable | None = None
-    policy: RetryPolicy | None = None
+    timeout: float | None = None
     shards: int = 1
 
 
@@ -250,7 +247,7 @@ def _chapter4(
     per_row = {
         "jobs": dispatch.jobs,
         "progress": dispatch.progress,
-        "policy": dispatch.policy,
+        "timeout_s": dispatch.timeout,
     }
     base = run_table_4_3(
         targets=targets,
@@ -342,7 +339,7 @@ _CH4_CLI = {
 
 #: The dispatch flags of the entries that grade faults and run their rows
 #: on the worker pool.
-_POOLED = frozenset({"jobs", "shards", "timeout", "retries"})
+_POOLED = frozenset({"jobs", "shards", "timeout"})
 
 # ---------------------------------------------------------------------------
 # Figures

@@ -43,7 +43,7 @@ def render(
     """Render rows as an aligned text table.
 
     ``annotations`` are per-row footnotes (e.g. ``"s298/s344: FAILED:
-    timeout after 3 tries"``) printed after the data rows and before
+    timeout"``) printed after the data rows and before
     the ``note:`` line, so a partially failed campaign still renders a
     complete, self-describing table.
     """

@@ -281,9 +281,9 @@ def generate_report() -> str:
             "# run, run again, prints the same rows):",
             "repro-eda table 4.3 --jobs 4 --stats",
             "",
-            "# bound each row and survive injected worker crashes:",
-            "repro-eda table 4.3 --jobs 2 --timeout 120 --retries 2",
-            "REPRO_FAULT='runner.task:s298:crash_once' repro-eda table 4.3 --jobs 2",
+            "# bound each row: a row that overruns, crashes or raises prints",
+            "# as FAILED and the run exits 1 (run it again to retry):",
+            "repro-eda table 4.3 --jobs 2 --timeout 120",
         ),
     )
     lines += _section("Table 4.3 — built-in generation under PI constraints", body)

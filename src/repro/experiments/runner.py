@@ -1,11 +1,11 @@
-"""Resilient parallel experiment runner: deterministic fan-out of table rows.
+"""Parallel experiment runner: deterministic fan-out of table rows.
 
 The Chapter 4 experiment harnesses (:mod:`repro.experiments.tables4`) are
 embarrassingly parallel at the row level: every target circuit builds its
 own :class:`repro.core.builtin_gen.BuiltinGenerator` with its own
 ``random.Random(rng_seed)`` stream, so rows share no mutable state and
-their results are independent of scheduling.  This module provides the
-campaign plumbing:
+each row is a pure function of its task kwargs.  This module provides
+the campaign plumbing:
 
 * :class:`ExperimentTask` -- one picklable unit of work (a module-level
   function plus keyword arguments), labelled by a stable ``key``; it
@@ -15,21 +15,15 @@ campaign plumbing:
   :class:`repro.resilience.pool.SelfHealingPool`: inline for ``jobs <= 1``
   without a deadline (no pool, no pickling), across self-healing worker
   processes otherwise -- always returning results **in task order**, so
-  every worker count's output equals ``jobs=1`` output exactly;
-* :func:`derive_seed` -- a per-task RNG seed derived from a base seed and
-  the task key, stable across runs, task orderings, and worker counts.
+  every worker count's output equals ``jobs=1`` output exactly.
 
-Resilience (see :mod:`repro.resilience`): one
-:class:`repro.resilience.policy.RetryPolicy` holds the campaign's
-deadline and retry budget.  A crashed worker, or one that overruns the
-deadline, is killed and respawned, the task is retried with the *same*
-kwargs (same derived seed, so a recovered row is byte-identical to an
-unfailed one) under a deterministic exponential backoff, and a task that
-exhausts its retry budget degrades to a typed
-:class:`repro.resilience.policy.TaskFailure` in its slot of the results
-list -- the campaign itself never aborts mid-run.  Because every row's
-seed is derived from its key, rerunning a killed campaign prints the
-same table.
+Resilience (see :mod:`repro.resilience`): every task runs once.  A task
+that raises, whose worker crashes, or that overruns ``timeout_s`` (its
+worker is then killed and respawned) takes a typed
+:class:`repro.resilience.pool.TaskFailure` in its slot of the results
+list -- the campaign itself never aborts mid-run.  Because each row is a
+pure function of its kwargs, rerunning a failed or killed campaign
+prints the same table.
 
 Workers receive circuit *names*, not circuit objects: each process loads
 and compiles its own copy, which keeps task payloads small and sidesteps
@@ -40,9 +34,8 @@ each worker enables its own (fresh, process-local) registry, runs its
 task under a ``runner.task`` span, and ships the registry snapshot back
 alongside the result; the parent merges every snapshot into its registry
 (events tagged with the task key), so ``repro-eda table --stats --jobs N``
-reports one coherent story regardless of ``N``.  Retries, timeouts,
-worker crashes/respawns and failures surface as ``runner.*`` counters
-plus a ``runner.retry`` span per retry decision.
+reports one coherent story regardless of ``N``.  Timeouts, worker
+crashes/respawns and failures surface as ``runner.*`` counters.
 A ``progress(index, task, outcome)`` callback fires per task in task
 order as the resolved prefix grows, with the result or ``TaskFailure``
 in that slot; ``repro-eda table`` prints its progress lines and records
@@ -51,49 +44,34 @@ its ``--db`` rows from it.
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Callable, Sequence
 
 from repro import obs
-from repro.resilience.policy import RetryPolicy, TaskFailure
-from repro.resilience.pool import ExperimentTask, SelfHealingPool
+from repro.resilience.pool import ExperimentTask, SelfHealingPool, TaskFailure
 
 _PENDING = object()  # results-slot sentinel: not yet resolved
-
-
-def derive_seed(base_seed: int, key: str) -> int:
-    """A deterministic, positive per-task seed.
-
-    Mixes the base seed with a CRC-32 of the task key so tasks get
-    distinct streams, while any given ``(base_seed, key)`` pair maps to
-    the same seed regardless of task order or ``jobs``.  Retries reuse
-    the task's kwargs untouched, so a retried task sees this same seed.
-    """
-    mixed = (base_seed * 0x10001 + zlib.crc32(key.encode("utf-8"))) % (2**31 - 1)
-    return mixed or 1
 
 
 def run_tasks(
     tasks: Sequence[ExperimentTask],
     jobs: int | None = None,
     progress: Callable[[int, ExperimentTask, Any], None] | None = None,
-    policy: RetryPolicy | None = None,
+    timeout_s: float | None = None,
 ) -> list[Any]:
-    """Run every task; returns results (or ``TaskFailure``s) in task order.
+    """Run every task once; returns results (or ``TaskFailure``s) in task order.
 
     ``jobs`` of ``None``, 0, or 1 (or a single task) runs inline in this
-    process -- no pool, no pickling -- unless ``policy`` sets a
-    ``timeout_s``, which needs a worker the watchdog can kill; larger
-    ``jobs`` fans out over self-healing worker processes, capped at the
-    task count; negative ``jobs`` is rejected with a ``ValueError``.
-    Both go through :class:`repro.resilience.pool.SelfHealingPool`, and
-    because each task is self-contained and results are collected in
-    input order, the returned list is byte-for-byte the same for every
-    worker count.
+    process -- no pool, no pickling -- unless ``timeout_s`` is set, which
+    needs a worker the watchdog can kill; larger ``jobs`` fans out over
+    self-healing worker processes, capped at the task count; negative
+    ``jobs`` is rejected with a ``ValueError``.  Both go through
+    :class:`repro.resilience.pool.SelfHealingPool`, and because each task
+    is self-contained and results are collected in input order, the
+    returned list is byte-for-byte the same for every worker count.
 
-    ``policy`` is the campaign's deadline and retry budget, passed to
-    the pool unchanged.  ``progress(index, task, outcome)`` is
-    invoked per task in task order as the resolved prefix grows.
+    ``timeout_s`` is every task's deadline, passed to the pool
+    unchanged.  ``progress(index, task, outcome)`` is invoked per task in
+    task order as the resolved prefix grows.
     """
     tasks = list(tasks)
     if jobs is not None and int(jobs) < 0:
@@ -120,7 +98,7 @@ def run_tasks(
 
     with SelfHealingPool(
         n_workers=min(int(jobs or 1), len(tasks)),
-        policy=policy,
+        timeout_s=timeout_s,
         collect=obs.enabled(),
     ) as pool:
         return pool.run(tasks, on_complete)

@@ -31,7 +31,7 @@ from repro.experiments.format import failure_row, render
 from repro.experiments.runner import ExperimentTask, run_tasks
 from repro.faults.collapse import collapsed_transition_faults
 from repro.logic.simulator import simulate_sequence
-from repro.resilience.policy import RetryPolicy, TaskFailure
+from repro.resilience.pool import TaskFailure
 
 
 def collapsed_faults(circuit: Circuit):
@@ -228,18 +228,19 @@ def run_table_4_3(
     func_length: int = 120,
     jobs: int | None = None,
     progress: Callable[[int, ExperimentTask, object], None] | None = None,
-    policy: RetryPolicy | None = None,
+    timeout_s: float | None = None,
 ) -> list[Table43Case | TaskFailure]:
     """Run Table 4.3: per target, ``buffers`` + highest/lowest-SWA drivers.
 
     ``jobs > 1`` fans the per-target work across the self-healing worker
     pool; every target builds its own generator and RNG stream, so the
     returned cases are identical for any ``jobs`` value (same order,
-    same contents).
-    ``policy`` is the campaign's deadline and retry budget, passed to
-    :func:`repro.experiments.runner.run_tasks` unchanged; a row that
-    overruns the deadline or exhausts its retries comes back as a
-    :class:`repro.resilience.policy.TaskFailure` in its slot instead of
+    same contents), and a target's rows do not depend on which other
+    targets run beside it.
+    ``timeout_s`` is every target's deadline, passed to
+    :func:`repro.experiments.runner.run_tasks` unchanged; a target that
+    raises, crashes its worker or overruns the deadline comes back as a
+    :class:`repro.resilience.pool.TaskFailure` in its slot instead of
     aborting the campaign.  ``progress`` is forwarded to
     :func:`repro.experiments.runner.run_tasks` and fires once per
     resolved target, in target order, with that target's rows (or its
@@ -259,7 +260,7 @@ def run_table_4_3(
         )
         for target_name in targets
     ]
-    groups = run_tasks(tasks, jobs=jobs, progress=progress, policy=policy)
+    groups = run_tasks(tasks, jobs=jobs, progress=progress, timeout_s=timeout_s)
     cases: list[Table43Case | TaskFailure] = []
     for group in groups:
         if isinstance(group, TaskFailure):
@@ -360,7 +361,7 @@ def run_table_4_4(
     config: BuiltinGenConfig,
     jobs: int | None = None,
     progress: Callable[[int, ExperimentTask, object], None] | None = None,
-    policy: RetryPolicy | None = None,
+    timeout_s: float | None = None,
 ) -> list[Table44Case | TaskFailure]:
     """Run state holding for every Table 4.3 case below the FC threshold.
 
@@ -368,8 +369,8 @@ def run_table_4_4(
     each eligible case is an independent task and results come back in
     case order; ``progress`` fires once per resolved case.  Failed
     Table 4.3 rows (``TaskFailure``) have no base result to improve and
-    are skipped; Table 4.4 rows that overrun ``policy``'s deadline or
-    exhaust its retries degrade to ``TaskFailure`` in place.
+    are skipped; Table 4.4 rows that raise, crash or overrun
+    ``timeout_s`` degrade to ``TaskFailure`` in place.
     """
     tasks = [
         ExperimentTask(
@@ -380,7 +381,7 @@ def run_table_4_4(
         for case in cases
         if isinstance(case, Table43Case) and case.result.coverage < fc_threshold
     ]
-    return run_tasks(tasks, jobs=jobs, progress=progress, policy=policy)
+    return run_tasks(tasks, jobs=jobs, progress=progress, timeout_s=timeout_s)
 
 
 def render_table_4_4(cases: Sequence[Table44Case | TaskFailure]) -> str:

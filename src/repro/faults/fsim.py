@@ -22,9 +22,9 @@ frames are sliced out of the frames the run already evaluated
 Fault-parallel grading: :class:`FaultGrader` optionally partitions its
 undetected-fault frontier into contiguous *shards* and grades them on a
 persistent :class:`repro.resilience.pool.SelfHealingPool` of worker
-processes.  A crashed shard is retried, per-shard obs snapshots merge
-back into the parent registry, and a shard that exhausts its retry
-budget is re-graded inline.  Shards partition the fault list, so the
+processes.  Per-shard obs snapshots merge back into the parent
+registry, and a shard whose worker crashed or raised is re-graded
+inline.  Shards partition the fault list, so the
 merged detection sets are *exactly* the serial sets for any shard and
 worker count; sharding is purely a wall-clock knob.
 
@@ -435,12 +435,11 @@ class FaultGrader:
         Shards partition the frontier, so each fault's detection sets come
         from exactly one shard and the merge is a disjoint union -- the
         result equals the serial grouped preview for any shard count.  A
-        shard whose retries are exhausted (:class:`repro.resilience.policy.
+        shard that failed on its worker (:class:`repro.resilience.pool.
         TaskFailure`) is re-graded inline, so a pathological worker
         environment degrades to serial speed, never to wrong results.
         """
-        from repro.resilience.policy import TaskFailure
-        from repro.resilience.pool import ExperimentTask, SelfHealingPool
+        from repro.resilience.pool import ExperimentTask, SelfHealingPool, TaskFailure
 
         flat = [t for g in groups for t in g]
         group_sizes = [len(g) for g in groups]
@@ -481,8 +480,7 @@ class FaultGrader:
         for i, shard in enumerate(shards):
             result = outcomes[i]
             if result is None or isinstance(result, TaskFailure):
-                # The pool already burned this shard's retry budget: the
-                # last resort is grading it in-process.
+                # The shard failed on its worker: grade it in-process.
                 if OBS.enabled:
                     OBS.count("fsim.shard.inline_recoveries")
                 result = _split_groups(

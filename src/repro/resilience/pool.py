@@ -1,51 +1,42 @@
-"""Self-healing task scheduler: one queue, inline or pooled attempts.
+"""Self-healing task scheduler: every task runs once, inline or on a worker.
 
 Every embarrassingly parallel campaign in the repo -- the Chapter 4
 table rows (:func:`repro.experiments.runner.run_tasks`) and the sharded
 PPSFP grading passes (:class:`repro.faults.fsim.FaultGrader`) -- runs
 through :class:`SelfHealingPool`.  ``run(tasks)`` returns one outcome per
-task **in task order**, whatever order the attempts complete in, so
+task **in task order**, whatever order the tasks complete in, so
 ``jobs=N`` output equals ``jobs=1`` output and ``--jobs`` / ``--shards``
 are pure wall-clock knobs.
 
-Where attempts run is picked by :func:`runs_inline`:
+Where tasks run is picked by :func:`runs_inline`:
 
-* one seat (``n_workers <= 1``) and no ``timeout_s`` in the policy -- in
-  the calling process, one after another: no pickling, and metrics land
-  directly in the live obs registry;
+* one seat (``n_workers <= 1``) and no ``timeout_s`` -- in the calling
+  process, one after another: no pickling, and metrics land directly in
+  the live obs registry;
 * otherwise -- on at least one respawnable worker process with one
   dedicated ``Pipe`` each, so the parent always knows *which* process
   owns *which* task.  A crashed worker is detected for free as EOF on
   its pipe, and a **watchdog** terminates and respawns any worker that
-  overruns the policy's ``timeout_s`` without touching the others.  The
-  watchdog is the only enforcement of a deadline: a timed campaign runs
-  on a worker even at ``--jobs 1``, so an overrunning row fails as a
-  ``timeout`` in every placement instead of finishing short.
+  overruns ``timeout_s`` without touching the others.  The watchdog is
+  the only enforcement of a deadline: a timed campaign runs on a worker
+  even at ``--jobs 1``, so an overrunning row fails as a ``timeout`` in
+  every placement instead of finishing short.
   (``ProcessPoolExecutor.map``, the runner's original pool path, loses
   every finished row to one worker exception, is poisoned by one dead
   worker, and stalls forever on a hung one.)
 
-Both placements share one queue, one attempt body and one retry
-decision:
-
-* every attempt fires the ``runner.task`` fault point of
-  :mod:`repro.resilience.faultpoints` (workers re-arm the spec active
-  when they are spawned; in a worker a ``crash`` is a hard ``os._exit``,
-  inline it raises);
-* **deterministic retry with backoff**: a failed attempt re-enters the
-  head of the queue with the same task object (same kwargs, same derived
-  seed) and a not-before time from :meth:`repro.resilience.policy.
-  RetryPolicy.backoff_s`, so inline a task's retries finish before the
-  next task starts; after the policy's ``max_retries`` the slot degrades
-  to a :class:`repro.resilience.policy.TaskFailure`.
+Each task runs once, under a ``runner.task`` span.  A task that raises,
+whose worker dies, or that the watchdog kills takes a
+:class:`TaskFailure` in its slot and the others carry on.  A task is a
+pure function of its kwargs, so running it again fails the same way:
+rerunning the campaign is the only retry.
 
 ``on_complete(index, outcome, snapshot)`` fires once per task in
-completion order.  With ``collect`` on, each worker attempt runs against
-a fresh registry whose snapshot travels with the reply; inline there is
-nothing to ship.  The scheduler counts ``runner.retries`` /
-``runner.timeouts`` / ``runner.worker_crashes`` /
-``runner.worker_respawns`` / ``runner.task_failures`` and emits a
-``runner.retry`` span per retry decision.
+completion order.  With ``collect`` on, each worker task runs against a
+fresh registry whose snapshot travels with the reply; inline there is
+nothing to ship.  The scheduler counts ``runner.timeouts`` /
+``runner.worker_crashes`` / ``runner.worker_respawns`` /
+``runner.task_failures``.
 
 Workers are **persistent**: they survive across :meth:`SelfHealingPool.
 run` calls, so a caller issuing many small batches -- the sharded fault
@@ -57,26 +48,23 @@ orphan workers linger.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro import obs
-from repro.resilience import faultpoints
-from repro.resilience.policy import (
-    KIND_CRASH,
-    KIND_ERROR,
-    KIND_TIMEOUT,
-    RetryPolicy,
-    TaskFailure,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 #: How long to wait for a worker to exit after the shutdown sentinel.
 _JOIN_TIMEOUT_S = 2.0
+
+#: Failure kinds recorded on :class:`TaskFailure`.
+KIND_CRASH = "crash"
+KIND_TIMEOUT = "timeout"
+KIND_ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -84,10 +72,9 @@ class ExperimentTask:
     """One unit of campaign work.
 
     ``fn`` must be a module-level function and ``kwargs`` picklable -- the
-    requirements of pooled attempts.  ``key`` names the task for seed
-    derivation, diagnostics, progress lines, experiment-database rows,
-    fault points, and merged-trace attribution.  Deadline and retry budget are
-    the campaign's :class:`repro.resilience.policy.RetryPolicy`.
+    requirements of pooled tasks.  ``key`` names the task for
+    diagnostics, progress lines, experiment-database rows and
+    merged-trace attribution.
     """
 
     key: str
@@ -95,38 +82,49 @@ class ExperimentTask:
     kwargs: Mapping[str, Any] = field(default_factory=dict)
 
 
-def runs_inline(n_workers: int, policy: RetryPolicy) -> bool:
-    """Whether a pool of ``n_workers`` seats runs attempts in this process.
+@dataclass(frozen=True)
+class TaskFailure:
+    """A task that failed; takes its result's slot in the list.
+
+    ``kind`` is ``crash`` (its worker died), ``timeout`` (the watchdog
+    killed it) or ``error`` (it raised); ``message`` carries the error
+    text for diagnostics.
+    """
+
+    key: str
+    kind: str
+    message: str
+
+    def describe(self) -> str:
+        """The table annotation, e.g. ``FAILED: timeout``."""
+        return f"FAILED: {self.kind}"
+
+
+def runs_inline(n_workers: int, timeout_s: float | None) -> bool:
+    """Whether a pool of ``n_workers`` seats runs tasks in this process.
 
     Only with one seat and no ``timeout_s``: a deadline needs a worker
     process the watchdog can kill.
     """
-    return n_workers <= 1 and policy.timeout_s is None
+    return n_workers <= 1 and timeout_s is None
 
 
-def _attempt(task: ExperimentTask, attempt: int, in_worker: bool) -> tuple[str, Any]:
-    """One attempt of ``task`` here: ``("ok", value)`` or ``("error", text)``.
-
-    Opens the ``runner.task`` span and fires the ``runner.task`` fault
-    point, whose ``crash`` modes kill the process when ``in_worker`` --
-    that never returns; the parent sees EOF on the worker's pipe instead.
-    """
+def _run_task(task: ExperimentTask) -> tuple[str, Any]:
+    """Run ``task`` here: ``("ok", value)`` or ``("error", text)``."""
     try:
-        with obs.span("runner.task", key=task.key, attempt=attempt):
-            faultpoints.check("runner.task", task.key, attempt, in_worker=in_worker)
+        with obs.span("runner.task", key=task.key):
             return ("ok", task.fn(**dict(task.kwargs)))
     except Exception as exc:  # degrade, never kill the caller or worker loop
         return ("error", f"{type(exc).__name__}: {exc}")
 
 
-def _worker_main(conn: Connection, collect: bool, fault_spec: str | None) -> None:
-    """Worker loop: receive ``(index, task, attempt)``, reply.
+def _worker_main(conn: Connection, collect: bool) -> None:
+    """Worker loop: receive ``(index, task)``, reply.
 
     Replies are ``(index, status, payload, snapshot|None)``; ``snapshot``
-    is the attempt's fresh obs registry when ``collect`` is on and the
-    attempt succeeded.
+    is the task's fresh obs registry when ``collect`` is on and the task
+    succeeded.
     """
-    faultpoints.install(fault_spec)
     try:
         while True:
             try:
@@ -135,11 +133,11 @@ def _worker_main(conn: Connection, collect: bool, fault_spec: str | None) -> Non
                 return
             if item is None:
                 return
-            index, task, attempt = item
+            index, task = item
             if collect:
                 obs.reset()
                 obs.enable()
-            status, payload = _attempt(task, attempt, in_worker=True)
+            status, payload = _run_task(task)
             snapshot = obs.snapshot() if collect and status == "ok" else None
             conn.send((index, status, payload, snapshot))
     finally:
@@ -150,20 +148,10 @@ def _worker_main(conn: Connection, collect: bool, fault_spec: str | None) -> Non
 class _Slot:
     """One worker seat: its process, pipe, and what it is running."""
 
-    proc: mp.process.BaseProcess
+    proc: BaseProcess
     conn: Connection
     busy_index: int | None = None
-    attempt: int = 0
     deadline: float | None = None
-
-
-@dataclass
-class _Queued:
-    """A schedulable attempt; ``ready_at`` implements retry backoff."""
-
-    index: int
-    attempt: int = 0
-    ready_at: float = 0.0
 
 
 class SelfHealingPool:
@@ -172,25 +160,25 @@ class SelfHealingPool:
     def __init__(
         self,
         n_workers: int = 1,
-        policy: RetryPolicy | None = None,
+        timeout_s: float | None = None,
         collect: bool = False,
     ) -> None:
-        """A scheduler for up to ``n_workers`` concurrent attempts.
+        """A scheduler for up to ``n_workers`` concurrent tasks.
 
-        Attempts run in the calling process when :func:`runs_inline`
-        says so; otherwise workers (at least one) are spawned on the
-        first :meth:`run` that needs them.  ``collect`` makes every
-        worker ship an obs snapshot per task back to the parent.
+        Tasks run in the calling process when :func:`runs_inline` says
+        so; otherwise workers (at least one) are spawned on the first
+        :meth:`run` that needs them.  ``timeout_s`` is every task's
+        deadline (``None``: unbounded).  ``collect`` makes every worker
+        ship an obs snapshot per task back to the parent.
         """
-        self.policy = policy or RetryPolicy()
+        self.timeout_s = timeout_s
         self.collect = collect
         self._n_workers = n_workers
         self._slots: list[_Slot] = []
         self._tasks: list[ExperimentTask] = []
         self._results: list[Any] = []
         self._unresolved = 0
-        self._queue: list[_Queued] = []
-        self._started: dict[int, float] = {}
+        self._queue: list[int] = []
         self._on_complete: Callable[[int, Any, dict | None], None] | None = None
 
     def __enter__(self) -> "SelfHealingPool":
@@ -207,7 +195,7 @@ class SelfHealingPool:
         tasks: Sequence[ExperimentTask],
         on_complete: Callable[[int, Any, dict | None], None] | None = None,
     ) -> list[Any]:
-        """Run every task; returns the outcomes in task order.
+        """Run every task once; returns the outcomes in task order.
 
         An outcome is the task's return value or a :class:`TaskFailure`.
         ``on_complete(index, outcome, snapshot)`` fires once per task in
@@ -219,45 +207,34 @@ class SelfHealingPool:
         self._on_complete = on_complete
         self._results = [None] * len(self._tasks)
         self._unresolved = len(self._tasks)
-        self._started = {}
-        self._queue = [_Queued(index=i) for i in range(len(self._tasks))]
+        self._queue = list(range(len(self._tasks)))
         try:
-            if runs_inline(self._n_workers, self.policy):
-                while self._queue:
-                    self._run_inline(self._queue.pop(0))
+            if runs_inline(self._n_workers, self.timeout_s):
+                for index, task in enumerate(self._tasks):
+                    status, payload = _run_task(task)
+                    self._resolve(index, status, payload, None)
             else:
-                seats = min(max(self._n_workers, 1), len(self._queue))
+                seats = min(max(self._n_workers, 1), len(self._tasks))
                 while len(self._slots) < seats:
                     self._slots.append(self._spawn())
                 while self._unresolved:
-                    self._dispatch(time.monotonic())
+                    self._dispatch()
                     self._await_events()
         except BaseException:
             self.close()
             raise
         return self._results
 
-    def _run_inline(self, item: _Queued) -> None:
-        """One attempt in this process, once its retry backoff has passed."""
-        delay = item.ready_at - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        self._started.setdefault(item.index, time.monotonic())
-        status, payload = _attempt(
-            self._tasks[item.index], item.attempt, in_worker=False
-        )
-        if status == "ok":
-            self._complete(item.index, payload, None)
-        else:
-            self._retry_or_fail(item.index, item.attempt, KIND_ERROR, payload)
-
     # ------------------------------------------------------------------
     def _spawn(self) -> _Slot:
+        # Imported here, like ``wait`` below: inline runs, and tables that
+        # only check results for a TaskFailure, never need multiprocessing,
+        # and importing it costs a run about 10 ms.
+        import multiprocessing as mp
+
         parent_conn, child_conn = mp.Pipe()
         proc = mp.Process(
-            target=_worker_main,
-            args=(child_conn, self.collect, faultpoints.active_spec()),
-            daemon=True,
+            target=_worker_main, args=(child_conn, self.collect), daemon=True
         )
         proc.start()
         child_conn.close()  # parent keeps one end; EOF now detects worker death
@@ -271,48 +248,33 @@ class SelfHealingPool:
         self._slots[self._slots.index(slot)] = self._spawn()
         obs.count("runner.worker_respawns")
 
-    def _dispatch(self, now: float) -> None:
+    def _dispatch(self) -> None:
+        """Hand queued tasks to idle seats, each with its deadline."""
         for slot in self._slots:
-            if slot.busy_index is not None:
+            if slot.busy_index is not None or not self._queue:
                 continue
-            item = self._pop_ready(now)
-            if item is None:
-                return
+            index = self._queue.pop(0)
             try:
-                slot.conn.send((item.index, self._tasks[item.index], item.attempt))
+                slot.conn.send((index, self._tasks[index]))
             except (OSError, ValueError):
                 # The worker died while idle; heal the seat and requeue.
-                self._queue.insert(0, item)
+                self._queue.insert(0, index)
                 self._respawn(slot)
                 continue
-            slot.busy_index = item.index
-            slot.attempt = item.attempt
-            timeout = self.policy.timeout_s
-            slot.deadline = (now + timeout) if timeout else None
-            self._started.setdefault(item.index, now)
-
-    def _pop_ready(self, now: float) -> _Queued | None:
-        for i, item in enumerate(self._queue):
-            if item.ready_at <= now:
-                return self._queue.pop(i)
-        return None
+            slot.busy_index = index
+            if self.timeout_s is not None:
+                slot.deadline = time.monotonic() + self.timeout_s
 
     # ------------------------------------------------------------------
     def _await_events(self) -> None:
-        """Block until a reply, a worker death, a deadline, or a backoff expiry."""
-        # Imported here: the inline placement never needs the connection
-        # machinery, and importing it costs a table run several ms.
+        """Block until a reply, a worker death, or the nearest deadline."""
         from multiprocessing.connection import wait
 
-        now = time.monotonic()
         busy = [s for s in self._slots if s.busy_index is not None]
-        horizons = [s.deadline for s in busy if s.deadline is not None]
-        horizons += [q.ready_at for q in self._queue if q.ready_at > now]
-        timeout = max(0.0, min(horizons) - now) if horizons else None
-        if not busy:
-            if timeout:
-                time.sleep(min(timeout, 0.2))
+        if not busy:  # every idle seat was just respawned: dispatch again
             return
+        deadlines = [s.deadline for s in busy if s.deadline is not None]
+        timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
         for conn in wait([s.conn for s in busy], timeout):
             slot = next(s for s in busy if s.conn is conn)
             try:
@@ -322,66 +284,38 @@ class SelfHealingPool:
                 continue
             slot.busy_index = None
             slot.deadline = None
-            if status == "ok":
-                self._complete(index, payload, snapshot)
-            else:
-                self._retry_or_fail(index, slot.attempt, KIND_ERROR, payload)
+            self._resolve(index, status, payload, snapshot)
         self._sweep_deadlines()
 
     def _sweep_deadlines(self) -> None:
         now = time.monotonic()
         for slot in list(self._slots):
-            if slot.busy_index is None or slot.deadline is None or now <= slot.deadline:
+            if slot.deadline is None or now <= slot.deadline:
                 continue
             if slot.conn.poll(0):  # finished just as the deadline passed
                 continue
-            index, attempt = slot.busy_index, slot.attempt
+            index = slot.busy_index
             self._respawn(slot)
             obs.count("runner.timeouts")
-            self._retry_or_fail(
-                index,
-                attempt,
-                KIND_TIMEOUT,
-                f"exceeded timeout_s={self.policy.timeout_s:g}",
-            )
+            self._fail(index, KIND_TIMEOUT, f"exceeded timeout_s={self.timeout_s:g}")
 
     def _worker_died(self, slot: _Slot) -> None:
-        index, attempt = slot.busy_index, slot.attempt
+        index = slot.busy_index
         self._respawn(slot)
         obs.count("runner.worker_crashes")
-        if index is not None:
-            self._retry_or_fail(
-                index, attempt, KIND_CRASH, "worker process died without a reply"
-            )
+        self._fail(index, KIND_CRASH, "worker process died without a reply")
 
     # ------------------------------------------------------------------
-    def _retry_or_fail(self, index: int, attempt: int, kind: str, message: str) -> None:
-        task = self._tasks[index]
-        if attempt < self.policy.max_retries:
-            obs.count("runner.retries")
-            with obs.span(
-                "runner.retry", key=task.key, attempt=attempt + 1, cause=kind
-            ):
-                pass
-            self._queue.insert(
-                0,
-                _Queued(
-                    index=index,
-                    attempt=attempt + 1,
-                    ready_at=time.monotonic() + self.policy.backoff_s(attempt),
-                ),
-            )
-            return
-        elapsed = time.monotonic() - self._started.get(index, time.monotonic())
-        failure = TaskFailure(
-            key=task.key,
-            kind=kind,
-            message=message,
-            attempts=attempt + 1,
-            elapsed_s=round(elapsed, 3),
-        )
+    def _resolve(self, index: int, status: str, payload: Any, snapshot: dict | None) -> None:
+        """Complete a task from its ``("ok", value)`` or ``("error", text)``."""
+        if status == "ok":
+            self._complete(index, payload, snapshot)
+        else:
+            self._fail(index, KIND_ERROR, payload)
+
+    def _fail(self, index: int, kind: str, message: str) -> None:
         obs.count("runner.task_failures")
-        self._complete(index, failure, None)
+        self._complete(index, TaskFailure(self._tasks[index].key, kind, message), None)
 
     def _complete(self, index: int, outcome: Any, snapshot: dict | None) -> None:
         self._results[index] = outcome

@@ -208,7 +208,7 @@ class TestRunsAndRows:
     def test_runner_records_completed_and_failed_rows(self, tmp_path, capsys):
         """Rows a ``--timeout`` no row can meet land as ``failed`` rows."""
         path = str(tmp_path / "e.db")
-        timed = ["table", "4.3", "--timeout", "0.01", "--retries", "0", "--quiet"]
+        timed = ["table", "4.3", "--timeout", "0.01", "--quiet"]
         assert main([*timed, "--db", path]) == 1
         capsys.readouterr()
         with ExperimentDB(path) as db:
@@ -219,7 +219,7 @@ class TestRunsAndRows:
             ("table4.3/s27", 0, "failed"),
             ("table4.3/s298", 1, "failed"),
         ]
-        assert rows[0]["payload"]["failure"] == "FAILED: timeout after 1 try"
+        assert rows[0]["payload"]["failure"] == "FAILED: timeout"
 
     def test_list_outcome_flattens_to_indexed_keys(self, table_runs):
         """A target's three Table 4.3 rows land as ``<key>#0`` .. ``#2``, in order."""
@@ -636,7 +636,7 @@ class TestCliCampaign:
         """``--timeout`` puts the rows on a worker even at ``--jobs 1``."""
         path = str(tmp_path / "e.db")
         assert main(["table", "4.2", "--db", path]) == 0
-        timed = ["table", "4.3", "--timeout", "0.01", "--retries", "0", "--quiet"]
+        timed = ["table", "4.3", "--timeout", "0.01", "--quiet"]
         assert main([*timed, "--db", path]) == 1
         capsys.readouterr()
         with ExperimentDB(path) as db:

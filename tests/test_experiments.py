@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.builtin_gen import BuiltinGenConfig
 from repro.experiments.format import render, seconds
-from repro.experiments.runner import ExperimentTask, derive_seed, run_tasks
+from repro.experiments.runner import ExperimentTask, run_tasks
 from repro.experiments.tables2 import render_table, run_chapter2
 from repro.experiments.tables3 import (
     render_table_3_1,
@@ -140,13 +140,6 @@ class TestRunner:
         tasks = [ExperimentTask(key="one", fn=_square, kwargs={"x": 4})]
         with pytest.raises(ValueError, match=r"-2"):
             run_tasks(tasks, jobs=-2)
-
-    def test_derive_seed_stable_and_distinct(self):
-        a = derive_seed(5, "table4.3/s298")
-        assert a == derive_seed(5, "table4.3/s298")
-        assert a != derive_seed(5, "table4.3/s344")
-        assert a != derive_seed(6, "table4.3/s298")
-        assert 0 < a < 2**31 - 1
 
     def test_table_4_3_parallel_identical(self):
         """jobs=2 must reproduce the jobs=1 rows exactly."""

@@ -1,11 +1,13 @@
 """Tests for fault-sharded grading (``FaultGrader(shards=N)``)."""
 
+import os
 import random
 
 import pytest
 
 from repro import obs
 from repro.circuits.benchmarks import get_circuit
+from repro.faults import fsim
 from repro.faults.collapse import collapsed_transition_faults
 from repro.faults.fsim import (
     MIN_FAULTS_PER_SHARD,
@@ -13,14 +15,16 @@ from repro.faults.fsim import (
     partition_shards,
 )
 from repro.logic.simulator import make_broadside_test
-from repro.resilience import faultpoints
+
+_GRADE_SHARD = fsim._grade_shard
 
 
-@pytest.fixture(autouse=True)
-def _disarmed_faultpoints():
-    faultpoints.install(None)
-    yield
-    faultpoints.install(None)
+def _shard_1_exits(*, circuit_name, faults, **kwargs):
+    """``fsim._grade_shard``, except that the worker grading shard 1 of 2 dies."""
+    every = collapsed_transition_faults(get_circuit(circuit_name))
+    if faults == partition_shards(every, 2)[1]:
+        os._exit(3)
+    return _GRADE_SHARD(circuit_name=circuit_name, faults=faults, **kwargs)
 
 
 def random_tests(circuit, n, seed=7):
@@ -142,34 +146,14 @@ class TestFallbacks:
 
 
 class TestCrashRecovery:
-    def test_crashed_shard_retries_to_identical_result(self):
+    def test_crashed_shard_regrades_inline(self, monkeypatch):
+        """A shard whose worker dies degrades to inline grading, not loss."""
         c = get_circuit("s298")
         faults = collapsed_transition_faults(c)
         tests = random_tests(c, 32)
         serial = FaultGrader(c, faults).preview(tests)
 
-        faultpoints.install("runner.task:fsim.shard/0:crash_once")
-        obs.enable()
-        obs.reset()
-        try:
-            with FaultGrader(c, faults, shards=2) as grader:
-                assert grader.preview(tests) == serial
-            counters = obs.registry().snapshot()["counters"]
-        finally:
-            obs.disable()
-            obs.reset()
-        assert counters.get("runner.worker_crashes", 0) == 1
-        assert counters.get("runner.retries", 0) == 1
-        assert counters.get("fsim.shard.inline_recoveries", 0) == 0
-
-    def test_exhausted_shard_regrades_inline(self):
-        """A shard that always crashes degrades to inline grading, not loss."""
-        c = get_circuit("s298")
-        faults = collapsed_transition_faults(c)
-        tests = random_tests(c, 32)
-        serial = FaultGrader(c, faults).preview(tests)
-
-        faultpoints.install("runner.task:fsim.shard/1:crash")
+        monkeypatch.setattr(fsim, "_grade_shard", _shard_1_exits)
         obs.enable()
         obs.reset()
         try:
