@@ -51,7 +51,18 @@ def synchronization_count(circuit: Circuit, pi_name: str, value: int) -> int:
 
 
 def compute_input_cube(circuit: Circuit) -> InputCube:
-    """Compute the primary input cube ``C`` for a circuit."""
+    """Compute the primary input cube ``C`` for a circuit, memoized.
+
+    Every TPG built for a circuit (each Table 4.3 row, holding pass and
+    SWA_func estimate) needs the same cube, so it is cached per
+    :attr:`Circuit.version`, like
+    :func:`repro.faults.collapse.collapsed_transition_faults`: a netlist
+    edit recomputes it.
+    """
+    cached = getattr(circuit, "_input_cube", None)
+    version = circuit.version
+    if cached is not None and cached[0] == version:
+        return cached[1]
     cube: list[int] = []
     for pi in circuit.inputs:
         sync0 = synchronization_count(circuit, pi, 0)
@@ -62,4 +73,6 @@ def compute_input_cube(circuit: Circuit) -> InputCube:
             cube.append(1)
         else:
             cube.append(X)
-    return InputCube(values=tuple(cube))
+    result = InputCube(values=tuple(cube))
+    circuit._input_cube = (version, result)
+    return result

@@ -11,20 +11,19 @@ Subcommands mirror the paper's three methods plus utilities::
     repro-eda stats --db exp.db             # a stored run's report and spans
     repro-eda db runs --db exp.db           # browse the experiment history
 
-Every command runs on the local machine.  ``table --jobs N`` fans the
-rows of tables 4.3, 4.4 and ``chapter4`` out over N pool workers, and
-``--shards N`` grades fault shards of those tables in parallel in rows
-that run in this process (a row inside a pool worker grades serially);
-with both at 1 everything runs in this process.  Neither changes any
-output byte; any other table exits 2 when given either.
+Every command runs on the local machine.  ``table --jobs N``, the one
+parallel option, fans the rows of tables 4.3, 4.4 and ``chapter4`` out
+over N worker processes; at 1 everything runs in this process.  It
+changes no output byte; any other table exits 2 when given it.
 ``table ID`` runs any entry of the artifact registry
 (:mod:`repro.experiments.artifacts`) at its one shipped configuration.
-Bad input -- an unknown benchmark or table id, an out-of-range count or
-time budget, a flag the chosen table does not use, a ``generate
---tree-height`` without ``--hold``, an output path that is a directory
-or lies in a missing one, or a database path that holds no experiment
-database -- fails fast with a one-line ``error:`` diagnostic and exit
-code 2 before any work.
+Bad input -- no command, an unknown option, a value of the wrong type,
+an unknown benchmark or table id, an out-of-range count or time budget,
+a flag the chosen table does not use, a ``generate --tree-height``
+without ``--hold``, an output path that is a directory or lies in a
+missing one, or a database path that holds no experiment database --
+fails fast with a one-line ``error:`` diagnostic and exit code 2 before
+any work.  ``--help`` prints usage and exits 0.
 
 Observability: ``generate`` and ``table`` accept ``--stats`` (print the
 run report: per-phase time breakdown, seeds tried/accepted, truncation
@@ -33,7 +32,7 @@ merges each worker's metrics back into one report.  A collecting run
 starts from an empty registry and leaves collection on or off as it
 found it, so a later command in the same process reports only itself.
 
-Resilience (see :mod:`repro.resilience`): tables 4.3, 4.4 and
+Failed rows (see :mod:`repro.experiments.runner`): tables 4.3, 4.4 and
 ``chapter4`` accept ``--timeout``, the per-row deadline.  A timed table
 runs its rows on worker processes even at ``--jobs 1``, so a row that
 overruns the deadline is killed, never cut short.  Every row runs once:
@@ -65,13 +64,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 
 #: Integer options and the least value each accepts, with what it counts.
 _INT_MINIMUMS = (
     ("jobs", 1, "a positive worker count"),
-    ("shards", 1, "a positive shard count"),
     ("length", 1, "a positive segment length"),
     ("max_faults", 1, "a positive fault count"),
     ("n", 1, "a positive path count"),
@@ -82,9 +80,9 @@ _INT_MINIMUMS = (
 
 #: ``table`` flags that only some artifacts take (``Artifact.flags``),
 #: each with its default, which asks nothing of any table.
-_ARTIFACT_FLAGS = {"jobs": 1, "shards": 1, "timeout": None}
+_ARTIFACT_FLAGS = {"jobs": 1, "timeout": None}
 
-#: The longest ``--timeout`` (s): the pool's watchdog waits in
+#: The longest ``--timeout`` (s): the runner's watchdog waits in
 #: ``multiprocessing.connection.wait``, which takes at most 2**31 - 1 ms.
 _MAX_TIMEOUT_S = (2**31 - 1) // 1000
 
@@ -173,11 +171,11 @@ def _recorder(db, run_id: int):
     A list/tuple outcome -- e.g. all Table 4.3 rows of one target --
     flattens to one database row per element, keyed ``<key>#<i>``, so
     the stored rows line up one-to-one with the rendered table's rows,
-    each with status ``ok``.  A :class:`repro.resilience.TaskFailure`
+    each with status ``ok``.  A :class:`repro.experiments.runner.TaskFailure`
     stores a ``failed`` row carrying its description.
     """
     from repro.expdb import payload_of
-    from repro.resilience import TaskFailure
+    from repro.experiments.runner import TaskFailure
 
     def record(index: int, key: str, outcome) -> None:
         if isinstance(outcome, TaskFailure):
@@ -203,8 +201,8 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, params, body)
     registry.  The run report prints after ``body``; the ``finally``
     stores the snapshot and its spans, finishes the run, closes the
     database, and last restores the enabled flag it found.  The run's
-    ``executor`` column records where tasks run, by the pool's own
-    rule (:func:`repro.resilience.pool.runs_inline`).
+    ``executor`` column records where tasks run, by the runner's own
+    rule (:func:`repro.experiments.runner.runs_inline`).
     """
     import time
 
@@ -228,10 +226,9 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, params, body)
     try:
         if db is not None:
             from repro.expdb import fingerprint_of
-            from repro.resilience.pool import runs_inline
+            from repro.experiments.runner import runs_inline
 
-            workers = max(getattr(args, "jobs", 1), args.shards)
-            inline = runs_inline(workers, getattr(args, "timeout", None))
+            inline = runs_inline(getattr(args, "jobs", 1), getattr(args, "timeout", None))
             run_id = db.begin_run(
                 kind,
                 label,
@@ -329,7 +326,6 @@ def _run_generate(args: argparse.Namespace, record) -> int:
         segment_length=args.length,
         time_limit=args.time_limit,
         rng_seed=args.seed,
-        grade_shards=args.shards,
     )
     swa_func = None
     if args.driver not in (None, "buffers"):  # buffers: no bound, as in Table 4.3
@@ -443,14 +439,7 @@ def _run_table(args: argparse.Namespace, record) -> int:
             print(f"row {i + 1} done: {task.key}", file=sys.stderr, flush=True)
 
     artifact = ARTIFACTS[args.table]
-    value = artifact.run(
-        Dispatch(
-            jobs=args.jobs,
-            progress=progress,
-            timeout=args.timeout,
-            shards=args.shards,
-        )
-    )
+    value = artifact.run(Dispatch(jobs=args.jobs, progress=progress, timeout=args.timeout))
     print(artifact.render(value))
     failed = failures(value)
     if failed:
@@ -640,9 +629,21 @@ def _db_trend(db, args: argparse.Namespace) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors are one ``error:`` line.
+
+    ``add_subparsers`` builds every subcommand parser from this class too.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        """Print ``error: <message>`` alone and exit 2, without the usage block."""
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-eda",
         description="Built-in generation of functional broadside tests "
         "(DATE 2011 reproduction)",
@@ -675,13 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_TREE_HEIGHT,
         help="binary-tree height for state-holding set selection (with --hold)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="fault shards graded in parallel per PPSFP pass "
-        "(results are identical for any value)",
     )
     p.add_argument(
         "--stats", action="store_true", help="print the observability run report"
@@ -731,14 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-row deadline; rows then run on worker processes even at "
         "--jobs 1, and a row that overruns it is killed and FAILED "
         "(tables 4.3, 4.4 and chapter4)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="fault shards graded in parallel per PPSFP pass; rows inside "
-        "--jobs pool workers grade serially (results are identical for any "
-        "value; tables 4.3, 4.4 and chapter4)",
     )
     p.add_argument(
         "--stats",
@@ -824,8 +810,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a one-line usage error (2)
+        return exc.code
     # The verbatim invocation, recorded on experiment-database runs.
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     problem = _check_args(args)

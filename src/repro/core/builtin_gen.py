@@ -103,11 +103,9 @@ class BuiltinGenConfig:
     (the random stream is rewound past speculatively drawn seeds), so
     ``lanes`` is purely a throughput knob.
 
-    ``grade_shards``/``grade_jobs`` likewise are pure throughput knobs:
-    with ``grade_shards > 1`` the grader partitions its fault frontier
-    and grades shards across the self-healing worker pool
-    (:class:`repro.faults.fsim.FaultGrader`), merging sets that are
-    exactly the serial ones -- results are identical for any value.
+    ``grade_shards`` must be 1: fault grading always runs in the calling
+    process (:class:`repro.faults.fsim.FaultGrader`), and
+    ``repro-eda table --jobs`` is the one way rows run in parallel.
     """
 
     segment_length: int = 300  # the paper's L
@@ -119,13 +117,16 @@ class BuiltinGenConfig:
     max_sequences: int = 200  # safety cap
     time_limit: float | None = None  # optional wall-clock cap (seconds)
     lanes: int | None = None  # max seeds per packed run (None = 64, 1 = scalar)
-    grade_shards: int = 1  # fault shards per PPSFP preview (1 = serial)
-    grade_jobs: int | None = None  # grading workers (default: one per shard)
+    # Always 1.  benchmarks/e2e still passes grade_shards=1; ROADMAP item
+    # 1 moves the benchmark onto the registry and then deletes the field.
+    grade_shards: int = 1
 
     def __post_init__(self) -> None:
-        """Reject lane caps one 64-bit packed word cannot carry, and ``h < 1``."""
+        """Reject lanes outside 1..64, ``h < 1`` and any ``grade_shards`` but 1."""
         if self.lanes is not None and not 1 <= self.lanes <= 64:
             raise ValueError(f"lanes must be in 1..64, got {self.lanes}")
+        if self.grade_shards != 1:
+            raise ValueError(f"grade_shards must be 1, got {self.grade_shards}")
         if self.hold_period_log2 < 1:
             raise ValueError(
                 "hold_period_log2 must be >= 1 so capture transitions are "
@@ -212,12 +213,7 @@ class BuiltinGenerator:
         self.swa_func = swa_func  # None = unconstrained ("buffers" column)
         self.pattern_bank = pattern_bank
         self.initial_state = tuple(initial_state or [0] * len(circuit.flops))
-        self.grader = FaultGrader(
-            circuit,
-            faults,
-            shards=self.config.grade_shards,
-            jobs=self.config.grade_jobs,
-        )
+        self.grader = FaultGrader(circuit, faults)
         self.rng = random.Random(self.config.rng_seed)
         self.chains = ScanChains.partition(circuit)
         self.stats = GenStats()
@@ -228,12 +224,7 @@ class BuiltinGenerator:
         with obs.span(
             "gen.run", circuit=self.circuit.name, holding=bool(hold_set)
         ):
-            try:
-                return self._run(hold_set)
-            finally:
-                # Release the shard workers (no-op for serial grading); a
-                # later run() or preview respawns them on demand.
-                self.grader.close()
+            return self._run(hold_set)
 
     def _run(self, hold_set: Sequence[str] | None) -> BuiltinGenResult:
         if hold_set and self.pattern_bank is not None:

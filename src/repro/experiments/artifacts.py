@@ -31,19 +31,18 @@ CheckFn = Callable[[Any], Iterable[str]]
 class Dispatch:
     """Where and how an artifact's rows run; no field changes a result.
 
-    The fields mirror ``repro-eda table``'s ``--jobs``, ``--timeout``
-    (the per-row deadline in seconds) and ``--shards``, plus the per-row
+    The fields mirror ``repro-eda table``'s ``--jobs`` and ``--timeout``
+    (the per-row deadline in seconds), plus the per-row
     ``progress(index, task, outcome)`` callback, which fires in task
     order as rows resolve and from which the CLI prints progress lines
     and records ``--db`` rows.  A row that overruns the deadline fails;
-    it never comes back shorter.  Entries that run no rows on the worker
-    pool ignore them.
+    it never comes back shorter.  Entries that run no rows on worker
+    processes ignore them.
     """
 
     jobs: int | None = None
     progress: Callable | None = None
     timeout: float | None = None
-    shards: int = 1
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ class Artifact:
 
 
 def failures(value: Any) -> list:
-    """The degraded rows (:class:`repro.resilience.TaskFailure`) of a run."""
-    from repro.resilience import TaskFailure
+    """The degraded rows (:class:`repro.experiments.runner.TaskFailure`) of a run."""
+    from repro.experiments.runner import TaskFailure
 
     if isinstance(value, TaskFailure):
         return [value]
@@ -252,7 +251,7 @@ def _chapter4(
     base = run_table_4_3(
         targets=targets,
         drivers=drivers,
-        config=BuiltinGenConfig(**config, grade_shards=dispatch.shards),
+        config=BuiltinGenConfig(**config),
         n_sequences=n_sequences,
         func_length=func_length,
         **per_row,
@@ -263,7 +262,7 @@ def _chapter4(
         base,
         fc_threshold=fc_threshold,
         tree_height=tree_height,
-        config=BuiltinGenConfig(**holding_config, grade_shards=dispatch.shards),
+        config=BuiltinGenConfig(**holding_config),
         **per_row,
     )
     return base, held
@@ -337,9 +336,8 @@ _CH4_CLI = {
     "func_length": 120,
 }
 
-#: The dispatch flags of the entries that grade faults and run their rows
-#: on the worker pool.
-_POOLED = frozenset({"jobs", "shards", "timeout"})
+#: The dispatch flags of the entries that run their rows on worker processes.
+_POOLED = frozenset({"jobs", "timeout"})
 
 # ---------------------------------------------------------------------------
 # Figures

@@ -28,10 +28,9 @@ from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator, BuiltinGe
 from repro.core.embedded import compose, estimate_swa_func
 from repro.core.state_holding import HoldingRunResult, run_with_state_holding
 from repro.experiments.format import failure_row, render
-from repro.experiments.runner import ExperimentTask, run_tasks
+from repro.experiments.runner import ExperimentTask, TaskFailure, run_tasks
 from repro.faults.collapse import collapsed_transition_faults
 from repro.logic.simulator import simulate_sequence
-from repro.resilience.pool import TaskFailure
 
 
 def collapsed_faults(circuit: Circuit):
@@ -179,7 +178,7 @@ def _table_4_3_target(
     n_sequences: int,
     func_length: int,
 ) -> list[Table43Case]:
-    """All Table 4.3 rows of one target circuit (one process-pool task).
+    """All Table 4.3 rows of one target circuit (one runner task).
 
     Module-level so a :class:`repro.experiments.runner.ExperimentTask` can
     pickle it; takes the circuit *name* and loads/compiles its own copy.
@@ -232,15 +231,15 @@ def run_table_4_3(
 ) -> list[Table43Case | TaskFailure]:
     """Run Table 4.3: per target, ``buffers`` + highest/lowest-SWA drivers.
 
-    ``jobs > 1`` fans the per-target work across the self-healing worker
-    pool; every target builds its own generator and RNG stream, so the
+    ``jobs > 1`` fans the per-target work out over worker processes
+    (:func:`repro.experiments.runner.run_tasks`); every target builds its own generator and RNG stream, so the
     returned cases are identical for any ``jobs`` value (same order,
     same contents), and a target's rows do not depend on which other
     targets run beside it.
     ``timeout_s`` is every target's deadline, passed to
     :func:`repro.experiments.runner.run_tasks` unchanged; a target that
     raises, crashes its worker or overruns the deadline comes back as a
-    :class:`repro.resilience.pool.TaskFailure` in its slot instead of
+    :class:`repro.experiments.runner.TaskFailure` in its slot instead of
     aborting the campaign.  ``progress`` is forwarded to
     :func:`repro.experiments.runner.run_tasks` and fires once per
     resolved target, in target order, with that target's rows (or its
@@ -336,7 +335,7 @@ class Table44Case:
 def _table_4_4_case(
     case: Table43Case, tree_height: int, config: BuiltinGenConfig
 ) -> Table44Case:
-    """The Table 4.4 holding pass for one base case (one pool task)."""
+    """The Table 4.4 holding pass for one base case (one runner task)."""
     target = get_circuit(case.target)
     faults = collapsed_faults(target)
     fr = [f for f in faults if f not in case.result.detected]

@@ -19,15 +19,6 @@ packed Fig 4.9 run need no packing or evaluation at all: their good
 frames are sliced out of the frames the run already evaluated
 (:class:`repro.logic.bitsim.LaneTests`).
 
-Fault-parallel grading: :class:`FaultGrader` optionally partitions its
-undetected-fault frontier into contiguous *shards* and grades them on a
-persistent :class:`repro.resilience.pool.SelfHealingPool` of worker
-processes.  Per-shard obs snapshots merge back into the parent
-registry, and a shard whose worker crashed or raised is re-graded
-inline.  Shards partition the fault list, so the
-merged detection sets are *exactly* the serial sets for any shard and
-worker count; sharding is purely a wall-clock knob.
-
 The module also provides test-set compaction over *seed groups* -- the
 reverse-order / forward-looking pass of [89] used by Chapter 4 to reduce
 the number of selected LFSR seeds.
@@ -35,21 +26,15 @@ the number of selected LFSR seeds.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro import obs
 from repro.circuits.netlist import Circuit
 from repro.core.compiled import CompiledCircuit, compile_circuit
 from repro.faults.models import StuckAtFault, TransitionFault
 from repro.logic.bitsim import LaneTests, lane_test_frames, pack_columns_indexed
 from repro.logic.patterns import BroadsideTest, Pattern
 from repro.obs import OBS
-
-#: Below this many frontier faults per shard, sharded grading falls back
-#: to the serial path: the PPSFP pass is too small for dispatch to pay.
-MIN_FAULTS_PER_SHARD = 16
 
 
 def _value_word(word: int, value: int, mask: int) -> int:
@@ -198,28 +183,8 @@ class TransitionFaultSimulator:
 
 
 # ---------------------------------------------------------------------------
-# Fault-sharded grading (parallel PPSFP over the frontier)
+# Incremental grading with fault dropping
 # ---------------------------------------------------------------------------
-
-
-def partition_shards(items: Sequence, shards: int) -> list[list]:
-    """Split ``items`` into up to ``shards`` contiguous, order-preserving runs.
-
-    Sizes differ by at most one (remainder spread over the leading
-    shards); empty runs are never produced.  Deterministic, so a sharded
-    grading pass always partitions a given frontier the same way.
-    """
-    items = list(items)
-    n = len(items)
-    shards = max(1, min(int(shards), n)) if n else 1
-    base, extra = divmod(n, shards)
-    out: list[list] = []
-    start = 0
-    for i in range(shards):
-        size = base + (1 if i < extra else 0)
-        out.append(items[start : start + size])
-        start += size
-    return [s for s in out if s]
 
 
 def _group_masks(group_sizes: Iterable[int]) -> list[int]:
@@ -238,8 +203,7 @@ def _split_groups(
     """Split per-fault detection words into per-group sets by bit mask.
 
     A fault lands in group ``k``'s set iff one of the tests whose bits
-    ``group_masks[k]`` holds detects it.  Shared by the serial grouped
-    paths and the shard workers, so all split identically.
+    ``group_masks[k]`` holds detects it.
     """
     out: list[set[TransitionFault]] = [set() for _ in group_masks]
     for fault, word in words.items():
@@ -251,38 +215,6 @@ def _split_groups(
     return out
 
 
-#: Worker-process memo: one simulator per netlist text, persistent across
-#: shard tasks (the pool keeps workers alive between PPSFP passes).
-_WORKER_SIMULATORS: dict[tuple[str, str], TransitionFaultSimulator] = {}
-
-
-def _grade_shard(
-    bench_text: str,
-    circuit_name: str,
-    tests: Sequence[BroadsideTest],
-    faults: Sequence[TransitionFault],
-    group_sizes: Sequence[int],
-) -> list[set[TransitionFault]]:
-    """One shard's PPSFP pass (runs inside a pool worker).
-
-    Rebuilds the circuit from its ``.bench`` text on first use and memoizes
-    the simulator for the worker's lifetime.  Detection sets are
-    named by line, so they are identical to the parent grading the same
-    shard regardless of the rebuilt netlist's internal schedule order.
-    """
-    memo_key = (circuit_name, bench_text)
-    sim = _WORKER_SIMULATORS.get(memo_key)
-    if sim is None:
-        from repro.circuits import bench
-
-        sim = TransitionFaultSimulator(bench.loads(bench_text, name=circuit_name))
-        _WORKER_SIMULATORS.clear()  # one netlist per worker is the norm
-        _WORKER_SIMULATORS[memo_key] = sim
-    if len(group_sizes) == 1:
-        return [sim.detected_faults(tests, faults)]
-    return _split_groups(sim.detection_words(tests, faults), _group_masks(group_sizes))
-
-
 class FaultGrader:
     """Incremental transition-fault grading with fault dropping.
 
@@ -291,64 +223,23 @@ class FaultGrader:
     keeps the undetected-fault frontier so each query only simulates
     remaining faults.
 
-    With ``shards > 1`` each preview partitions the frontier into
-    contiguous shards (:func:`partition_shards`) and grades them on a
-    lazily created, persistent
-    :class:`repro.resilience.pool.SelfHealingPool` of up to ``jobs``
-    self-healing workers.  The merged sets are exactly the serial sets,
-    so callers cannot observe the difference except in wall-clock.  Call
-    :meth:`close` (or use the grader as a context manager) when a
-    long-lived grader with ``shards > 1`` is done.  Grading stays serial
-    when it would get fewer than two workers (``min(jobs, shards) <= 1``),
-    for tiny frontiers (< ``MIN_FAULTS_PER_SHARD`` per shard), and inside
-    daemonic pool workers (which cannot spawn children).
+    The frontier is a few hundred collapsed faults at most at every
+    shipped configuration (32 for s27, 250 for s298, 338 for s344), so
+    every preview grades it in this process; ``repro-eda table --jobs``
+    parallelizes whole rows instead.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        faults: Sequence[TransitionFault],
-        shards: int = 1,
-        jobs: int | None = None,
-    ):
-        """Grade ``faults`` on ``circuit``, optionally across ``shards``.
-
-        ``jobs`` caps the shard pool's worker count (default: one per
-        shard).
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+    def __init__(self, circuit: Circuit, faults: Sequence[TransitionFault]):
+        """Grade ``faults`` on ``circuit``."""
         self.simulator = TransitionFaultSimulator(circuit)
         self.all_faults = list(faults)
         self.remaining: list[TransitionFault] = list(faults)
         self.detected: set[TransitionFault] = set()
-        self.shards = int(shards)
-        self.jobs = int(jobs) if jobs is not None else self.shards
-        self._pool = None  # lazily created shard pool
-        self._bench_text: str | None = None
-
-    def __enter__(self) -> "FaultGrader":
-        """Context-manager entry; :meth:`close` runs on exit."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Close the shard pool on context exit."""
-        self.close()
-
-    def close(self) -> None:
-        """Shut down the shard pool, if one was ever started."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def preview(self, tests: Sequence[BroadsideTest]) -> set[TransitionFault]:
         """Faults the tests would newly detect, *without* dropping them."""
         if not tests or not self.remaining:
             return set()
-        if self._use_shards():
-            return self._preview_sharded([list(tests)])[0]
         return self.simulator.detected_faults(tests, self.remaining)
 
     def preview_groups(
@@ -366,15 +257,12 @@ class FaultGrader:
         :class:`~repro.logic.bitsim.LaneTests` view -- the loop's case,
         all views of one packed run -- that frame set is sliced out of the
         run's own frames: no test is materialised, packed or evaluated
-        again (sharded grading alone materialises them).  Each
-        returned set equals ``preview(list(test_groups[k]))`` exactly --
+        again.  Each returned set equals ``preview(list(test_groups[k]))`` exactly --
         grading is against the current ``remaining`` frontier with no
         dropping between groups.
         """
         if not self.remaining or not any(map(len, test_groups)):
             return [set() for _ in test_groups]
-        if self._use_shards():
-            return self._preview_sharded([list(g) for g in test_groups])
         if all(isinstance(g, LaneTests) for g in test_groups):
             words, masks = self.simulator.lane_detection_words(test_groups, self.remaining)
         else:
@@ -401,94 +289,6 @@ class FaultGrader:
         if not self.all_faults:
             return 0.0
         return 100.0 * len(self.detected) / len(self.all_faults)
-
-    # -- sharded path ----------------------------------------------------
-    def _use_shards(self) -> bool:
-        """Whether the next preview should fan out over the shard pool."""
-        if min(self.jobs, self.shards) <= 1:
-            return False
-        if len(self.remaining) < self.shards * MIN_FAULTS_PER_SHARD:
-            if OBS.enabled:
-                OBS.count("fsim.shard.small_frontier_fallbacks")
-            return False
-        if mp.current_process().daemon:
-            # A pool worker cannot spawn its own children (e.g. a sharded
-            # grader inside a `table --jobs N` row): grade serially.
-            if OBS.enabled:
-                OBS.count("fsim.shard.daemon_fallbacks")
-            return False
-        return True
-
-    def _netlist_text(self) -> str:
-        """The target's ``.bench`` text, serialized once per grader."""
-        if self._bench_text is None:
-            from repro.circuits import bench
-
-            self._bench_text = bench.dumps(self.simulator.circuit)
-        return self._bench_text
-
-    def _preview_sharded(
-        self, groups: Sequence[Sequence[BroadsideTest]]
-    ) -> list[set[TransitionFault]]:
-        """Fan one grouped preview out over fault shards and merge.
-
-        Shards partition the frontier, so each fault's detection sets come
-        from exactly one shard and the merge is a disjoint union -- the
-        result equals the serial grouped preview for any shard count.  A
-        shard that failed on its worker (:class:`repro.resilience.pool.
-        TaskFailure`) is re-graded inline, so a pathological worker
-        environment degrades to serial speed, never to wrong results.
-        """
-        from repro.resilience.pool import ExperimentTask, SelfHealingPool, TaskFailure
-
-        flat = [t for g in groups for t in g]
-        group_sizes = [len(g) for g in groups]
-        shards = partition_shards(self.remaining, self.shards)
-        text = self._netlist_text()
-        name = self.simulator.circuit.name
-        tasks = [
-            ExperimentTask(
-                key=f"fsim.shard/{i}",
-                fn=_grade_shard,
-                kwargs={
-                    "bench_text": text,
-                    "circuit_name": name,
-                    "tests": flat,
-                    "faults": shard,
-                    "group_sizes": group_sizes,
-                },
-            )
-            for i, shard in enumerate(shards)
-        ]
-        if self._pool is None:
-            self._pool = SelfHealingPool(
-                n_workers=min(self.jobs, self.shards), collect=OBS.enabled
-            )
-
-        def on_complete(index: int, outcome: Any, snapshot: dict | None) -> None:
-            """Merge a finished shard's worker metrics into the parent."""
-            if snapshot is not None and OBS.enabled:
-                obs.merge(snapshot, task=tasks[index].key)
-
-        outcomes = self._pool.run(tasks, on_complete)
-        if OBS.enabled:
-            OBS.count("fsim.shard.passes")
-            OBS.count("fsim.shard.tasks", len(tasks))
-            for shard in shards:
-                OBS.observe("fsim.shard.faults_per_shard", len(shard))
-        out: list[set[TransitionFault]] = [set() for _ in groups]
-        for i, shard in enumerate(shards):
-            result = outcomes[i]
-            if result is None or isinstance(result, TaskFailure):
-                # The shard failed on its worker: grade it in-process.
-                if OBS.enabled:
-                    OBS.count("fsim.shard.inline_recoveries")
-                result = _split_groups(
-                    self.simulator.detection_words(flat, shard), _group_masks(group_sizes)
-                )
-            for k, group_set in enumerate(result):
-                out[k] |= group_set
-        return out
 
 
 # ---------------------------------------------------------------------------

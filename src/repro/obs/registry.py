@@ -4,10 +4,10 @@ The registry is the passive half of the observability subsystem
 (:mod:`repro.obs`): a plain in-process store that instrumented code writes
 into and the run-report formatter (:mod:`repro.obs.report`) reads out of.
 Everything is standard-library only and JSON-serializable, because
-registries cross process boundaries: each worker of the self-healing
-pool (:mod:`repro.resilience.pool`) serializes its registry with
-:meth:`MetricsRegistry.snapshot` and the parent folds it back in with
-:meth:`MetricsRegistry.merge`.
+registries cross process boundaries: each worker process of the
+experiment runner (:mod:`repro.experiments.runner`) serializes its
+registry with :meth:`MetricsRegistry.snapshot` and the parent folds it
+back in with :meth:`MetricsRegistry.merge`.
 
 Cost model (the <2% overhead budget ``benchmarks/obs_overhead.py`` measures):
 
@@ -237,7 +237,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """JSON-serializable dump of everything recorded so far.
 
-        The shape crossing the process-pool boundary: plain dicts and
+        The shape crossing the process boundary: plain dicts and
         lists, no repro types, so any pickle/json transport works.
         """
         return {

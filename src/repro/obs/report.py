@@ -18,12 +18,11 @@ possibly merged from many worker processes) into the report printed by
   curated layout does not know about, so new counters surface without a
   formatter change.
 
-The "experiment runner" section also carries the resilience story of a
-campaign (:mod:`repro.resilience`): ``runner.timeouts``,
+The "experiment runner" section also carries the failure story of a
+campaign (:mod:`repro.experiments.runner`): ``runner.timeouts``,
 ``runner.worker_crashes`` / ``runner.worker_respawns`` and
 ``runner.task_failures`` land there by prefix, next to
-``runner.tasks_completed``.  The "sharded grading"
-section (``fsim.shard.*``) carries the fault-parallel grading story.
+``runner.tasks_completed``.
 
 The formatter is read-only and stdlib-only; golden-string tests pin the
 layout (``tests/test_obs.py``).
@@ -40,7 +39,6 @@ from repro.obs.registry import Histogram, MetricsRegistry
 SECTIONS: tuple[tuple[str, str], ...] = (
     ("generation (Fig 4.9 construction)", "gen."),
     ("fault grading (PPSFP)", "fsim."),
-    ("sharded grading", "fsim.shard."),
     ("compiled circuit IR", "compile."),
     ("packed word kernel", "bitsim."),
     ("test pattern generation", "tpg."),

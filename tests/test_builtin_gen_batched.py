@@ -103,3 +103,8 @@ class TestBatchPolicy:
     def test_lanes_outside_one_word_rejected(self, lanes):
         with pytest.raises(ValueError, match="lanes must be in 1..64"):
             BuiltinGenConfig(lanes=lanes)
+
+    def test_sharded_grading_rejected(self):
+        """Fault grading runs in the calling process; only ``--jobs`` is parallel."""
+        with pytest.raises(ValueError, match="grade_shards must be 1, got 2"):
+            BuiltinGenConfig(grade_shards=2)

@@ -1,5 +1,6 @@
 """Tests for the repro-eda command-line interface."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -17,6 +18,20 @@ REPO = Path(__file__).resolve().parent.parent
 _TABLE_4_3_TARGET = tables4._table_4_3_target
 
 
+def _invalid_choice(dest, value, choices):
+    """Argparse's own invalid-choice message: Python versions quote choices differently."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument(dest, choices=choices)
+    try:
+        probe.parse_args([value])
+    except argparse.ArgumentError as exc:
+        return str(exc)
+    raise AssertionError(f"{value!r} is a valid choice")
+
+
+_DB_ACTIONS = ("runs", "show", "query", "trend", "gate")
+
+
 def _s298_exits(target_name, **kwargs):
     """``_table_4_3_target``, except that the worker running s298 dies."""
     if target_name == "s298":
@@ -25,6 +40,13 @@ def _s298_exits(target_name, **kwargs):
 
 
 class TestParser:
+    @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]], ids=["top", "table"])
+    def test_help_prints_usage_and_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: repro-eda")
+        assert captured.err == ""
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -127,11 +149,11 @@ class TestCommands:
         [
             (["table", "4.3", "--jobs", "0"], "jobs must be a positive worker count, got 0"),
             (["table", "4.3", "--jobs", "-7"], "jobs must be a positive worker count, got -7"),
-            (["table", "4.3", "--shards", "0"], "shards must be a positive shard count, got 0"),
-            (
-                ["generate", "s27", "--shards", "-1"],
-                "shards must be a positive shard count, got -1",
-            ),
+            (["table", "4.3", "--shards", "0"], "unrecognized arguments: --shards 0"),
+            (["generate", "s27", "--shards", "-1"], "unrecognized arguments: --shards -1"),
+            (["table", "4.3", "--jobs", "two"], "argument --jobs: invalid int value: 'two'"),
+            (["db", "frob"], _invalid_choice("action", "frob", _DB_ACTIONS)),
+            ([], "the following arguments are required: command"),
             (
                 ["table", "4.3", "--timeout", "-1"],
                 "timeout must be a positive number of seconds, got -1.0",
@@ -181,9 +203,9 @@ class TestCommands:
                     ("3.1", "timeout", "0.01", "tables 4.3, 4.4, chapter4"),
                     ("2.1", "timeout", "5", "tables 4.3, 4.4, chapter4"),
                     ("3.1", "jobs", "2", "tables 4.3, 4.4, chapter4"),
-                    ("3.1", "shards", "2", "tables 4.3, 4.4, chapter4"),
                 )
             ),
+            (["table", "3.1", "--shards", "2"], "unrecognized arguments: --shards 2"),
             (
                 ["generate", "s27", "--hold", "--tree-height", "-1"],
                 "tree-height must be a non-negative tree height, got -1",
@@ -203,6 +225,7 @@ class TestCommands:
         ],
         ids=[
             "table-jobs0", "table-jobs-7", "table-shards0", "generate-shards-1",
+            "table-jobs-two", "db-frob", "no-command",
             "table-timeout-1", "table-timeout0", "table-timeout-inf",
             "table-timeout-3e6",
             "generate-length0", "generate-length-5", "generate-time-limit-1",
@@ -329,7 +352,11 @@ class TestObservabilityCommands:
 
 class TestStandardLibraryOnly:
     def test_table_4_3_runs_on_the_standard_library_alone(self):
-        """The shipped Table 4.3 imports nothing outside the standard library."""
+        """The shipped Table 4.3 imports nothing outside the standard library.
+
+        Run inline, it imports neither ``multiprocessing`` (no worker is
+        started) nor ``sqlite3`` (no ``--db``) either.
+        """
         code = textwrap.dedent(
             """
             import sys
@@ -338,6 +365,8 @@ class TestStandardLibraryOnly:
                 @staticmethod
                 def find_spec(name, path=None, target=None):
                     top = name.partition(".")[0]
+                    if top in ("multiprocessing", "sqlite3"):
+                        raise ImportError(f"an inline table 4.3 imported {name}")
                     if top != "repro" and top not in sys.stdlib_module_names:
                         raise ImportError(f"{name} is not in the standard library")
                     return None

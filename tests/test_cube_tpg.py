@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bist import cube as cube_module
 from repro.bist.cube import InputCube, compute_input_cube, synchronization_count
 from repro.bist.tpg import DevelopedTpg, ReferenceTpg
 from repro.circuits.benchmarks import get_circuit
@@ -42,6 +43,24 @@ class TestCube:
         # d=0 forces d0 (one next-state var) to 0; d=1 leaves it unknown,
         # so the cube biases d toward 1.
         assert cube.value_of(1) == 1
+
+    def test_cube_is_computed_once_per_netlist_version(self, monkeypatch):
+        """A second TPG reuses the circuit's cube; a netlist edit recomputes it."""
+        calls = []
+
+        def counting(circuit, pi_name, value):
+            calls.append((pi_name, value))
+            return synchronization_count(circuit, pi_name, value)
+
+        monkeypatch.setattr(cube_module, "synchronization_count", counting)
+        c = sync_circuit()
+        first = DevelopedTpg.for_circuit(c)
+        assert len(calls) == 4  # two inputs, each assigned 0 and 1
+        assert DevelopedTpg.for_circuit(c).cube is first.cube
+        assert len(calls) == 4
+        c.add_input("e")
+        assert DevelopedTpg.for_circuit(c).cube.values == (0, 1, X)
+        assert len(calls) == 10
 
     def test_n_specified(self):
         assert InputCube(values=(0, 1, X, X)).n_specified == 2

@@ -1,11 +1,11 @@
 """Placement conformance suite: inline and pooled tasks honor one contract.
 
 Parametrized over ``jobs`` in (1, 2) -- tasks in the calling process and
-on the self-healing worker pool -- these tests pin the contract that
-makes ``--jobs`` and ``--shards`` pure wall-clock knobs:
+on worker processes -- these tests pin the contract that makes
+``--jobs``, the one parallel option, a pure wall-clock knob:
 
-* :meth:`repro.resilience.pool.SelfHealingPool.run` returns results in
-  task order no matter which order tasks finish in;
+* :func:`repro.experiments.runner.run_tasks` returns results in task
+  order no matter which order tasks finish in;
 * every task runs once: a task that raises, or whose worker dies,
   degrades to a typed :class:`TaskFailure` row instead of raising, while
   the other rows complete;
@@ -20,8 +20,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.experiments.runner import ExperimentTask, run_tasks
-from repro.resilience.pool import SelfHealingPool, TaskFailure
+from repro.experiments.runner import ExperimentTask, TaskFailure, run_tasks
 
 #: ``jobs`` of each placement: in the calling process, then on the pool.
 PLACEMENTS = pytest.mark.parametrize("jobs", (1, 2), ids=("inprocess", "pool"))
@@ -45,6 +44,12 @@ def _sleepy(i, delay):
     return i
 
 
+def _sleepy_finish(i, delay):
+    """``_sleepy`` that also returns when it finished (a system-wide clock)."""
+    time.sleep(delay)
+    return i, time.monotonic()
+
+
 def _square_but_1_raises(x):
     if x == 1:
         raise ValueError("no square for 1")
@@ -65,23 +70,20 @@ class TestOrdering:
     @PLACEMENTS
     def test_results_in_submission_order(self, jobs):
         # The first task is the slowest: with 2 workers it finishes
-        # last, so completion order inverts task order.
-        delays = (0.3, 0.0, 0.05, 0.0)
+        # after the other three, which one worker runs in about 0.05 s.
+        delays = (0.5, 0.0, 0.05, 0.0)
         tasks = [
-            ExperimentTask(key=f"slp/{i}", fn=_sleepy, kwargs={"i": i, "delay": d})
+            ExperimentTask(key=f"slp/{i}", fn=_sleepy_finish, kwargs={"i": i, "delay": d})
             for i, d in enumerate(delays)
         ]
-        completion_slots = []
-
-        def on_complete(slot, outcome, snapshot):
-            completion_slots.append(slot)
-
-        with SelfHealingPool(n_workers=jobs) as pool:
-            results = pool.run(tasks, on_complete)
-        assert results == [0, 1, 2, 3]
-        assert sorted(completion_slots) == [0, 1, 2, 3]
+        results = run_tasks(tasks, jobs=jobs)
+        assert [i for i, _ in results] == [0, 1, 2, 3]
+        finished = [t for _, t in results]
         if jobs > 1:
-            assert completion_slots != [0, 1, 2, 3]
+            # The slow first task finished last, yet came back first.
+            assert finished[0] == max(finished)
+        else:
+            assert finished == sorted(finished)
 
 
 class TestDegradation:

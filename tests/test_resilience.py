@@ -1,7 +1,7 @@
-"""Unit tests for the resilience layer: failure records, campaign fingerprints."""
+"""Unit tests for failed-row records and campaign fingerprints."""
 
 from repro.expdb.store import fingerprint_of
-from repro.resilience.pool import TaskFailure
+from repro.experiments.runner import TaskFailure
 
 
 class TestTaskFailure:

@@ -9,8 +9,8 @@ retry.
 
 from repro.core.builtin_gen import BuiltinGenConfig
 from repro.experiments import tables4
+from repro.experiments.runner import TaskFailure
 from repro.experiments.tables4 import render_table_4_3, run_table_4_3
-from repro.resilience.pool import TaskFailure
 
 TINY_43 = dict(
     targets=("s27", "s298"),
