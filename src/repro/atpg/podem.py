@@ -12,10 +12,12 @@ model (usually the two-frame model of :mod:`repro.atpg.unroll`), under
 
 The decision variables are model inputs only; all internal values follow
 by fault-free/faulty forward simulation, which keeps the search sound and
-complete over the input space.  Outcomes are ``DETECTED`` (with the input
-cube), ``UNDETECTABLE`` (search space exhausted) or ``ABORTED``
-(backtrack limit, the paper's "backtracking limit during test generation
-for transition faults").
+complete over the input space.  Both frames run on the compiled scalar
+kernel (:meth:`repro.core.compiled.CompiledCircuit.eval_scalar`), with
+:mod:`repro.logic.reference` as their oracle.  Outcomes are
+``DETECTED`` (with the input cube), ``UNDETECTABLE`` (search space
+exhausted) or ``ABORTED`` (backtrack limit, the paper's "backtracking
+limit during test generation for transition faults").
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.circuits.gates import GateType, controlling_value, evaluate
+from repro.circuits.gates import GateType, controlling_value
 from repro.circuits.netlist import Circuit
+from repro.core.compiled import compile_circuit
 from repro.faults.models import StuckAtFault
 from repro.logic.values import X, ZERO, is_binary
 
@@ -53,25 +56,21 @@ def simulate_good_faulty(
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Three-valued good/faulty simulation with the fault site forced.
 
-    Both valuations are computed in one topological pass; the faulty
-    circuit has ``fault.line`` forced to ``fault.value`` everywhere.
+    Unassigned inputs are X; an assignment to a line that is not a model
+    input raises :class:`ValueError`, as in
+    :func:`repro.logic.simulator.simulate_comb`.  The faulty frame is a
+    copy of the good one with ``fault.line`` forced to ``fault.value``,
+    re-evaluated from the schedule position after the site.
     """
-    good: dict[str, int] = {}
-    faulty: dict[str, int] = {}
-    for line in circuit.comb_input_lines:
-        v = assignments.get(line, X)
-        good[line] = v
-        faulty[line] = fault.value if line == fault.line else v
-    for gate in circuit.topo_gates:
-        g = evaluate(gate.gate_type, [good[i] for i in gate.inputs])
-        good[gate.name] = g
-        if gate.name == fault.line:
-            faulty[gate.name] = fault.value
-        else:
-            faulty[gate.name] = evaluate(
-                gate.gate_type, [faulty[i] for i in gate.inputs]
-            )
-    return good, faulty
+    compiled = compile_circuit(circuit)
+    good = compiled.x_frame()
+    compiled.load_inputs(good, assignments)
+    compiled.eval_scalar(good)
+    faulty = list(good)
+    site = compiled.index[fault.line]
+    faulty[site] = fault.value
+    compiled.eval_scalar(faulty, max(0, site - compiled.n_sources + 1))
+    return compiled.as_dict(good), compiled.as_dict(faulty)
 
 
 def fault_effect_at(good: Mapping[str, int], faulty: Mapping[str, int], line: str) -> bool:

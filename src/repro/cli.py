@@ -198,11 +198,12 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, params, body)
     fingerprint of ``params`` and hands ``body`` a :func:`_recorder`
     callback; without it ``record`` is ``None`` and the database is never
     imported.  ``--stats`` and ``--db`` collect metrics from an empty
-    registry.  The run report prints after ``body``; the ``finally``
-    stores the snapshot and its spans, finishes the run, closes the
-    database, and last restores the enabled flag it found.  The run's
-    ``executor`` column records where tasks run, by the runner's own
-    rule (:func:`repro.experiments.runner.runs_inline`).
+    registry, under a root ``run`` span around ``body``.  The run report
+    prints after ``body``; the ``finally`` stores the snapshot and its
+    spans, finishes the run, closes the database, and last restores the
+    enabled flag it found.  The run's ``executor`` column records where
+    tasks run, by the runner's own rule
+    (:func:`repro.experiments.runner.runs_inline`).
     """
     import time
 
@@ -237,7 +238,8 @@ def _run_campaign(args: argparse.Namespace, kind: str, label: str, params, body)
                 argv=args.argv,
             )
             record = _recorder(db, run_id)
-        code = body(args, record)
+        with obs.span("run", kind=kind, label=label):
+            code = body(args, record)
         if args.stats:
             print()
             print(obs.render_report(obs.registry()))

@@ -1,9 +1,10 @@
 """Compiled circuit IR: one integer-indexed evaluation core for every simulator.
 
-Every hot path in this reproduction -- scalar three-valued simulation, the
-PPSFP bit-parallel simulator, transition-fault grading, switching-activity
-accounting, and the Chapter-4 built-in-generation loop -- evaluates the
-same combinational core millions of times.  Walking ``Circuit.topo_gates``
+Every hot path in this reproduction -- scalar three-valued simulation,
+PODEM's good/faulty frames, STA case analysis, the PPSFP bit-parallel
+simulator, transition-fault grading, switching-activity accounting, and
+the Chapter-4 built-in-generation loop -- evaluates the same
+combinational core millions of times.  Walking ``Circuit.topo_gates``
 with string-keyed dict lookups per gate per cycle dominates the cost of the
 Tables 4.1-4.4 experiments, so this module lowers a :class:`Circuit` once
 into flat integer-indexed structures that all simulators share:
@@ -33,6 +34,8 @@ Layering::
 
     Circuit  --compile_circuit-->  CompiledCircuit
                                        |-- repro.logic.simulator   (scalar 0/1/X)
+                                       |-- repro.atpg.podem        (good/faulty frames)
+                                       |-- repro.sta.engine        (case analysis)
                                        |-- repro.logic.bitsim      (bit-parallel words)
                                        |-- repro.faults.fsim       (PPSFP fault grading)
                                        |-- repro.atpg.implication  (event-driven implication)
@@ -211,42 +214,36 @@ class CompiledCircuit:
         """Dict view of a valuation array (the pre-refactor return shape)."""
         return dict(zip(self.names, values))
 
-    def load_inputs(
-        self,
-        values: list[int],
-        input_values: Mapping[str, int],
-        partial: bool = False,
-    ) -> None:
+    def load_inputs(self, values: list[int], input_values: Mapping[str, int]) -> None:
         """Assign named input/state values into a valuation array.
 
         Raises :class:`ValueError` when a key is not a primary-input or
-        present-state line name unless ``partial`` is true, in which case
-        unknown keys are ignored (the escape hatch ATPG's time-frame models
-        use for assignments that mix frame-local names).
+        present-state line name, so a misdirected value never reads as X.
         """
         index = self.index
         n_sources = self.n_sources
         for name, v in input_values.items():
             idx = index.get(name)
-            if idx is not None and idx < n_sources:
-                values[idx] = v
-            elif not partial:
+            if idx is None or idx >= n_sources:
                 raise ValueError(
                     f"{self.circuit.name}: {name!r} is not a primary input or "
-                    "present-state line (pass partial=True to ignore unknown keys)"
+                    "present-state line"
                 )
+            values[idx] = v
 
     # ------------------------------------------------------------------
     # Evaluation kernels
     # ------------------------------------------------------------------
-    def eval_scalar(self, values: list[int]) -> list[int]:
+    def eval_scalar(self, values: list[int], start: int = 0) -> list[int]:
         """Three-valued (0/1/X) evaluation of the schedule, in place.
 
         ``values`` must hold the source-line values in its first
-        ``n_sources`` slots; every gate slot is overwritten.  Returns
+        ``n_sources`` slots; every gate slot from schedule position
+        ``start`` on is overwritten (no gate reads a later one).  Returns
         ``values`` for chaining.
         """
-        for out, family, inv, fis in self._schedule:
+        schedule = self._schedule[start:] if start else self._schedule
+        for out, family, inv, fis in schedule:
             if family == _FAM_AND:
                 r = 1
                 for f in fis:

@@ -102,7 +102,7 @@ def generate_report() -> str:
         "output.  See `docs/CLI.md` for every flag, and `docs/ARCHITECTURE.md`",
         "(*Experiment database*) for recording runs and gating the benchmark history.",
         "Regenerate this file with `python -m repro.experiments.report`",
-        "(about a minute).",
+        "(about 20-30 s).",
         "",
     ]
 
@@ -128,7 +128,7 @@ def generate_report() -> str:
         "",
     ] + _runbook(
         ["2.1", "2.2"],
-        "about 12 s (2.1) / 22 s (2.2)",
+        "about 2.5 s (2.1) / 5.5 s (2.2)",
         "Columns: faults classified, then Det./Undet./Abr. counts per circuit;"
         " Det. + Undet. + Abr. always sums to the fault count.",
     )
@@ -149,7 +149,7 @@ def generate_report() -> str:
         "",
     ] + _runbook(
         ["2.3", "2.4"],
-        "about 10 s (2.3) / 23 s (2.4), each the run of Table 2.1 / 2.2",
+        "about 2.5 s (2.3) / 5.5 s (2.4), each the run of Table 2.1 / 2.2",
         "One column per sub-procedure; a fault is credited to the first"
         " sub-procedure that detects it, so rows sum to the detected count.",
     )
@@ -166,7 +166,7 @@ def generate_report() -> str:
         "",
     ] + _runbook(
         ["2.5", "2.6"],
-        "about 12 s (2.5) / 27 s (2.6)",
+        "about 2.5 s (2.5) / 5 s (2.6)",
         "Wall-clock per sub-procedure in h:mm:ss; compare columns within a"
         " row, not across machines.",
     )
@@ -194,7 +194,7 @@ def generate_report() -> str:
         *_measured(values, ["3.2", "3.3"]),
     ] + _runbook(
         ["3.1", "3.2", "3.3"],
-        "about 1 s (3.1) / 3 s (3.2, 3.3)",
+        "about 1.5 s (3.1) / 4 s (3.2, 3.3)",
         "Per fault: the original STA delay, the recalculated (final) delay"
         " after case-analysis constants, and any newly-absorbed paths --"
         " final never exceeds original.",
@@ -215,7 +215,7 @@ def generate_report() -> str:
         "",
     ] + _runbook(
         ["3.4", "3.5"],
-        "about 4 s (3.4) / 5 s (3.5)",
+        "about 2 s (3.4) / 3 s (3.5)",
         "`diff_unit` is the original-vs-after-TG gap in inverter delays;"
         " Pct.1/Pct.2 are the share of faults whose recalculated delay is"
         " closer to the post-TG truth.",
@@ -360,7 +360,7 @@ def generate_report() -> str:
         body += _measured(values, [artifact_id], f"**Measured (`{artifact_id}`):**")
     body += _runbook(
         ablations + ["ndetect"],
-        "about 10 s (scan styles) / 1 s (each other one)",
+        "about 3.5 s (scan styles) / 1 s (each other one)",
         "Each ablation prints its rows; its checks above state the ordering"
         " it must show (e.g. enhanced scan detecting at least as many faults"
         " as broadside).",

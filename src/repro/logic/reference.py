@@ -11,6 +11,8 @@ input, `Circuit.topo_gates` walked per call -- and serve two purposes:
   verdicts against these functions on random circuits, and
   ``tests/test_implication.py`` checks the event-driven
   :func:`repro.atpg.implication.imply` against :func:`imply_reference`;
+  the unforced/forced pair is PODEM's oracle, at every fault site and
+  decision by decision (``tests/test_podem.py``);
 * **regrade**: ``benchmarks/e2e`` regrades a fault sample of a Table 4.3
   row with :func:`grade_transition_faults_reference` and compares the
   detected sets with the PPSFP grader's.

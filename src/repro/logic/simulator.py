@@ -29,22 +29,17 @@ from repro.logic.patterns import BroadsideTest, Pattern, pattern_values
 from repro.logic.values import X, is_binary
 
 
-def simulate_comb(
-    circuit: Circuit, input_values: Mapping[str, int], *, partial: bool = False
-) -> dict[str, int]:
+def simulate_comb(circuit: Circuit, input_values: Mapping[str, int]) -> dict[str, int]:
     """Evaluate the combinational core; unassigned inputs are X.
 
     ``input_values`` maps primary-input and present-state line names to
     values; a key that names anything else (a gate output, a typo) raises
     :class:`ValueError` so misdirected assignments cannot silently become
-    X.  Pass ``partial=True`` to ignore unknown keys instead -- the escape
-    hatch for callers (ATPG time-frame models) that hold assignments over a
-    superset of the circuit's input space.  Returns a value for every line
-    in the circuit.
+    X.  Returns a value for every line in the circuit.
     """
     compiled = compile_circuit(circuit)
     values = compiled.x_frame()
-    compiled.load_inputs(values, input_values, partial=partial)
+    compiled.load_inputs(values, input_values)
     compiled.eval_scalar(values)
     return compiled.as_dict(values)
 

@@ -7,8 +7,9 @@ the procedure relies on:
 
 * **Case analysis** -- each constrained input carries a two-pattern value
   pair (``0``/``1``/``rising``/``falling``); pairs are propagated through
-  the logic with three-valued simulation, so downstream lines may become
-  constants, disabling their timing arcs (false-path pruning).
+  the logic with three-valued simulation (one compiled ``simulate_comb``
+  pass per pattern), so downstream lines may become constants, disabling
+  their timing arcs (false-path pruning).
 * **State-dependent delay margins** -- a cell's delay through a pin
   depends on the state of its side inputs.  Real libraries expose this as
   state-dependent timing arcs, and a traditional STA run, knowing
@@ -28,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.circuits.gates import evaluate
 from repro.circuits.library import DEFAULT_LIBRARY, TechLibrary
 from repro.circuits.netlist import Circuit
 from repro.faults.models import FALL, PathDelayFault, RISE
-from repro.logic.values import X, is_binary
+from repro.logic.simulator import simulate_comb
+from repro.logic.values import is_binary
 
 #: Extra delay per side input with unknown state (ns); the "traditional
 #: STA pessimism" the input necessary assignments remove.
@@ -73,17 +74,14 @@ class StaEngine:
 
     # ------------------------------------------------------------------
     def propagate_case(self, case: CaseAnalysis) -> dict[str, tuple[int, int]]:
-        """Three-valued two-pattern constant propagation of case values."""
-        v1: dict[str, int] = {}
-        v2: dict[str, int] = {}
-        for line in self.circuit.comb_input_lines:
-            pair = case.pins.get(line)
-            v1[line] = pair[0] if pair else X
-            v2[line] = pair[1] if pair else X
-        for gate in self.circuit.topo_gates:
-            v1[gate.name] = evaluate(gate.gate_type, [v1[i] for i in gate.inputs])
-            v2[gate.name] = evaluate(gate.gate_type, [v2[i] for i in gate.inputs])
-        return {line: (v1[line], v2[line]) for line in v1}
+        """Three-valued two-pattern constant propagation of case values.
+
+        One :func:`simulate_comb` pass per pattern; unpinned inputs are X,
+        and a pin on a line that is not an input raises :class:`ValueError`.
+        """
+        v1 = simulate_comb(self.circuit, {k: p[0] for k, p in case.pins.items()})
+        v2 = simulate_comb(self.circuit, {k: p[1] for k, p in case.pins.items()})
+        return {line: (v, v2[line]) for line, v in v1.items()}
 
     # ------------------------------------------------------------------
     def hop_delay(

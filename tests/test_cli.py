@@ -320,7 +320,9 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "run 1: generate s27" in out
         assert "generation (Fig 4.9 construction)" in out
-        assert re.search(r"^gen\.run  \d+\.\d+ ms", out, re.MULTILINE)
+        root = re.search(r"^run  \d+\.\d+ ms  \[kind=generate label=s27\]$", out, re.MULTILINE)
+        child = re.search(r"^  gen\.run  \d+\.\d+ ms", out, re.MULTILINE)
+        assert root and child and root.start() < child.start()
 
     def test_collection_ends_with_its_run(self, capsys):
         """``--stats`` reports its own run only and leaves collection as found."""

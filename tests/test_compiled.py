@@ -4,7 +4,8 @@ The compiled kernels (`repro.core.compiled`) are the shared evaluation
 core under every simulator, so they are checked here against the
 pre-refactor dict-based reference (`repro.logic.reference`) on random
 circuits from the generator: scalar three-valued agreement (including
-X-propagation), bit-parallel agreement, fault-detection verdict agreement,
+X-propagation) for plain simulation, PODEM's good/faulty pair and STA
+case analysis, bit-parallel agreement, fault-detection verdict agreement,
 and compile-cache invalidation after netlist mutation.
 """
 
@@ -13,13 +14,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.atpg.podem import simulate_good_faulty
 from repro.circuits.generator import GeneratorSpec, generate
 from repro.core.compiled import compile_circuit
 from repro.faults.fsim import TransitionFaultSimulator
 from repro.faults.lists import all_transition_faults
+from repro.faults.models import StuckAtFault
 from repro.logic.bitsim import pack_columns_indexed
 from repro.logic.reference import (
     detects_transition_reference,
+    simulate_comb_forced_reference,
     simulate_comb_reference,
     simulate_sequence_reference,
 )
@@ -29,6 +33,7 @@ from repro.logic.simulator import (
     simulate_sequence,
 )
 from repro.logic.values import X
+from repro.sta.engine import CaseAnalysis, StaEngine
 
 
 def random_circuit(seed: int, n_inputs: int = 4, n_flops: int = 4, n_gates: int = 30):
@@ -91,18 +96,59 @@ class TestLowering:
             assert cc.cone(cc.index[line]) == expect
 
 
+def draw_assignment(data, c):
+    """A random partial input assignment over 0/1/X."""
+    return {
+        line: data.draw(st.sampled_from([0, 1, X]))
+        for line in c.comb_input_lines
+        if data.draw(st.booleans())
+    }
+
+
 class TestScalarAgreement:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_reference_with_x(self, data):
         """Compiled scalar == seed reference on all lines, X included."""
         c = random_circuit(data.draw(st.integers(0, 7)))
-        assignment = {
-            line: data.draw(st.sampled_from([0, 1, X]))
+        assignment = draw_assignment(data, c)
+        assert simulate_comb(c, assignment) == simulate_comb_reference(c, assignment)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_good_faulty_matches_forced_reference(self, data):
+        """PODEM's good/faulty pair == the unforced/forced reference.
+
+        Every line is a fault site -- sources and gates, both stuck
+        values -- so the faulty frame's resume position is checked at
+        each schedule position.
+        """
+        c = random_circuit(data.draw(st.integers(0, 7)))
+        assignment = draw_assignment(data, c)
+        good = simulate_comb_reference(c, assignment)
+        for line in c.lines:
+            for v in (0, 1):
+                forced = simulate_comb_forced_reference(c, assignment, line, v)
+                assert simulate_good_faulty(c, assignment, StuckAtFault(line, v)) == (
+                    good,
+                    forced,
+                ), (line, v)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_case_propagation_matches_reference(self, data):
+        """STA case analysis == one reference pass per pattern."""
+        c = random_circuit(data.draw(st.integers(0, 7)))
+        values = st.sampled_from([0, 1, X])
+        pins = {
+            line: (data.draw(values), data.draw(values))
             for line in c.comb_input_lines
             if data.draw(st.booleans())
         }
-        assert simulate_comb(c, assignment) == simulate_comb_reference(c, assignment)
+        v1 = simulate_comb_reference(c, {line: p[0] for line, p in pins.items()})
+        v2 = simulate_comb_reference(c, {line: p[1] for line, p in pins.items()})
+        pairs = StaEngine(c).propagate_case(CaseAnalysis(pins=pins))
+        assert pairs == {line: (v1[line], v2[line]) for line in c.lines}
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())

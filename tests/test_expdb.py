@@ -626,6 +626,25 @@ class TestCliCampaign:
             assert run["n_metrics"] > 0  # --db implies metric collection
         assert not obs.enabled()  # and collection ends with the run
 
+    def test_repeated_table_db_run_still_records_its_span(self, tmp_path, capsys):
+        """A run whose layers do no instrumented work still has its ``run`` span.
+
+        The second Table 4.2 in one process reads only memoized input
+        cubes, so the root span is all it records.
+        """
+        path = str(tmp_path / "e.db")
+        assert main(["table", "4.2", "--db", path]) == 0
+        assert main(["table", "4.2", "--db", path]) == 0
+        capsys.readouterr()
+        with ExperimentDB(path) as db:
+            second = db.runs()[0]
+            assert second["n_metrics"] >= 1
+            events = db.run_snapshot(second["id"])["events"]
+        roots = [e for e in events if e["name"] == "run"]
+        assert len(roots) == 1
+        assert roots[0]["depth"] == 0
+        assert roots[0]["attrs"] == {"kind": "table", "label": "4.2"}
+
     def test_db_flag_does_not_leak_into_later_commands(self, tmp_path, capsys):
         """``--db`` records one run; a later command without it records none."""
         path = str(tmp_path / "e.db")

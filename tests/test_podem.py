@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from repro.atpg import podem as podem_module
+from repro.atpg.broadside import BroadsideAtpg
 from repro.atpg.podem import (
     ABORTED,
     DETECTED,
@@ -15,9 +17,14 @@ from repro.atpg.podem import (
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.generator import GeneratorSpec, generate
 from repro.circuits.netlist import Circuit
+from repro.faults.collapse import collapsed_transition_faults
 from repro.faults.models import StuckAtFault
 from repro.logic.patterns import Pattern
 from repro.faults.fsim import stuck_at_detection_words
+from repro.logic.reference import (
+    simulate_comb_forced_reference,
+    simulate_comb_reference,
+)
 from repro.logic.values import X
 
 
@@ -50,6 +57,44 @@ class TestGoodFaulty:
         good, faulty = simulate_good_faulty(c, {}, StuckAtFault("a", 0))
         assert good["a"] == X
         assert faulty["a"] == 0
+
+    @pytest.mark.parametrize("line", ["na", "typo"])
+    def test_assignment_to_a_non_input_raises(self, line):
+        """A gate output or unknown name is an error, never a silent X."""
+        c = redundant_circuit()
+        with pytest.raises(ValueError, match=repr(line)):
+            simulate_good_faulty(c, {"a": 1, line: 0}, StuckAtFault("o", 0))
+
+
+def _reference_good_faulty(circuit, assignments, fault):
+    """PODEM's good/faulty pair from the dict-based oracle."""
+    return (
+        simulate_comb_reference(circuit, assignments),
+        simulate_comb_forced_reference(circuit, assignments, fault.line, fault.value),
+    )
+
+
+class TestDecisionsMatchReference:
+    @pytest.mark.parametrize("name,n_faults", [("s27", None), ("s298", 40)])
+    def test_generate_matches_reference_simulation(self, name, n_faults, monkeypatch):
+        """Every PODEM decision is the one the oracle's valuations give.
+
+        Status, cube and backtrack count agree per collapsed transition
+        fault, so the compiled kernel changes no search.
+        """
+        c = get_circuit(name)
+        faults = collapsed_transition_faults(c)[:n_faults]
+
+        def outcomes():
+            atpg = BroadsideAtpg(c)
+            return [
+                (r.status, r.assignments, r.backtracks)
+                for r in map(atpg.generate, faults)
+            ]
+
+        got = outcomes()
+        monkeypatch.setattr(podem_module, "simulate_good_faulty", _reference_good_faulty)
+        assert got == outcomes()
 
 
 class TestAgainstExhaustive:

@@ -45,6 +45,13 @@ class TestCasePropagation:
         pairs = sta.propagate_case(CaseAnalysis.empty())
         assert pairs["c"] == (X, X)
 
+    @pytest.mark.parametrize("line", ["c", "typo"])
+    def test_pin_on_a_non_input_raises(self, line):
+        """A gate output or unknown name is an error, never a silent X."""
+        sta = StaEngine(fig_1_4_circuit())
+        with pytest.raises(ValueError, match=repr(line)):
+            sta.propagate_case(CaseAnalysis(pins={"a": CASE_ONE, line: CASE_ZERO}))
+
 
 class TestPathDelay:
     def test_traditional_delay_is_sum_with_margins(self):
