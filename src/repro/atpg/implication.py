@@ -17,7 +17,8 @@ assignment procedure build on.
   AND output 0 with all-but-one inputs at 1 forces the last input to 0).
 
 It runs event-driven on the compiled IR
-(:meth:`repro.core.compiled.CompiledCircuit.imply_scalar`): a gate is
+(:meth:`repro.core.compiled.CompiledCircuit.imply_scalar`): the worklist
+starts with the gates that drive or read a seeded line, and a gate is
 revisited only when one of its lines changed.  The round-robin sweep it
 replaced is kept as the oracle
 :func:`repro.logic.reference.imply_reference`.
@@ -46,6 +47,7 @@ def imply(circuit: Circuit, assignments: Mapping[str, int]) -> dict[str, int] | 
     compiled = compile_circuit(circuit)
     index = compiled.index
     values = compiled.x_frame()
+    seeded: list[int] = []
     for line, v in assignments.items():
         if v == X:
             continue
@@ -53,7 +55,8 @@ def imply(circuit: Circuit, assignments: Mapping[str, int]) -> dict[str, int] | 
         if i is None:
             raise KeyError(f"unknown line {line!r}")
         values[i] = v
-    if not compiled.imply_scalar(values):
+        seeded.append(i)
+    if not compiled.imply_scalar(values, seeded):
         return None
     return compiled.as_dict(values)
 

@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from repro.atpg.implication import binary_only, imply, merge_assignments
+from repro.atpg.implication import binary_only, imply
 from repro.atpg.unroll import TwoFrameModel
 from repro.circuits.gates import controlling_value
+from repro.core.compiled import compile_circuit
 from repro.faults.models import TransitionFault, TransitionPathDelayFault
 from repro.logic.values import X, is_binary
 
@@ -119,6 +120,14 @@ def compute_input_assignments(
 ) -> InputAssignments:
     """Run the four-step procedure for one TPDF.
 
+    ``DetCon(fp)`` is one valuation frame of the compiled two-frame model.
+    Steps 2 and 3 merge their literals into it in place (a literal
+    opposite to a value already there is a conflict) and close it with
+    one implication pass; closing the union once reaches the same values
+    and conflicts as closing after each step, since implication is
+    monotone.  Each step-4 probe closes a copy of the closed frame plus
+    one literal.
+
     ``step4_candidates`` bounds how many unspecified inputs step 4 probes
     per round (the inputs structurally closest to the path are probed
     first), keeping the procedure polynomial *and* fast on large models.
@@ -131,82 +140,98 @@ def compute_input_assignments(
     if any(tr in undet for tr in constituents):
         return InputAssignments(status=UNDETECTABLE)
 
+    compiled = compile_circuit(model.model)
+    index = compiled.index
+    det_con = compiled.x_frame()
+    seeded: list[int] = []
+
     # Step 2: merge constituent necessary assignments.
-    det_con: dict[str, int] = {}
     for tr in constituents:
         na = transition_fault_na(model, tr)
-        if na is None:
+        if na is None or not _merge(det_con, seeded, index, na.items()):
             return InputAssignments(status=UNDETECTABLE)
-        merged = merge_assignments(det_con, na)
-        if merged is None:
-            return InputAssignments(status=UNDETECTABLE)
-        det_con = merged
-    closed = imply(model.model, det_con)
-    if closed is None:
-        return InputAssignments(status=UNDETECTABLE)
-    det_con = binary_only(closed)
 
     # Step 3: off-path propagation conditions under the second pattern.
-    for i in range(1, fault.path.length):
-        on_line = fault.path.lines[i]
-        prev_line = fault.path.lines[i - 1]
+    off_path: list[tuple[str, int]] = []
+    for prev_line, on_line in zip(fault.path.lines, fault.path.lines[1:]):
         gate = circuit.gates[on_line]
         ctrl = controlling_value(gate.gate_type)
         if ctrl is None:
             continue  # XOR/XNOR: no single non-controlling value
         for off in gate.inputs:
-            if off == prev_line:
-                continue
-            merged = merge_assignments(
-                det_con, {TwoFrameModel.line(off, 2): 1 - ctrl}
-            )
-            if merged is None:
-                return InputAssignments(status=UNDETECTABLE)
-            det_con = merged
-    closed = imply(model.model, det_con)
-    if closed is None:
+            if off != prev_line:
+                off_path.append((TwoFrameModel.line(off, 2), 1 - ctrl))
+    if not _merge(det_con, seeded, index, off_path):
         return InputAssignments(status=UNDETECTABLE)
-    det_con = binary_only(closed)
+    if not compiled.imply_scalar(det_con, seeded):
+        return InputAssignments(status=UNDETECTABLE)
 
     # Step 4: probe unspecified inputs with both values.
     if step4:
         support = _path_support(model, fault)
-        free = set(model.free_inputs)
+        inputs = model.model.inputs
         changed = True
         while changed:
             changed = False
-            candidates = [
-                line
-                for line in model.model.inputs
-                if line in free and det_con.get(line, X) == X
-            ]
+            candidates = [line for line, v in zip(inputs, det_con) if v == X]
             candidates.sort(key=lambda l: (l not in support, l))
             for line in candidates[:step4_candidates]:
-                closed0 = imply(model.model, det_con | {line: 0})
-                closed1 = imply(model.model, det_con | {line: 1})
-                if closed0 is None and closed1 is None:
+                i = index[line]
+                if det_con[i] != X:
+                    continue  # implied by an assignment found this round
+                closed0 = det_con.copy()
+                closed0[i] = 0
+                closed1 = det_con.copy()
+                closed1[i] = 1
+                ok0 = compiled.imply_scalar(closed0, (i,))
+                ok1 = compiled.imply_scalar(closed1, (i,))
+                if not ok0 and not ok1:
                     return InputAssignments(status=UNDETECTABLE)
-                if closed0 is None or closed1 is None:
-                    det_con = binary_only(closed1 if closed0 is None else closed0)
+                if not ok0 or not ok1:
+                    det_con = closed1 if not ok0 else closed0
                     changed = True
 
-    inputs: dict[tuple[str, int], int] = {}
+    assignments: dict[tuple[str, int], int] = {}
     for base, frame, line in _input_lines(model):
-        v = det_con.get(line, X)
-        if is_binary(v):
-            inputs[(base, frame)] = v
+        v = det_con[index[line]]
+        if v != X:
+            assignments[(base, frame)] = v
     return InputAssignments(
-        status=POTENTIALLY_DETECTABLE, det_con=det_con, input_assignments=inputs
+        status=POTENTIALLY_DETECTABLE,
+        det_con={name: v for name, v in zip(compiled.names, det_con) if v != X},
+        input_assignments=assignments,
     )
+
+
+def _merge(
+    frame: list[int],
+    seeded: list[int],
+    index: Mapping[str, int],
+    literals: Iterable[tuple[str, int]],
+) -> bool:
+    """Merge (line, value) literals into ``frame`` in place.
+
+    Each literal on an X line is set and its index appended to ``seeded``;
+    returns False at the first literal opposite to the line's value.
+    """
+    for line, v in literals:
+        i = index[line]
+        cur = frame[i]
+        if cur == X:
+            frame[i] = v
+            seeded.append(i)
+        elif cur != v:
+            return False
+    return True
 
 
 def _path_support(model: TwoFrameModel, fault: TransitionPathDelayFault) -> set[str]:
     """Free inputs structurally relevant to the path (both frames)."""
-    support: set[str] = set()
-    for line in fault.path.lines:
-        for frame in (1, 2):
-            mline = TwoFrameModel.line(line, frame)
-            if mline in model.model.gates or mline in set(model.model.inputs):
-                for fan in model.model.transitive_fanin(mline):
-                    support.add(fan)
-    return {line for line in support if line in set(model.model.inputs)}
+    inputs = set(model.model.inputs)
+    on_path = [
+        mline
+        for line in fault.path.lines
+        for mline in (TwoFrameModel.line(line, 1), TwoFrameModel.line(line, 2))
+        if mline in model.model.gates or mline in inputs
+    ]
+    return model.model.transitive_fanin(*on_path) & inputs

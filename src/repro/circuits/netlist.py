@@ -262,10 +262,10 @@ class Circuit:
                     stack.append(nxt)
         return seen
 
-    def transitive_fanin(self, line: str) -> set[str]:
-        """All line names in the combinational fan-in cone of ``line`` (inclusive)."""
+    def transitive_fanin(self, *lines: str) -> set[str]:
+        """All line names in the combinational fan-in cones of ``lines`` (inclusive)."""
         seen: set[str] = set()
-        stack = [line]
+        stack = list(lines)
         while stack:
             cur = stack.pop()
             if cur in seen:

@@ -45,7 +45,7 @@ Layering::
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.circuits.gates import COMBINATIONAL_TYPES, GateType
 from repro.circuits.netlist import Circuit
@@ -275,18 +275,23 @@ class CompiledCircuit:
             values[out] = r if r == 2 else r ^ inv
         return values
 
-    def imply_scalar(self, values: list[int]) -> bool:
+    def imply_scalar(self, values: list[int], changed: Iterable[int]) -> bool:
         """Close a three-valued valuation under implications, in place.
 
-        The kernel of :func:`repro.atpg.implication.imply`.  Every gate
-        starts on a worklist; visiting a gate applies forward implication
-        (the output takes the three-valued evaluation of the inputs) and
-        then backward implication (a binary output forces the inputs it
-        leaves no choice for).  When a line becomes binary, the gate
-        driving it and every gate reading it are requeued, so a gate is
-        revisited only when one of its lines changed.  Lines only move
-        from X to 0 or 1 and every rule is monotone, so this reaches the
-        fixpoint or conflict of the reference sweep
+        The kernel of :func:`repro.atpg.implication.imply`.  ``values``
+        must be a fixpoint of the rules except at the line indices in
+        ``changed``, which the caller has just moved from X to 0 or 1: an
+        all-X frame is a fixpoint (no gate type derives 0/1 from X
+        inputs), and so is any frame this method closed.  Only a gate
+        with a changed line can then derive anything, so the worklist
+        starts with the gates driving or reading those lines.  Visiting a
+        gate applies forward implication (the output takes the
+        three-valued evaluation of the inputs) and then backward
+        implication (a binary output forces the inputs it leaves no
+        choice for); when a line becomes binary, the gate driving it and
+        every gate reading it are queued.  Lines only move from X to 0 or
+        1 and every rule is monotone, so this reaches the fixpoint or
+        conflict of the reference sweep
         (:func:`repro.logic.reference.imply_reference`).
 
         Returns False on a 0/1 conflict, leaving ``values`` partly closed.
@@ -294,10 +299,23 @@ class CompiledCircuit:
         schedule = self._schedule
         fanout = self._fanout_positions
         n_sources = self.n_sources
-        work = list(range(self.n_gates - 1, -1, -1))  # a stack: gate 0 first
-        queued = [True] * self.n_gates
-        changed: list[int] = []
-        while work:
+        work: list[int] = []  # a stack
+        queued = [False] * self.n_gates
+        changed = list(changed)
+        while True:
+            # Queue the gate driving each changed line and the gates reading it.
+            for line in changed:
+                d = line - n_sources
+                if d >= 0 and not queued[d]:
+                    queued[d] = True
+                    work.append(d)
+                for p in fanout[line]:
+                    if not queued[p]:
+                        queued[p] = True
+                        work.append(p)
+            changed.clear()
+            if not work:
+                return True
             g = work.pop()
             queued[g] = False
             out, family, inv, fis = schedule[g]
@@ -382,18 +400,6 @@ class CompiledCircuit:
                     if unknown >= 0:
                         values[unknown] = parity
                         changed.append(unknown)
-            # Requeue the gate driving each changed line and the gates reading it.
-            for line in changed:
-                d = line - n_sources
-                if d >= 0 and not queued[d]:
-                    queued[d] = True
-                    work.append(d)
-                for p in fanout[line]:
-                    if not queued[p]:
-                        queued[p] = True
-                        work.append(p)
-            changed.clear()
-        return True
 
     def eval_words(self, values: list[int], mask: int) -> list[int]:
         """Bitwise word evaluation of the schedule, in place.

@@ -194,7 +194,7 @@ def generate_report() -> str:
         *_measured(values, ["3.2", "3.3"]),
     ] + _runbook(
         ["3.1", "3.2", "3.3"],
-        "about 1.5 s (3.1) / 4 s (3.2, 3.3)",
+        "about 0.7 s (3.1) / 1.5 s (3.2, 3.3)",
         "Per fault: the original STA delay, the recalculated (final) delay"
         " after case-analysis constants, and any newly-absorbed paths --"
         " final never exceeds original.",
@@ -215,7 +215,7 @@ def generate_report() -> str:
         "",
     ] + _runbook(
         ["3.4", "3.5"],
-        "about 2 s (3.4) / 3 s (3.5)",
+        "about 1.2 s (3.4) / 2 s (3.5)",
         "`diff_unit` is the original-vs-after-TG gap in inverter delays;"
         " Pct.1/Pct.2 are the share of faults whose recalculated delay is"
         " closer to the post-TG truth.",

@@ -117,13 +117,6 @@ class Path:
             if gate is None or prev not in gate.inputs:
                 raise NetlistError(f"{prev} -> {cur} is not a gate edge")
 
-    def inversions_to(self, circuit: Circuit, index: int) -> int:
-        """Number of inverting gates between the source and ``lines[index]``."""
-        count = 0
-        for cur in self.lines[1 : index + 1]:
-            count += inversion_parity(circuit.gates[cur].gate_type)
-        return count
-
     def __str__(self) -> str:
         return "-".join(self.lines)
 
@@ -139,16 +132,21 @@ class PathDelayFault:
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be 'rise' or 'fall', not {self.direction!r}")
 
-    def on_path_transition(self, circuit: Circuit, index: int) -> tuple[int, int]:
-        """The ``(v_i, v_i')`` transition expected on ``path.lines[index]``.
+    def transitions(self, circuit: Circuit) -> list[tuple[int, int]]:
+        """The ``(v_i, v_i')`` transition expected on every on-path line.
 
-        ``v_i = v_1`` when the number of inverters between the source and
-        line ``i`` is even, complemented when odd (Section 2.2).
+        One walk from the source: ``v_1`` is 0 for a rising and 1 for a
+        falling launch, and each inverting gate on the path complements
+        it, so ``v_i = v_1`` when the number of inverters between the
+        source and line ``i`` is even (Section 2.2).
         """
-        v1 = 0 if self.direction == RISE else 1
-        if self.path.inversions_to(circuit, index) % 2 == 1:
-            v1 = 1 - v1
-        return (v1, 1 - v1)
+        v = 0 if self.direction == RISE else 1
+        out = [(v, 1 - v)]
+        gates = circuit.gates
+        for line in self.path.lines[1:]:
+            v ^= inversion_parity(gates[line].gate_type)
+            out.append((v, 1 - v))
+        return out
 
     def __str__(self) -> str:
         return f"{self.path} ({self.direction} at {self.path.source})"
@@ -185,12 +183,9 @@ class TransitionPathDelayFault:
         """
         faults: list[TransitionFault] = []
         seen: set[TransitionFault] = set()
-        pdf = self.as_path_delay_fault
-        for i in range(self.path.length):
-            v_i, _ = pdf.on_path_transition(circuit, i)
-            tr = TransitionFault(
-                line=self.path.lines[i], direction=RISE if v_i == 0 else FALL
-            )
+        transitions = self.as_path_delay_fault.transitions(circuit)
+        for line, (v_i, _) in zip(self.path.lines, transitions):
+            tr = TransitionFault(line=line, direction=RISE if v_i == 0 else FALL)
             if tr not in seen:
                 seen.add(tr)
                 faults.append(tr)

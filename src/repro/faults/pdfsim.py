@@ -60,8 +60,9 @@ def classify_sensitization(
       side inputs must always be steady).
     """
     path = fault.path
+    transitions = fault.transitions(circuit)
     # Launch condition at the source.
-    v1, v1p = fault.on_path_transition(circuit, 0)
+    v1, v1p = transitions[0]
     if frame1[path.source] != v1 or frame2[path.source] != v1p:
         return None
 
@@ -73,8 +74,8 @@ def classify_sensitization(
         prev_line = path.lines[i - 1]
         gate = circuit.gates[on_line]
         ctrl = controlling_value(gate.gate_type)
-        vi, vip = fault.on_path_transition(circuit, i)
-        vprev, vprevp = fault.on_path_transition(circuit, i - 1)
+        vi, vip = transitions[i]
+        vprevp = transitions[i - 1][1]
         # Strong non-robust: the polarity-correct transition on every line.
         if frame1[on_line] != vi or frame2[on_line] != vip:
             strong_ok = False

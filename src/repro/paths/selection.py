@@ -106,13 +106,11 @@ class PathSelector:
         self,
         circuit: Circuit,
         library: TechLibrary | None = None,
-        step4: bool = True,
         closure_scan: int = 48,
     ):
         self.circuit = circuit
         self.sta = StaEngine(circuit, library)
         self.model = TwoFrameModel.build(circuit)
-        self.step4 = step4
         self.closure_scan = closure_scan
         self._assignment_cache: dict[PathDelayFault, InputAssignments] = {}
 
@@ -121,7 +119,7 @@ class PathSelector:
         """Input necessary assignments of a fault (cached)."""
         if fault not in self._assignment_cache:
             self._assignment_cache[fault] = compute_input_assignments(
-                self.model, _as_tpdf(fault), step4=self.step4
+                self.model, _as_tpdf(fault)
             )
         return self._assignment_cache[fault]
 
@@ -150,7 +148,7 @@ class PathSelector:
             raise ValueError(f"n must be a positive path count, got {n!r}")
         m = m or 4 * n
         records: dict[PathDelayFault, SelectedFault] = {}
-        undetectable: list[PathDelayFault] = []
+        undetectable: dict[PathDelayFault, None] = {}  # an insertion-ordered set
 
         initial: list[PathDelayFault] = []
         nth_delay: float | None = None
@@ -165,7 +163,7 @@ class PathSelector:
                     break
                 assignments = self.assignments_of(fault)
                 if assignments.undetectable:
-                    undetectable.append(fault)
+                    undetectable[fault] = None
                     continue
                 records[fault] = SelectedFault(
                     fault=fault, original_delay=delay, assignments=assignments
@@ -197,8 +195,7 @@ class PathSelector:
                     continue
                 other_assign = self.assignments_of(other)
                 if other_assign.undetectable:
-                    if other not in undetectable:
-                        undetectable.append(other)
+                    undetectable[other] = None
                     continue
                 original = self.sta.path_delay(other) or 0.0
                 records[other] = SelectedFault(
@@ -216,7 +213,7 @@ class PathSelector:
             initial_target=initial,
             final_target=target,
             n_requested=n,
-            undetectable=undetectable,
+            undetectable=list(undetectable),
         )
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.circuits.gates import inversion_parity
 from repro.circuits.library import DEFAULT_LIBRARY, TechLibrary
 from repro.circuits.netlist import Circuit
 from repro.faults.models import FALL, PathDelayFault, RISE
@@ -64,13 +65,36 @@ class CaseAnalysis:
 
 
 class StaEngine:
-    """Static timing analysis over one circuit and library."""
+    """Static timing analysis over one circuit and library.
+
+    The engine builds one arc table when it is constructed (:attr:`arcs`):
+    for each gate output, the rising and falling arc delays
+    (``library.delay`` plus the fan-out load, added in that order), the
+    gate's inversion parity and its inputs.  A hop's delay under case
+    values is its arc plus ``side_margin`` per side input whose
+    two-pattern value is not fully known, so a path is timed in one walk
+    from its source.
+    """
 
     def __init__(self, circuit: Circuit, library: TechLibrary | None = None,
                  side_margin: float = SIDE_MARGIN_NS):
         self.circuit = circuit
         self.library = library or DEFAULT_LIBRARY
         self.side_margin = side_margin
+        lib = self.library
+        fanout = circuit.fanout
+        #: gate output -> (rise arc, fall arc, inversion parity, inputs),
+        #: in topological order.
+        self.arcs: dict[str, tuple[float, float, int, tuple[str, ...]]] = {}
+        for gate in circuit.topo_gates:
+            fanin = len(gate.inputs)
+            load = lib.load_penalty * max(0, len(fanout.get(gate.name, ())) - 1)
+            self.arcs[gate.name] = (
+                lib.delay(gate.gate_type, fanin, "rise") + load,
+                lib.delay(gate.gate_type, fanin, "fall") + load,
+                inversion_parity(gate.gate_type),
+                gate.inputs,
+            )
 
     # ------------------------------------------------------------------
     def propagate_case(self, case: CaseAnalysis) -> dict[str, tuple[int, int]]:
@@ -83,33 +107,28 @@ class StaEngine:
         v2 = simulate_comb(self.circuit, {k: p[1] for k, p in case.pins.items()})
         return {line: (v, v2[line]) for line, v in v1.items()}
 
-    # ------------------------------------------------------------------
-    def hop_delay(
-        self,
-        gate_output: str,
-        edge: str,
-        pairs: Mapping[str, tuple[int, int]],
-        through: str,
-    ) -> float:
-        """Delay contribution of one path hop under the active case values.
+    def _case_tables(
+        self, pairs: Mapping[str, tuple[int, int]]
+    ) -> tuple[dict[str, bool], dict[str, int]]:
+        """The per-case side-input tables of the hop arithmetic.
 
-        ``edge`` is the output transition (``rise``/``fall``).  Every side
-        input whose two-pattern value is not fully known adds
-        ``side_margin`` of state-dependent pessimism; a steady known load
-        adds nothing beyond the base arc and fan-out load.
+        ``unknown`` maps each line to whether its two-pattern value is not
+        fully known; ``unknown_pins`` maps each gate output to how many of
+        its input pins read such a line.  A hop through input ``prev``
+        has ``unknown_pins[gate] - inputs.count(prev)`` unknown side
+        inputs when ``prev`` itself is unknown, else ``unknown_pins[gate]``.
         """
-        gate = self.circuit.gates[gate_output]
-        base = self.library.delay(gate.gate_type, len(gate.inputs), edge)
-        load = self.library.load_penalty * max(0, len(self.circuit.fanout.get(gate_output, ())) - 1)
-        unknown_sides = 0
-        for src in gate.inputs:
-            if src == through:
-                continue
-            p1, p2 = pairs[src]
-            if not (is_binary(p1) and is_binary(p2)):
-                unknown_sides += 1
-        return base + load + unknown_sides * self.side_margin
+        unknown = {
+            line: not (is_binary(p1) and is_binary(p2))
+            for line, (p1, p2) in pairs.items()
+        }
+        unknown_pins = {
+            line: sum(unknown[src] for src in entry[3])
+            for line, entry in self.arcs.items()
+        }
+        return unknown, unknown_pins
 
+    # ------------------------------------------------------------------
     def path_delay(
         self,
         fault: PathDelayFault,
@@ -118,29 +137,47 @@ class StaEngine:
     ) -> float | None:
         """Delay of a path delay fault under case-analysis constants.
 
-        Returns ``None`` when the case values block the path: some on-path
-        line's propagated constant is incompatible with the transition the
-        fault needs there (a false path under these conditions).
+        One walk from the source carries the on-path transition
+        ``(v, 1 - v)`` through each gate's inversion parity and adds each
+        hop's rising (``v == 0``) or falling arc plus its unknown-side
+        margins.  Returns ``None`` when the case values block the path:
+        some on-path line's propagated constant is incompatible with the
+        transition the fault needs there (a false path under these
+        conditions).
         """
         if pairs is None:
             pairs = self.propagate_case(case or CaseAnalysis.empty())
-        path = fault.path
-        # Source compatibility.
-        want1, want2 = fault.on_path_transition(self.circuit, 0)
-        have1, have2 = pairs[path.source]
-        if (is_binary(have1) and have1 != want1) or (is_binary(have2) and have2 != want2):
+        return self._walk(fault, pairs, *self._case_tables(pairs))
+
+    def _walk(
+        self,
+        fault: PathDelayFault,
+        pairs: Mapping[str, tuple[int, int]],
+        unknown: Mapping[str, bool],
+        unknown_pins: Mapping[str, int],
+    ) -> float | None:
+        """:meth:`path_delay` over one case's :meth:`_case_tables`."""
+        lines = fault.path.lines
+        arcs = self.arcs
+        margin = self.side_margin
+        v = 0 if fault.direction == RISE else 1
+        prev = lines[0]
+        # A known pattern value other than the transition's blocks the path.
+        have1, have2 = pairs[prev]
+        if have1 == v ^ 1 or have2 == v:
             return None
         total = 0.0
-        for i in range(1, path.length):
-            line = path.lines[i]
-            want1, want2 = fault.on_path_transition(self.circuit, i)
+        for line in lines[1:]:
+            rise, fall, parity, inputs = arcs[line]
+            v ^= parity
             have1, have2 = pairs[line]
-            if (is_binary(have1) and have1 != want1) or (
-                is_binary(have2) and have2 != want2
-            ):
+            if have1 == v ^ 1 or have2 == v:
                 return None
-            edge = "rise" if want2 == 1 else "fall"
-            total += self.hop_delay(line, edge, pairs, through=path.lines[i - 1])
+            unknown_sides = unknown_pins[line]
+            if unknown[prev]:
+                unknown_sides -= inputs.count(prev)
+            total += (fall if v else rise) + unknown_sides * margin
+            prev = line
         return total
 
     # ------------------------------------------------------------------
@@ -156,18 +193,20 @@ class StaEngine:
         along statically non-transitioning paths.
         """
         pairs = self.propagate_case(case or CaseAnalysis.empty())
+        unknown, unknown_pins = self._case_tables(pairs)
+        margin = self.side_margin
         arrival: dict[str, float] = {
             line: 0.0 for line in self.circuit.comb_input_lines
         }
-        for gate in self.circuit.topo_gates:
+        for line, (rise, fall, _, inputs) in self.arcs.items():
             worst = 0.0
-            for src in gate.inputs:
-                hop = max(
-                    self.hop_delay(gate.name, "rise", pairs, through=src),
-                    self.hop_delay(gate.name, "fall", pairs, through=src),
-                )
+            for src in inputs:
+                unknown_sides = unknown_pins[line]
+                if unknown[src]:
+                    unknown_sides -= inputs.count(src)
+                hop = max(rise + unknown_sides * margin, fall + unknown_sides * margin)
                 worst = max(worst, arrival[src] + hop)
-            arrival[gate.name] = worst
+            arrival[line] = worst
         return arrival
 
     # ------------------------------------------------------------------
@@ -182,29 +221,35 @@ class StaEngine:
         Mirrors the PrimeTime ranked path report: enumerate candidate
         paths in structural-delay order (``overscan * k`` of them, so
         direction-specific effects cannot push a critical fault out of the
-        window), compute each direction's exact delay, sort.
+        window), compute each direction's exact delay, sort.  A gate's
+        enumeration weight, computed once per call, is its worse arc with
+        every input counted as an unknown side input, or ``-inf`` when the
+        case values hold its output constant (its arcs are disabled).
         """
         from repro.paths.enumeration import k_longest_paths
 
         pairs = self.propagate_case(case or CaseAnalysis.empty())
-
-        def weight(line: str) -> float:
-            gate = self.circuit.gates.get(line)
-            if gate is None:
-                return 0.0
+        unknown, unknown_pins = self._case_tables(pairs)
+        margin = self.side_margin
+        weights = dict.fromkeys(self.circuit.comb_input_lines, 0.0)
+        for line, unknown_sides in unknown_pins.items():
             p1, p2 = pairs[line]
             if is_binary(p1) and p1 == p2:
-                return float("-inf")  # constant line: arcs disabled
-            rise = self.hop_delay(line, "rise", pairs, through="")
-            fall = self.hop_delay(line, "fall", pairs, through="")
-            return max(rise, fall)
+                weights[line] = float("-inf")  # constant line: arcs disabled
+            else:
+                rise, fall, _, _ = self.arcs[line]
+                weights[line] = max(
+                    rise + unknown_sides * margin, fall + unknown_sides * margin
+                )
 
-        candidates = k_longest_paths(self.circuit, k=max(k * overscan, k + 8), delay_fn=weight)
+        candidates = k_longest_paths(
+            self.circuit, k=max(k * overscan, k + 8), delay_fn=weights.__getitem__
+        )
         ranked: list[tuple[PathDelayFault, float]] = []
         for path in candidates:
             for direction in (RISE, FALL):
                 fault = PathDelayFault(path=path, direction=direction)
-                delay = self.path_delay(fault, pairs=pairs)
+                delay = self._walk(fault, pairs, unknown, unknown_pins)
                 if delay is not None:
                     ranked.append((fault, delay))
         ranked.sort(key=lambda item: -item[1])

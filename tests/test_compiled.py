@@ -5,8 +5,9 @@ core under every simulator, so they are checked here against the
 pre-refactor dict-based reference (`repro.logic.reference`) on random
 circuits from the generator: scalar three-valued agreement (including
 X-propagation) for plain simulation, PODEM's good/faulty pair and STA
-case analysis, bit-parallel agreement, fault-detection verdict agreement,
-and compile-cache invalidation after netlist mutation.
+case analysis, implication seeded from one literal on a closed frame,
+bit-parallel agreement, fault-detection verdict agreement, and
+compile-cache invalidation after netlist mutation.
 """
 
 import random
@@ -23,6 +24,7 @@ from repro.faults.models import StuckAtFault
 from repro.logic.bitsim import pack_columns_indexed
 from repro.logic.reference import (
     detects_transition_reference,
+    imply_reference,
     simulate_comb_forced_reference,
     simulate_comb_reference,
     simulate_sequence_reference,
@@ -165,6 +167,59 @@ class TestScalarAgreement:
         assert got.states == ref.states
         assert got.switching == ref.switching
         assert got.line_values == ref.line_values
+
+
+def seeded_probes(c, literals):
+    """Close ``literals``, then probe every X line with both values.
+
+    Each probe is a copy of the closed frame plus one literal, closed by
+    ``imply_scalar`` seeded with that line alone.  Returns
+    ``(line, value, closed dict or None, reference on the union)`` per
+    probe, or nothing when ``literals`` conflict.
+    """
+    cc = compile_circuit(c)
+    base = imply_reference(c, literals)
+    if base is None:
+        return []
+    known = {line: v for line, v in base.items() if v != X}
+    frame = [base[name] for name in cc.names]
+    out = []
+    for line, v0 in base.items():
+        if v0 != X:
+            continue
+        for v in (0, 1):
+            probe = frame.copy()
+            probe[cc.index[line]] = v
+            got = cc.as_dict(probe) if cc.imply_scalar(probe, [cc.index[line]]) else None
+            out.append((line, v, got, imply_reference(c, {**known, line: v})))
+    return out
+
+
+class TestSeededImplication:
+    """A closed frame plus one literal, closed from that literal only, equals
+    the reference sweep of the union (step 4's probe)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_the_union(self, data):
+        c = random_circuit(data.draw(st.integers(0, 7)))
+        literals = data.draw(
+            st.dictionaries(st.sampled_from(c.lines), st.integers(0, 1), max_size=4)
+        )
+        for line, v, got, want in seeded_probes(c, literals):
+            assert got == want, (line, v)
+
+    def test_conflicts_are_probed(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for seed in range(8):
+            c = random_circuit(seed)
+            for _ in range(5):
+                literals = {line: rng.randint(0, 1) for line in rng.sample(c.lines, 3)}
+                for line, v, got, want in seeded_probes(c, literals):
+                    assert got == want, (seed, line, v)
+                    outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 class TestWordKernelCodegen:

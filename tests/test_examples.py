@@ -26,8 +26,15 @@ def test_quickstart():
 
 
 def test_tpdf_atpg_flow():
-    out = run_example("tpdf_atpg_flow.py", "s27", "60")
-    assert "detected:" in out and "undetectable:" in out
+    """Two runs print the same bytes apart from the trailing run-time line."""
+    outs = [run_example("tpdf_atpg_flow.py", "s27", "60") for _ in range(2)]
+    assert "detected:" in outs[0] and "undetectable:" in outs[0]
+    stable = []
+    for out in outs:
+        *body, last = out.splitlines()
+        assert last.startswith("run time: "), last
+        stable.append(body)
+    assert stable[0] == stable[1]
 
 
 def test_path_selection_flow():

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.circuits.benchmarks import get_circuit
+from repro.circuits.gates import inversion_parity
+from repro.circuits.generator import GeneratorSpec, generate
 from repro.circuits.netlist import NetlistError
 from repro.experiments.figures import fig_1_3_circuit, fig_1_4_circuit
 from repro.faults.models import (
@@ -14,6 +17,7 @@ from repro.faults.models import (
     TransitionPathDelayFault,
     opposite,
 )
+from repro.paths.enumeration import k_longest_paths
 
 
 class TestTransitionFault:
@@ -64,18 +68,30 @@ class TestPath:
     def test_inversions(self):
         c = fig_1_4_circuit()  # OR - AND - OR: no inversions
         path = Path(lines=("a", "c", "e", "g"))
-        assert path.inversions_to(c, 3) == 0
+        assert PathDelayFault(path, FALL).transitions(c) == [(1, 0)] * 4
 
     def test_str(self):
         assert str(Path(lines=("a", "c"))) == "a-c"
+
+
+def inversion_count_polarity(circuit, fault, index):
+    """``(v_i, v_i')`` on ``lines[index]`` by counting the inverting gates
+    between the source and that line (the per-index definition)."""
+    inversions = sum(
+        inversion_parity(circuit.gates[line].gate_type)
+        for line in fault.path.lines[1 : index + 1]
+    )
+    v = 0 if fault.direction == RISE else 1
+    if inversions % 2 == 1:
+        v = 1 - v
+    return (v, 1 - v)
 
 
 class TestPolarity:
     def test_non_inverting_path_keeps_polarity(self):
         c = fig_1_4_circuit()
         fault = PathDelayFault(Path(lines=("a", "c", "e", "g")), RISE)
-        for i in range(4):
-            assert fault.on_path_transition(c, i) == (0, 1)
+        assert fault.transitions(c) == [(0, 1)] * 4
 
     def test_inverting_gate_flips_polarity(self):
         from repro.circuits.netlist import Circuit
@@ -88,9 +104,35 @@ class TestPolarity:
         c.add_output("c")
         c.validate()
         fault = PathDelayFault(Path(lines=("a", "b", "c")), RISE)
-        assert fault.on_path_transition(c, 0) == (0, 1)
-        assert fault.on_path_transition(c, 1) == (1, 0)  # through NAND
-        assert fault.on_path_transition(c, 2) == (0, 1)  # through NOR
+        assert fault.transitions(c) == [
+            (0, 1),
+            (1, 0),  # through NAND
+            (0, 1),  # through NOR
+        ]
+
+    @pytest.mark.parametrize("name", ["s27", "s298", "gen"])
+    def test_walk_matches_inversion_count(self, name):
+        """The one-walk polarity equals the inversion count at every index."""
+        if name == "gen":
+            spec = GeneratorSpec(
+                name="pol", n_inputs=5, n_outputs=3, n_flops=4, n_gates=60, seed=3
+            )
+            circuit = generate(spec)
+        else:
+            circuit = get_circuit(name)
+        paths = k_longest_paths(circuit, 200)
+        assert any(
+            inversion_parity(circuit.gates[line].gate_type)
+            for path in paths
+            for line in path.lines[1:]
+        )
+        for path in paths:
+            for direction in (RISE, FALL):
+                fault = PathDelayFault(path, direction)
+                walk = fault.transitions(circuit)
+                assert len(walk) == path.length
+                for i, pair in enumerate(walk):
+                    assert pair == inversion_count_polarity(circuit, fault, i), (path, i)
 
 
 class TestTpdf:

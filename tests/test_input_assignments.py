@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from repro.atpg import input_assignments
-from repro.atpg.implication import imply
+from repro.atpg.implication import binary_only, imply, merge_assignments
 from repro.atpg.input_assignments import (
     POTENTIALLY_DETECTABLE,
     UNDETECTABLE,
@@ -15,11 +15,14 @@ from repro.atpg.input_assignments import (
 )
 from repro.atpg.unroll import TwoFrameModel
 from repro.circuits.benchmarks import get_circuit
+from repro.circuits.gates import controlling_value
 from repro.experiments.figures import fig_2_1_circuit
 from repro.faults.lists import all_transition_faults, tpdf_list_all_paths
 from repro.faults.models import Path, RISE, TransitionFault, TransitionPathDelayFault
 from repro.faults.pdfsim import tpdf_detection_words
 from repro.logic.simulator import make_broadside_test
+from repro.logic.values import X
+from repro.paths.selection import PathSelector
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +190,94 @@ class TestPairs:
                 assert with4.input_assignments[key] == v
             compared += 1
         assert compared > 0
+
+
+def dict_procedure(model, fault, step4_candidates=256):
+    """The four steps over assignment dicts: one ``merge_assignments`` per
+    necessary-assignment map or off-path literal, and a full ``imply`` of
+    DetCon after steps 2 and 3 and for every step-4 probe.
+
+    Returns ``(status, det_con, input_assignments)``.
+    """
+    undetectable = (UNDETECTABLE, {}, {})
+    circuit, two_frame = model.base, model.model
+    det_con = {}
+    for tr in fault.transition_faults(circuit):
+        na = transition_fault_na(model, tr)
+        det_con = None if na is None else merge_assignments(det_con, na)
+        if det_con is None:
+            return undetectable
+    closed = imply(two_frame, det_con)
+    if closed is None:
+        return undetectable
+    det_con = binary_only(closed)
+    lines = fault.path.lines
+    for prev_line, on_line in zip(lines, lines[1:]):
+        gate = circuit.gates[on_line]
+        ctrl = controlling_value(gate.gate_type)
+        if ctrl is None:
+            continue
+        for off in gate.inputs:
+            if off != prev_line:
+                det_con = merge_assignments(det_con, {f"{off}@2": 1 - ctrl})
+                if det_con is None:
+                    return undetectable
+    closed = imply(two_frame, det_con)
+    if closed is None:
+        return undetectable
+    det_con = binary_only(closed)
+
+    support = set()
+    for line in lines:
+        for frame in (1, 2):
+            mline = f"{line}@{frame}"
+            if mline in two_frame.gates or mline in two_frame.inputs:
+                support |= two_frame.transitive_fanin(mline)
+    changed = True
+    while changed:
+        changed = False
+        candidates = [line for line in two_frame.inputs if det_con.get(line, X) == X]
+        candidates.sort(key=lambda l: (l not in support, l))
+        for line in candidates[:step4_candidates]:
+            closed0 = imply(two_frame, det_con | {line: 0})
+            closed1 = imply(two_frame, det_con | {line: 1})
+            if closed0 is None and closed1 is None:
+                return undetectable
+            if closed0 is None or closed1 is None:
+                det_con = binary_only(closed1 if closed0 is None else closed0)
+                changed = True
+
+    inputs = {}
+    for name in circuit.inputs + circuit.state_lines:
+        for frame in (1, 2):
+            v = det_con.get(f"{name}@{frame}", X)
+            if v != X:
+                inputs[(name, frame)] = v
+    return POTENTIALLY_DETECTABLE, det_con, inputs
+
+
+class TestAgainstDictProcedure:
+    """The in-place frame procedure equals the dict procedure on every fault
+    path selection screens."""
+
+    @pytest.mark.parametrize("name,n", [("s27", 4), ("s298", 6)])
+    def test_screened_faults(self, name, n):
+        selector = PathSelector(get_circuit(name), closure_scan=24)
+        result = selector.run(n)
+        screened = list(result.records) + result.undetectable
+        statuses = set()
+        for fault in screened:
+            got = selector.assignments_of(fault)
+            tpdf = TransitionPathDelayFault(path=fault.path, direction=fault.direction)
+            want = dict_procedure(selector.model, tpdf)
+            assert got.status == want[0], fault
+            assert list(got.det_con.items()) == list(want[1].items()), fault
+            assert got.input_assignments == want[2], fault
+            statuses.add(got.status)
+        assert statuses == {UNDETECTABLE, POTENTIALLY_DETECTABLE}
+
+    def test_every_s27_tpdf(self, s27_model):
+        for fault in tpdf_list_all_paths(s27_model.base):
+            got = compute_input_assignments(s27_model, fault)
+            want = dict_procedure(s27_model, fault)
+            assert (got.status, got.det_con, got.input_assignments) == want, fault

@@ -133,6 +133,8 @@ class TestStructure:
     def test_transitive_fanin(self):
         c = tiny()
         assert c.transitive_fanin("n2") == {"n2", "n1", "a", "b"}
+        # Several lines: the union of their cones.
+        assert c.transitive_fanin("n2", "n3") == c.transitive_fanin("n2") | c.transitive_fanin("n3")
 
     def test_state_and_next_state_lines(self):
         c = tiny()

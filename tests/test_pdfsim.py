@@ -184,9 +184,8 @@ class TestTpdfGrading:
                 continue
             index = (word & -word).bit_length() - 1
             frame1, frame2 = simulate_broadside(c, tests[index])
-            pdf = fault.as_path_delay_fault
-            for i, line in enumerate(fault.path.lines):
-                vi, vip = pdf.on_path_transition(c, i)
+            transitions = fault.as_path_delay_fault.transitions(c)
+            for line, (vi, vip) in zip(fault.path.lines, transitions):
                 assert (frame1[line], frame2[line]) == (vi, vip), (fault, line)
             checked += 1
         assert checked > 0

@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.benchmarks import get_circuit
+from repro.circuits.gates import inversion_parity
+from repro.circuits.generator import GeneratorSpec, generate
 from repro.circuits.library import DEFAULT_LIBRARY, UNIT_DELAY_NS
 from repro.experiments.figures import fig_1_4_circuit
 from repro.faults.models import FALL, Path, PathDelayFault, RISE
+from repro.paths.enumeration import enumerate_paths, k_longest_paths
+from repro.paths.selection import PathSelector
 from repro.sta.engine import (
     CASE_FALLING,
     CASE_ONE,
@@ -18,7 +22,7 @@ from repro.sta.engine import (
     CaseAnalysis,
     StaEngine,
 )
-from repro.logic.values import X
+from repro.logic.values import X, is_binary
 
 
 PATH_ACEG = PathDelayFault(Path(lines=("a", "c", "e", "g")), RISE)
@@ -186,3 +190,115 @@ class TestRankedExactness:
         assert [round(d, 9) for _, d in ranked[:top]] == [
             round(d, 9) for _, d in brute[:top]
         ]
+
+
+def reference_hop(sta, line, edge, pairs, through):
+    """One hop's delay by definition: the library arc, the fan-out load and
+    one ``side_margin`` per side input (``src != through``) whose
+    two-pattern value is not fully known."""
+    circuit, lib = sta.circuit, sta.library
+    gate = circuit.gates[line]
+    base = lib.delay(gate.gate_type, len(gate.inputs), edge)
+    load = lib.load_penalty * max(0, len(circuit.fanout.get(line, ())) - 1)
+    unknown_sides = 0
+    for src in gate.inputs:
+        if src == through:
+            continue
+        p1, p2 = pairs[src]
+        if not (is_binary(p1) and is_binary(p2)):
+            unknown_sides += 1
+    return base + load + unknown_sides * sta.side_margin
+
+
+def reference_path_delay(sta, fault, pairs):
+    """A path's delay hop by hop from the source, each hop's polarity from
+    the count of inverting gates between the source and that line."""
+    circuit = sta.circuit
+    lines = fault.path.lines
+    total = 0.0
+    for i, line in enumerate(lines):
+        inversions = sum(
+            inversion_parity(circuit.gates[on].gate_type) for on in lines[1 : i + 1]
+        )
+        want1 = (0 if fault.direction == RISE else 1) ^ (inversions % 2)
+        want2 = 1 - want1
+        have1, have2 = pairs[line]
+        if (is_binary(have1) and have1 != want1) or (is_binary(have2) and have2 != want2):
+            return None
+        if i:
+            edge = "rise" if want2 == 1 else "fall"
+            total += reference_hop(sta, line, edge, pairs, through=lines[i - 1])
+    return total
+
+
+def assert_matches_reference(sta, faults, case):
+    """``path_delay`` equals the hop-by-hop reference exactly, not approximately."""
+    pairs = sta.propagate_case(case)
+    for fault in faults:
+        want = reference_path_delay(sta, fault, pairs)
+        assert sta.path_delay(fault, pairs=pairs) == want, fault
+        assert sta.path_delay(fault, case=case) == want, fault
+
+
+class TestAgainstHopReference:
+    """The one-walk ``path_delay`` adds the same floats in the same order as
+    the hop-by-hop definition it replaced."""
+
+    def test_every_path_of_s27(self):
+        sta = StaEngine(get_circuit("s27"))
+        faults = [
+            PathDelayFault(path, direction)
+            for path in enumerate_paths(sta.circuit)
+            for direction in (RISE, FALL)
+        ]
+        assert_matches_reference(sta, faults, CaseAnalysis.empty())
+
+    def test_ranked_s298_faults_under_each_screened_case(self):
+        selector = PathSelector(get_circuit("s298"), closure_scan=24)
+        result = selector.run(6)
+        sta = selector.sta
+        cases = [CaseAnalysis.empty()] + [
+            selector.case_of(record.assignments) for record in result.records.values()
+        ]
+        assert len(cases) > 6 and any(case.pins for case in cases)
+        for case in cases:
+            ranked = sta.ranked_faults(24, case=case)
+            assert ranked
+            pairs = sta.propagate_case(case)
+            for fault, delay in ranked:
+                assert delay == reference_path_delay(sta, fault, pairs), fault
+            assert_matches_reference(sta, [fault for fault, _ in ranked], case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_circuits_under_drawn_pins(self, data):
+        spec = GeneratorSpec(
+            name="sta", n_inputs=5, n_outputs=3, n_flops=4, n_gates=40,
+            seed=data.draw(st.integers(0, 50)),
+        )
+        sta = StaEngine(generate(spec))
+        values = st.sampled_from([CASE_ZERO, CASE_ONE, CASE_RISING, CASE_FALLING, (X, 1), (0, X)])
+        pins = {
+            line: data.draw(values)
+            for line in sta.circuit.comb_input_lines
+            if data.draw(st.booleans())
+        }
+        case = CaseAnalysis(pins=pins)
+        faults = [
+            PathDelayFault(path, direction)
+            for path in k_longest_paths(sta.circuit, 60)
+            for direction in (RISE, FALL)
+        ]
+        assert_matches_reference(sta, faults, case)
+        pairs = sta.propagate_case(case)
+        arrival = {line: 0.0 for line in sta.circuit.comb_input_lines}
+        for gate in sta.circuit.topo_gates:
+            worst = 0.0
+            for src in gate.inputs:
+                hop = max(
+                    reference_hop(sta, gate.name, "rise", pairs, through=src),
+                    reference_hop(sta, gate.name, "fall", pairs, through=src),
+                )
+                worst = max(worst, arrival[src] + hop)
+            arrival[gate.name] = worst
+        assert sta.worst_arrival(case) == arrival
