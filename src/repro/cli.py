@@ -20,7 +20,9 @@ changes no output byte; any other table exits 2 when given it.
 Bad input -- no command, an unknown option, a value of the wrong type,
 an unknown benchmark or table id, an out-of-range count or time budget,
 a flag the chosen table does not use, a ``generate --tree-height``
-without ``--hold``, an output path that is a directory or lies in a
+without ``--hold``, a ``generate --driver`` with fewer primary outputs
+than the target has primary inputs (the pairing rule of Section 4.6),
+an output path that is a directory or lies in a
 missing one, or a database path that holds no experiment database --
 fails fast with a one-line ``error:`` diagnostic and exit code 2 before
 any work.  ``--help`` prints usage and exits 0.
@@ -125,14 +127,15 @@ def _check_args(args: argparse.Namespace) -> str | None:
 
     Returns the one-line error message to print (the caller exits 2), or
     ``None`` when the arguments are valid.  Checks benchmark and table
-    names, numeric ranges, table-specific flags, a ``--tree-height`` that
-    asks for a height without ``--hold``, and the ``--db`` path (which
-    ``stats`` and ``db`` require) -- all before any work, so a bad value
-    never becomes a traceback, an empty result, or a failure on every
-    row.
+    names, a driving block too narrow for its target, numeric ranges,
+    table-specific flags, a ``--tree-height`` that asks for a height
+    without ``--hold``, and the ``--db`` path (which ``stats`` and ``db``
+    require) -- all before any work, so a bad value never becomes a
+    traceback, an empty result, or a failure on every row.  Interface
+    sizes come from the registry entries, so no netlist is built.
     """
     if hasattr(args, "circuit"):
-        from repro.circuits.benchmarks import available
+        from repro.circuits.benchmarks import available, entry
 
         names = [args.circuit]
         if getattr(args, "driver", None) not in (None, "buffers"):
@@ -140,6 +143,13 @@ def _check_args(args: argparse.Namespace) -> str | None:
         for name in names:
             if name not in available():
                 return f"unknown benchmark {name!r} (see repro-eda circuits)"
+        if len(names) == 2:
+            n_outputs, n_inputs = entry(args.driver).n_outputs, entry(args.circuit).n_inputs
+            if n_outputs < n_inputs:
+                return (
+                    f"driver {args.driver} has {n_outputs} primary outputs, fewer than "
+                    f"the {n_inputs} primary inputs of {args.circuit}"
+                )
     for name, least, what in _INT_MINIMUMS:
         value = getattr(args, name, None)
         if value is not None and value < least:

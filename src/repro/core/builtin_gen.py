@@ -25,6 +25,12 @@ stops):
 
 With a non-empty ``hold_set`` the same construction runs under the
 state-holding DFT of Section 4.5 (used for the coverage-improvement pass).
+
+Each decision is simulated at most once.  A packed run also carries the
+next sequence's first decision, from the initial state, in spare lanes;
+and :func:`run_rows`, which runs one target's Table 4.3 rows, takes a
+constrained row's decisions from the unconstrained row while no scanned
+cycle breaks the row's bound.  Both leave every result unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro import obs
 from repro.bist.area import AreaReport, estimate_area
@@ -43,7 +49,7 @@ from repro.circuits.scan import ScanChains
 from repro.core.compiled import compile_circuit
 from repro.faults.fsim import FaultGrader, compact_groups
 from repro.faults.models import TransitionFault
-from repro.logic.bitsim import LaneTests, pack_bits, simulate_packed_words
+from repro.logic.bitsim import LaneTests, PackedSequenceResult, pack_bits, simulate_packed_words
 from repro.logic.patterns import BroadsideTest
 from repro.logic.simulator import extract_tests_from_sequence, simulate_sequence
 
@@ -96,12 +102,16 @@ class BuiltinGenConfig:
     ``min(lanes, R - current failures)`` candidate seeds are drawn,
     expanded, and simulated as bit lanes of one packed run (``None`` means
     64, one word's worth).  A decision of width 1 -- such as each one of
-    the ``R = Q = 1`` holding probes -- is a one-lane packed run too.
-    ``lanes=1`` instead sends every seed through the one-seed scalar
-    loop, the oracle the packed engine is tested against.  The accepted
-    segments are bit-identical to that oracle for the same ``rng_seed``
-    (the random stream is rewound past speculatively drawn seeds), so
-    ``lanes`` is purely a throughput knob.
+    the ``R = Q = 1`` holding probes -- is a packed run too.  Within the
+    same cap, a run may also carry the next decision's lanes: the
+    ``min(lanes, R)`` seeds that follow in the random stream, simulated
+    from the initial state, which the first decision of the next sequence
+    uses if it draws exactly those seeds.  No run ever exceeds ``lanes``
+    lanes.  ``lanes=1`` instead sends every seed through the one-seed
+    scalar loop, the oracle the packed engine is tested against.  The
+    accepted segments are bit-identical to that oracle for the same
+    ``rng_seed`` (the random stream is always rewound to the seeds a
+    decision consumed), so ``lanes`` is purely a throughput knob.
 
     ``grade_shards`` must be 1: fault grading always runs in the calling
     process (:class:`repro.faults.fsim.FaultGrader`), and
@@ -142,6 +152,39 @@ class GenStats:
     seeds_accepted: int = 0  # seeds that became segments
     packed_batches: int = 0  # multi-lane packed simulations run
     scalar_trials: int = 0  # candidates evaluated through the scalar path
+    lookahead_hits: int = 0  # decisions served by an earlier run's look-ahead lanes
+    replayed_decisions: int = 0  # decisions taken from the unconstrained row (run_rows)
+
+
+def swa_exceeds(swa: float, bound: float) -> bool:
+    """The SWA rule's violation test: ``swa`` lies above ``bound``.
+
+    The ``1e-9`` slack absorbs float noise in bounds computed from the
+    same integer counts.  :meth:`BuiltinGenerator._swa_cut` truncates a
+    segment before the first cycle this holds for, and :func:`run_rows`
+    replays a decision only if it holds for no cycle the decision scanned.
+    """
+    return swa > bound + 1e-9
+
+
+@dataclass(frozen=True)
+class _Decision:
+    """The outcome of one Fig 4.9 decision point, as :func:`run_rows` replays it."""
+
+    scanned: int  # seeds the decision consumed from the random stream
+    failures: int  # R-failures it counts
+    accepted: tuple | None  # the acceptance payload, if a seed was accepted
+    peak: float  # highest SWA of any cycle of the scanned seeds' segments
+
+
+@dataclass(frozen=True)
+class _LookAhead:
+    """Look-ahead lanes of a packed run: ``seeds`` from the initial state."""
+
+    seeds: list[int]
+    packed: PackedSequenceResult  # the run carrying them
+    pcts: list[list[float]]  # its per-lane SWA traces
+    first: int  # lane of ``seeds[0]``
 
 
 @dataclass
@@ -217,6 +260,11 @@ class BuiltinGenerator:
         self.rng = random.Random(self.config.rng_seed)
         self.chains = ScanChains.partition(circuit)
         self.stats = GenStats()
+        # Set by run_rows: the unconstrained row logs its decisions, a
+        # constrained row replays the log's prefix its bound admits.
+        self._log: list[_Decision] | None = None
+        self._replay: Iterator[_Decision] | None = None
+        self._ahead: _LookAhead | None = None
 
     # ------------------------------------------------------------------
     def run(self, hold_set: Sequence[str] | None = None) -> BuiltinGenResult:
@@ -234,6 +282,7 @@ class BuiltinGenerator:
             )
         cfg = self.config
         deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
+        self._ahead = None
         sequences: list[MultiSegmentSequence] = []
         per_sequence_tests: list[list[BroadsideTest]] = []
         detection_sets: list[set[TransitionFault]] = []
@@ -341,11 +390,7 @@ class BuiltinGenerator:
         while r_failures < cfg.r_limit:
             if deadline and time.monotonic() > deadline:
                 break
-            if cap > 1:
-                width = min(cap, cfg.r_limit - r_failures)
-                failures, accepted = self._trial_batch(state, width, hold_set)
-            else:
-                failures, accepted = self._trial_single(state, hold_set)
+            failures, accepted = self._decide(state, cap, r_failures, hold_set)
             if accepted is None:
                 r_failures += failures
                 seeds_tried_this_segment += failures
@@ -378,14 +423,50 @@ class BuiltinGenerator:
             state = end_state
         return multi, tests, detected, peak
 
+    def _decide(
+        self,
+        state: Sequence[int],
+        cap: int,
+        r_failures: int,
+        hold_set: Sequence[str] | None,
+    ) -> tuple[int, tuple | None]:
+        """One decision point: ``(failures, acceptance|None)``.
+
+        A replaying row (:func:`run_rows`) takes decision ``k`` from the
+        unconstrained row's log while it has taken every earlier one so
+        and no scanned cycle breaks its bound; it then only advances the
+        random stream past the decision's seeds.  Otherwise the decision
+        is evaluated, and a logging row records it.
+        """
+        if self._replay is not None:
+            logged = next(self._replay, None)
+            if logged is not None and (
+                self.swa_func is None or not swa_exceeds(logged.peak, self.swa_func)
+            ):
+                for _ in range(logged.scanned):
+                    self.rng.getrandbits(self.tpg.n_lfsr)
+                self.stats.seeds_evaluated += logged.scanned
+                self.stats.replayed_decisions += 1
+                obs.count("gen.seeds_evaluated", logged.scanned)
+                obs.count("gen.replayed_decisions")
+                return logged.failures, logged.accepted
+            self._replay = None
+        if cap > 1:
+            width = min(cap, self.config.r_limit - r_failures)
+            decision = self._trial_batch(state, width, hold_set)
+        else:
+            decision = self._trial_single(state, hold_set)
+        if self._log is not None:
+            self._log.append(decision)
+        return decision.failures, decision.accepted
+
     # -- candidate evaluation: one seed, scalar trajectory ---------------
-    def _trial_single(self, state: Sequence[int], hold_set: Sequence[str] | None):
+    def _trial_single(self, state: Sequence[int], hold_set: Sequence[str] | None) -> _Decision:
         """Draw and evaluate one seed the Fig 4.9 way.
 
         The ``lanes=1`` oracle and the pattern-bank path: every other
         decision, width 1 included, goes through :meth:`_trial_batch`.
-        Returns ``(failures, acceptance)``: ``(1, None)`` for a failing
-        seed, ``(0, (...))`` with the acceptance payload otherwise.
+        A failing seed counts one failure and accepts nothing.
         """
         cfg = self.config
         seed = self.rng.getrandbits(self.tpg.n_lfsr) or 1
@@ -402,58 +483,57 @@ class BuiltinGenerator:
         if length < full and obs.OBS.enabled:
             obs.count("gen.truncations")
             obs.observe("gen.truncated_length", length)
+        peak = max(result.switching[1:], default=0.0)
         if length < cfg.spacing:
-            return 1, None
+            return _Decision(1, 1, None, peak)
         seg_tests = extract_tests_from_sequence(
             self.circuit, result, pi_vectors[:length], spacing=cfg.spacing
         )
         with obs.span("gen.grade", tests=len(seg_tests)):
             newly = self.grader.preview(seg_tests)
         if not newly:
-            return 1, None
+            return _Decision(1, 1, None, peak)
         seg_peak = max(result.switching[1:length], default=0.0)
-        return 0, (seed, length, seg_tests, newly, seg_peak, result.states[length])
+        accepted = (seed, length, seg_tests, newly, seg_peak, result.states[length])
+        return _Decision(1, 0, accepted, peak)
 
     # -- candidate evaluation: up to 64 seeds, packed lanes --------------
     def _trial_batch(
         self, state: Sequence[int], width: int, hold_set: Sequence[str] | None
-    ):
+    ) -> _Decision:
         """Evaluate ``width`` candidate seeds as lanes of one packed run.
 
         Replays the scalar decision sequence exactly: lanes are scanned in
         draw order, each failing lane counts one R-failure, and scanning
-        stops at the first lane whose tests newly detect faults.  Seeds
-        beyond the stopping point were drawn speculatively, so the random
-        stream is rewound and re-advanced by only the consumed draws --
-        the next decision point sees the same stream the scalar loop
-        would.  Returns ``(failures_before_acceptance, acceptance|None)``.
+        stops at the first lane whose tests newly detect faults.  The
+        lanes come from the previous run's look-ahead lanes when this
+        decision starts at the initial state and draws exactly their
+        seeds; otherwise from a fresh run (:meth:`_fresh_run`).  Seeds
+        beyond the stopping point, and look-ahead seeds, were drawn
+        speculatively, so the random stream is rewound and re-advanced by
+        only the consumed draws -- the next decision point sees the same
+        stream the scalar loop would.
         """
         cfg = self.config
         n_bits = self.tpg.n_lfsr
         saved = self.rng.getstate()
         seeds = [self.rng.getrandbits(n_bits) or 1 for _ in range(width)]
-        with obs.span("gen.expand", seeds=width):
-            pi_rows = self._lane_pi_words(seeds, cfg.segment_length)
-        with obs.span("gen.simulate", lanes=width):
-            packed = simulate_packed_words(
-                self.circuit,
-                state,
-                pi_rows,
-                width,
-                hold_indices=self._hold_indices(hold_set),
-                hold_period_log2=cfg.hold_period_log2,
-                compiled=self.compiled,
-            )
-        self.stats.packed_batches += 1
-        obs.count("gen.packed_batches")
-        pcts = packed.switching_percent(self.compiled.num_lines)
-        lengths = self._lane_lengths(pcts)
-        survivors = [lane for lane in range(width) if lengths[lane] >= cfg.spacing]
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None and ahead.seeds == seeds and tuple(state) == self.initial_state:
+            packed, pcts, first = ahead.packed, ahead.pcts, ahead.first
+            self.stats.lookahead_hits += 1
+            obs.count("gen.lookahead_hits")
+        else:
+            packed, pcts = self._fresh_run(state, seeds, hold_set)
+            first = 0
+        lanes = range(first, first + width)
+        lengths = dict(zip(lanes, self._lane_lengths([pcts[lane] for lane in lanes])))
+        survivors = [lane for lane in lanes if lengths[lane] >= cfg.spacing]
         lane_newly: dict[int, set[TransitionFault]] = {}
         failures = 0
         accepted = None
         scanned = 0
-        for lane in range(width):
+        for lane in lanes:
             scanned += 1
             length = lengths[lane]
             if length < cfg.spacing:
@@ -475,17 +555,53 @@ class BuiltinGenerator:
             seg_peak = max(pcts[lane][1:length], default=0.0)
             end_state = tuple((w >> lane) & 1 for w in packed.state_words[length])
             seg_tests = list(LaneTests(packed, lane, length, cfg.spacing))
-            accepted = (seeds[lane], length, seg_tests, newly, seg_peak, end_state)
+            accepted = (seeds[lane - first], length, seg_tests, newly, seg_peak, end_state)
             break
         self.stats.seeds_evaluated += scanned
         obs.count("gen.seeds_evaluated", scanned)
-        if scanned < width:
-            # Rewind past the speculative draws: only the scanned seeds
-            # were consumed by the Fig 4.9 decision sequence.
-            self.rng.setstate(saved)
-            for _ in range(scanned):
-                self.rng.getrandbits(n_bits)
-        return failures, accepted
+        # Rewind past the speculative draws: only the scanned seeds were
+        # consumed by the Fig 4.9 decision sequence.
+        self.rng.setstate(saved)
+        for _ in range(scanned):
+            self.rng.getrandbits(n_bits)
+        peak = max(max(pcts[lane][1:], default=0.0) for lane in lanes[:scanned])
+        return _Decision(scanned, failures, accepted, peak)
+
+    def _fresh_run(
+        self, state: Sequence[int], seeds: list[int], hold_set: Sequence[str] | None
+    ) -> tuple[PackedSequenceResult, list[list[float]]]:
+        """Simulate ``seeds`` from ``state`` as one packed run, plus look-ahead lanes.
+
+        When ``min(lanes, R)`` more lanes fit under the ``lanes`` cap, the
+        seeds that follow in the random stream ride along from the
+        initial state: the first decision of the next sequence, kept in
+        ``self._ahead``.  Returns the run and its per-lane SWA traces.
+        """
+        cfg = self.config
+        cap = cfg.lanes or 64
+        extra = min(cap, cfg.r_limit)
+        ahead = []
+        if len(seeds) + extra <= cap:
+            ahead = [self.rng.getrandbits(self.tpg.n_lfsr) or 1 for _ in range(extra)]
+        n_lanes = len(seeds) + len(ahead)
+        with obs.span("gen.expand", seeds=n_lanes):
+            pi_rows = self._lane_pi_words(seeds + ahead, cfg.segment_length)
+        with obs.span("gen.simulate", lanes=n_lanes):
+            packed = simulate_packed_words(
+                self.circuit,
+                [state] * len(seeds) + [self.initial_state] * len(ahead),
+                pi_rows,
+                n_lanes,
+                hold_indices=self._hold_indices(hold_set),
+                hold_period_log2=cfg.hold_period_log2,
+                compiled=self.compiled,
+            )
+        self.stats.packed_batches += 1
+        obs.count("gen.packed_batches")
+        pcts = packed.switching_percent(self.compiled.num_lines)
+        if ahead:
+            self._ahead = _LookAhead(ahead, packed, pcts, len(seeds))
+        return packed, pcts
 
     def _lane_pi_words(self, seeds: Sequence[int], length: int) -> list[list[int]]:
         """Lane-packed TPG expansion of every candidate seed.
@@ -543,11 +659,40 @@ class BuiltinGenerator:
     def _swa_cut(self, switching: Sequence[float]) -> int:
         """:meth:`_truncate_length`'s SWA rule over one per-cycle trace."""
         length = len(switching)
-        if self.swa_func is not None:
-            bound = self.swa_func + 1e-9
-            for i in range(1, length):
-                if switching[i] > bound:
-                    j = i - 1
-                    length = j if j % 2 == 0 else j - 1
-                    break
+        bound = self.swa_func
+        if bound is not None and swa_exceeds(max(switching[1:], default=bound), bound):
+            first = next(i for i in range(1, length) if swa_exceeds(switching[i], bound))
+            j = first - 1
+            length = j if j % 2 == 0 else j - 1
         return max(0, length - (length % 2))
+
+
+def run_rows(
+    circuit: Circuit,
+    faults: Sequence[TransitionFault],
+    bounds: Sequence[float | None],
+    config: BuiltinGenConfig | None = None,
+) -> list[BuiltinGenResult]:
+    """One target's Table 4.3 rows: a construction per SWA bound, in order.
+
+    Row ``i`` is ``BuiltinGenerator(circuit, faults, bounds[i],
+    config=config).run()``, one such call per row, and equals it on every
+    field.  The first unconstrained row (bound ``None``) logs each
+    decision's outcome and the peak SWA of the lanes it scanned.  A later
+    row takes decision ``k`` from that log if it took every earlier
+    decision so and the logged peak passes its bound
+    (:func:`swa_exceeds`).  That is exact: the row then stands where the
+    logged row stood, and its bound truncates none of the scanned lanes,
+    so their simulation, grading and scan are the logged row's.  A
+    replayed decision's seeds still count in ``stats.seeds_evaluated``.
+    """
+    log: list[_Decision] | None = None
+    results = []
+    for bound in bounds:
+        generator = BuiltinGenerator(circuit, faults, bound, config=config)
+        if log is not None:
+            generator._replay = iter(log)
+        elif bound is None:
+            log = generator._log = []
+        results.append(generator.run())
+    return results

@@ -268,7 +268,7 @@ def generate_report() -> str:
         *_measured(values, ["4.3"], "**Measured (`repro-eda table 4.3`, s27 + s298):**"),
     ] + _runbook(
         ["4.3", "chapter4"],
-        "about 0.6 s (4.3) / 1.6 s (chapter4) on a 2-vCPU x86-64 host",
+        "about 0.5 s (4.3) / 1.2 s (chapter4) on a 2-vCPU x86-64 host",
         "Per row: the SWA_func bound from the driving block, the applied"
         " tests' peak SWA (never above the bound), fault coverage, and the"
         " hardware area model -- `buffers` rows are the unconstrained"
@@ -301,7 +301,7 @@ def generate_report() -> str:
         *_measured(values, ["4.4"], "**Measured (`repro-eda table 4.4`, s27 + s298):**"),
     ] + _runbook(
         ["4.4"],
-        "about 0.9 s (4.4) / 1.6 s (chapter4) on a 2-vCPU x86-64 host",
+        "about 0.7 s (4.4) / 1.2 s (chapter4) on a 2-vCPU x86-64 host",
         "Compare each row's fault coverage against its Table 4.3"
         " counterpart: NSP > 0 rows should close part of the gap to the"
         " unconstrained `buffers` baseline while P_SWA stays at or under"

@@ -24,7 +24,7 @@ from repro.bist.tpg import DevelopedTpg
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.netlist import Circuit
 from repro.circuits.scan import ScanChains
-from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenerator, BuiltinGenResult
+from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenResult, run_rows
 from repro.core.embedded import compose, estimate_swa_func
 from repro.core.state_holding import HoldingRunResult, run_with_state_holding
 from repro.experiments.format import failure_row, render
@@ -182,6 +182,9 @@ def _table_4_3_target(
 
     Module-level so a :class:`repro.experiments.runner.ExperimentTask` can
     pickle it; takes the circuit *name* and loads/compiles its own copy.
+    The rows run through :func:`repro.core.builtin_gen.run_rows`, so a
+    constrained row reuses the ``buffers`` row's decisions its bound
+    admits.
     """
     target = get_circuit(target_name)
     faults = collapsed_faults(target)
@@ -195,20 +198,13 @@ def _table_4_3_target(
         chosen.append((scored[-1][1], scored[-1][0]))  # highest SWA_func
     if len(scored) > 1:
         chosen.append((scored[0][1], scored[0][0]))  # lowest SWA_func
-    cases: list[Table43Case] = []
-    for driver_name, bound in chosen:
-        generator = BuiltinGenerator(target, faults, bound, config=config)
-        result = generator.run()
-        cases.append(
-            Table43Case(
-                target=target_name,
-                driver=driver_name,
-                swa_func=bound,
-                result=result,
-                lsc=lsc,
-            )
+    results = run_rows(target, faults, [bound for _, bound in chosen], config)
+    return [
+        Table43Case(
+            target=target_name, driver=driver_name, swa_func=bound, result=result, lsc=lsc
         )
-    return cases
+        for (driver_name, bound), result in zip(chosen, results)
+    ]
 
 
 #: Table 4.3 column order (fixed so degraded tables render without any row).

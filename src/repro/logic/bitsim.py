@@ -6,13 +6,16 @@ of every line's word carries pattern/lane ``t``, and on one word kernel,
 
 * :func:`simulate_packed_words` -- cycle-accurate functional simulation
   of up to 64 lanes fed with *pre-packed* per-input words (one word per
-  input per cycle, bit ``t`` = lane ``t``), every lane starting from one
-  shared state, with optional lane-wise state holding.  It is the
-  simulation core of every Fig 4.9 seed trial
-  (:mod:`repro.core.builtin_gen`: one lane per candidate seed, a
-  one-lane run for a width-1 decision) and of the SWA_func estimate
-  (:mod:`repro.core.embedded`), consuming
-  :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output directly.
+  input per cycle, bit ``t`` = lane ``t``), each lane starting from its
+  own initial state (packed by :func:`pack_lane_states`), with optional
+  lane-wise state holding.  It is the simulation core of every Fig 4.9
+  seed trial (:mod:`repro.core.builtin_gen`: one lane per candidate seed
+  from the current state, plus look-ahead lanes from the initial state
+  for the next sequence's first decision) and of the SWA_func estimate
+  (:mod:`repro.core.embedded`: the driving block's run, whose output
+  words :meth:`PackedSequenceResult.line_words` reads, then the
+  target's), consuming :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch`
+  output directly.
 * :class:`LaneTests` -- one lane's broadside tests of a packed run as a
   sized view.  PPSFP grading (:mod:`repro.faults.fsim`) reads a block of
   views through :func:`lane_test_frames`, which slices both good frames
@@ -134,10 +137,29 @@ class PackedSequenceResult:
         """Lane ``lane``'s state vectors for cycles ``0 .. upto``."""
         return [_lane_bits(row, 1 << lane) for row in self.state_words[: upto + 1]]
 
+    def line_words(self, indices: Sequence[int]) -> list[list[int]]:
+        """Per cycle, the packed words of the lines at compiled ``indices``.
 
-def broadcast_state_words(state: Sequence[int], mask: int) -> list[int]:
-    """Packed state words with every lane holding the same state vector."""
-    return [mask if b else 0 for b in state]
+        Row ``i`` is read out of cycle ``i``'s serialised frame (its
+        little-endian items, as packed): one word per index, bit ``t`` =
+        lane ``t``.
+        """
+        if not self.pi_words:
+            return []
+        size = self.item_size
+        n_lines = len(self.frames) // (size * len(self.pi_words))
+        frame = struct.Struct(f"<{n_lines}{_ITEM_FORMATS[size]}")
+        return [[items[j] for j in indices] for items in frame.iter_unpack(self.frames)]
+
+
+def pack_lane_states(states: Sequence[Sequence[int]]) -> list[int]:
+    """Packed state words of per-lane state vectors.
+
+    Bit ``t`` of word ``k`` is ``states[t][k]``: lane ``t`` starts from
+    ``states[t]``.  Each column is transposed the way
+    :func:`pack_columns_indexed` transposes one.
+    """
+    return [int(bytes(column[::-1]).translate(_ASCII_BITS), 2) for column in zip(*states)]
 
 
 class LaneTests(Sequence):
@@ -238,11 +260,7 @@ def _frame_packer(n_lanes: int, n_lines: int):
 
 
 def _switching_counts(
-    frames: Sequence[bytes],
-    n_lines: int,
-    size: int,
-    n_lanes: int,
-    count_idx: Sequence[int] | None,
+    frames: Sequence[bytes], n_lines: int, size: int, n_lanes: int
 ) -> list[list[int]]:
     """Per-lane, per-cycle toggle counts of serialised frames.
 
@@ -250,14 +268,11 @@ def _switching_counts(
     ``size``-byte items.  Read as integers, consecutive frames XOR to one
     toggle word per cycle (cycle 0, with no predecessor, toggles
     nothing); lane ``t``'s count is the popcount of that word masked to
-    bit ``t`` of every counted line's item.
+    bit ``t`` of every line's item.
     """
     rows = [int.from_bytes(f, "little") for f in frames]
     toggles = [0] + [a ^ b for a, b in zip(rows, rows[1:])] if rows else []
-    first_bits = bytearray(n_lines * size)
-    for j in range(n_lines) if count_idx is None else count_idx:
-        first_bits[j * size] = 1
-    lane0 = int.from_bytes(first_bits, "little")
+    lane0 = int.from_bytes(bytes([1] + [0] * (size - 1)) * n_lines, "little")
     return [
         [(d & lane).bit_count() for d in toggles]
         for lane in (lane0 << t for t in range(n_lanes))
@@ -280,7 +295,6 @@ def _run_packed(
     state_words: Sequence[int],
     pi_word_rows: Sequence[Sequence[int]],
     n_lanes: int,
-    count_idx: Sequence[int] | None,
     hold_indices: Sequence[int] | None,
     hold_period: int,
 ) -> PackedSequenceResult:
@@ -321,7 +335,7 @@ def _run_packed(
         state_words = nxt
         word_rows.append(state_words)
     length = len(frames)
-    switching = _switching_counts(frames, cc.num_lines, size, n_lanes, count_idx)
+    switching = _switching_counts(frames, cc.num_lines, size, n_lanes)
     if OBS.enabled:
         # One record per packed run: the kernel itself stays untouched.
         OBS.count("bitsim.packed_runs")
@@ -342,25 +356,28 @@ def _run_packed(
 
 def simulate_packed_words(
     circuit: Circuit,
-    initial_state: Sequence[int],
+    initial_states: Sequence[Sequence[int]],
     pi_word_rows: Sequence[Sequence[int]],
     n_lanes: int,
-    count_lines: Sequence[str] | None = None,
     hold_indices: Sequence[int] | None = None,
     hold_period_log2: int = 2,
     compiled=None,
 ) -> PackedSequenceResult:
-    """Simulate up to 64 lanes that share one initial state, from packed words.
+    """Simulate up to 64 lanes, each from its own initial state, from packed words.
 
-    The form the packed Fig 4.9 seed-trial loop uses: every lane starts
-    at the *same* current state, ``pi_word_rows`` comes pre-packed from
+    Lane ``t`` starts at ``initial_states[t]`` (one state vector per
+    lane), ``pi_word_rows`` comes pre-packed from
     :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` (bit ``t`` of
     ``pi_word_rows[i][j]`` is input ``j`` at cycle ``i`` in lane ``t``),
     and an optional hold set replays the state-holding DFT of Section 4.5
-    lane-wise (identical cycle alignment in every lane).  Every word must
-    fit in ``n_lanes`` bits, and a non-empty hold set needs
-    ``hold_period_log2 >= 1`` (a hold never falls on a capture cycle);
-    anything else raises :class:`ValueError`.
+    lane-wise (identical cycle alignment in every lane).  Lanes never
+    interact, so a lane's trajectory is the one it would have alone:
+    the packed Fig 4.9 loop runs the seeds of one decision from the
+    current state beside look-ahead seeds from the initial state.  Every
+    word must fit in ``n_lanes`` bits, there must be one state per lane,
+    and a non-empty hold set needs ``hold_period_log2 >= 1`` (a hold
+    never falls on a capture cycle); anything else raises
+    :class:`ValueError`.
     """
     if not 0 < n_lanes <= 64:
         raise ValueError(
@@ -373,11 +390,17 @@ def simulate_packed_words(
             f"transitions are never held, got {hold_period_log2}"
         )
     cc = compiled if compiled is not None else compile_circuit(circuit)
-    if len(initial_state) != cc.n_state:
+    if len(initial_states) != n_lanes:
         raise ValueError(
-            f"initial state has {len(initial_state)} bits, "
-            f"circuit has {cc.n_state} flops"
+            f"simulate_packed_words: {len(initial_states)} initial states "
+            f"for n_lanes={n_lanes} lanes"
         )
+    for t, state in enumerate(initial_states):
+        if len(state) != cc.n_state:
+            raise ValueError(
+                f"initial state of lane {t} has {len(state)} bits, "
+                f"circuit has {cc.n_state} flops"
+            )
     mask = (1 << n_lanes) - 1
     for i, row in enumerate(pi_word_rows):
         if len(row) != cc.n_inputs:
@@ -392,15 +415,11 @@ def simulate_packed_words(
                 f"simulate_packed_words: pi_word_rows[{i}][{j}] = {row[j]:#x} "
                 f"does not fit in n_lanes={n_lanes} bits"
             )
-    count_idx = (
-        None if count_lines is None else [cc.index[line] for line in count_lines]
-    )
     return _run_packed(
         cc,
-        broadcast_state_words(initial_state, mask),
+        pack_lane_states(initial_states),
         pi_word_rows,
         n_lanes,
-        count_idx,
         hold_indices,
         1 << hold_period_log2,
     )

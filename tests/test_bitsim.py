@@ -11,9 +11,9 @@ from repro.circuits.generator import GeneratorSpec, generate
 from repro.core.compiled import compile_circuit
 from repro.core.state_holding import hold_indices
 from repro.logic.bitsim import (
-    broadcast_state_words,
     pack_bits,
     pack_columns_indexed,
+    pack_lane_states,
     simulate_packed_words,
     unpack_bits,
 )
@@ -103,9 +103,23 @@ def _forced_scalar(circuit, inputs, line, value):
 
 
 class TestWordHelpers:
-    def test_broadcast_state_words(self):
-        words = broadcast_state_words([1, 0, 1, 1], 0b111)
-        assert words == [0b111, 0, 0b111, 0b111]
+    def test_pack_lane_states(self):
+        # Word k holds every lane's bit k: lane t in bit t.
+        words = pack_lane_states([[1, 0, 1, 1], [1, 1, 0, 1], [1, 0, 0, 0]])
+        assert words == [0b111, 0b010, 0b001, 0b011]
+        assert pack_lane_states([[1, 0, 1, 1]] * 3) == [0b111, 0, 0b111, 0b111]
+        assert pack_lane_states([[], []]) == []
+
+    @given(st.data())
+    def test_pack_lane_states_round_trip(self, data):
+        lanes = data.draw(st.integers(1, 64))
+        width = data.draw(st.integers(0, 20))
+        states = [data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+                  for _ in range(lanes)]
+        words = pack_lane_states(states)
+        assert len(words) == width
+        for t, state in enumerate(states):
+            assert [(w >> t) & 1 for w in words] == state
 
 
 class TestPackedWords:
@@ -126,7 +140,7 @@ class TestPackedWords:
             ]
             for cyc in range(length)
         ]
-        packed = simulate_packed_words(c, init, pi_rows, lanes)
+        packed = simulate_packed_words(c, [init] * lanes, pi_rows, lanes)
         pct = packed.switching_percent(c.num_lines)
         for t in range(lanes):
             scalar = simulate_sequence(c, init, seqs[t])
@@ -146,7 +160,7 @@ class TestPackedWords:
         seq = [[rng.randint(0, 1) for _ in c.inputs] for _ in range(length)]
         pi_rows = [[bit for bit in vec] for vec in seq]  # 1 lane: words == bits
         packed = simulate_packed_words(
-            c, init, pi_rows, 1,
+            c, [init], pi_rows, 1,
             hold_indices=hold_indices(c, hold_set),
             hold_period_log2=2,
         )
@@ -168,7 +182,7 @@ class TestPackedWords:
         rng = random.Random(n_flops)
         lanes, length = 3, 8
         seqs = _random_lanes(c, lanes, length, rng)
-        packed = simulate_packed_words(c, [0] * n_flops, _pack_lanes(seqs), lanes)
+        packed = simulate_packed_words(c, [[0] * n_flops] * lanes, _pack_lanes(seqs), lanes)
         for t, seq in enumerate(seqs):
             scalar = simulate_sequence(c, [0] * n_flops, seq)
             assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
@@ -181,16 +195,24 @@ class TestPackedWordsValidation:
     def test_lane_count_out_of_range(self):
         c = get_circuit("s27")
         with pytest.raises(ValueError, match="n_lanes=65 is outside"):
-            simulate_packed_words(c, [0] * len(c.flops), [], 65)
+            simulate_packed_words(c, [[0] * len(c.flops)] * 65, [], 65)
         with pytest.raises(ValueError, match="n_lanes=0 is outside"):
-            simulate_packed_words(c, [0] * len(c.flops), [], 0)
+            simulate_packed_words(c, [], [], 0)
+
+    def test_one_initial_state_per_lane(self):
+        c = get_circuit("s27")
+        rows = [[0] * len(c.inputs)]
+        with pytest.raises(ValueError, match="1 initial states for n_lanes=2 lanes"):
+            simulate_packed_words(c, [[0] * len(c.flops)], rows, 2)
+        with pytest.raises(ValueError, match="initial state of lane 1 has 2 bits, circuit has 3"):
+            simulate_packed_words(c, [[0, 0, 0], [0, 0]], rows, 2)
 
     def test_row_width_mismatch_names_row_and_circuit(self):
         c = get_circuit("s27")
         good_row = [0] * len(c.inputs)
         bad_row = [0] * (len(c.inputs) + 1)
         with pytest.raises(ValueError) as exc:
-            simulate_packed_words(c, [0] * len(c.flops), [good_row, bad_row], 2)
+            simulate_packed_words(c, [[0] * len(c.flops)] * 2, [good_row, bad_row], 2)
         msg = str(exc.value)
         assert "pi_word_rows[1]" in msg
         assert f"{len(c.inputs) + 1} input words" in msg
@@ -201,24 +223,24 @@ class TestPackedWordsValidation:
         rows = [[0] * len(c.inputs), [0b100] + [0] * (len(c.inputs) - 1)]
         msg = r"pi_word_rows\[1\]\[0\] = 0x4 does not fit in n_lanes=2 bits"
         with pytest.raises(ValueError, match=msg):
-            simulate_packed_words(c, [0] * len(c.flops), rows, 2)
+            simulate_packed_words(c, [[0] * len(c.flops)] * 2, rows, 2)
 
     def test_negative_word_rejected(self):
         c = get_circuit("s27")
         rows = [[0] * (len(c.inputs) - 1) + [-1]]
         with pytest.raises(ValueError, match=r"pi_word_rows\[0\]\[3\]"):
-            simulate_packed_words(c, [0] * len(c.flops), rows, 8)
+            simulate_packed_words(c, [[0] * len(c.flops)] * 8, rows, 8)
 
     def test_hold_period_zero_rejected_with_a_hold_set(self):
         c = get_circuit("s27")
         rows = [[0] * len(c.inputs)] * 4
         with pytest.raises(ValueError, match="hold_period_log2 must be >= 1"):
             simulate_packed_words(
-                c, [0] * len(c.flops), rows, 1, hold_indices=[0], hold_period_log2=0
+                c, [[0] * len(c.flops)], rows, 1, hold_indices=[0], hold_period_log2=0
             )
         # Without a hold set there is nothing to misalign.
         simulate_packed_words(
-            c, [0] * len(c.flops), rows, 1, hold_indices=[], hold_period_log2=0
+            c, [[0] * len(c.flops)], rows, 1, hold_indices=[], hold_period_log2=0
         )
 
 
@@ -260,27 +282,12 @@ class TestEveryLaneWidth:
         length = 14
         init = [rng.randint(0, 1) for _ in c.flops]
         seqs = _random_lanes(c, lanes, length, rng)
-        packed = simulate_packed_words(c, init, _pack_lanes(seqs), lanes)
+        packed = simulate_packed_words(c, [init] * lanes, _pack_lanes(seqs), lanes)
         assert [len(counts) for counts in packed.switching_counts] == [length] * lanes
         for t, seq in enumerate(seqs):
             scalar = simulate_sequence(c, init, seq)
             assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
             assert packed.switching_counts[t] == _toggles(scalar.line_values, c.lines)
-
-    @pytest.mark.parametrize("lanes", LANE_WIDTHS)
-    def test_count_lines_subset_matches_scalar(self, lanes):
-        c = get_circuit("s298")
-        rng = random.Random(100 + lanes)
-        length = 10
-        subset = rng.sample(c.lines, len(c.lines) // 3)
-        init = [rng.randint(0, 1) for _ in c.flops]
-        seqs = _random_lanes(c, lanes, length, rng)
-        packed = simulate_packed_words(
-            c, init, _pack_lanes(seqs), lanes, count_lines=subset
-        )
-        for t, seq in enumerate(seqs):
-            scalar = simulate_sequence(c, init, seq)
-            assert packed.switching_counts[t] == _toggles(scalar.line_values, subset)
 
     @pytest.mark.parametrize("lanes", LANE_WIDTHS)
     def test_hold_matches_scalar_holding(self, lanes):
@@ -292,7 +299,7 @@ class TestEveryLaneWidth:
         seqs = _random_lanes(c, lanes, length, rng)
         packed = simulate_packed_words(
             c,
-            init,
+            [init] * lanes,
             _pack_lanes(seqs),
             lanes,
             hold_indices=hold_indices(c, hold_set),
@@ -313,14 +320,73 @@ class TestEveryLaneWidth:
         lanes = 64
         length = 1003
         rng = random.Random(11)
-        subset = rng.sample(c.lines, 50)
         init = [0] * len(c.flops)
         seqs = _random_lanes(c, lanes, length, rng)
-        rows = _pack_lanes(seqs)
-        full = simulate_packed_words(c, init, rows, lanes)
-        sub = simulate_packed_words(c, init, rows, lanes, count_lines=subset)
+        full = simulate_packed_words(c, [init] * lanes, _pack_lanes(seqs), lanes)
         for t in (0, 37, 63):
             scalar = simulate_sequence(c, init, seqs[t])
             assert full.lane_states(t, length) == [tuple(s) for s in scalar.states]
             assert full.switching_counts[t] == _toggles(scalar.line_values, c.lines)
-            assert sub.switching_counts[t] == _toggles(scalar.line_values, subset)
+
+
+class TestPerLaneInitialStates:
+    """Lanes with distinct initial states each follow their own trajectory."""
+
+    @pytest.mark.parametrize("lanes", LANE_WIDTHS)
+    @pytest.mark.parametrize("hold", [False, True], ids=["plain", "hold"])
+    def test_matches_scalar_per_lane(self, lanes, hold):
+        c = get_circuit("s298")
+        rng = random.Random(300 + lanes)
+        length = 12
+        inits = [[rng.randint(0, 1) for _ in c.flops] for _ in range(lanes)]
+        seqs = _random_lanes(c, lanes, length, rng)
+        holding = (
+            {"hold_indices": hold_indices(c, c.state_lines[::3]), "hold_period_log2": 1}
+            if hold
+            else {}
+        )
+        packed = simulate_packed_words(c, inits, _pack_lanes(seqs), lanes, **holding)
+        pct = packed.switching_percent(c.num_lines)
+        for t, (init, seq) in enumerate(zip(inits, seqs)):
+            scalar = simulate_sequence(c, init, seq, **holding)
+            assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
+            assert packed.switching_counts[t] == _toggles(scalar.line_values, c.lines)
+            assert pct[t][1:] == scalar.switching[1:]
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_generated_circuits(self, data):
+        """Distinct initial states on hypothesis-drawn circuits, 0..6 flops."""
+        n_flops = data.draw(st.integers(0, 6))
+        spec = GeneratorSpec(
+            name=f"bitsim-lanes{n_flops}", n_inputs=3, n_outputs=2, n_flops=n_flops, n_gates=24
+        )
+        c = generate(spec)
+        lanes = data.draw(st.integers(1, 12))
+        length = data.draw(st.integers(1, 8))
+        bit = st.integers(0, 1)
+        inits = [[data.draw(bit) for _ in range(n_flops)] for _ in range(lanes)]
+        seqs = [[[data.draw(bit) for _ in c.inputs] for _ in range(length)] for _ in range(lanes)]
+        packed = simulate_packed_words(c, inits, _pack_lanes(seqs), lanes)
+        for t, (init, seq) in enumerate(zip(inits, seqs)):
+            scalar = simulate_sequence(c, init, seq)
+            assert packed.lane_states(t, length) == [tuple(s) for s in scalar.states]
+            assert packed.switching_counts[t] == _toggles(scalar.line_values, c.lines)
+
+    @pytest.mark.parametrize("lanes", [1, 9, 17, 33])
+    def test_line_words_read_the_frames(self, lanes):
+        """``line_words`` gives each cycle's line values, lane by lane, at every item width."""
+        c = get_circuit("s298")
+        rng = random.Random(400 + lanes)
+        length = 6
+        inits = [[rng.randint(0, 1) for _ in c.flops] for _ in range(lanes)]
+        seqs = _random_lanes(c, lanes, length, rng)
+        packed = simulate_packed_words(c, inits, _pack_lanes(seqs), lanes)
+        cc = compile_circuit(c)
+        lines = c.outputs + c.lines[:5]
+        words = packed.line_words([cc.index[line] for line in lines])
+        assert len(words) == length
+        for t, (init, seq) in enumerate(zip(inits, seqs)):
+            scalar = simulate_sequence(c, init, seq)
+            for cycle, values in enumerate(scalar.line_values):
+                assert [(w >> t) & 1 for w in words[cycle]] == [values[x] for x in lines]

@@ -56,6 +56,10 @@ class TestBatchedEqualsScalar:
         _assert_identical(scalar, packed)
         assert packed[0].stats.packed_batches > 0
         assert scalar[0].stats.packed_batches == 0
+        # A sequence's closing failure carries the next sequence's first
+        # decision in spare lanes, and some of those lanes are used.
+        assert packed[0].stats.lookahead_hits > 0
+        assert scalar[0].stats.lookahead_hits == 0
 
     def test_swa_bounded(self, name):
         """Lane-wise truncation at the SWA bound matches the scalar rule."""
@@ -86,6 +90,33 @@ class TestBatchPolicy:
             )
             gen = BuiltinGenerator(c, faults, None, config=cfg)
             _assert_identical(base, (gen, gen.run()))
+
+    @pytest.mark.parametrize("lanes", [None, 2, 6, 11])
+    def test_no_run_exceeds_the_lane_cap(self, lanes, monkeypatch):
+        """Look-ahead lanes ride along only within ``lanes``."""
+        import repro.core.builtin_gen as builtin_gen
+
+        widths = []
+        simulate = builtin_gen.simulate_packed_words
+
+        def recording(circuit, states, rows, n_lanes, **kwargs):
+            widths.append(n_lanes)
+            return simulate(circuit, states, rows, n_lanes, **kwargs)
+
+        monkeypatch.setattr(builtin_gen, "simulate_packed_words", recording)
+        c = get_circuit("s298")
+        faults = collapsed_transition_faults(c)
+        cfg = BuiltinGenConfig(
+            segment_length=40, r_limit=5, q_limit=2, rng_seed=7,
+            time_limit=None, lanes=lanes,
+        )
+        gen = BuiltinGenerator(c, faults, None, config=cfg)
+        gen.run()
+        assert max(widths) <= (lanes or 64)
+        assert len(widths) == gen.stats.packed_batches
+        # Look-ahead needs room for min(lanes, R) more lanes beside a decision.
+        if lanes is not None and lanes < 6:
+            assert gen.stats.lookahead_hits == 0
 
     def test_batched_disabled_uses_scalar_path(self):
         c = get_circuit("s298")

@@ -222,6 +222,10 @@ class TestCommands:
             ),
             (["stats"], "no database: pass --db PATH"),
             (["db", "runs"], "no database: pass --db PATH"),
+            (
+                ["generate", "s298", "--driver", "s27"],
+                "driver s27 has 1 primary outputs, fewer than the 3 primary inputs of s298",
+            ),
         ],
         ids=[
             "table-jobs0", "table-jobs-7", "table-shards0", "generate-shards-1",
@@ -234,7 +238,7 @@ class TestCommands:
             "table3.1-jobs2", "table3.1-shards2",
             "generate-tree-height-1", "generate-tree-height-without-hold",
             "stats-limit-1", "db-runs-limit-1", "db-trend-last-2",
-            "stats-no-db", "db-no-db",
+            "stats-no-db", "db-no-db", "generate-driver-too-narrow",
         ],
     )
     def test_bad_dispatch_count_exits_2(self, argv, message, capsys):

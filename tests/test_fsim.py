@@ -214,7 +214,7 @@ class TestLaneViews:
             if hold
             else {}
         )
-        run = simulate_packed_words(c, init, rows, lanes, **holding)
+        run = simulate_packed_words(c, [init] * lanes, rows, lanes, **holding)
         # Lane 0 runs in full; every other lane is cut to its own even
         # length, as the SWA bound cuts them, down to no test at all.
         cuts = [length] + [rng.randrange(0, length + 1, 2) for _ in range(lanes - 1)]

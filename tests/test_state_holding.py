@@ -116,7 +116,12 @@ class TestHoldingProbe:
 
     @pytest.mark.parametrize("rng_seed", [4, 11, 13])
     def test_packed_probe_equals_scalar_oracle(self, s298, rng_seed):
-        """Width-1 packed probes accept exactly what the lanes=1 oracle does."""
+        """Width-1 packed probes accept exactly what the lanes=1 oracle does.
+
+        At R = 1 every decision consumes one seed, and it is either a
+        fresh packed run or served by the look-ahead lane of the run
+        before it (the next sequence's first seed, from the initial state).
+        """
         faults = collapse_transition(s298, all_transition_faults(s298))
         hold = tuple(s298.state_lines[::2])
         runs = []
@@ -140,7 +145,10 @@ class TestHoldingProbe:
         assert packed.stats.seeds_evaluated == oracle.stats.seeds_evaluated
         assert oracle.stats.scalar_trials == oracle.stats.seeds_evaluated
         assert packed.stats.scalar_trials == 0
-        assert packed.stats.packed_batches == packed.stats.seeds_evaluated
+        assert (
+            packed.stats.packed_batches + packed.stats.lookahead_hits
+            == packed.stats.seeds_evaluated
+        )
 
 
 class TestSetSelection:
