@@ -7,7 +7,7 @@ where the ``v -> v'`` transition fault at ``g`` becomes
 * the stuck-at-``v`` target on ``g@2`` (second-frame detection at a
   primary output or next-state line).
 
-Besides single-fault generation, :func:`generate_transition_tests` runs
+Besides single-fault generation, :meth:`BroadsideAtpg.generate_all` runs
 the whole fault list, producing the transition-fault test set the later
 Chapter 2 sub-procedures reuse, plus the set of *undetectable* transition
 faults the preprocessing procedure consumes.
@@ -113,10 +113,3 @@ class BroadsideAtpg:
             else:  # ABORTED
                 result.aborted.add(fault)
         return result
-
-
-def generate_transition_tests(
-    circuit: Circuit, faults: list[TransitionFault], backtrack_limit: int = 128
-) -> TransitionAtpgResult:
-    """Convenience wrapper: run :class:`BroadsideAtpg` over a fault list."""
-    return BroadsideAtpg(circuit, backtrack_limit=backtrack_limit).generate_all(faults)

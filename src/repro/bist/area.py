@@ -7,7 +7,8 @@ those registers are reused); charged are:
 
 * the fixed LFSR (``N_LFSR`` flops + feedback XORs),
 * extra shift-register bits and the AND/OR biasing gates inserted for
-  inputs specified in the primary input cube,
+  inputs specified in the primary input cube, each priced as an
+  ``m``-input gate (``TpgStructure.m``, the TPG's widest tree),
 * all counters (clock cycle, shift, segment, sequence, optional set),
 * the apply/hold NOR taps, comparators and the controller FSM,
 * per holding set: a latch-based clock-gating cell, its share of the
@@ -79,15 +80,9 @@ def estimate_area(
 ) -> AreaReport:
     """Estimate the on-chip test-generation hardware area."""
     lib = library or DEFAULT_LIBRARY
-    # Duck-typed TPG: anything exposing n_register_bits / n_inputs /
-    # n_and_gates / n_or_gates works (DevelopedTpg, ReferenceTpg,
-    # WeightedTpg).
-    max_tap_fanin = getattr(tpg, "m", None) or max(
-        (len(a) for a in tpg.allocation), default=2
-    )
     xor_area = lib.gate_area(GateType.XOR, 2)
-    and_area = lib.gate_area(GateType.AND, max(2, max_tap_fanin))
-    or_area = lib.gate_area(GateType.OR, max(2, max_tap_fanin))
+    and_area = lib.gate_area(GateType.AND, max(2, tpg.m))
+    or_area = lib.gate_area(GateType.OR, max(2, tpg.m))
     nor_area = lib.gate_area(GateType.NOR, 2)
     inc_area_per_bit = lib.gate_area(GateType.AND, 2) + xor_area  # ripple stage
 

@@ -13,7 +13,9 @@ Two TPG structures are modelled cycle-accurately:
   register of ``m*N_SP + (N_PI - N_SP)`` bits.  After a reseed, the shift
   register is re-initialised over ``len(register)`` clock cycles before
   pattern generation resumes (the "shift register initialization"
-  operation mode of Section 4.4).
+  operation mode of Section 4.4).  The COP-weighted TPG
+  (:class:`repro.bist.weighted.WeightedTpg`) is this structure with a
+  tree width per input.
 
 Both expose ``sequence(seed, length)`` -- the primary input sequence a
 given LFSR seed produces -- which is the unit the Chapter 4 construction

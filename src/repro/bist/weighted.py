@@ -8,19 +8,24 @@ chosen from COP signal probabilities so that hard-to-launch faults become
 likelier: an input whose ideal 1-probability is ``w`` receives the
 realisable weight closest to ``w``.
 
-:class:`WeightedTpg` plugs into the same flows as
-:class:`repro.bist.tpg.DevelopedTpg` (it exposes ``sequence`` and the
-register/gate accounting the area model needs).
+:class:`WeightedTpg` is the developed TPG of Fig 4.8
+(:class:`repro.bist.tpg.DevelopedTpg`) with a tap count per input: an AND
+tree is the cube value 0, an OR tree 1 and a direct tap x, and ``m`` is
+the widest tree.  It steps, expands lane-packed and charges area exactly
+as the developed TPG does; only the plan that sizes it differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping
 
-from repro.bist.lfsr import Lfsr
+from repro.bist.cube import InputCube
+from repro.bist.tpg import DevelopedTpg
 from repro.circuits.netlist import Circuit
 from repro.logic.probability import signal_probabilities
+from repro.logic.values import X
 
 
 def realisable_weights(max_taps: int) -> list[tuple[float, int, str]]:
@@ -71,16 +76,16 @@ def weights_from_cop(
     return targets
 
 
+#: The input cube value (Section 4.3) each weight tree stands for.
+_CUBE_VALUE = {"and": 0, "or": 1, "direct": X}
+
+
 @dataclass
-class WeightedTpg:
-    """Shift-register TPG with per-input AND/OR weight trees."""
+class WeightedTpg(DevelopedTpg):
+    """The developed TPG of Fig 4.8 with per-input AND/OR weight trees."""
 
     #: per input: (weight, taps, gate-kind)
-    plan: list[tuple[float, int, str]]
-    n_lfsr: int = 32
-    allocation: list[tuple[int, ...]] = field(default_factory=list)
-    _lfsr: Lfsr | None = None
-    _register: list[int] = field(default_factory=list)
+    plan: list[tuple[float, int, str]] = field(default_factory=list)
 
     @classmethod
     def for_circuit(
@@ -94,66 +99,11 @@ class WeightedTpg:
         if weights is None:
             weights = weights_from_cop(circuit, max_taps=max_taps)
         plan = [choose_weight(weights.get(pi, 0.5), max_taps) for pi in circuit.inputs]
-        tpg = cls(plan=plan, n_lfsr=n_lfsr)
-        pos = 0
-        for _, taps, _ in plan:
-            tpg.allocation.append(tuple(range(pos, pos + taps)))
-            pos += taps
-        return tpg
-
-    @property
-    def n_register_bits(self) -> int:
-        """Shift register length."""
-        return sum(len(a) for a in self.allocation)
-
-    @property
-    def n_inputs(self) -> int:
-        """Number of primary inputs driven."""
-        return len(self.plan)
-
-    @property
-    def n_and_gates(self) -> int:
-        """Number of AND weight trees."""
-        return sum(1 for _, _, kind in self.plan if kind == "and")
-
-    @property
-    def n_or_gates(self) -> int:
-        """Number of OR weight trees."""
-        return sum(1 for _, _, kind in self.plan if kind == "or")
-
-    @property
-    def init_cycles(self) -> int:
-        """Clock cycles to refill the register after a reseed."""
-        return self.n_register_bits
-
-    def load_seed(self, seed: int) -> None:
-        """Reseed and refill the register (newest bit at index 0)."""
-        if self._lfsr is None:
-            self._lfsr = Lfsr(n=self.n_lfsr, seed=seed)
-        else:
-            self._lfsr.reseed(seed)
-        self._register = list(
-            reversed([self._lfsr.step() for _ in range(self.n_register_bits)])
+        ends = accumulate(taps for _, taps, _ in plan)
+        return cls(
+            cube=InputCube(values=tuple(_CUBE_VALUE[kind] for _, _, kind in plan)),
+            m=max((taps for _, taps, _ in plan), default=1),
+            allocation=[tuple(range(end - taps, end)) for (_, taps, _), end in zip(plan, ends)],
+            n_lfsr=n_lfsr,
+            plan=plan,
         )
-
-    def next_vector(self) -> list[int]:
-        """Advance one clock and emit the next weighted vector."""
-        if self._lfsr is None:
-            raise RuntimeError("load_seed() must be called first")
-        self._register.insert(0, self._lfsr.step())
-        self._register.pop()
-        vector: list[int] = []
-        for (weight, _, kind), alloc in zip(self.plan, self.allocation):
-            taps = [self._register[i] for i in alloc]
-            if kind == "direct":
-                vector.append(taps[0])
-            elif kind == "and":
-                vector.append(1 if all(taps) else 0)
-            else:
-                vector.append(1 if any(taps) else 0)
-        return vector
-
-    def sequence(self, seed: int, length: int) -> list[list[int]]:
-        """The weighted primary input sequence produced from ``seed``."""
-        self.load_seed(seed)
-        return [self.next_vector() for _ in range(length)]

@@ -29,8 +29,8 @@ state-holding DFT of Section 4.5 (used for the coverage-improvement pass).
 Each decision is simulated at most once.  A packed run also carries the
 next sequence's first decision, from the initial state, in spare lanes;
 and :func:`run_rows`, which runs one target's Table 4.3 rows, takes a
-constrained row's decisions from the unconstrained row while no scanned
-cycle breaks the row's bound.  Both leave every result unchanged.
+constrained row's decisions from the unconstrained row while the row's
+bound leaves each of them as it was.  Both leave every result unchanged.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.circuits.scan import ScanChains
 from repro.core.compiled import compile_circuit
 from repro.faults.fsim import FaultGrader, compact_groups
 from repro.faults.models import TransitionFault
-from repro.logic.bitsim import LaneTests, PackedSequenceResult, pack_bits, simulate_packed_words
+from repro.logic.bitsim import LaneTests, PackedSequenceResult, simulate_packed_words
 from repro.logic.patterns import BroadsideTest
 from repro.logic.simulator import extract_tests_from_sequence, simulate_sequence
 
@@ -60,6 +60,11 @@ from repro.logic.simulator import extract_tests_from_sequence, simulate_sequence
 #: fixed work across lanes, small enough that an early acceptance wastes
 #: at most a few lanes' grading.
 GRADE_BLOCK_LANES = 8
+
+#: Tests are taken every ``2**q`` cycles with ``q = 1`` (Section 4.3), so
+#: consecutive tests never overlap and a segment needs at least this many
+#: cycles to hold one.
+TEST_SPACING = 2
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,6 @@ class BuiltinGenConfig:
     segment_length: int = 300  # the paper's L
     r_limit: int = 3  # R: consecutive seed failures closing a sequence
     q_limit: int = 5  # Q: consecutive failed sequences stopping the process
-    spacing: int = 2  # tests every 2**q cycles, q = 1
     hold_period_log2: int = 2  # h: state holding every 2**h cycles
     rng_seed: int = 1
     max_sequences: int = 200  # safety cap
@@ -161,8 +165,9 @@ def swa_exceeds(swa: float, bound: float) -> bool:
 
     The ``1e-9`` slack absorbs float noise in bounds computed from the
     same integer counts.  :meth:`BuiltinGenerator._swa_cut` truncates a
-    segment before the first cycle this holds for, and :func:`run_rows`
-    replays a decision only if it holds for no cycle the decision scanned.
+    segment before the first cycle this holds for, Table 4.1 marks the
+    cycles it holds for, and :func:`run_rows` replays an accepting
+    decision only if it holds for no cycle of the accepted seed's trace.
     """
     return swa > bound + 1e-9
 
@@ -174,7 +179,7 @@ class _Decision:
     scanned: int  # seeds the decision consumed from the random stream
     failures: int  # R-failures it counts
     accepted: tuple | None  # the acceptance payload, if a seed was accepted
-    peak: float  # highest SWA of any cycle of the scanned seeds' segments
+    peak: float  # highest SWA of any cycle of the last scanned seed's trace
 
 
 @dataclass(frozen=True)
@@ -433,15 +438,18 @@ class BuiltinGenerator:
         """One decision point: ``(failures, acceptance|None)``.
 
         A replaying row (:func:`run_rows`) takes decision ``k`` from the
-        unconstrained row's log while it has taken every earlier one so
-        and no scanned cycle breaks its bound; it then only advances the
-        random stream past the decision's seeds.  Otherwise the decision
-        is evaluated, and a logging row records it.
+        unconstrained row's log while it has taken every earlier one so,
+        if the logged decision accepted nothing or no cycle of its
+        accepted seed's trace breaks the row's bound; it then only
+        advances the random stream past the decision's seeds.  Otherwise
+        the decision is evaluated, and a logging row records it.
         """
         if self._replay is not None:
             logged = next(self._replay, None)
             if logged is not None and (
-                self.swa_func is None or not swa_exceeds(logged.peak, self.swa_func)
+                logged.accepted is None
+                or self.swa_func is None
+                or not swa_exceeds(logged.peak, self.swa_func)
             ):
                 for _ in range(logged.scanned):
                     self.rng.getrandbits(self.tpg.n_lfsr)
@@ -484,10 +492,10 @@ class BuiltinGenerator:
             obs.count("gen.truncations")
             obs.observe("gen.truncated_length", length)
         peak = max(result.switching[1:], default=0.0)
-        if length < cfg.spacing:
+        if length < TEST_SPACING:
             return _Decision(1, 1, None, peak)
         seg_tests = extract_tests_from_sequence(
-            self.circuit, result, pi_vectors[:length], spacing=cfg.spacing
+            self.circuit, result, pi_vectors[:length], spacing=TEST_SPACING
         )
         with obs.span("gen.grade", tests=len(seg_tests)):
             newly = self.grader.preview(seg_tests)
@@ -514,7 +522,6 @@ class BuiltinGenerator:
         only the consumed draws -- the next decision point sees the same
         stream the scalar loop would.
         """
-        cfg = self.config
         n_bits = self.tpg.n_lfsr
         saved = self.rng.getstate()
         seeds = [self.rng.getrandbits(n_bits) or 1 for _ in range(width)]
@@ -528,7 +535,7 @@ class BuiltinGenerator:
             first = 0
         lanes = range(first, first + width)
         lengths = dict(zip(lanes, self._lane_lengths([pcts[lane] for lane in lanes])))
-        survivors = [lane for lane in lanes if lengths[lane] >= cfg.spacing]
+        survivors = [lane for lane in lanes if lengths[lane] >= TEST_SPACING]
         lane_newly: dict[int, set[TransitionFault]] = {}
         failures = 0
         accepted = None
@@ -536,7 +543,7 @@ class BuiltinGenerator:
         for lane in lanes:
             scanned += 1
             length = lengths[lane]
-            if length < cfg.spacing:
+            if length < TEST_SPACING:
                 failures += 1
                 continue
             if lane not in lane_newly:
@@ -545,7 +552,7 @@ class BuiltinGenerator:
                     obs.count("gen.grade_blocks")
                     obs.observe("gen.lanes_per_grade_block", len(block))
                 with obs.span("gen.grade", lanes=len(block)):
-                    views = [LaneTests(packed, k, lengths[k], cfg.spacing) for k in block]
+                    views = [LaneTests(packed, k, lengths[k], TEST_SPACING) for k in block]
                     for k, newly in zip(block, self.grader.preview_groups(views)):
                         lane_newly[k] = newly
             newly = lane_newly[lane]
@@ -554,7 +561,7 @@ class BuiltinGenerator:
                 continue
             seg_peak = max(pcts[lane][1:length], default=0.0)
             end_state = tuple((w >> lane) & 1 for w in packed.state_words[length])
-            seg_tests = list(LaneTests(packed, lane, length, cfg.spacing))
+            seg_tests = list(LaneTests(packed, lane, length, TEST_SPACING))
             accepted = (seeds[lane - first], length, seg_tests, newly, seg_peak, end_state)
             break
         self.stats.seeds_evaluated += scanned
@@ -564,7 +571,7 @@ class BuiltinGenerator:
         self.rng.setstate(saved)
         for _ in range(scanned):
             self.rng.getrandbits(n_bits)
-        peak = max(max(pcts[lane][1:], default=0.0) for lane in lanes[:scanned])
+        peak = max(pcts[lanes[scanned - 1]][1:], default=0.0)
         return _Decision(scanned, failures, accepted, peak)
 
     def _fresh_run(
@@ -585,7 +592,7 @@ class BuiltinGenerator:
             ahead = [self.rng.getrandbits(self.tpg.n_lfsr) or 1 for _ in range(extra)]
         n_lanes = len(seeds) + len(ahead)
         with obs.span("gen.expand", seeds=n_lanes):
-            pi_rows = self._lane_pi_words(seeds + ahead, cfg.segment_length)
+            pi_rows = self.tpg.sequence_batch(seeds + ahead, cfg.segment_length)
         with obs.span("gen.simulate", lanes=n_lanes):
             packed = simulate_packed_words(
                 self.circuit,
@@ -602,23 +609,6 @@ class BuiltinGenerator:
         if ahead:
             self._ahead = _LookAhead(ahead, packed, pcts, len(seeds))
         return packed, pcts
-
-    def _lane_pi_words(self, seeds: Sequence[int], length: int) -> list[list[int]]:
-        """Lane-packed TPG expansion of every candidate seed.
-
-        Uses the TPG's vectorized multi-lane stepping when available
-        (:meth:`repro.bist.tpg.DevelopedTpg.sequence_batch`); any other
-        TPG implementation falls back to per-seed scalar expansion packed
-        columnwise.
-        """
-        batch = getattr(self.tpg, "sequence_batch", None)
-        if batch is not None:
-            return batch(seeds, length)
-        sequences = [self.tpg.sequence(seed, length) for seed in seeds]
-        return [
-            [pack_bits([seq[i][j] for seq in sequences]) for j in range(len(sequences[0][i]))]
-            for i in range(length)
-        ]
 
     def _lane_lengths(self, pcts: Sequence[Sequence[float]]) -> list[int]:
         """Per-lane truncated segment lengths of a packed run's SWA traces."""
@@ -640,21 +630,13 @@ class BuiltinGenerator:
         segment is ``P(0..j-1)`` when ``j`` is even, else ``P(0..j-2)``,
         so the segment ends at the final state of its last complete test.
         With a ``pattern_bank``, a cycle violates when its pattern of
-        signal-transitions is not admitted ([90]); otherwise when its SWA
-        exceeds ``swa_func`` (:meth:`_swa_cut`).
+        signal-transitions is not admitted ([90], the bank's
+        ``prefix_length``); otherwise when its SWA exceeds ``swa_func``
+        (:meth:`_swa_cut`).
         """
         if self.pattern_bank is None:
             return self._swa_cut(result.switching)
-        from repro.core.signal_patterns import transition_pattern
-
-        length = len(result.switching)
-        for i in range(1, len(result.line_values)):
-            pattern = transition_pattern(result.line_values[i - 1], result.line_values[i])
-            if not self.pattern_bank.admits(pattern):
-                j = i - 1
-                length = j if j % 2 == 0 else j - 1
-                break
-        return max(0, length - (length % 2))
+        return self.pattern_bank.prefix_length(result.line_values)
 
     def _swa_cut(self, switching: Sequence[float]) -> int:
         """:meth:`_truncate_length`'s SWA rule over one per-cycle trace."""
@@ -678,13 +660,17 @@ def run_rows(
     Row ``i`` is ``BuiltinGenerator(circuit, faults, bounds[i],
     config=config).run()``, one such call per row, and equals it on every
     field.  The first unconstrained row (bound ``None``) logs each
-    decision's outcome and the peak SWA of the lanes it scanned.  A later
-    row takes decision ``k`` from that log if it took every earlier
-    decision so and the logged peak passes its bound
-    (:func:`swa_exceeds`).  That is exact: the row then stands where the
-    logged row stood, and its bound truncates none of the scanned lanes,
-    so their simulation, grading and scan are the logged row's.  A
-    replayed decision's seeds still count in ``stats.seeds_evaluated``.
+    decision's outcome and the peak SWA of the last seed it scanned.  A
+    later row takes decision ``k`` from that log if it took every earlier
+    decision so, and the decision accepted nothing or its peak passes the
+    row's bound (:func:`swa_exceeds`).  That is exact: the row then stands
+    where the logged row stood, with the same seeds and undetected faults.
+    A seed that failed unbounded fails under any bound, because its
+    truncated tests are a prefix of tests that detected nothing new (or
+    too short to hold one); and an accepted seed whose whole trace stays
+    within the bound is not truncated, so it is accepted with the same
+    tests.  A replayed decision's seeds still count in
+    ``stats.seeds_evaluated``.
     """
     log: list[_Decision] | None = None
     results = []

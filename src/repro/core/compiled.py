@@ -417,8 +417,6 @@ class CompiledCircuit:
         if kernel is None:
             with _obs_span("compile.word_kernel", circuit=self.circuit.name):
                 kernel = self._word_kernel = self._build_word_kernel()
-        if OBS.enabled:
-            OBS.count("compile.word_kernel_calls")
         return kernel(values, mask)
 
     def _build_word_kernel(self):

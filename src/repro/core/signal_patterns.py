@@ -12,16 +12,16 @@ Implemented here as the extension the conclusions call for:
 
 * :func:`transition_pattern` -- the pattern of one state-transition;
 * :class:`FunctionalPatternBank` -- patterns collected from functional
-  sequences, with the subset admissibility query;
-* :func:`admissible_prefix_length` -- segment truncation under the
-  pattern rule, a drop-in alternative to the SWA-only truncation of
-  :class:`repro.core.builtin_gen.BuiltinGenerator`.
+  sequences, with the subset admissibility query and
+  :meth:`~FunctionalPatternBank.prefix_length`, the segment truncation
+  :class:`repro.core.builtin_gen.BuiltinGenerator` applies under the
+  pattern rule in place of its SWA truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.circuits.netlist import Circuit
 from repro.logic.simulator import simulate_sequence
@@ -85,24 +85,17 @@ class FunctionalPatternBank:
             return False
         return any(pattern <= functional for functional in self.patterns)
 
+    def prefix_length(self, line_values: Sequence[Mapping[str, int]]) -> int:
+        """Longest even prefix of a trajectory whose every state-transition is admitted.
 
-def admissible_prefix_length(
-    circuit: Circuit,
-    initial_state: Sequence[int],
-    pi_vectors: Sequence[Sequence[int]],
-    bank: FunctionalPatternBank,
-) -> int:
-    """Longest even prefix whose every state-transition the bank admits.
-
-    The pattern-of-signal-transitions analogue of the SWA-bound
-    truncation in Fig 4.9's construction procedure.
-    """
-    result = simulate_sequence(circuit, initial_state, pi_vectors)
-    length = len(pi_vectors)
-    for i in range(1, len(result.line_values)):
-        pattern = transition_pattern(result.line_values[i - 1], result.line_values[i])
-        if not bank.admits(pattern):
-            j = i - 1
-            length = j if j % 2 == 0 else j - 1
-            break
-    return max(0, length - (length % 2))
+        ``line_values`` holds the per-cycle line valuations of a simulated
+        sequence.  As Fig 4.9 truncates by SWA: with the first inadmissible
+        transition into cycle ``j + 1``, the prefix is ``P(0..j-1)`` when
+        ``j`` is even, else ``P(0..j-2)``.
+        """
+        n = len(line_values)
+        for i in range(1, n):
+            if not self.admits(transition_pattern(line_values[i - 1], line_values[i])):
+                n = i - 1
+                break
+        return n - n % 2

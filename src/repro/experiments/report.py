@@ -345,14 +345,13 @@ def generate_report() -> str:
         "  scan's coverage dominance.",
         "* **n-detection** ([60], Section 4.1): `ndetect` shows the",
         "  built-in test set detects most detected faults many times.",
-        "* **segment delay faults** ([24][25], Section 2.1): bounded-length",
-        "  segments graded through the TPDF machinery.",
         "* **patterns of signal-transitions** ([90], Section 5.1 future",
         "  work): implemented as an alternative admissibility rule for the",
         "  construction procedure; `ablation-signal-patterns` verifies it",
         "  implies the SWA bound and restricts coverage.",
-        "* **COP-weighted TPG** ([84]-[87]): `ablation-weighted-tpg`",
-        "  compares it with the Fig 4.8 input-cube biasing.",
+        "* **COP-weighted TPG** ([84]-[87]): the Fig 4.8 TPG with per-input",
+        "  AND/OR tree widths chosen from COP probabilities;",
+        "  `ablation-weighted-tpg` compares it with the input-cube biasing.",
         "",
     ]
     ablations = ["ablation-scan-styles", "ablation-signal-patterns", "ablation-weighted-tpg"]

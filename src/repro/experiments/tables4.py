@@ -24,7 +24,7 @@ from repro.bist.tpg import DevelopedTpg
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.netlist import Circuit
 from repro.circuits.scan import ScanChains
-from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenResult, run_rows
+from repro.core.builtin_gen import BuiltinGenConfig, BuiltinGenResult, run_rows, swa_exceeds
 from repro.core.embedded import compose, estimate_swa_func
 from repro.core.state_holding import HoldingRunResult, run_with_state_holding
 from repro.experiments.format import failure_row, render
@@ -52,7 +52,9 @@ def table_4_1_rows(
     """One trace with per-cycle SWA and the selected subsequences.
 
     Returns (rows, subsequences); each subsequence is a ``(k, w)`` pair
-    meaning ``P(k .. w-1)`` is admissible under the bound.
+    meaning ``P(k .. w-1)`` is admissible under the bound.  A cycle
+    violates the bound by :func:`repro.core.builtin_gen.swa_exceeds`, the
+    rule Fig 4.9 truncates by.
     """
     circuit = get_circuit(target_name)
     tpg = DevelopedTpg.for_circuit(circuit)
@@ -71,13 +73,13 @@ def table_4_1_rows(
                 "Clock cycle i": i,
                 "s(i)": "".join(map(str, result.states[i][:12])),
                 "SWA(i)": "-" if i == 0 else round(swa, 2),
-                "violation": "**" if i >= 1 and swa > swa_func else "",
+                "violation": "**" if i >= 1 and swa_exceeds(swa, swa_func) else "",
             }
         )
     subsequences: list[tuple[int, int]] = []
     start = 0
     for i in range(1, length):
-        if result.switching[i] > swa_func:
+        if swa_exceeds(result.switching[i], swa_func):
             if i - 1 > start:
                 subsequences.append((start, i - 1))
             start = i

@@ -1,29 +1,26 @@
-"""Structural fault collapsing.
+"""Structural collapsing of transition faults.
 
-Equivalence-based collapsing for stuck-at faults, extended to transition
-faults the standard way (a slow-to-rise fault behaves as a second-frame
-stuck-at-0, so stuck-at equivalences carry over to same-polarity
-transition-fault equivalences; the first-frame initialization condition is
-also preserved by the rules used here).
-
-Rules applied (only across fanout-free connections, i.e. when the gate
-input being merged is the gate's only fanout of its driver):
+A slow-to-rise fault behaves as a second-frame stuck-at-0 and a
+slow-to-fall fault as a stuck-at-1, so each transition fault is keyed by
+its ``(line, stuck value)`` site.  Two sites merge only across a
+fanout-free BUF or NOT (the gate input being merged is its driver's only
+fanout), where the first-frame initialization condition carries over too:
 
 * BUF: input s-a-v  == output s-a-v
 * NOT: input s-a-v  == output s-a-(1-v)
-* AND/NAND: input s-a-c == output s-a-(c xor inversion), c the controlling
-  value (0); dually for OR/NOR with c = 1.
 
-The collapsed list keeps one representative per equivalence class (the
+The controlling-value merges of stuck-at collapsing (AND/NAND, OR/NOR)
+are not applied: see :func:`transition_equivalence_classes`.  The
+collapsed list keeps one representative per equivalence class (the
 structurally deepest line, matching common ATPG practice).
 """
 
 from __future__ import annotations
 
-from repro.circuits.gates import GateType, controlling_value, is_inverting
+from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
 from repro.faults.lists import all_transition_faults
-from repro.faults.models import FALL, RISE, StuckAtFault, TransitionFault
+from repro.faults.models import FALL, RISE, TransitionFault
 
 
 class _UnionFind:
@@ -48,44 +45,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
-
-
-def stuck_at_equivalence_classes(circuit: Circuit) -> dict[tuple[str, int], tuple[str, int]]:
-    """Map each (line, value) stuck-at fault to its class representative."""
-    uf = _UnionFind()
-    fanout = circuit.fanout
-    fanout_counts = {
-        line: len(fanout.get(line, []))
-        + (1 if line in circuit.outputs else 0)
-        + (1 if line in set(circuit.next_state_lines) else 0)
-        for line in circuit.lines
-    }
-    for gate in circuit.topo_gates:
-        inv = is_inverting(gate.gate_type)
-        ctrl = controlling_value(gate.gate_type)
-        for src in gate.inputs:
-            if fanout_counts.get(src, 0) != 1:
-                continue  # merging across fanout stems is not equivalence
-            if gate.gate_type in (GateType.BUF, GateType.NOT):
-                for v in (0, 1):
-                    uf.union((src, v), (gate.name, (1 - v) if inv else v))
-            elif ctrl is not None:
-                out_v = (1 - ctrl) if inv else ctrl
-                uf.union((src, ctrl), (gate.name, out_v))
-    return {key: uf.find(key) for key in [(l, v) for l in circuit.lines for v in (0, 1)]}
-
-
-def collapse_stuck_at(circuit: Circuit, faults: list[StuckAtFault]) -> list[StuckAtFault]:
-    """One representative stuck-at fault per equivalence class."""
-    classes = stuck_at_equivalence_classes(circuit)
-    seen: set[tuple[str, int]] = set()
-    out: list[StuckAtFault] = []
-    for fault in faults:
-        rep = classes.get((fault.line, fault.value), (fault.line, fault.value))
-        if rep not in seen:
-            seen.add(rep)
-            out.append(StuckAtFault(line=rep[0], value=rep[1]))
-    return out
 
 
 def transition_equivalence_classes(

@@ -19,9 +19,11 @@ packed Fig 4.9 run need no packing or evaluation at all: their good
 frames are sliced out of the frames the run already evaluated
 (:class:`repro.logic.bitsim.LaneTests`).
 
-The module also provides test-set compaction over *seed groups* -- the
-reverse-order / forward-looking pass of [89] used by Chapter 4 to reduce
-the number of selected LFSR seeds.
+Stuck-at faults are graded on single patterns only
+(:func:`stuck_at_detection_words`), the independent check of the test
+cubes PODEM generates.  Compaction is over *seed groups* only
+(:func:`compact_groups`) -- the reverse-order / forward-looking pass of
+[89] that Chapter 4 uses to reduce the number of selected LFSR seeds.
 """
 
 from __future__ import annotations
@@ -367,26 +369,3 @@ def compact_groups(
             needed -= contribution
     kept.reverse()
     return CompactionResult(kept=tuple(kept), faults_covered=len(union_all))
-
-
-def compact_test_set(
-    circuit: Circuit,
-    tests: Sequence[BroadsideTest],
-    faults: Sequence[TransitionFault],
-) -> list[BroadsideTest]:
-    """Static compaction of a broadside test set (reverse-order pass).
-
-    Drops tests that detect no fault undetected by the kept tests,
-    preserving transition fault coverage exactly -- the per-test analogue
-    of the seed-group compaction used by the Chapter 4 flow.
-    """
-    simulator = TransitionFaultSimulator(circuit)
-    words = simulator.detection_words(tests, faults)
-    per_test: list[set[TransitionFault]] = [set() for _ in tests]
-    for fault, word in words.items():
-        while word:
-            low = (word & -word).bit_length() - 1
-            per_test[low].add(fault)
-            word &= word - 1
-    kept = compact_groups(per_test).kept
-    return [tests[i] for i in kept]

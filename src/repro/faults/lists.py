@@ -2,8 +2,9 @@
 
 Builders for the fault universes the experiments grade against:
 
-* :func:`all_stuck_at_faults` / :func:`all_transition_faults` -- two faults
-  per line.
+* :func:`all_transition_faults` -- both transition faults on every line,
+  the universe :func:`repro.faults.collapse.collapsed_transition_faults`
+  collapses for Chapter 4.
 * :func:`tpdf_list_all_paths` -- transition path delay faults for every
   enumerable path (the Table 2.1 workload).
 * :func:`tpdf_list_longest_first` -- TPDFs from the longest paths downward
@@ -18,15 +19,9 @@ from repro.faults.models import (
     FALL,
     RISE,
     Path,
-    StuckAtFault,
     TransitionFault,
     TransitionPathDelayFault,
 )
-
-
-def all_stuck_at_faults(circuit: Circuit) -> list[StuckAtFault]:
-    """Both stuck-at faults on every line."""
-    return [StuckAtFault(line, v) for line in circuit.lines for v in (0, 1)]
 
 
 def all_transition_faults(circuit: Circuit) -> list[TransitionFault]:
@@ -63,42 +58,3 @@ def tpdf_list_longest_first(
 
     paths = k_longest_paths(circuit, k=max_paths)
     return tpdfs_of_paths(paths)
-
-
-def segment_paths(circuit: Circuit, length: int) -> list[Path]:
-    """All contiguous segments of exactly ``length`` lines.
-
-    Segments are the basis of the segment delay fault model ([24][25],
-    Section 2.1): cumulative delay over a bounded-length subpath.  Unlike
-    full paths, segments may start and end at internal lines, and their
-    count is polynomial in the circuit size for fixed ``length``.
-    """
-    if length < 1:
-        raise ValueError("segment length must be >= 1")
-    fanout = circuit.fanout
-    segments: list[Path] = []
-
-    def extend(lines: tuple[str, ...]) -> None:
-        """Grow ``lines`` by every fanout successor until ``length``."""
-        if len(lines) == length:
-            segments.append(Path(lines=lines))
-            return
-        for nxt in fanout.get(lines[-1], ()):
-            extend(lines + (nxt,))
-
-    for line in circuit.lines:
-        extend((line,))
-    return segments
-
-
-def segment_fault_list(
-    circuit: Circuit, length: int
-) -> list[TransitionPathDelayFault]:
-    """Segment delay faults of a given segment length, as TPDFs.
-
-    A segment delay fault is detected exactly like a transition path delay
-    fault over the segment: every transition fault along the segment must
-    be detected by the same test, which captures a delay accumulated over
-    the segment regardless of which full paths embed it.
-    """
-    return tpdfs_of_paths(segment_paths(circuit, length))

@@ -5,14 +5,12 @@ import random
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.netlist import Circuit
 from repro.faults.collapse import (
-    collapse_stuck_at,
     collapse_transition,
     collapsed_transition_faults,
-    stuck_at_equivalence_classes,
     transition_equivalence_classes,
 )
-from repro.faults.lists import all_stuck_at_faults, all_transition_faults
-from repro.faults.models import FALL, RISE, StuckAtFault, TransitionFault
+from repro.faults.lists import all_transition_faults
+from repro.faults.models import FALL, RISE, TransitionFault
 
 
 def inverter_chain():
@@ -36,25 +34,17 @@ def and_gate():
 
 
 class TestEquivalence:
-    def test_inverter_chain_collapses_to_two(self):
-        c = inverter_chain()
-        collapsed = collapse_stuck_at(c, all_stuck_at_faults(c))
-        assert len(collapsed) == 2  # 6 raw faults -> one pair
-
     def test_not_polarity_swap(self):
         c = inverter_chain()
-        classes = stuck_at_equivalence_classes(c)
+        classes = transition_equivalence_classes(c)
         assert classes[("a", 0)] == classes[("b", 1)]
         assert classes[("a", 1)] == classes[("b", 0)]
 
-    def test_and_controlling_merge(self):
+    def test_and_inputs_not_merged(self):
+        """The stuck-at controlling-value merge is unsound for transition faults."""
         c = and_gate()
-        classes = stuck_at_equivalence_classes(c)
-        # input s-a-0 == output s-a-0 for an AND gate
-        assert classes[("a", 0)] == classes[("o", 0)]
-        assert classes[("b", 0)] == classes[("o", 0)]
-        # s-a-1 faults stay distinct
-        assert classes[("a", 1)] != classes[("o", 1)]
+        classes = transition_equivalence_classes(c)
+        assert len({classes[(line, v)] for line in ("a", "b", "o") for v in (0, 1)}) == 6
 
     def test_fanout_stems_not_merged(self):
         c = Circuit(name="stem")
@@ -64,7 +54,7 @@ class TestEquivalence:
         c.add_output("x")
         c.add_output("y")
         c.validate()
-        classes = stuck_at_equivalence_classes(c)
+        classes = transition_equivalence_classes(c)
         assert classes[("a", 0)] != classes[("x", 1)]
 
 

@@ -1,16 +1,10 @@
-"""Tests for fault-list builders, including segment delay faults."""
-
-import pytest
+"""Tests for fault-list builders."""
 
 from repro.circuits.benchmarks import get_circuit
 from repro.faults.lists import (
-    all_stuck_at_faults,
     all_transition_faults,
-    segment_fault_list,
-    segment_paths,
     tpdf_list_all_paths,
     tpdf_list_longest_first,
-    tpdfs_of_paths,
 )
 from repro.faults.models import FALL, RISE
 
@@ -18,7 +12,6 @@ from repro.faults.models import FALL, RISE
 class TestBasicLists:
     def test_two_faults_per_line(self):
         c = get_circuit("s27")
-        assert len(all_stuck_at_faults(c)) == 2 * c.num_lines
         assert len(all_transition_faults(c)) == 2 * c.num_lines
 
     def test_tpdf_both_directions(self):
@@ -34,78 +27,3 @@ class TestBasicLists:
         lengths = [f.path.length for f in faults[::2]]
         assert lengths == sorted(lengths, reverse=True)
 
-
-class TestSegments:
-    def test_length_one_segments_are_lines(self):
-        c = get_circuit("s27")
-        segs = segment_paths(c, 1)
-        assert {s.lines[0] for s in segs} == set(c.lines)
-
-    def test_length_two_segments_are_edges(self):
-        c = get_circuit("s27")
-        segs = segment_paths(c, 2)
-        n_edges = sum(len(g.inputs) for g in c.gates.values())
-        assert len(segs) == n_edges
-        for s in segs:
-            s.validate(c)
-
-    def test_segments_are_valid_paths(self):
-        c = get_circuit("s298")
-        for s in segment_paths(c, 3)[:200]:
-            s.validate(c)
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            segment_paths(get_circuit("s27"), 0)
-
-    def test_segment_fault_detection_via_tpdf_machinery(self):
-        """Segment faults grade through the TPDF fault simulator."""
-        import random
-
-        from repro.faults.pdfsim import tpdf_detection_words
-        from repro.logic.simulator import make_broadside_test
-
-        c = get_circuit("s27")
-        faults = segment_fault_list(c, 2)[:20]
-        rng = random.Random(0)
-        tests = [
-            make_broadside_test(
-                c,
-                [rng.randint(0, 1) for _ in c.flops],
-                [rng.randint(0, 1) for _ in c.inputs],
-                [rng.randint(0, 1) for _ in c.inputs],
-            )
-            for _ in range(64)
-        ]
-        words = tpdf_detection_words(c, faults, tests)
-        assert any(w for w in words.values())
-
-    def test_segment_detection_implies_constituent_detection(self):
-        """A detected length-2 segment fault has both its transition
-        faults detected by the same test (the model's defining property)."""
-        import random
-
-        from repro.faults.fsim import TransitionFaultSimulator
-        from repro.faults.pdfsim import tpdf_detection_words
-        from repro.logic.simulator import make_broadside_test
-
-        c = get_circuit("s27")
-        faults = segment_fault_list(c, 2)
-        rng = random.Random(1)
-        tests = [
-            make_broadside_test(
-                c,
-                [rng.randint(0, 1) for _ in c.flops],
-                [rng.randint(0, 1) for _ in c.inputs],
-                [rng.randint(0, 1) for _ in c.inputs],
-            )
-            for _ in range(32)
-        ]
-        words = tpdf_detection_words(c, faults, tests)
-        sim = TransitionFaultSimulator(c)
-        for fault, word in words.items():
-            if not word:
-                continue
-            index = (word & -word).bit_length() - 1
-            for tr in fault.transition_faults(c):
-                assert sim.detects(tests[index], tr)

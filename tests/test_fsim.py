@@ -274,36 +274,3 @@ class TestCompaction:
         covered = set().union(*(detections[i] for i in result.kept)) if result.kept else set()
         assert covered == union_all
         assert sorted(result.kept) == list(result.kept)
-
-
-class TestTestSetCompaction:
-    def test_coverage_preserved(self):
-        import random
-
-        from repro.faults.fsim import TransitionFaultSimulator, compact_test_set
-        from repro.faults.lists import all_transition_faults
-
-        c = get_circuit("s298")
-        faults = all_transition_faults(c)
-        rng = random.Random(12)
-        tests = [
-            make_broadside_test(
-                c,
-                [rng.randint(0, 1) for _ in c.flops],
-                [rng.randint(0, 1) for _ in c.inputs],
-                [rng.randint(0, 1) for _ in c.inputs],
-            )
-            for _ in range(120)
-        ]
-        sim = TransitionFaultSimulator(c)
-        before = sim.detected_faults(tests, faults)
-        compacted = compact_test_set(c, tests, faults)
-        after = sim.detected_faults(compacted, faults)
-        assert after == before
-        assert len(compacted) < len(tests)  # random sets are redundant
-
-    def test_empty_inputs(self):
-        from repro.faults.fsim import compact_test_set
-
-        c = get_circuit("s27")
-        assert compact_test_set(c, [], []) == []

@@ -108,32 +108,38 @@ class TestLfsrLanes:
             LfsrLanes(4, [0])
 
 
+def _assert_batch_matches_sequence(tpg, seeds, length):
+    """Lane ``t`` of ``sequence_batch`` is ``sequence(seeds[t], length)``."""
+    rows = tpg.sequence_batch(seeds, length)
+    for t, seed in enumerate(seeds):
+        got = [[(w >> t) & 1 for w in row] for row in rows]
+        assert got == tpg.sequence(seed, length)
+
+
 class TestSequenceBatch:
     def test_developed_tpg_batch_matches_sequence(self):
         from repro.bist.tpg import DevelopedTpg
         from repro.circuits.benchmarks import get_circuit
 
         tpg = DevelopedTpg.for_circuit(get_circuit("s298"))
-        seeds = [1, 19, 0xABC, (1 << tpg.n_lfsr) - 1]
-        length = 30
-        rows = tpg.sequence_batch(seeds, length)
-        for t, seed in enumerate(seeds):
-            expect = tpg.sequence(seed, length)
-            got = [[(w >> t) & 1 for w in row] for row in rows]
-            assert got == expect
+        _assert_batch_matches_sequence(tpg, [1, 19, 0xABC, (1 << tpg.n_lfsr) - 1], 30)
 
     def test_reference_tpg_batch_matches_sequence(self):
         from repro.bist.tpg import ReferenceTpg
         from repro.circuits.benchmarks import get_circuit
 
         tpg = ReferenceTpg.for_circuit(get_circuit("s27"))
-        seeds = [1, 7, 500]
-        length = 25
-        rows = tpg.sequence_batch(seeds, length)
-        for t, seed in enumerate(seeds):
-            expect = tpg.sequence(seed, length)
-            got = [[(w >> t) & 1 for w in row] for row in rows]
-            assert got == expect
+        _assert_batch_matches_sequence(tpg, [1, 7, 500], 25)
+
+    @pytest.mark.parametrize("circuit", ["s298", "s344"])
+    def test_weighted_tpg_batch_matches_sequence(self, circuit):
+        """The COP-weighted TPG, whose AND and OR trees both occur here."""
+        from repro.bist.weighted import WeightedTpg
+        from repro.circuits.benchmarks import get_circuit
+
+        tpg = WeightedTpg.for_circuit(get_circuit(circuit))
+        assert {kind for _, _, kind in tpg.plan} >= {"and", "or"}
+        _assert_batch_matches_sequence(tpg, [1, 19, 0xABC, (1 << tpg.n_lfsr) - 1], 30)
 
 
 class TestMisr:

@@ -114,6 +114,16 @@ class TestWeightedTpg:
         tpg = WeightedTpg.for_circuit(c)
         assert tpg.sequence(5, 30) == tpg.sequence(5, 30)
 
+    def test_plan_sizes_the_register(self):
+        """Each input reads its own run of register bits, as wide as its tree."""
+        c = get_circuit("s344")
+        tpg = WeightedTpg.for_circuit(c)
+        assert [len(a) for a in tpg.allocation] == [taps for _, taps, _ in tpg.plan]
+        assert [i for a in tpg.allocation for i in a] == list(range(tpg.n_register_bits))
+        assert tpg.m == max(taps for _, taps, _ in tpg.plan)
+        kinds = [kind for _, _, kind in tpg.plan]
+        assert (tpg.n_and_gates, tpg.n_or_gates) == (kinds.count("and"), kinds.count("or"))
+
     def test_requires_seed(self):
         c = get_circuit("s298")
         with pytest.raises(RuntimeError):

@@ -1,13 +1,13 @@
 """``run_rows``: one target's Table 4.3 rows, each equal to its own run.
 
 :func:`repro.core.builtin_gen.run_rows` lets a constrained row take the
-``buffers`` row's Fig 4.9 decisions while no scanned cycle breaks its
-bound.  Every row must still equal an independent
-``BuiltinGenerator(target, faults, bound, config).run()`` on every
-result field, and consume the same seeds.  These tests pin that on the
-targets and bounds of ``repro-eda table 4.3`` and of the Chapter 4
-campaign, at their shipped seeds and a hold-out seed each, packed and
-through the ``lanes=1`` scalar oracle.
+``buffers`` row's Fig 4.9 decisions while each accepted nothing or its
+accepted seed's trace stays within the row's bound.  Every row must still
+equal an independent ``BuiltinGenerator(target, faults, bound,
+config).run()`` on every result field, and consume the same seeds.
+These tests pin that on the targets and bounds of ``repro-eda table
+4.3`` and of the Chapter 4 campaign, at their shipped seeds and a
+hold-out seed each, packed and through the ``lanes=1`` scalar oracle.
 """
 
 import dataclasses
@@ -103,10 +103,11 @@ def _decisions(stats) -> int:
 
 
 def test_reuse_counts_on_table_4_3():
-    """At the shipped seed, 41 of the constrained rows' decisions are replayed."""
+    """At the shipped seed, 57 of the constrained rows' decisions are replayed."""
     _, targets = _campaign("4.3", 1, None)
     stats = [s for _, _, row_stats in targets for s in row_stats]
-    assert sum(s.replayed_decisions for s in stats) == 41
+    assert sum(s.replayed_decisions for s in stats) == 57
+    assert sum(s.packed_batches for s in stats) == 47
     assert sum(map(_decisions, stats)) == 128
     # The buffers rows log; they never replay.
     for _, cases, row_stats in targets:
@@ -124,7 +125,7 @@ def test_bound_above_every_scanned_swa_replays_the_whole_row():
     assert cases[row].result.sequences == cases[0].result.sequences
 
 
-@pytest.mark.parametrize("artifact_id, seed, hits", [("4.3", 1, 30), ("chapter4", 2, 37)])
+@pytest.mark.parametrize("artifact_id, seed, hits", [("4.3", 1, 24), ("chapter4", 2, 37)])
 def test_look_ahead_serves_decisions(artifact_id, seed, hits):
     """Packed rows serve decisions from the previous run's look-ahead lanes."""
     _, targets = _campaign(artifact_id, seed, None)

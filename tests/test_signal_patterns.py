@@ -5,11 +5,8 @@ import random
 import pytest
 
 from repro.circuits.benchmarks import get_circuit
-from repro.core.signal_patterns import (
-    FunctionalPatternBank,
-    admissible_prefix_length,
-    transition_pattern,
-)
+from repro.core.signal_patterns import FunctionalPatternBank, transition_pattern
+from repro.logic.simulator import simulate_sequence
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +34,6 @@ class TestBank:
     def test_functional_patterns_admitted(self, bank_setup):
         """Every pattern from the collection sequences is admissible."""
         c, seqs, bank = bank_setup
-        from repro.logic.simulator import simulate_sequence
-
         res = simulate_sequence(c, [0] * 14, seqs[0])
         for prev, cur in zip(res.line_values, res.line_values[1:]):
             assert bank.admits(transition_pattern(prev, cur))
@@ -71,11 +66,21 @@ class TestPrefix:
         c, _, bank = bank_setup
         rng = random.Random(7)
         seq = [[rng.randint(0, 1) for _ in c.inputs] for _ in range(20)]
-        length = admissible_prefix_length(c, [0] * 14, seq, bank)
+        length = bank.prefix_length(simulate_sequence(c, [0] * 14, seq).line_values)
         assert length % 2 == 0
         assert 0 <= length <= 20
 
     def test_collection_sequence_fully_admissible(self, bank_setup):
         c, seqs, bank = bank_setup
-        length = admissible_prefix_length(c, [0] * 14, seqs[0], bank)
+        length = bank.prefix_length(simulate_sequence(c, [0] * 14, seqs[0]).line_values)
         assert length == len(seqs[0])
+
+    @pytest.mark.parametrize("bad_cycle, expect", [(3, 2), (4, 2), (5, 4), (None, 6)])
+    def test_cut_before_the_first_inadmissible_transition(self, bad_cycle, expect):
+        """The prefix ends at the last even length before the first violation."""
+        bank = FunctionalPatternBank(patterns=[frozenset({("a", True)})], union={("a", True)})
+        # "a" rises into cycle 1 (admitted) and falls only into ``bad_cycle``.
+        values = [0] + [1] * 6
+        if bad_cycle is not None:
+            values[bad_cycle:] = [0] * (len(values) - bad_cycle)
+        assert bank.prefix_length([{"a": v} for v in values]) == expect
