@@ -26,23 +26,34 @@ The four-step procedure:
   if both conflict with ``DetCon(fp)`` the fault is undetectable, if one
   conflicts the other is a new input necessary assignment.  Repeats until
   no new assignment is found.
+
+Each constituent transition fault is closed under implication once per
+two-frame model and kept as two bit masks over the model's lines (the
+lines it forces to 1 and to 0), so steps 2 and 3 are mask ORs and a
+conflict is a line in both masks.  On the longest paths most faults end
+there; only a survivor is spelled out as a valuation frame for the
+closure and step 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from repro.atpg.implication import binary_only, imply
 from repro.atpg.unroll import TwoFrameModel
-from repro.circuits.gates import controlling_value
+from repro.circuits.gates import controlling_value, inversion_parity
 from repro.core.compiled import compile_circuit
-from repro.faults.models import TransitionFault, TransitionPathDelayFault
+from repro.faults.models import RISE, TransitionFault, TransitionPathDelayFault
 from repro.logic.values import X, is_binary
 
 UNDETECTABLE = "undetectable"
 POTENTIALLY_DETECTABLE = "potentially_detectable"
+
+#: How many unspecified inputs step 4 probes per round (those structurally
+#: closest to the path first), keeping the procedure polynomial *and* fast
+#: on large models.
+STEP4_CANDIDATES = 256
 
 
 @dataclass
@@ -90,25 +101,114 @@ def _input_lines(model: TwoFrameModel) -> list[tuple[str, int, str]]:
     return out
 
 
+# ``bytes.translate`` tables from a valuation frame's 0/1/X bytes to the
+# digits of its ones and zeros masks.
+_ONES_DIGITS = bytes.maketrans(bytes((0, 1, X)), b"010")
+_ZEROS_DIGITS = bytes.maketrans(bytes((0, 1, X)), b"100")
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure(model: TwoFrameModel, line: str, v: int) -> tuple[int, int] | None:
+    """Necessary assignments of the transition launching ``v`` on ``line``.
+
+    Seeds ``line@1 = v`` and ``line@2 = 1 - v`` on one compiled frame of
+    the two-frame model and closes it with
+    :meth:`~repro.core.compiled.CompiledCircuit.imply_scalar`.  The result
+    is a ``(ones, zeros)`` pair of bit masks over the compiled line
+    indices, or ``None`` on a conflict (the transition fault is
+    undetectable), memoized on ``model`` (:attr:`TwoFrameModel.na_memo`).
+    """
+    key = (line, v)
+    memo = model.na_memo
+    if key in memo:
+        return memo[key]
+    compiled = compile_circuit(model.model)
+    frame = compiled.x_frame()
+    seeds = (
+        compiled.index[TwoFrameModel.line(line, 1)],
+        compiled.index[TwoFrameModel.line(line, 2)],
+    )
+    frame[seeds[0]] = v
+    frame[seeds[1]] = 1 - v
+    masks = None
+    if compiled.imply_scalar(frame, seeds):
+        digits = bytes(reversed(frame))  # most significant digit: the last line
+        masks = (int(digits.translate(_ONES_DIGITS), 2), int(digits.translate(_ZEROS_DIGITS), 2))
+    memo[key] = masks
+    return masks
+
+
 def transition_fault_na(
     model: TwoFrameModel, fault: TransitionFault
 ) -> Mapping[str, int] | None:
     """Necessary assignments of one transition fault over the two-frame model.
 
     Seeds ``g@1 = v`` and ``g@2 = v'`` and closes under implication;
-    ``None`` means the fault is undetectable.  Memoized on ``model``
-    (:attr:`TwoFrameModel.na_memo`); the result is a read-only view.
+    ``None`` means the fault is undetectable.  The closure is memoized on
+    ``model`` as bit masks (:attr:`TwoFrameModel.na_memo`), shared with
+    the Section 3.2 screen; the result is a read-only view of its binary
+    lines in compiled line order.
     """
-    memo = model.na_memo
-    if fault not in memo:
-        seed = {
-            TwoFrameModel.line(fault.line, 1): fault.initial_value,
-            TwoFrameModel.line(fault.line, 2): fault.final_value,
-        }
-        values = imply(model.model, seed)
-        memo[fault] = None if values is None else binary_only(values)
-    na = memo[fault]
-    return None if na is None else MappingProxyType(na)
+    masks = _closure(model, fault.line, fault.initial_value)
+    if masks is None:
+        return None
+    ones, zeros = masks
+    names = compile_circuit(model.model).names
+    return MappingProxyType(
+        {names[i]: (ones >> i) & 1 for i in _bit_indices(ones | zeros)}
+    )
+
+
+def _screen(
+    model: TwoFrameModel, fault: TransitionPathDelayFault
+) -> tuple[int, int] | None:
+    """Steps 2 and 3: the literals of ``DetCon(fp)`` before its closure.
+
+    One walk from the source follows the path's inversion parity, ORs
+    each on-path line's memoized necessary-assignment masks into one
+    ``(ones, zeros)`` pair, then ORs in the off-path non-controlling
+    values under the second pattern.  A line in both masks is a conflict
+    between necessary assignments: returns ``None``.
+    """
+    circuit = model.base
+    gates = circuit.gates
+    lines = fault.path.lines
+    v = 0 if fault.direction == RISE else 1
+    ones, zeros = 0, 0
+    for i, line in enumerate(lines):
+        if i:
+            v ^= inversion_parity(gates[line].gate_type)
+        masks = _closure(model, line, v)
+        if masks is None:
+            return None
+        ones |= masks[0]
+        zeros |= masks[1]
+        if ones & zeros:
+            return None
+
+    index = compile_circuit(model.model).index
+    for prev_line, on_line in zip(lines, lines[1:]):
+        gate = gates[on_line]
+        ctrl = controlling_value(gate.gate_type)
+        if ctrl is None:
+            continue  # XOR/XNOR: no single non-controlling value
+        for off in gate.inputs:
+            if off != prev_line:
+                bit = 1 << index[TwoFrameModel.line(off, 2)]
+                if ctrl:
+                    zeros |= bit
+                else:
+                    ones |= bit
+    if ones & zeros:
+        return None
+    return ones, zeros
 
 
 def compute_input_assignments(
@@ -116,53 +216,36 @@ def compute_input_assignments(
     fault: TransitionPathDelayFault,
     undetectable_transition_faults: Iterable[TransitionFault] = (),
     step4: bool = True,
-    step4_candidates: int = 256,
 ) -> InputAssignments:
     """Run the four-step procedure for one TPDF.
 
-    ``DetCon(fp)`` is one valuation frame of the compiled two-frame model.
-    Steps 2 and 3 merge their literals into it in place (a literal
-    opposite to a value already there is a conflict) and close it with
-    one implication pass; closing the union once reaches the same values
-    and conflicts as closing after each step, since implication is
-    monotone.  Each step-4 probe closes a copy of the closed frame plus
-    one literal.
-
-    ``step4_candidates`` bounds how many unspecified inputs step 4 probes
-    per round (the inputs structurally closest to the path are probed
-    first), keeping the procedure polynomial *and* fast on large models.
+    Steps 2 and 3 are mask ORs (:func:`_screen`); most faults on the
+    longest paths stop there.  A fault that survives them gets
+    ``DetCon(fp)`` as one valuation frame of the compiled two-frame
+    model, its literals closed with one implication pass; closing the
+    union once reaches the same values and conflicts as closing after
+    each step, since implication is monotone.  Each step-4 probe closes
+    a copy of the closed frame plus one literal, over at most
+    :data:`STEP4_CANDIDATES` unspecified inputs per round.
     """
-    circuit = model.base
-    constituents = fault.transition_faults(circuit)
-
     # Step 1: known-undetectable constituent transition faults.
     undet = set(undetectable_transition_faults)
-    if any(tr in undet for tr in constituents):
+    if undet and any(tr in undet for tr in fault.transition_faults(model.base)):
         return InputAssignments(status=UNDETECTABLE)
 
+    # Steps 2 and 3: constituent necessary assignments and off-path values.
+    literals = _screen(model, fault)
+    if literals is None:
+        return InputAssignments(status=UNDETECTABLE)
+    ones, zeros = literals
     compiled = compile_circuit(model.model)
     index = compiled.index
     det_con = compiled.x_frame()
     seeded: list[int] = []
-
-    # Step 2: merge constituent necessary assignments.
-    for tr in constituents:
-        na = transition_fault_na(model, tr)
-        if na is None or not _merge(det_con, seeded, index, na.items()):
-            return InputAssignments(status=UNDETECTABLE)
-
-    # Step 3: off-path propagation conditions under the second pattern.
-    off_path: list[tuple[str, int]] = []
-    for prev_line, on_line in zip(fault.path.lines, fault.path.lines[1:]):
-        gate = circuit.gates[on_line]
-        ctrl = controlling_value(gate.gate_type)
-        if ctrl is None:
-            continue  # XOR/XNOR: no single non-controlling value
-        for off in gate.inputs:
-            if off != prev_line:
-                off_path.append((TwoFrameModel.line(off, 2), 1 - ctrl))
-    if not _merge(det_con, seeded, index, off_path):
-        return InputAssignments(status=UNDETECTABLE)
+    for value, mask in ((1, ones), (0, zeros)):
+        for i in _bit_indices(mask):
+            det_con[i] = value
+            seeded.append(i)
     if not compiled.imply_scalar(det_con, seeded):
         return InputAssignments(status=UNDETECTABLE)
 
@@ -175,7 +258,7 @@ def compute_input_assignments(
             changed = False
             candidates = [line for line, v in zip(inputs, det_con) if v == X]
             candidates.sort(key=lambda l: (l not in support, l))
-            for line in candidates[:step4_candidates]:
+            for line in candidates[:STEP4_CANDIDATES]:
                 i = index[line]
                 if det_con[i] != X:
                     continue  # implied by an assignment found this round
@@ -201,28 +284,6 @@ def compute_input_assignments(
         det_con={name: v for name, v in zip(compiled.names, det_con) if v != X},
         input_assignments=assignments,
     )
-
-
-def _merge(
-    frame: list[int],
-    seeded: list[int],
-    index: Mapping[str, int],
-    literals: Iterable[tuple[str, int]],
-) -> bool:
-    """Merge (line, value) literals into ``frame`` in place.
-
-    Each literal on an X line is set and its index appended to ``seeded``;
-    returns False at the first literal opposite to the line's value.
-    """
-    for line, v in literals:
-        i = index[line]
-        cur = frame[i]
-        if cur == X:
-            frame[i] = v
-            seeded.append(i)
-        elif cur != v:
-            return False
-    return True
 
 
 def _path_support(model: TwoFrameModel, fault: TransitionPathDelayFault) -> set[str]:

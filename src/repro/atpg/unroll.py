@@ -26,16 +26,13 @@ a dedicated line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.circuits.netlist import Circuit
 from repro.circuits.scan import ScanChains
 from repro.logic.patterns import BroadsideTest
 from repro.logic.simulator import simulate_comb, next_state
 from repro.logic.values import X
-
-if TYPE_CHECKING:
-    from repro.faults.models import TransitionFault
 
 BROADSIDE = "broadside"
 SKEWED_LOAD = "skewed_load"
@@ -50,9 +47,11 @@ class TwoFrameModel:
     model: Circuit
     style: str = BROADSIDE
     chains: ScanChains | None = field(default=None, compare=False)
-    #: Transition fault -> its necessary assignments over this model, the
-    #: memo of :func:`repro.atpg.input_assignments.transition_fault_na`.
-    na_memo: dict[TransitionFault, dict[str, int] | None] = field(
+    #: (line, launch value) -> the necessary assignments of that transition
+    #: over this model as ``(ones, zeros)`` bit masks over the compiled
+    #: line indices, or ``None`` when it is undetectable: the memo of
+    #: :mod:`repro.atpg.input_assignments`.
+    na_memo: dict[tuple[str, int], tuple[int, int] | None] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

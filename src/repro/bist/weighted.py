@@ -8,6 +8,13 @@ chosen from COP signal probabilities so that hard-to-launch faults become
 likelier: an input whose ideal 1-probability is ``w`` receives the
 realisable weight closest to ``w``.
 
+The COP targets (:func:`weights_from_cop`) are 0.5 or 0.5 plus or minus
+half the damping, so at the default damping every input gets 0.25, 0.5
+or 0.75 and every tree is at most two taps wide.  s344's plan, the one
+``ablation-weighted-tpg`` runs, is six 2-input ANDs and three 2-input ORs
+(``m`` = 2); s298's is one AND and two ORs.  Wider trees come only from
+explicit weights.
+
 :class:`WeightedTpg` is the developed TPG of Fig 4.8
 (:class:`repro.bist.tpg.DevelopedTpg`) with a tap count per input: an AND
 tree is the cube value 0, an OR tree 1 and a direct tap x, and ``m`` is
@@ -42,9 +49,7 @@ def choose_weight(target: float, max_taps: int) -> tuple[float, int, str]:
     return min(realisable_weights(max_taps), key=lambda w: abs(w[0] - target))
 
 
-def weights_from_cop(
-    circuit: Circuit, max_taps: int = 4, damping: float = 0.5
-) -> dict[str, float]:
+def weights_from_cop(circuit: Circuit, damping: float = 0.5) -> dict[str, float]:
     """Target per-input 1-probabilities from COP analysis.
 
     Heuristic from the weighted-random literature: push each input's
@@ -52,7 +57,8 @@ def weights_from_cop(
     probabilities extreme.  We approximate by measuring, per input, the
     average launch probability of its transitive fan-out under p=0.5 and
     nudging the input toward whichever value raises it (evaluated by
-    finite difference), damped by ``damping``.
+    finite difference), damped by ``damping``: every target is 0.5 or
+    ``0.5 +- damping * 0.5``.
     """
     base = signal_probabilities(circuit)
     targets: dict[str, float] = {}
@@ -97,7 +103,7 @@ class WeightedTpg(DevelopedTpg):
     ) -> "WeightedTpg":
         """Build from explicit weights or COP-derived ones."""
         if weights is None:
-            weights = weights_from_cop(circuit, max_taps=max_taps)
+            weights = weights_from_cop(circuit)
         plan = [choose_weight(weights.get(pi, 0.5), max_taps) for pi in circuit.inputs]
         ends = accumulate(taps for _, taps, _ in plan)
         return cls(

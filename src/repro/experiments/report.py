@@ -194,7 +194,7 @@ def generate_report() -> str:
         *_measured(values, ["3.2", "3.3"]),
     ] + _runbook(
         ["3.1", "3.2", "3.3"],
-        "about 0.7 s (3.1) / 1.5 s (3.2, 3.3)",
+        "about 0.2 s (3.1) / 0.35 s (3.2, 3.3)",
         "Per fault: the original STA delay, the recalculated (final) delay"
         " after case-analysis constants, and any newly-absorbed paths --"
         " final never exceeds original.",
@@ -350,8 +350,11 @@ def generate_report() -> str:
         "  construction procedure; `ablation-signal-patterns` verifies it",
         "  implies the SWA bound and restricts coverage.",
         "* **COP-weighted TPG** ([84]-[87]): the Fig 4.8 TPG with per-input",
-        "  AND/OR tree widths chosen from COP probabilities;",
+        "  AND/OR trees chosen from COP probabilities;",
         "  `ablation-weighted-tpg` compares it with the input-cube biasing.",
+        "  The COP targets are only 0.25, 0.5 and 0.75, so every tree is two",
+        "  taps wide: s344's plan is six 2-input ANDs and three 2-input ORs",
+        "  (`m` = 2), against the cube TPG's `m` = 3.",
         "",
     ]
     ablations = ["ablation-scan-styles", "ablation-signal-patterns", "ablation-weighted-tpg"]

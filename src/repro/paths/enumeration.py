@@ -6,15 +6,19 @@ input).  Two enumeration modes mirror the dissertation's two workloads:
 
 * :func:`enumerate_paths` -- exhaustive DFS enumeration, used for the
   small circuits of Table 2.1 ("enumerate all paths");
-* :func:`k_longest_paths` -- lazy best-first enumeration of the K longest
-  paths under a per-line delay weight, used for the larger circuits of
-  Table 2.2 ("from the longest paths to the shorter ones") and as the
-  traditional-STA critical-path report of Chapter 3.
+* :func:`longest_paths` -- lazy best-first enumeration, longest first,
+  under a per-line delay weight; :func:`k_longest_paths` takes its first
+  K paths.  It serves the larger circuits of Table 2.2 ("from the
+  longest paths to the shorter ones") and the traditional-STA ranked
+  path report of Chapter 3, whose pool doubling draws more paths from one
+  generator instead of enumerating again
+  (:meth:`repro.sta.engine.StaEngine.ranking`).
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import Callable, Iterator
 
 from repro.circuits.netlist import Circuit
@@ -85,15 +89,17 @@ def count_paths(circuit: Circuit) -> int:
     return total_paths
 
 
-def k_longest_paths(
-    circuit: Circuit, k: int, delay_fn: DelayFn | None = None
-) -> list[Path]:
-    """The ``k`` longest paths in non-increasing delay order.
+def longest_paths(circuit: Circuit, delay_fn: DelayFn | None = None) -> Iterator[Path]:
+    """Every path, in non-increasing delay order, generated lazily.
 
-    Lazy best-first search: partial paths are expanded in order of
-    optimistic potential (length so far plus the best achievable remaining
-    length), so only the explored frontier is materialised -- the circuit
-    may contain exponentially many paths.
+    Best-first search: partial paths are expanded in order of optimistic
+    potential (length so far plus the best achievable remaining length),
+    so only the explored frontier is materialised -- the circuit may
+    contain exponentially many paths.  A frontier node is ``(line,
+    parent node)``: extending a partial path allocates one pair, and only
+    a finished path is spelled out as a tuple.  Ties pop in push order,
+    so the sequence depends only on the circuit and the weights: any
+    prefix is the same however far the generator is consumed.
     """
     delay_fn = delay_fn or unit_delay
     observation = _observation_set(circuit)
@@ -111,23 +117,22 @@ def k_longest_paths(
                 best = cand
         remaining[line] = best
 
-    heap: list[tuple[float, int, tuple[str, ...], bool]] = []
+    heap: list[tuple[float, int, tuple, bool]] = []
     counter = 0
     for src in circuit.comb_input_lines:
         if remaining[src] > neg_inf:
-            heapq.heappush(heap, (-remaining[src], counter, (src,), False))
+            heapq.heappush(heap, (-remaining[src], counter, (src, None), False))
             counter += 1
 
-    results: list[Path] = []
-    while heap and len(results) < k:
-        neg_pot, _, lines, done = heapq.heappop(heap)
+    while heap:
+        neg_pot, _, node, done = heapq.heappop(heap)
         if done:
-            results.append(Path(lines=lines))
+            yield Path(lines=_spell(node))
             continue
-        line = lines[-1]
+        line = node[0]
         length = -neg_pot - remaining[line]
         if line in observation:
-            heapq.heappush(heap, (-length, counter, lines, True))
+            heapq.heappush(heap, (-length, counter, node, True))
             counter += 1
         for nxt in fanout.get(line, ()):
             rem = remaining.get(nxt, neg_inf)
@@ -137,9 +142,29 @@ def k_longest_paths(
             pot = new_len + max(rem, 0.0 if nxt in observation else neg_inf)
             if pot == neg_inf:
                 continue
-            heapq.heappush(heap, (-pot, counter, lines + (nxt,), False))
+            heapq.heappush(heap, (-pot, counter, (nxt, node), False))
             counter += 1
-    return results
+
+
+def _spell(node: tuple | None) -> tuple[str, ...]:
+    """The lines of a frontier node's path, source first."""
+    lines: list[str] = []
+    while node is not None:
+        line, node = node
+        lines.append(line)
+    lines.reverse()
+    return tuple(lines)
+
+
+def k_longest_paths(
+    circuit: Circuit, k: int, delay_fn: DelayFn | None = None
+) -> list[Path]:
+    """The ``k`` longest paths in non-increasing delay order.
+
+    The first ``k`` paths of :func:`longest_paths`, so ``k_longest_paths(c,
+    k)`` is a prefix of ``k_longest_paths(c, k + j)``.
+    """
+    return list(islice(longest_paths(circuit, delay_fn), max(k, 0)))
 
 
 def path_delay(path: Path, delay_fn: DelayFn | None = None) -> float:

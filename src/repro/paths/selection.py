@@ -153,8 +153,12 @@ class PathSelector:
         initial: list[PathDelayFault] = []
         nth_delay: float | None = None
         screened: set[PathDelayFault] = set()
+        # Every pool is ``self.sta.ranked_faults(m)``, drawn from one
+        # ranking, so each path is enumerated and timed once however far
+        # the pool grows.
+        ranking = self.sta.ranking()
         while True:
-            pool = self.sta.ranked_faults(m)
+            pool = ranking.top(m)
             for fault, delay in pool:
                 if fault in screened:
                     continue

@@ -21,7 +21,10 @@ the procedure relies on:
   ("after TG") delay.
 * **Ranked path reports** -- the K most critical path delay faults under
   the active case analysis, used both for the traditional initial
-  selection and for the "paths at least as critical as fp" queries.
+  selection and for the "paths at least as critical as fp" queries.  A
+  :class:`Ranking` grows one case's report as larger K are asked for, so
+  the initial selection's pool doubling enumerates and times each path
+  once.
 """
 
 from __future__ import annotations
@@ -210,6 +213,12 @@ class StaEngine:
         return arrival
 
     # ------------------------------------------------------------------
+    def ranking(
+        self, case: CaseAnalysis | None = None, overscan: int = 4
+    ) -> "Ranking":
+        """A ranked path report under the case values, grown on demand."""
+        return Ranking(self, case or CaseAnalysis.empty(), overscan)
+
     def ranked_faults(
         self,
         k: int,
@@ -222,38 +231,12 @@ class StaEngine:
         paths in structural-delay order (``overscan * k`` of them, so
         direction-specific effects cannot push a critical fault out of the
         window), compute each direction's exact delay, sort.  A gate's
-        enumeration weight, computed once per call, is its worse arc with
-        every input counted as an unknown side input, or ``-inf`` when the
-        case values hold its output constant (its arcs are disabled).
+        enumeration weight, computed once per report, is its worse arc
+        with every input counted as an unknown side input, or ``-inf``
+        when the case values hold its output constant (its arcs are
+        disabled).  One call is ``self.ranking(case, overscan).top(k)``.
         """
-        from repro.paths.enumeration import k_longest_paths
-
-        pairs = self.propagate_case(case or CaseAnalysis.empty())
-        unknown, unknown_pins = self._case_tables(pairs)
-        margin = self.side_margin
-        weights = dict.fromkeys(self.circuit.comb_input_lines, 0.0)
-        for line, unknown_sides in unknown_pins.items():
-            p1, p2 = pairs[line]
-            if is_binary(p1) and p1 == p2:
-                weights[line] = float("-inf")  # constant line: arcs disabled
-            else:
-                rise, fall, _, _ = self.arcs[line]
-                weights[line] = max(
-                    rise + unknown_sides * margin, fall + unknown_sides * margin
-                )
-
-        candidates = k_longest_paths(
-            self.circuit, k=max(k * overscan, k + 8), delay_fn=weights.__getitem__
-        )
-        ranked: list[tuple[PathDelayFault, float]] = []
-        for path in candidates:
-            for direction in (RISE, FALL):
-                fault = PathDelayFault(path=path, direction=direction)
-                delay = self._walk(fault, pairs, unknown, unknown_pins)
-                if delay is not None:
-                    ranked.append((fault, delay))
-        ranked.sort(key=lambda item: -item[1])
-        return ranked[: 2 * k]
+        return self.ranking(case, overscan).top(k)
 
     def faults_at_least(
         self,
@@ -269,3 +252,62 @@ class StaEngine:
         """
         ranked = self.ranked_faults(scan, case=case)
         return [(f, d) for f, d in ranked if d >= threshold - 1e-12]
+
+
+class Ranking:
+    """One case's ranked path report, grown as larger reports are asked for.
+
+    :meth:`top` returns exactly :meth:`StaEngine.ranked_faults` for the
+    same case and ``overscan``: the stable sort by delay of both
+    directions of the first ``max(k * overscan, k + 8)`` longest paths
+    under the case's enumeration weights.  The paths come from one
+    :func:`~repro.paths.enumeration.longest_paths` generator and each is
+    timed once, when it is first drawn, so asking for a growing ``k`` (the
+    Fig 3.1 pool doubling) enumerates and times every path once.  Hold a
+    ranking only as long as its ``k`` keeps growing: it keeps the
+    generator's frontier and every timed fault alive.
+    """
+
+    def __init__(self, engine: StaEngine, case: CaseAnalysis, overscan: int):
+        from repro.paths.enumeration import longest_paths
+
+        self.engine = engine
+        self.overscan = overscan
+        pairs = engine.propagate_case(case)
+        unknown, unknown_pins = engine._case_tables(pairs)
+        self._tables = (pairs, unknown, unknown_pins)
+        margin = engine.side_margin
+        weights = dict.fromkeys(engine.circuit.comb_input_lines, 0.0)
+        for line, unknown_sides in unknown_pins.items():
+            p1, p2 = pairs[line]
+            if is_binary(p1) and p1 == p2:
+                weights[line] = float("-inf")  # constant line: arcs disabled
+            else:
+                rise, fall, _, _ = engine.arcs[line]
+                weights[line] = max(
+                    rise + unknown_sides * margin, fall + unknown_sides * margin
+                )
+        self._paths = longest_paths(engine.circuit, weights.__getitem__)
+        #: (fault, delay) of every drawn path's unblocked directions, in
+        #: path order, and ``len(self._timed)`` after each drawn path.
+        self._timed: list[tuple[PathDelayFault, float]] = []
+        self._ends: list[int] = []
+
+    def top(self, k: int) -> list[tuple[PathDelayFault, float]]:
+        """The ``k`` most critical path delay faults (up to ``2 * k`` entries)."""
+        want = max(k * self.overscan, k + 8)
+        walk = self.engine._walk
+        while len(self._ends) < want:
+            path = next(self._paths, None)
+            if path is None:
+                break
+            for direction in (RISE, FALL):
+                fault = PathDelayFault(path=path, direction=direction)
+                delay = walk(fault, *self._tables)
+                if delay is not None:
+                    self._timed.append((fault, delay))
+            self._ends.append(len(self._timed))
+        drawn = min(want, len(self._ends))
+        end = self._ends[drawn - 1] if drawn > 0 else 0
+        ranked = sorted(self._timed[:end], key=lambda item: -item[1])
+        return ranked[: 2 * k]

@@ -5,7 +5,6 @@ import itertools
 
 import pytest
 
-from repro.atpg import input_assignments
 from repro.atpg.implication import binary_only, imply, merge_assignments
 from repro.atpg.input_assignments import (
     POTENTIALLY_DETECTABLE,
@@ -16,9 +15,10 @@ from repro.atpg.input_assignments import (
 from repro.atpg.unroll import TwoFrameModel
 from repro.circuits.benchmarks import get_circuit
 from repro.circuits.gates import controlling_value
+from repro.core.compiled import CompiledCircuit
 from repro.experiments.figures import fig_2_1_circuit
 from repro.faults.lists import all_transition_faults, tpdf_list_all_paths
-from repro.faults.models import Path, RISE, TransitionFault, TransitionPathDelayFault
+from repro.faults.models import FALL, Path, RISE, TransitionFault, TransitionPathDelayFault
 from repro.faults.pdfsim import tpdf_detection_words
 from repro.logic.simulator import make_broadside_test
 from repro.logic.values import X
@@ -56,19 +56,46 @@ class TestSteps:
 class TestNaMemo:
     """``transition_fault_na`` is memoized on the two-frame model."""
 
+    @staticmethod
+    def count_closures(monkeypatch):
+        calls = []
+        real = CompiledCircuit.imply_scalar
+        monkeypatch.setattr(
+            CompiledCircuit, "imply_scalar", lambda *a: calls.append(a) or real(*a)
+        )
+        return calls
+
     def test_memo_equals_a_fresh_model(self, s27_model, monkeypatch):
         faults = all_transition_faults(s27_model.base)
         first = {tr: transition_fault_na(s27_model, tr) for tr in faults}
         fresh = TwoFrameModel.build(s27_model.base)
         expected = {tr: transition_fault_na(fresh, tr) for tr in faults}
         assert any(na is None for na in expected.values())
-        calls = []
-        monkeypatch.setattr(
-            input_assignments, "imply", lambda *a: calls.append(a) or imply(*a)
-        )
+        calls = self.count_closures(monkeypatch)
         for tr in faults:
             assert transition_fault_na(s27_model, tr) == first[tr] == expected[tr]
         assert not calls  # every repeat call is served from the memo
+
+    def test_view_is_one_implication_of_the_seed(self):
+        model = TwoFrameModel.build(get_circuit("s27"))
+        for tr in all_transition_faults(model.base):
+            seed = {f"{tr.line}@1": tr.initial_value, f"{tr.line}@2": tr.final_value}
+            closed = imply(model.model, seed)
+            na = transition_fault_na(model, tr)
+            if closed is None:
+                assert na is None, tr
+            else:
+                assert list(na.items()) == list(binary_only(closed).items()), tr
+
+    def test_screen_and_view_share_each_closure(self, monkeypatch):
+        model = TwoFrameModel.build(get_circuit("s27"))
+        for fault in tpdf_list_all_paths(model.base):
+            compute_input_assignments(model, fault, step4=False)
+        assert len(model.na_memo) > 10
+        calls = self.count_closures(monkeypatch)
+        for line, v in list(model.na_memo):
+            transition_fault_na(model, TransitionFault(line, RISE if v == 0 else FALL))
+        assert not calls
 
     def test_mutating_a_result_cannot_change_the_next(self, s27_model):
         fault = TransitionFault("G14", RISE)
@@ -260,7 +287,7 @@ class TestAgainstDictProcedure:
     """The in-place frame procedure equals the dict procedure on every fault
     path selection screens."""
 
-    @pytest.mark.parametrize("name,n", [("s27", 4), ("s298", 6)])
+    @pytest.mark.parametrize("name,n", [("s27", 4), ("s298", 6), ("s344", 6), ("s298", 20)])
     def test_screened_faults(self, name, n):
         selector = PathSelector(get_circuit(name), closure_scan=24)
         result = selector.run(n)

@@ -152,6 +152,51 @@ class TestRankedReport:
             assert "e" not in fault.path.lines
 
 
+class TestRanking:
+    """Fig 3.1's pool doubling draws every pool from one grown ranking."""
+
+    DOUBLING = (24, 48, 96, 192, 384, 768)  # s298's pools at Table 3.1's N = 6
+
+    def test_grown_ranking_equals_fresh_reports(self):
+        c = get_circuit("s298")
+        ranking = StaEngine(c).ranking()
+        for m in self.DOUBLING:
+            assert ranking.top(m) == StaEngine(c).ranked_faults(m), m
+
+    def test_report_is_its_definition(self):
+        """Both directions of the first max(4m, m + 8) longest paths under
+        each gate's worse arc plus every input's margin, stable-sorted by
+        delay, through the independent hop-by-hop delay."""
+        sta = StaEngine(get_circuit("s298"))
+        weights = dict.fromkeys(sta.circuit.comb_input_lines, 0.0)
+        for line, (rise, fall, _, inputs) in sta.arcs.items():
+            sides = len(inputs)
+            weights[line] = max(rise + sides * sta.side_margin, fall + sides * sta.side_margin)
+        pairs = sta.propagate_case(CaseAnalysis.empty())
+        ranking = sta.ranking()
+        for m in self.DOUBLING[:3]:
+            want = []
+            for path in k_longest_paths(sta.circuit, max(4 * m, m + 8), weights.__getitem__):
+                for direction in (RISE, FALL):
+                    fault = PathDelayFault(path, direction)
+                    delay = reference_path_delay(sta, fault, pairs)
+                    if delay is not None:
+                        want.append((fault, delay))
+            want.sort(key=lambda item: -item[1])
+            assert ranking.top(m) == want[: 2 * m], m
+
+    def test_smaller_report_after_a_larger_one(self):
+        """A report sorts its own prefix of paths, not every path drawn so
+        far: at overscan 1, s298's top faults among its first 21 paths
+        (k = 13) are not the top of the 208 a k = 200 report drew."""
+        sta = StaEngine(get_circuit("s298"))
+        ranking = sta.ranking(overscan=1)
+        drawn = ranking.top(200)
+        for k in (13, 40, 20):
+            assert ranking.top(k) == sta.ranked_faults(k, overscan=1) != drawn[: 2 * k], k
+        assert ranking.top(0) == []
+
+
 class TestLibrary:
     def test_unit_delay_is_inverter_rise(self):
         from repro.circuits.gates import GateType
